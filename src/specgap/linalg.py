@@ -28,9 +28,6 @@ from .errors import InputError, NumericalError, SizeError
 
 MAX_DIM = 2000
 DEFAULT_TOL = 1e-6
-# Above this exterior dimension, classification switches from the dense
-# minor matrix to subset products of eigenvalues.
-DENSE_EXTERIOR_LIMIT = 1024
 
 
 def matrix_hash(m: np.ndarray) -> str:
@@ -71,16 +68,24 @@ class Spectrum:
         }
 
 
-def spectrum(m) -> Spectrum:
-    """Eigenvalues and singular values, both in decreasing order."""
-    a = _as_square(m)
+def _solve(solver, a: np.ndarray, **kwargs):
     try:
-        eig = np.linalg.eigvals(a)
-        sv = np.linalg.svd(a, compute_uv=False)
+        return solver(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense solver failed: {exc}",
                              matrix_hash=matrix_hash(a)) from exc
-    eigs = sort_eigenvalues(eig)
+
+
+def _eigenvalues(m) -> tuple[complex, ...]:
+    """Eigenvalues in decreasing order, without the singular values."""
+    return sort_eigenvalues(_solve(np.linalg.eigvals, _as_square(m)))
+
+
+def spectrum(m) -> Spectrum:
+    """Eigenvalues and singular values, both in decreasing order."""
+    a = _as_square(m)
+    eigs = _eigenvalues(a)
+    sv = _solve(np.linalg.svd, a, compute_uv=False)
     return Spectrum(
         eigenvalues=eigs,
         moduli=tuple(abs(z) for z in eigs),
@@ -109,10 +114,6 @@ def kronecker(a, b) -> np.ndarray:
     return np.kron(ma, mb)
 
 
-def exterior_dim(d: int, i: int) -> int:
-    return math.comb(d, i)
-
-
 def exterior_power(m, i: int) -> np.ndarray:
     """Matrix of the induced action on i-vectors: entries are i x i minors,
     basis subsets in lexicographic order."""
@@ -120,7 +121,7 @@ def exterior_power(m, i: int) -> np.ndarray:
     d = a.shape[0]
     if not 1 <= i <= d:
         raise InputError(f"exterior index {i} out of range 1..{d}")
-    n = exterior_dim(d, i)
+    n = math.comb(d, i)
     if n > MAX_DIM:
         raise SizeError(f"exterior power dimension {n} exceeds {MAX_DIM}")
     if i == 1:
@@ -181,7 +182,9 @@ class ProximalityClass:
         }
 
 
-def _classify_values(eigs: Sequence[complex], tol: float, dim: int) -> ProximalityClass:
+def classify(m, tol: float = DEFAULT_TOL) -> ProximalityClass:
+    eigs = _eigenvalues(m)
+    dim = len(eigs)
     moduli = [abs(z) for z in eigs]
     l1 = moduli[0]
     proximal = tuple(moduli[k] > (1.0 + tol) * moduli[k + 1] for k in range(dim - 1))
@@ -208,13 +211,9 @@ def _classify_values(eigs: Sequence[complex], tol: float, dim: int) -> Proximali
     )
 
 
-def classify(m, tol: float = DEFAULT_TOL) -> ProximalityClass:
-    spec = spectrum(m)
-    return _classify_values(spec.eigenvalues, tol, len(spec.eigenvalues))
-
-
-def _subset_products_desc(values: Sequence[complex], i: int):
-    """Yield i-subset products in nonincreasing modulus order.
+def top_subset_products(values: Sequence[complex], i: int, count: int
+                        ) -> list[complex]:
+    """The ``count`` largest-by-modulus products over i-element subsets.
 
     Values are sorted by decreasing modulus and subsets explored best-first
     by single right-shifts, so products come off the heap in nonincreasing
@@ -228,12 +227,10 @@ def _subset_products_desc(values: Sequence[complex], i: int):
     start = tuple(range(i))
     heap = [(-sum(logs[k] for k in start), start)]
     seen = {start}
-    while heap:
+    out: list[complex] = []
+    while heap and len(out) < count:
         negsum, subset = heapq.heappop(heap)
-        prod = complex(1.0)
-        for k in subset:
-            prod *= vals[k]
-        yield prod
+        out.append(math.prod(vals[k] for k in subset))
         for pos in range(i):
             nxt = subset[pos] + 1
             if nxt >= d:
@@ -244,22 +241,13 @@ def _subset_products_desc(values: Sequence[complex], i: int):
             if child not in seen:
                 seen.add(child)
                 heapq.heappush(heap, (negsum + logs[subset[pos]] - logs[nxt], child))
-
-
-def top_subset_products(values: Sequence[complex], i: int, count: int
-                        ) -> list[complex]:
-    """The ``count`` largest-by-modulus products over i-element subsets."""
-    return list(itertools.islice(_subset_products_desc(values, i), count))
+    return out
 
 
 @dataclass(frozen=True)
 class ExteriorClassification:
-    """Classification of the i-th exterior power of a matrix.
-
-    ``method`` records whether the dense minor matrix was classified or the
-    eigenvalue subset-product route was used (for exterior dimensions past
-    the dense cap).  Both describe the same spectrum.
-    """
+    """Classification of the i-th exterior power of a matrix, read off the
+    i-subset products of its eigenvalues (``method`` "subset-products")."""
 
     index: int
     method: str
@@ -290,57 +278,67 @@ class ExteriorClassification:
         }
 
 
-def classify_exterior(m, i: int, tol: float = DEFAULT_TOL,
-                      dense_limit: int = DENSE_EXTERIOR_LIMIT
-                      ) -> ExteriorClassification:
-    """Classify the induced action on i-vectors without requiring the dense
-    matrix to fit when C(d, i) is large."""
+def classify_exterior(m, i: int, tol: float = DEFAULT_TOL) -> ExteriorClassification:
+    """Classify the induced action on i-vectors by counting modulus classes.
+
+    The top i-subset products take every class above the boundary class (the
+    class of the i-th largest modulus) and k of its m members: C(m, k) of
+    them.  A (positive) real one exists iff the boundary class's positive
+    reals, negative reals and whole conjugate pairs can make one; if only
+    halves of two non-real pairs could, the result is indeterminate.
+    """
     a = _as_square(m)
     d = a.shape[0]
     if not 1 <= i <= d:
         raise InputError(f"exterior index {i} out of range 1..{d}")
-    if exterior_dim(d, i) <= dense_limit:
-        pc = classify(exterior_power(a, i), tol)
-        return ExteriorClassification(
-            index=i, method="dense-minors",
-            p1_proximal=pc.proximal[0] if pc.proximal else False,
-            semiproximal=pc.semiproximal,
-            positively_semiproximal=pc.positively_semiproximal,
-            top_eigenvalue=pc.top_eigenvalue,
-            top_modulus=pc.top_modulus,
-            top_multiplicity=pc.top_multiplicity,
-            top_moduli=pc.top_moduli,
-            indeterminate=pc.indeterminate,
-            tol=tol,
-        )
-    eigs = spectrum(a).eigenvalues
-    # every eigenvalue of the exterior power is an i-subset product; pop in
-    # decreasing modulus until safely past the top tie cluster
-    prods: list[complex] = []
-    cap = 4096
-    for prod in _subset_products_desc(eigs, i):
-        prods.append(prod)
-        past_cluster = abs(prod) < (1 - 10 * tol) * abs(prods[0])
-        if (past_cluster and len(prods) >= 9) or len(prods) >= cap:
-            break
-    sorted_prods = sort_eigenvalues(prods)
-    pc = _classify_values(sorted_prods, tol, len(sorted_prods))
-    l1 = pc.top_modulus
-    # p1 gap needs the best product to beat the second-best distinct modulus
-    distinct_second = next((abs(z) for z in sorted_prods if abs(z) < (1 - tol) * l1),
-                           None)
-    p1 = (pc.top_multiplicity == 1 and distinct_second is not None
-          and l1 > (1 + tol) * distinct_second)
+    eigs = _eigenvalues(a)
+    mods = [abs(z) for z in eigs]
+    top_moduli = tuple(abs(z) for z in top_subset_products(eigs, i, 8))
+    if mods[i - 1] == 0.0:
+        # every i-subset meets the kernel, so all C(d, i) products vanish
+        return ExteriorClassification(i, "subset-products", False, False, False,
+                                      None, 0.0, math.comb(d, i), top_moduli,
+                                      False, tol)
+    # boundary class eigs[lo:hi]: adjacent moduli within the tolerance
+    lo, hi = i - 1, i
+    while lo > 0 and mods[lo] >= (1.0 - tol) * mods[lo - 1]:
+        lo -= 1
+    while hi < d and mods[hi] >= (1.0 - tol) * mods[hi - 1]:
+        hi += 1
+    size, k = hi - lo, i - lo
+    # a boundary class wider than tol, or a swap with a neighbour in the gray band
+    gray_modulus = (mods[hi - 1] < (1.0 - tol) * mods[lo]
+                    or hi < d and mods[hi] >= (1.0 - 10.0 * tol) * mods[hi - 1]
+                    or 0 < lo and k < size
+                    and mods[lo] >= (1.0 - 10.0 * tol) * mods[lo - 1])
+    # classes above are taken whole: conjugate pairs give positive factors,
+    # so their sign is the parity of their negative real eigenvalues
+    sign_above = sum(z.real < 0 and abs(z.imag) <= tol * abs(z) for z in eigs[:lo])
+    boundary = eigs[lo:hi]
+    reals = [z.real for z in boundary if abs(z.imag) <= tol * abs(z)]
+    pos = sum(x > 0 for x in reals)
+    neg = len(reals) - pos
+    pairs = (size - len(reals)) // 2
+    gray_real = k < size and any(tol * abs(z) < abs(z.imag) <= 10.0 * tol * abs(z)
+                                 for z in boundary)
+    # parities of the real products built from c negatives, the positives
+    # and whole pairs.  A product taking half of one pair is never real; one
+    # taking halves of two pairs may be, which counting cannot settle.
+    parities = {(sign_above + c) % 2 for c in range(min(neg, k) + 1)
+                if (max(0, k - c - pos) + 1) // 2 <= min(pairs, (k - c) // 2)}
+    positive = 0 in parities
+    undecided = pairs >= 2 and 2 <= k <= size - 2 and not positive
+    p1 = k == size and i < d and mods[i - 1] > (1.0 + tol) * mods[i]
     return ExteriorClassification(
         index=i, method="subset-products",
         p1_proximal=p1,
-        semiproximal=pc.semiproximal,
-        positively_semiproximal=pc.positively_semiproximal,
-        top_eigenvalue=complex(sorted_prods[0]) if p1 else None,
-        top_modulus=l1,
-        top_multiplicity=pc.top_multiplicity,
-        top_moduli=tuple(abs(z) for z in sorted_prods[:8]),
-        indeterminate=pc.indeterminate,
+        semiproximal=bool(parities),
+        positively_semiproximal=positive,
+        top_eigenvalue=math.prod(eigs[:i]) if p1 else None,
+        top_modulus=math.prod(mods[:i]),
+        top_multiplicity=math.comb(size, k),
+        top_moduli=top_moduli,
+        indeterminate=gray_modulus or gray_real or undecided,
         tol=tol,
     )
 

@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import MAX_DIM, matrix_hash, spectrum, top_eigenvalue_2x2_unimodular
+from .linalg import (MAX_DIM, _eigenvalues, matrix_hash,
+                     top_eigenvalue_2x2_unimodular)
 from .words import Alphabet, GeneratorMap, Presentation, Word
 
 UNIMODULAR_TOL = 1e-8
@@ -95,7 +96,7 @@ class RepSpec:
         m = self.evaluate(w.cyclic_reduction())
         if self.dim == 2:
             return abs(top_eigenvalue_2x2_unimodular(m))
-        return spectrum(m).moduli[0]
+        return abs(_eigenvalues(m)[0])
 
     def to_json(self) -> dict:
         return {

@@ -221,19 +221,101 @@ class TestClassify:
 
 
 class TestClassifyExterior:
-    def test_dense_and_subset_routes_agree(self):
-        m = random_unimodular(6)
-        for i in (2, 3):
-            dense = classify_exterior(m, i)
-            combo = classify_exterior(m, i, dense_limit=1)
-            assert dense.method == "dense-minors"
-            assert combo.method == "subset-products"
-            assert dense.p1_proximal == combo.p1_proximal
-            assert dense.semiproximal == combo.semiproximal
-            assert dense.positively_semiproximal == combo.positively_semiproximal
-            assert dense.top_modulus == pytest.approx(combo.top_modulus, rel=1e-8)
-            np.testing.assert_allclose(dense.top_moduli, combo.top_moduli,
-                                       rtol=1e-8)
+    @staticmethod
+    def _oracle_cases(rng):
+        """(matrix, rtol) pairs: random unimodular matrices, then conjugated
+        block diagonals of signed scalars and rotation blocks drawn from few
+        moduli and angles, so that modulus ties (and angle coincidences) are
+        common.  The minors of a conjugated matrix lose digits on the smaller
+        moduli, hence the looser tolerance there."""
+        for d in (4, 5, 6, 6, 7):
+            yield random_unimodular(d, rng), 1e-8
+        for _ in range(60):
+            d = int(rng.integers(2, 8))
+            m = np.zeros((d, d))
+            k = 0
+            while k < d:
+                r = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+                if d - k >= 2 and rng.random() < 0.5:
+                    t = float(rng.choice([0.7, 1.3, math.pi - 0.7]))
+                    m[k:k + 2, k:k + 2] = r * np.array(
+                        [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                    k += 2
+                else:
+                    m[k, k] = r * rng.choice([-1.0, 1.0])
+                    k += 1
+            p = rng.normal(size=(d, d)) + 3.0 * np.eye(d)
+            yield p @ m @ np.linalg.inv(p), 1e-5
+
+    def test_matches_exterior_power_oracle(self):
+        # classify() of the dense minor matrix is the oracle; compare
+        # wherever both answers are decisive
+        compared = skipped = 0
+        for m, rtol in self._oracle_cases(np.random.default_rng(11)):
+            d = m.shape[0]
+            for i in range(1, d + 1):
+                got = classify_exterior(m, i)
+                want = classify(exterior_power(m, i))
+                assert got.method == "subset-products"
+                if want.indeterminate or got.indeterminate:
+                    skipped += 1
+                    continue
+                compared += 1
+                assert got.p1_proximal == (want.proximal[:1] == (True,))
+                assert got.semiproximal == want.semiproximal
+                assert got.positively_semiproximal == want.positively_semiproximal
+                assert got.top_multiplicity == want.top_multiplicity
+                assert got.top_modulus == pytest.approx(want.top_modulus, rel=rtol)
+                np.testing.assert_allclose(got.top_moduli, want.top_moduli,
+                                           rtol=rtol)
+                if got.p1_proximal:
+                    assert got.top_eigenvalue == pytest.approx(
+                        want.top_eigenvalue, rel=rtol)
+        assert compared > 10 * skipped
+
+    def test_tie_cluster_past_any_cap(self):
+        # all C(25, 10) top products have modulus 1024 and C(24, 10) of
+        # them equal +1024
+        cls = classify_exterior(np.diag([2.0] + [-2.0] * 24), 10)
+        assert cls.positively_semiproximal and cls.semiproximal
+        assert not cls.indeterminate and not cls.p1_proximal
+        assert cls.top_multiplicity == math.comb(25, 10) == 3_268_760
+        assert cls.top_modulus == pytest.approx(1024.0)
+
+    def test_halves_of_two_pairs_are_indeterminate(self):
+        # below a -3, the class of modulus 2 holds two rotation pairs; the
+        # third power's top products take two of its four members
+        def block(t):
+            return 2.0 * np.array([[math.cos(t), -math.sin(t)],
+                                   [math.sin(t), math.cos(t)]])
+        for t2 in (1.9, math.pi - 0.7):
+            m = np.zeros((6, 6))
+            m[0, 0], m[5, 5] = -3.0, 0.1
+            m[1:3, 1:3], m[3:5, 3:5] = block(0.7), block(t2)
+            cls = classify_exterior(m, 3)
+            assert cls.indeterminate and not cls.positively_semiproximal
+            assert cls.top_multiplicity == math.comb(4, 2)
+        # at angles 0.7 and pi - 0.7 two halves multiply to -4, so a top
+        # product is +48; at 0.7 and 1.9 none is real and positive
+        assert classify(exterior_power(m, 3)).positively_semiproximal
+        # taking one member, or all but one, never multiplies two halves
+        assert not classify_exterior(m, 2).indeterminate
+        assert not classify_exterior(m, 4).indeterminate
+
+    def test_closed_form_cluster_on_large_diagonal(self):
+        # classes: -3, 3 x7 | -1 x20 | 0.25 x32 (d = 60); at index 18 the top
+        # cluster takes the eight 3s and ten of the twenty -1s
+        m = np.diag([-3.0] + [3.0] * 7 + [-1.0] * 20 + [0.25] * 32)
+        cls = classify_exterior(m, 18)
+        assert cls.top_multiplicity == math.comb(20, 10) == 184_756
+        assert cls.top_modulus == pytest.approx(3.0 ** 8)
+        assert cls.semiproximal and not cls.positively_semiproximal
+        assert not cls.indeterminate and not cls.p1_proximal
+        whole = classify_exterior(m, 8)
+        assert whole.p1_proximal and whole.top_multiplicity == 1
+        assert whole.top_eigenvalue == pytest.approx(-(3.0 ** 8))
+        assert not whole.positively_semiproximal
+        assert classify_exterior(m, 40).top_multiplicity == math.comb(32, 12)
 
     def test_large_dimension_uses_subset_products(self):
         m = np.diag([2.0 ** k for k in range(10, -11, -1)])  # 21x21, det 1

@@ -153,6 +153,20 @@ class TestCertificates:
         assert not cert.covered_all
         assert all(not e.covered for e in cert.entries)
 
+    def test_tie_cluster_with_positive_products_stays_uncovered(self):
+        # a1^2 = diag(2, -2 x24, 0.5 x25): at index 10 the top cluster holds
+        # C(25, 10) products, C(24, 10) of them +1024
+        rot = math.sqrt(2.0) * np.array([[0.0, -1.0], [1.0, 0.0]])
+        a1 = np.zeros((50, 50))
+        a1[0, 0] = math.sqrt(2.0)
+        for k in range(1, 25, 2):
+            a1[k:k + 2, k:k + 2] = rot
+        a1[25:, 25:] = np.eye(25) / math.sqrt(2.0)
+        rep = RepSpec(PAIR, {"a1": a1, "b1": np.eye(50)})
+        cert = certify_not_limit(rep, [word(PAIR, "a1^2")], [10],
+                                 Presentation.free(PAIR))
+        assert not cert.entries[0].covered and not cert.covered_all
+
     def test_witness_parity_precondition(self):
         rep = self._identity_rep()
         with pytest.raises(InputError):
