@@ -8,11 +8,11 @@ __version__ = "0.1.0"
 from .errors import (ConstructionError, DegenerateConfigurationError,
                      InputError, NumericalError, SamplingError, SearchError,
                      SizeError, SpecgapError)
-from .words import (Alphabet, GeneratorMap, Presentation, Word, apply_map,
-                    ball_count, commutator, enumerate_ball, free_part_alphabet,
+from .words import (Alphabet, GeneratorMap, Presentation, Word, ball_count,
+                    commutator, enumerate_ball, free_part_alphabet,
                     full_alphabet, in_index_two_core, reduce,
                     retraction_to_free_part, sandwich_map, standard_presentation,
-                    surface_alphabet, transport, word, word_length)
+                    surface_alphabet, transport, word)
 from .linalg import (ProximalityClass, Spectrum, classify, classify_exterior,
                      exterior_power, kronecker, predicted_spectrum, spectrum,
                      spectrum_tensor, spectrum_union, spectrum_wedge)
@@ -25,6 +25,6 @@ from .obstruct import (ObstructionCertificate, SignWitness, certify_not_limit,
                        check_domination, find_negative_lambda,
                        limit_formula_check, sample_limit_set,
                        verify_certificate)
-from .certify import GapProfile, QIProfile, gap_profile, qi_profile
+from .certify import Profile, gap_profile, qi_profile
 from .builders import BuildResult, build_named, known_constructions
 from .reproduce import run_reproduction, verify_golden

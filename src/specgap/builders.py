@@ -3,9 +3,11 @@
 Each builder returns a concrete representation plus a manifest recording
 parameters, derived quantities (search results, characters, margins), the
 designated witness words, gate evaluations, and the assumptions that are
-declared rather than verified.  Golden expectations are symbolic in the
-parameters and instantiated at build time, so any gate-satisfying choice
-validates.
+declared rather than verified.  :func:`build_named` stamps the
+construction id, dimension, seed and tolerance onto every manifest, and the
+id, seed and parameters onto the representation's provenance.  Golden
+expectations are symbolic in the parameters and instantiated at build time,
+so any gate-satisfying choice validates.
 
 Construction ids (the CLI contract):
 
@@ -30,8 +32,8 @@ import numpy as np
 from .errors import ConstructionError, InputError
 from .linalg import spectrum
 from .obstruct import check_domination, find_negative_lambda
-from .reps import (Character, ComplexRep2, RepSpec, block_sum,
-                   common_eigenvector_defect, hyperbolic_family, pull_back,
+from .reps import (Character, ComplexRep2, RepSpec, axis_dilation, block_sum,
+                   common_eigenvector_defect, pingpong_report, pull_back,
                    realify_lift, rename_generators, restrict_rep,
                    rotation_block_rep, scale_by_character, scaled_rotation_rep,
                    schottky_sl2r, spin_lift, spin_so31, random_unimodular,
@@ -95,12 +97,14 @@ def _random_sl2c(rng: np.random.Generator) -> np.ndarray:
             return m / np.sqrt(det)
 
 
-def _ambient_family(g: int, spread: float, base: RepSpec) -> ComplexRep2:
-    """2x2 family over the full alphabet: the (a1, b1) images of ``base``,
-    real dilations on the other surface letters, loxodromic complex
-    dilations on the c/d letters.  The global ping-pong status is reported,
-    not required; searches only run in the verified (a1, b1) pair."""
-    alphabet = full_alphabet(g)
+def _search_pair(spread: float) -> tuple[RepSpec, ComplexRep2]:
+    """The Schottky pair ``base`` on (a1, b1) and a 2x2 family over the full
+    alphabet of genus 1: the images of ``base`` on a1, b1, real dilations on
+    the other surface letters, loxodromic complex dilations on the c/d
+    letters.  The global ping-pong status is reported, not required;
+    searches only run in the verified (a1, b1) pair."""
+    base = rename_generators(schottky_sl2r(2, spread), Alphabet(("a1", "b1")))
+    alphabet = full_alphabet(1)
     axes: dict[str, tuple[float, complex]] = {}
     rest = [n for n in alphabet.names if n not in ("a1", "b1")]
     count = len(rest)
@@ -113,30 +117,22 @@ def _ambient_family(g: int, spread: float, base: RepSpec) -> ComplexRep2:
             axes[label] = (theta, strength * np.exp(1j * phase))
         else:
             axes[label] = (theta, complex(strength))
-    fam = hyperbolic_family(Alphabet(tuple(rest)), axes)
-    images = {l: np.array(fam.image(l)) for l in rest}
+    images = {l: axis_dilation(*axes[l]) for l in rest}
     images["a1"] = np.array(base.image("a1"), dtype=complex)
     images["b1"] = np.array(base.image("b1"), dtype=complex)
-    return ComplexRep2(alphabet, images,
-                       provenance={"construction": "ambient_family",
-                                   "pingpong": fam.provenance["pingpong"]})
-
-
-def _search_pair(g: int, spread: float) -> tuple[RepSpec, ComplexRep2]:
-    pair = Alphabet(("a1", "b1"))
-    base = rename_generators(schottky_sl2r(2, spread), pair)
-    ambient = _ambient_family(g, spread, base)
-    return base, ambient
+    prov = {"construction": "ambient_family",
+            "pingpong": pingpong_report(list(axes.values()))}
+    return base, ComplexRep2(alphabet, images, prov)
 
 
 # ---------------------------------------------------------------------------
 
 
-def _build_thm1i_d5(params, seed, tol) -> BuildResult:
+def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 4.0, "headroom": 2.0,
                           "max_candidates": 200, "max_power": 64})
     g = 1
-    base, ambient = _search_pair(g, float(p["spread"]))
+    base, ambient = _search_pair(float(p["spread"]))
     retr = retraction_to_free_part(g)
     rho1 = realify_lift(ambient)
 
@@ -157,10 +153,7 @@ def _build_thm1i_d5(params, seed, tol) -> BuildResult:
     witness = transport(sw.word, rep.alphabet)
     aux = transport(sw.base_word, rep.alphabet)
     manifest = {
-        "construction": "thm1i_d5",
-        "dim": rep.dim,
         "params": {"spread": float(p["spread"]), "headroom": float(p["headroom"])},
-        "seed": seed,
         "derived": {"lambda1": lam, "x": x,
                     "character_on_witness": eps_free.value(sw.word)},
         "witnesses": {"main": str(witness), "aux": str(aux)},
@@ -175,63 +168,63 @@ def _build_thm1i_d5(params, seed, tol) -> BuildResult:
         "character_convention":
             "both blocks read the character through the retraction",
     }
-    rep.provenance.update({"construction": "thm1i_d5", "seed": seed,
-                           "params": manifest["params"]})
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_thm1i_d6(params, seed, tol) -> BuildResult:
-    p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6,
-                          "max_candidates": 200, "max_power": 64})
-    g = 1
-    spread = float(p["spread"])
-    base, ambient = _search_pair(g, spread)
-    retr = retraction_to_free_part(g)
+def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict, dict]:
+    """Spin lift rho0 of the ambient family and a Schottky pair j on
+    (a1, b1) that dominates it on the ball of radius ``dom_radius``:
+    ell1(j(gamma)) >= ell1(rho0(gamma))^2.  Returns rho0, j, the pair's
+    parameters, and the manifest entries recording the domination sweep and
+    the ping-pong checks."""
+    pair = {"spread": float(p["spread"]), "dom_margin": float(p["dom_margin"]),
+            "dom_radius": int(p["dom_radius"])}
+    _, ambient = _search_pair(pair["spread"])
     rho0 = spin_lift(ambient)
 
-    spread_j = (spread ** 2) ** 2 * float(p["dom_margin"])
-    pair = Alphabet(("a1", "b1"))
-    j = rename_generators(schottky_sl2r(2, spread_j), pair)
+    spread_j = (pair["spread"] ** 2) ** 2 * pair["dom_margin"]
+    j = rename_generators(schottky_sl2r(2, spread_j), Alphabet(("a1", "b1")))
     dom = check_domination(j, restrict_rep(rho0, ("a1", "b1")), 2.0,
-                           int(p["dom_radius"]))
+                           pair["dom_radius"])
     if not dom.passed:
         raise ConstructionError(
             "domination failed on the ball: ell1(j(gamma)) >= ell1(rho0(gamma))^2",
             inequality="ell1(j) >= ell1(rho0)^2")
+    checks = {"domination": dom.to_json(),
+              "pingpong": {"pair": j.provenance["pingpong"],
+                           "ambient": ambient.provenance["pingpong"]}}
+    return rho0, j, pair, checks
 
-    sw = find_negative_lambda(j, Word.identity(pair),
+
+def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
+    p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6,
+                          "max_candidates": 200, "max_power": 64})
+    rho0, j, pair, checks = _dominated_pair(p)
+    sw = find_negative_lambda(j, Word.identity(j.alphabet),
                               max_candidates=int(p["max_candidates"]),
                               max_power=int(p["max_power"]), tol=tol)
-    rep = block_sum([rho0, pull_back(j, retr)])
+    rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
 
     witness = transport(sw.word, rep.alphabet)
     m0 = spectrum(rho0.evaluate(witness)).moduli[0]
     gates: list = []
     _gate(gates, "ell1(j(w)) > ell1(rho0(w))", abs(sw.lambda1), m0)
     manifest = {
-        "construction": "thm1i_d6",
-        "dim": rep.dim,
-        "params": {"spread": spread, "dom_margin": float(p["dom_margin"]),
-                   "dom_radius": int(p["dom_radius"])},
-        "seed": seed,
+        "params": pair,
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "expected_wedge3_top": sw.lambda1 * m0},
         "witnesses": {"main": str(witness)},
         "expected": {"wedge3_top_multiplicity": 2,
                      "wedge_failures": [1, 2, 3]},
         "gates": gates,
-        "domination": dom.to_json(),
         "search": sw.to_json(),
-        "pingpong": {"pair": j.provenance["pingpong"],
-                     "ambient": ambient.provenance["pingpong"]},
         "assumptions": list(STANDARD_ASSUMPTIONS),
+        **checks,
     }
-    rep.provenance.update({"construction": "thm1i_d6", "seed": seed,
-                           "params": manifest["params"]})
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_thm1i_dge7(params, seed, tol) -> BuildResult:
+def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"d": 7, "spread": 4.0, "dom_margin": 1.25,
                           "dom_radius": 6, "max_candidates": 200,
                           "max_power": 64})
@@ -239,22 +232,10 @@ def _build_thm1i_dge7(params, seed, tol) -> BuildResult:
     if d < 7:
         raise InputError("this construction needs dimension >= 7")
     g = 1
-    spread = float(p["spread"])
-    base, ambient = _search_pair(g, spread)
+    rho0, j, pair, checks = _dominated_pair(p)
     retr = retraction_to_free_part(g)
-    rho0 = spin_lift(ambient)
 
-    spread_j = (spread ** 2) ** 2 * float(p["dom_margin"])
-    pair = Alphabet(("a1", "b1"))
-    j = rename_generators(schottky_sl2r(2, spread_j), pair)
-    dom = check_domination(j, restrict_rep(rho0, ("a1", "b1")), 2.0,
-                           int(p["dom_radius"]))
-    if not dom.passed:
-        raise ConstructionError(
-            "domination failed on the ball: ell1(j(gamma)) >= ell1(rho0(gamma))^2",
-            inequality="ell1(j) >= ell1(rho0)^2")
-
-    coset = Word.parse(pair, "a1^2")
+    coset = Word.parse(j.alphabet, "a1^2")
     sw = find_negative_lambda(j, coset, max_candidates=int(p["max_candidates"]),
                               max_power=int(p["max_power"]), tol=tol)
     lam = abs(sw.lambda1)
@@ -287,33 +268,24 @@ def _build_thm1i_dge7(params, seed, tol) -> BuildResult:
             blocks[6 + k, 6 + k] = ch.value(label)
         det = float(np.prod([ch.value(label) for ch in chars])) if chars else 1.0
         images[label] = blocks / det ** (1.0 / d)
-    rep = RepSpec(full, images,
-                  provenance={"construction": "thm1i_dge7", "seed": seed,
-                              "params": {"d": d, "spread": spread}})
+    rep = RepSpec(full, images)
     manifest = {
-        "construction": "thm1i_dge7",
-        "dim": d,
-        "params": {"d": d, "spread": spread,
-                   "dom_margin": float(p["dom_margin"]),
-                   "dom_radius": int(p["dom_radius"])},
-        "seed": seed,
+        "params": {"d": d, **pair},
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "character_chain": char_values},
         "witnesses": {"main": str(witness)},
         "expected": {"wedge_failures": list(range(1, d - 3))},
         "gates": gates,
-        "domination": dom.to_json(),
         "search": sw.to_json(),
-        "pingpong": {"pair": j.provenance["pingpong"],
-                     "ambient": ambient.provenance["pingpong"]},
         "assumptions": list(STANDARD_ASSUMPTIONS),
         "note": "the sign search runs on the dominating pair as the evident"
                 " intent of the construction",
+        **checks,
     }
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_thm1ii_d12(params, seed, tol) -> BuildResult:
+def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"lam": -9.0, "mu": 2.0, "x": 2.0,
                           "s": -9.0, "nu": 1.2})
     lam, mu, x = float(p["lam"]), float(p["mu"]), float(p["x"])
@@ -347,10 +319,8 @@ def _build_thm1ii_d12(params, seed, tol) -> BuildResult:
         "a4": random_unimodular(3, rng),
         "b4": random_unimodular(3, rng),
     }
-    spin_part = RepSpec(alphabet, spin_images,
-                        provenance={"construction": "d12_spin_block"})
-    line_part = RepSpec(alphabet, line_images,
-                        provenance={"construction": "d12_sl3_block"})
+    spin_part = RepSpec(alphabet, spin_images)
+    line_part = RepSpec(alphabet, line_images)
     rep = tensor_rep(spin_part, line_part)
 
     w1 = commutator(Word.parse(alphabet, "a1"), Word.parse(alphabet, "b1")) \
@@ -364,10 +334,7 @@ def _build_thm1ii_d12(params, seed, tol) -> BuildResult:
     zariski = common_eigenvector_defect(
         [line_images[l] for l in alphabet.names])
     manifest = {
-        "construction": "thm1ii_d12",
-        "dim": 12,
         "params": {"lam": lam, "mu": mu, "x": x, "s": s, "nu": nu},
-        "seed": seed,
         "derived": {"witness_character_value": x ** 2},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": {
@@ -387,12 +354,10 @@ def _build_thm1ii_d12(params, seed, tol) -> BuildResult:
             " signed-permutation blocks; spectra are exact by construction",
         ],
     }
-    rep.provenance.update({"construction": "thm1ii_d12", "seed": seed,
-                           "params": manifest["params"]})
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_thm41_pattern(params, seed, tol) -> BuildResult:
+def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"n": 5, "s": -3.0, "p": 1.2, "q": None})
     n = int(p["n"])
     s = float(p["s"])
@@ -418,10 +383,8 @@ def _build_thm41_pattern(params, seed, tol) -> BuildResult:
         "a1": np.diag([-abs(s), 1.0, -1.0 / abs(s)]), "b1": _CYCLE3.copy(),
         "a2": np.diag([-abs(q), 1.0, -1.0 / abs(q)]), "b2": _CYCLE3.copy(),
     }
-    big = RepSpec(alphabet, big_images,
-                  provenance={"construction": "pattern_big_block"})
-    line = RepSpec(alphabet, line_images,
-                   provenance={"construction": "pattern_sl3_block"})
+    big = RepSpec(alphabet, big_images)
+    line = RepSpec(alphabet, line_images)
     rep = tensor_rep(big, line)
 
     w1 = Word.parse(alphabet, "a1 b1 a1 b1^-1")
@@ -429,10 +392,7 @@ def _build_thm41_pattern(params, seed, tol) -> BuildResult:
     first = [abs(s) ** 3, s ** 2] + [abs(s)] * (n - 1) + [1.0] * (n - 2)
     h_first = [abs(q) * pp ** 2] + [abs(q)] * (n - 2) + [abs(q) / pp ** 2, pp ** 2]
     manifest = {
-        "construction": "thm41_pattern",
-        "dim": 3 * n,
         "params": {"n": n, "s": s, "p": pp, "q": q},
-        "seed": seed,
         "derived": {},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": {
@@ -446,19 +406,36 @@ def _build_thm41_pattern(params, seed, tol) -> BuildResult:
             "witness images are exact diagonal tensor patterns",
         ],
     }
-    rep.provenance.update({"construction": "thm41_pattern", "seed": seed,
-                           "params": manifest["params"]})
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_prop42_sl4(params, seed, tol) -> BuildResult:
-    p = _resolve(params, {"spread": 6.0, "theta": 1.0, "x": None, "y": None})
-    spread = float(p["spread"])
-    theta = float(p["theta"])
+def _rank4_pair(spread: float) -> tuple[RepSpec, float, float, dict]:
+    """The rank-4 Schottky family rho1 on a1..a4 shared by the Prop 4.2
+    builds, the top moduli lam, mu of rho1(a1), rho1(a2), and the manifest
+    entries both builds record about it."""
     alphabet = Alphabet(("a1", "a2", "a3", "a4"))
     rho1 = rename_generators(schottky_sl2r(4, spread), alphabet)
     lam = rho1.top_modulus(Word.parse(alphabet, "a1"))
     mu = rho1.top_modulus(Word.parse(alphabet, "a2"))
+    return rho1, lam, mu, {
+        "derived": {"lam": lam, "mu": mu},
+        "witnesses": {"main": "a1", "second": "a2",
+                      "parity_main": "a1 a1", "parity_second": "a2 a2"},
+        "pingpong": rho1.provenance["pingpong"],
+    }
+
+
+_SURFACE_ASSUMPTIONS = STANDARD_ASSUMPTIONS + (
+    "the domain stands in for a surface group via its free retract",
+)
+
+
+def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
+    p = _resolve(params, {"spread": 6.0, "theta": 1.0, "x": None, "y": None})
+    spread = float(p["spread"])
+    theta = float(p["theta"])
+    rho1, lam, mu, shared = _rank4_pair(spread)
+    alphabet = rho1.alphabet
     x = float(p["x"]) if p["x"] is not None else math.sqrt(2.0 * lam)
     y = float(p["y"]) if p["y"] is not None else math.sqrt(mu / 2.0)
     gates: list = []
@@ -474,18 +451,9 @@ def _build_prop42_sl4(params, seed, tol) -> BuildResult:
         m[:2, :2] = rho1.image(label) / v
         m[2:, 2:] = v * rot.image(label)
         images[label] = m
-    rep = RepSpec(alphabet, images,
-                  provenance={"construction": "prop42_sl4", "seed": seed,
-                              "params": {"spread": spread, "theta": theta,
-                                         "x": x, "y": y}})
+    rep = RepSpec(alphabet, images)
     manifest = {
-        "construction": "prop42_sl4",
-        "dim": 4,
         "params": {"spread": spread, "theta": theta, "x": x, "y": y},
-        "seed": seed,
-        "derived": {"lam": lam, "mu": mu},
-        "witnesses": {"main": "a1", "second": "a2",
-                      "parity_main": "a1 a1", "parity_second": "a2 a2"},
         "expected": {
             "top_pair_modulus": x,
             "top_pair_angle": theta,
@@ -493,22 +461,17 @@ def _build_prop42_sl4(params, seed, tol) -> BuildResult:
             "coverage_indices": [1, 2],
         },
         "gates": gates,
-        "pingpong": rho1.provenance["pingpong"],
-        "assumptions": list(STANDARD_ASSUMPTIONS) + [
-            "the domain stands in for a surface group via its free retract",
-        ],
+        "assumptions": list(_SURFACE_ASSUMPTIONS),
+        **shared,
     }
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
-def _build_prop42_sl6(params, seed, tol) -> BuildResult:
+def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 6.0, "theta": 1.0, "s": None, "t": None})
     spread = float(p["spread"])
     theta = float(p["theta"])
-    alphabet = Alphabet(("a1", "a2", "a3", "a4"))
-    rho1 = rename_generators(schottky_sl2r(4, spread), alphabet)
-    lam = rho1.top_modulus(Word.parse(alphabet, "a1"))
-    mu = rho1.top_modulus(Word.parse(alphabet, "a2"))
+    rho1, lam, mu, shared = _rank4_pair(spread)
     s = float(p["s"]) if p["s"] is not None else 2.0 * lam ** (2.0 / 3.0)
     t = float(p["t"]) if p["t"] is not None else mu ** (-1.0 / 3.0)
     gates: list = []
@@ -516,16 +479,10 @@ def _build_prop42_sl6(params, seed, tol) -> BuildResult:
     _gate(gates, "t > |mu|^(-2/3)", t, mu ** (-2.0 / 3.0))
     _gate(gates, "t < 1", 1.0, t)
 
-    jst = scaled_rotation_rep(alphabet, s, t, theta, seed)
+    jst = scaled_rotation_rep(rho1.alphabet, s, t, theta, seed)
     rep = tensor_rep(rho1, jst)
     manifest = {
-        "construction": "prop42_sl6",
-        "dim": 6,
         "params": {"spread": spread, "theta": theta, "s": s, "t": t},
-        "seed": seed,
-        "derived": {"lam": lam, "mu": mu},
-        "witnesses": {"main": "a1", "second": "a2",
-                      "parity_main": "a1 a1", "parity_second": "a2 a2"},
         "expected": {
             "g_top_pair_modulus": lam * s,
             "g_moduli": [lam * s, lam * s, s / lam, s / lam,
@@ -535,16 +492,13 @@ def _build_prop42_sl6(params, seed, tol) -> BuildResult:
             "coverage_indices": [1, 2, 3],
         },
         "gates": gates,
-        "pingpong": rho1.provenance["pingpong"],
-        "assumptions": list(STANDARD_ASSUMPTIONS) + [
-            "the domain stands in for a surface group via its free retract",
+        "assumptions": list(_SURFACE_ASSUMPTIONS) + [
             "the 3x3 tail images are seeded pseudo-random stand-ins for an"
             " algebraically large subgroup",
         ],
+        **shared,
     }
-    rep.provenance.update({"construction": "prop42_sl6", "seed": seed,
-                           "params": manifest["params"]})
-    return BuildResult(rep, manifest)
+    return rep, manifest
 
 
 _REGISTRY = {
@@ -567,6 +521,8 @@ def build_named(name: str, params: Optional[Mapping] = None, seed: int = 0,
     if name not in _REGISTRY:
         raise InputError(
             f"unknown construction {name!r}; known: {', '.join(known_constructions())}")
-    result = _REGISTRY[name](params, seed, tol)
-    result.manifest["tol"] = tol
-    return result
+    rep, manifest = _REGISTRY[name](params, seed, tol)
+    manifest.update(construction=name, dim=rep.dim, seed=seed, tol=tol)
+    rep.provenance.update(construction=name, seed=seed,
+                          params=manifest["params"])
+    return BuildResult(rep, manifest)

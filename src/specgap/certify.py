@@ -31,7 +31,7 @@ def default_radius(dim: int) -> int:
 
 
 def _fit_line(samples: Sequence[tuple[int, float]]) -> tuple[float, float]:
-    """Least-squares (intercept, slope) on per-length minima, lengths >= 2."""
+    """Least-squares (intercept, slope) of a per-length envelope, lengths >= 2."""
     pts = [(l, v) for l, v in samples if l >= 2 and math.isfinite(v)]
     if len(pts) < 2:
         return (0.0, 0.0)
@@ -41,20 +41,34 @@ def _fit_line(samples: Sequence[tuple[int, float]]) -> tuple[float, float]:
     return (float(intercept), float(slope))
 
 
+def _finite(v: float) -> Optional[float]:
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
-class GapProfile:
-    index: int
+class Profile:
+    """Per-length envelopes of log(sigma_index / sigma_{index+1}), or of
+    log(sigma_1 / sigma_dim) when ``index`` is None (the QI profile)."""
+
+    index: Optional[int]
     radius: int
     alphabet: tuple[str, ...]
     restricted_to: Optional[tuple[str, ...]]
     samples: tuple[tuple[int, float, float], ...]  # (length, min, max)
-    intercept: float
-    slope: float
+    lower_fit: tuple[float, float]  # (intercept, slope)
+    upper_fit: tuple[float, float]
+    J: Optional[float]  # None when the lower envelope does not grow
+    K: float
     slope_threshold: float
     monotone: bool
     verdict: str
     words_evaluated: int
     note: str = DISCLAIMER
+
+    @property
+    def slope(self) -> float:
+        """Fitted slope of the lower envelope, the one the verdict reads."""
+        return self.lower_fit[1]
 
     def to_json(self) -> dict:
         return {
@@ -63,8 +77,13 @@ class GapProfile:
             "alphabet": list(self.alphabet),
             "restricted_to": None if self.restricted_to is None
             else list(self.restricted_to),
-            "samples": [[l, lo, hi] for l, lo, hi in self.samples],
-            "fit": {"log_C": self.intercept, "slope": self.slope},
+            # a saturated extremum (inf) has no strict-JSON number
+            "samples": [[l, _finite(lo), _finite(hi)]
+                        for l, lo, hi in self.samples],
+            "lower_fit": {"log_C": self.lower_fit[0], "slope": self.lower_fit[1]},
+            "upper_fit": {"log_C": self.upper_fit[0], "slope": self.upper_fit[1]},
+            "J": self.J,
+            "K": self.K,
             "slope_threshold": self.slope_threshold,
             "monotone": self.monotone,
             "verdict": self.verdict,
@@ -79,10 +98,69 @@ class GapProfile:
         return "\n".join(lines) + "\n"
 
 
-def _profile_sweep(rep: RepSpec, radius: int, stat, subalphabet,
-                   max_words: Optional[int]):
+def _log_ratio(m: np.ndarray, hi: int, lo: int) -> tuple[float, float]:
+    """log(sigma_{hi+1} / sigma_{lo+1}) of a unimodular image and a lower
+    bound for it: (value, value), or (inf, floor) when the ratio saturated,
+    i.e. the smaller singular value computes as zero or the ratio
+    overflows.  The SVD is exact for a perturbation of norm about
+    dim * eps * sigma_1, so the true value is then at least ``floor``.
+
+    For 2x2 images sigma_1 = (s + t) / 2 with s = |(a+d, b-c)| and
+    t = |(a-d, b+c)|, and sigma_1 * sigma_2 = det = 1, so the ratio is
+    sigma_1^2 in closed form: it never saturates, where the SVD of a
+    product past log(sigma_1/sigma_2) ~ 36 returns sigma_2 = 0.
+    """
+    if m.shape[0] == 2:
+        a, b, c, d = m.ravel().tolist()
+        s = math.hypot(a + d, b - c)
+        t = math.hypot(a - d, b + c)
+        v = 2.0 * math.log((s + t) / 2.0)
+        return v, v
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[lo] > 0.0:
+        v = float(np.log(sv[hi] / sv[lo]))
+        if math.isfinite(v):
+            return v, v
+    delta = m.shape[0] * np.finfo(float).eps * float(sv[0])
+    return math.inf, math.log(max(float(sv[hi]) - delta, delta) / delta)
+
+
+def _verdict(boxes: Sequence[tuple[int, float, float]],
+             slope_threshold: float) -> str:
+    """Verdict on a lower envelope known per length only to lie in
+    [low, high] (low < high where a saturated ratio may sit below the
+    recorded minimum).  "pass" or "fail" must hold for every envelope in
+    the box."""
+    if any(math.isinf(hi) for _, _, hi in boxes):
+        return "inconclusive"
+    y = -math.inf  # the lowest monotone envelope in the box, if there is one
+    for _, lo, hi in boxes:
+        y = max(lo, y - MONOTONE_SLACK)
+        if y > hi:
+            return "fail"
+    # the fitted slope is linear in the envelope, so it is extreme at the
+    # corners that are low (or high) on one side of the mean length
+    mid = sum(l for l, _, _ in boxes) / max(len(boxes), 1)
+    flattest = _fit_line([(l, lo if l > mid else hi) for l, lo, hi in boxes])[1]
+    steepest = _fit_line([(l, hi if l > mid else lo) for l, lo, hi in boxes])[1]
+    if steepest <= slope_threshold:
+        return "fail"
+    if flattest > slope_threshold and all(
+            lo1 >= hi0 - MONOTONE_SLACK
+            for (_, _, hi0), (_, lo1, _) in zip(boxes, boxes[1:])):
+        return "pass"
+    return "inconclusive"
+
+
+def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
+             slope_threshold: float, subalphabet: Optional[Sequence[str]],
+             max_words: Optional[int]) -> Profile:
+    if radius is None:
+        radius = default_radius(rep.dim)
+    hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
+    floors: dict[int, float] = {}
     count = 0
     truncated = False
     for w, m in iter_ball_images(rep, radius, subalphabet):
@@ -92,130 +170,53 @@ def _profile_sweep(rep: RepSpec, radius: int, stat, subalphabet,
         if max_words is not None and count > max_words:
             truncated = True
             break
-        v = stat(m)
+        v, floor = _log_ratio(m, hi, lo)
         length = len(w)
         mins[length] = min(mins.get(length, math.inf), v)
         maxs[length] = max(maxs.get(length, -math.inf), v)
+        floors[length] = min(floors.get(length, math.inf), floor)
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
-    return samples, count, truncated
 
-
-def _verdict(samples, slope, slope_threshold, truncated) -> tuple[str, bool]:
-    monotone = True
-    lows = [(l, lo) for l, lo, _ in samples if l >= 2]
-    for (l0, v0), (l1, v1) in zip(lows, lows[1:]):
-        if v1 < v0 - MONOTONE_SLACK:
-            monotone = False
+    lower = _fit_line([(l, v) for l, v, _ in samples])
+    upper = _fit_line([(l, v) for l, _, v in samples])
+    lows = [v for l, v, _ in samples if l >= 2]
+    monotone = all(v1 >= v0 - MONOTONE_SLACK for v0, v1 in zip(lows, lows[1:]))
     if truncated:
-        return "inconclusive", monotone
-    if slope > slope_threshold and monotone:
-        return "pass", monotone
-    return "fail", monotone
-
-
-def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
-                slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
-                subalphabet: Optional[Sequence[str]] = None,
-                max_words: Optional[int] = 200_000) -> GapProfile:
-    """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
-    with a least-squares fit of the lower envelope."""
-    if not 1 <= i <= rep.dim - 1:
-        raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
-    if radius is None:
-        radius = default_radius(rep.dim)
-
-    def stat(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[i] == 0.0:
-            return math.inf
-        return float(np.log(sv[i - 1] / sv[i]))
-
-    samples, count, truncated = _profile_sweep(rep, radius, stat, subalphabet,
-                                               max_words)
-    intercept, slope = _fit_line([(l, lo) for l, lo, _ in samples])
-    verdict, monotone = _verdict(samples, slope, slope_threshold, truncated)
-    return GapProfile(
-        index=i, radius=radius,
+        verdict = "inconclusive"
+    else:
+        verdict = _verdict([(l, floors[l], lo) for l, lo, _ in samples
+                            if l >= 2], slope_threshold)
+    return Profile(
+        index=index, radius=radius,
         alphabet=rep.alphabet.names,
         restricted_to=None if subalphabet is None else tuple(subalphabet),
-        samples=samples, intercept=intercept, slope=slope,
+        samples=samples, lower_fit=lower, upper_fit=upper,
+        J=max(upper[1], 1.0 / lower[1]) if lower[1] > 0 else None,
+        K=math.exp(max(upper[0], -lower[0], 0.0)),
         slope_threshold=slope_threshold, monotone=monotone, verdict=verdict,
         words_evaluated=count,
     )
 
 
-@dataclass(frozen=True)
-class QIProfile:
-    radius: int
-    alphabet: tuple[str, ...]
-    restricted_to: Optional[tuple[str, ...]]
-    samples: tuple[tuple[int, float, float], ...]
-    lower_fit: tuple[float, float]  # (intercept, slope)
-    upper_fit: tuple[float, float]
-    J: float
-    K: float
-    slope_threshold: float
-    verdict: str
-    words_evaluated: int
-    note: str = DISCLAIMER
-
-    def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "alphabet": list(self.alphabet),
-            "restricted_to": None if self.restricted_to is None
-            else list(self.restricted_to),
-            "samples": [[l, lo, hi] for l, lo, hi in self.samples],
-            "lower_fit": {"log_C": self.lower_fit[0], "slope": self.lower_fit[1]},
-            "upper_fit": {"log_C": self.upper_fit[0], "slope": self.upper_fit[1]},
-            "J": self.J,
-            "K": self.K,
-            "slope_threshold": self.slope_threshold,
-            "verdict": self.verdict,
-            "words_evaluated": self.words_evaluated,
-            "note": self.note,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["length,min_log_gap,max_log_gap"]
-        for l, lo, hi in self.samples:
-            lines.append(f"{l},{lo!r},{hi!r}")
-        return "\n".join(lines) + "\n"
+def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
+                slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
+                subalphabet: Optional[Sequence[str]] = None,
+                max_words: Optional[int] = 200_000) -> Profile:
+    """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
+    with a least-squares fit of the lower envelope."""
+    if not 1 <= i <= rep.dim - 1:
+        raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
+    return _profile(rep, i, radius, slope_threshold, subalphabet, max_words)
 
 
 def qi_profile(rep: RepSpec, radius: Optional[int] = None,
                slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
                subalphabet: Optional[Sequence[str]] = None,
-               max_words: Optional[int] = 200_000) -> QIProfile:
+               max_words: Optional[int] = 200_000) -> Profile:
     """Two-sided per-length envelopes of log(sigma_1 / sigma_dim).
 
     The fitted slopes give finite-scale versions of the two-sided
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
     """
-    if radius is None:
-        radius = default_radius(rep.dim)
-
-    def stat(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] == 0.0:
-            return math.inf
-        return float(np.log(sv[0] / sv[-1]))
-
-    samples, count, truncated = _profile_sweep(rep, radius, stat, subalphabet,
-                                               max_words)
-    lower = _fit_line([(l, lo) for l, lo, _ in samples])
-    upper = _fit_line([(l, hi) for l, _, hi in samples])
-    lo_slope = lower[1]
-    up_slope = upper[1]
-    J = max(up_slope, 1.0 / lo_slope) if lo_slope > 0 else math.inf
-    K = math.exp(max(upper[0], -lower[0], 0.0))
-    verdict, _ = _verdict(samples, lo_slope, slope_threshold, truncated)
-    return QIProfile(
-        radius=radius,
-        alphabet=rep.alphabet.names,
-        restricted_to=None if subalphabet is None else tuple(subalphabet),
-        samples=samples, lower_fit=lower, upper_fit=upper, J=J, K=K,
-        slope_threshold=slope_threshold, verdict=verdict,
-        words_evaluated=count,
-    )
+    return _profile(rep, None, radius, slope_threshold, subalphabet, max_words)

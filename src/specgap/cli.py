@@ -29,7 +29,7 @@ from .words import Presentation, Word
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _digest(path: Path) -> str:
@@ -89,11 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     " obstructions and gap diagnostics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, seed=True, tol=True):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="relative classification tolerance")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-6,
+                           help="relative classification tolerance")
 
     b = sub.add_parser("build", help="run a named construction")
     common(b)
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="construction parameter (repeatable)")
 
     o = sub.add_parser("obstruct", help="sweep an obstruction certificate")
-    common(o)
+    common(o, seed=False)
     o.add_argument("--rep", required=True, help="rep.json file")
     o.add_argument("--presentation", help="presentation JSON (default: free)")
     o.add_argument("--witness", action="append", required=True,
@@ -112,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated exterior indices (default 1..dim/2)")
 
     d = sub.add_parser("diagnose", help="finite-scale gap or QI profile")
-    common(d)
+    common(d, seed=False, tol=False)
     d.add_argument("--rep", required=True)
     group = d.add_mutually_exclusive_group(required=True)
     group.add_argument("--gap", type=int, metavar="I",
@@ -135,21 +137,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_build(args, argv) -> int:
-    run = _Run(args.out, argv, "build")
+def _cmd_build(args, run: _Run) -> int:
     result = build_named(args.name, _parse_params(args.param),
                          seed=args.seed, tol=args.tol)
     run.write("rep.json", _canonical_json(result.rep.to_json()))
     run.write("build.json", _canonical_json(result.manifest))
     run.extra = {"construction": args.name, "seed": args.seed, "tol": args.tol,
                  "params": _parse_params(args.param)}
-    run.finish()
     print(f"built {args.name} (dim {result.rep.dim}) -> {run.dir}")
     return 0
 
 
-def _cmd_obstruct(args, argv) -> int:
-    run = _Run(args.out, argv, "obstruct")
+def _cmd_obstruct(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
     if args.presentation:
         pres = Presentation.load(args.presentation)
@@ -162,8 +161,7 @@ def _cmd_obstruct(args, argv) -> int:
         indices = list(range(1, rep.dim // 2 + 1))
     cert = certify_not_limit(rep, witnesses, indices, pres, tol=args.tol)
     run.write("certificate.json", _canonical_json(cert.to_json()))
-    run.extra = {"seed": args.seed, "tol": args.tol}
-    run.finish()
+    run.extra = {"tol": args.tol}
     covered = [e.index for e in cert.entries if e.covered]
     uncovered = [e.index for e in cert.entries if not e.covered]
     print(f"covered indices: {covered}; uncovered: {uncovered}")
@@ -175,8 +173,7 @@ def _cmd_obstruct(args, argv) -> int:
     return 1
 
 
-def _cmd_diagnose(args, argv) -> int:
-    run = _Run(args.out, argv, "diagnose")
+def _cmd_diagnose(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
     restrict = args.restrict.split(",") if args.restrict else None
     if args.gap is not None:
@@ -186,8 +183,6 @@ def _cmd_diagnose(args, argv) -> int:
         profile = qi_profile(rep, radius=args.radius, subalphabet=restrict)
     run.write("profile.json", _canonical_json(profile.to_json()))
     run.write("profile.csv", profile.to_csv())
-    run.extra = {"seed": args.seed, "tol": args.tol}
-    run.finish()
     print(f"verdict: {profile.verdict} ({profile.note})")
     if profile.verdict == "pass":
         return 0
@@ -196,13 +191,11 @@ def _cmd_diagnose(args, argv) -> int:
     return 1
 
 
-def _cmd_reproduce(args, argv) -> int:
-    run = _Run(args.out, argv, "reproduce")
+def _cmd_reproduce(args, run: _Run) -> int:
     report = run_reproduction(args.name, _parse_params(args.param),
                               seed=args.seed, tol=args.tol)
     run.write("report.json", _canonical_json(report))
     run.extra = {"construction": args.name, "seed": args.seed, "tol": args.tol}
-    run.finish()
     for check in report["golden"]["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"  [{mark}] {check['name']}")
@@ -210,14 +203,12 @@ def _cmd_reproduce(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_limitset(args, argv) -> int:
-    run = _Run(args.out, argv, "limitset")
+def _cmd_limitset(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
     sample = sample_limit_set(rep, args.samples, seed=args.seed, tol=args.tol)
     run.write("limitset.csv", sample.to_csv())
     run.write("limitset.json", _canonical_json(sample.to_json()))
     run.extra = {"seed": args.seed, "tol": args.tol}
-    run.finish()
     print(f"{len(sample.words)} proximal samples, max rank defect "
           f"{sample.max_defect:.3e}")
     return 0
@@ -237,7 +228,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.subcommand](args, argv)
+        run = _Run(args.out, argv, args.subcommand)
+        code = _DISPATCH[args.subcommand](args, run)
+        run.finish()
+        return code
     except (InputError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

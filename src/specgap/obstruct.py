@@ -271,6 +271,9 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     """
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
+    if radius < 1:
+        raise InputError("domination radius must be >= 1: a sweep of no"
+                         " words has no margin")
     per_length: dict[int, float] = {}
     margin = math.inf
     argmin = ""
@@ -281,8 +284,6 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
             continue
         count += 1
         core = w.cyclic_reduction()
-        if not core.letters:
-            continue  # conjugation-trivial: margin identically zero, like e
         if core.letters not in cache:
             lu = math.log(upper.top_modulus(core))
             ll = math.log(lower.top_modulus(core))

@@ -193,13 +193,37 @@ def pingpong_report(axes: Sequence[tuple[float, complex]]) -> dict:
     }
 
 
-def _axis_dilation(theta: float, z: complex) -> np.ndarray:
+def axis_dilation(theta: float, z: complex) -> np.ndarray:
+    """diag(z, 1/z) conjugated by the rotation of angle theta."""
     r = _rotation(theta)
     d = np.diag([z, 1.0 / z])
     out = r @ d @ r.T
     if abs(z.imag) == 0.0:
         return out.real
     return out
+
+
+def _schottky(kind, name: str, rank: int, spread: float, dilation):
+    """Generator i (1-based) is diag(z, 1/z), z = dilation(i), conjugated by
+    the rotation of angle i*pi/(2*rank), after the separation check."""
+    if rank not in (2, 3, 4):
+        raise InputError("rank must be 2, 3 or 4")
+    if spread < 2:
+        raise InputError("spread must be >= 2")
+    labels = ("a", "b", "c", "d")[:rank]
+    axes = [(i * math.pi / (2 * rank), dilation(i)) for i in range(1, rank + 1)]
+    report = pingpong_report(axes)
+    if not report["verified"]:
+        raise ConstructionError(
+            f"spread {spread} too small for ping-pong separation: need "
+            f"strength >= {report['required_strength']:.3f}",
+            inequality="strength >= cot(ball radius)")
+    images = {lbl: axis_dilation(theta, z)
+              for lbl, (theta, z) in zip(labels, axes)}
+    return kind(Alphabet(labels), images,
+                provenance={"construction": name,
+                            "params": {"rank": rank, "spread": spread},
+                            "pingpong": report})
 
 
 def schottky_sl2r(rank: int, spread: float) -> RepSpec:
@@ -209,65 +233,15 @@ def schottky_sl2r(rank: int, spread: float) -> RepSpec:
     angle i*pi/(2*rank).  The builder verifies the separation criterion and
     refuses spreads too small for it.
     """
-    if rank not in (2, 3, 4):
-        raise InputError("rank must be 2, 3 or 4")
-    if spread < 2:
-        raise InputError("spread must be >= 2")
-    labels = ("a", "b", "c", "d")[:rank]
-    axes = [(i * math.pi / (2 * rank), complex(spread ** i))
-            for i in range(1, rank + 1)]
-    report = pingpong_report(axes)
-    if not report["verified"]:
-        raise ConstructionError(
-            f"spread {spread} too small for ping-pong separation: need "
-            f"strength >= {report['required_strength']:.3f}",
-            inequality="strength >= cot(ball radius)")
-    images = {lbl: _axis_dilation(theta, z)
-              for lbl, (theta, z) in zip(labels, axes)}
-    return RepSpec(Alphabet(labels), images,
-                   provenance={"construction": "schottky_sl2r",
-                               "params": {"rank": rank, "spread": spread},
-                               "pingpong": report})
+    return _schottky(RepSpec, "schottky_sl2r", rank, spread,
+                     lambda i: complex(spread ** i))
 
 
 def schottky_sl2c(rank: int, spread: float) -> ComplexRep2:
     """As :func:`schottky_sl2r` with loxodromic eigenvalues
     spread^i * exp(1j*i*pi/(3*rank))."""
-    if rank not in (2, 3, 4):
-        raise InputError("rank must be 2, 3 or 4")
-    if spread < 2:
-        raise InputError("spread must be >= 2")
-    labels = ("a", "b", "c", "d")[:rank]
-    axes = [(i * math.pi / (2 * rank),
-             spread ** i * np.exp(1j * i * math.pi / (3 * rank)))
-            for i in range(1, rank + 1)]
-    report = pingpong_report(axes)
-    if not report["verified"]:
-        raise ConstructionError(
-            f"spread {spread} too small for ping-pong separation: need "
-            f"strength >= {report['required_strength']:.3f}",
-            inequality="strength >= cot(ball radius)")
-    images = {lbl: _axis_dilation(theta, z)
-              for lbl, (theta, z) in zip(labels, axes)}
-    return ComplexRep2(Alphabet(labels), images,
-                       provenance={"construction": "schottky_sl2c",
-                                   "params": {"rank": rank, "spread": spread},
-                                   "pingpong": report})
-
-
-def hyperbolic_family(alphabet: Alphabet, axes: Mapping[str, tuple[float, complex]],
-                      provenance: Optional[Mapping] = None) -> ComplexRep2:
-    """Axis-conjugated dilation family over an arbitrary alphabet.
-
-    Used by named builders that need more generators than the public
-    factories allow; the ping-pong report is attached, verified or not.
-    """
-    report = pingpong_report([axes[l] for l in alphabet.names])
-    images = {l: np.array(_axis_dilation(*axes[l]), dtype=complex)
-              for l in alphabet.names}
-    prov = dict(provenance or {})
-    prov["pingpong"] = report
-    return ComplexRep2(alphabet, images, prov)
+    return _schottky(ComplexRep2, "schottky_sl2c", rank, spread,
+                     lambda i: spread ** i * np.exp(1j * i * math.pi / (3 * rank)))
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,6 @@ def word(alphabet: Alphabet, text: str) -> Word:
     return Word.parse(alphabet, text)
 
 
-def word_length(w: Word) -> int:
-    return len(w)
-
-
 def commutator(u: Word, v: Word) -> Word:
     _require_same_alphabet(u, v)
     return u * v * u.inverse() * v.inverse()
@@ -334,10 +330,6 @@ class GeneratorMap:
     def identity(cls, alphabet: Alphabet) -> "GeneratorMap":
         return cls(alphabet, alphabet,
                    tuple((n, Word.parse(alphabet, n)) for n in alphabet.names))
-
-
-def apply_map(m: GeneratorMap, w: Word) -> Word:
-    return m.apply(w)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,15 @@ class TestManifests:
         assert rep_bytes(a) == rep_bytes(b)
         assert a.manifest["witnesses"] == b.manifest["witnesses"]
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_build_stamp(self, name):
+        result = build_named(name, None, seed=4, tol=1e-7)
+        man, prov = result.manifest, result.rep.provenance
+        assert (man["construction"], man["dim"], man["seed"], man["tol"]) == \
+            (name, result.rep.dim, 4, 1e-7)
+        assert (prov["construction"], prov["seed"]) == (name, 4)
+        assert prov["params"] == man["params"]
+
     def test_seed_changes_random_blocks(self):
         a = build_named("thm1ii_d12", None, seed=1)
         b = build_named("thm1ii_d12", None, seed=2)

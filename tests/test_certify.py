@@ -62,7 +62,7 @@ class TestGapProfile:
         assert len(lines) == 4
         doc = prof.to_json()
         assert doc["verdict"] == "pass"
-        assert doc["fit"]["slope"] == pytest.approx(prof.slope)
+        assert doc["lower_fit"]["slope"] == pytest.approx(prof.slope)
 
     def test_default_radius_scales_with_dimension(self):
         assert default_radius(2) == 6

@@ -30,6 +30,10 @@ class TestBuild:
     def test_unknown_name_exits_2(self, tmp_path):
         assert main(["build", "--name", "zzz", "--out", str(tmp_path)]) == 2
 
+    def test_empty_domination_sweep_exits_2(self, tmp_path):
+        assert main(["build", "--name", "thm1i_d6", "--param", "dom_radius=0",
+                     "--out", str(tmp_path)]) == 2
+
     def test_bad_param_syntax_exits_2(self, tmp_path):
         assert main(["build", "--name", "thm1ii_d12", "--param", "x2",
                      "--out", str(tmp_path)]) == 2
@@ -140,6 +144,49 @@ class TestDiagnose:
                      "--out", str(out)])
         assert code == 0
         assert read_json(out / "profile.json")["verdict"] == "pass"
+
+
+    @pytest.mark.parametrize("build,args,code", [
+        # identity pair: a flat lower envelope, so J is undefined
+        (None, ["--qi", "--radius", "3"], 1),
+        # saturated ratios at lengths 3 and 4 may sit below the recorded
+        # minima, so the verdict cannot be decided
+        ("thm1i_d6", ["--qi", "--radius", "4", "--restrict", "a1,b1"], 3),
+    ])
+    def test_profile_json_is_strict(self, tmp_path, build, args, code):
+        if build is None:
+            rep = tmp_path / "rep.json"
+            rep.write_text(json.dumps({"alphabet": ["a", "b"], "images": {
+                "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0], [0.0, 1.0]]}}))
+        else:
+            main(["build", "--name", build, "--out", str(tmp_path / "b")])
+            rep = tmp_path / "b" / "rep.json"
+        out = tmp_path / "prof"
+        assert main(["diagnose", "--rep", str(rep), *args,
+                     "--out", str(out)]) == code
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((out / "profile.json").read_text(),
+                         parse_constant=reject)
+        if build is None:
+            assert doc["J"] is None and doc["verdict"] == "fail"
+        else:
+            assert doc["verdict"] == "inconclusive"
+            assert [s[2] for s in doc["samples"]][2:] == [None, None]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--rep", "rep.json", "--qi", "--seed", "1"],
+        ["diagnose", "--rep", "rep.json", "--qi", "--tol", "1e-6"],
+        ["obstruct", "--rep", "rep.json", "--witness", "a1", "--seed", "1"],
+    ])
+    def test_options_a_subcommand_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestReproduce:

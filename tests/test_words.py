@@ -11,7 +11,7 @@ from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
                            free_part_alphabet, full_alphabet,
                            in_index_two_core, reduce, retraction_to_free_part,
                            sandwich_map, standard_presentation,
-                           surface_alphabet, transport, word, word_length)
+                           surface_alphabet, transport, word)
 
 AB = Alphabet(("a1", "b1"))
 ABC = Alphabet(("a1", "b1", "c1"))
@@ -183,7 +183,7 @@ class TestGeneratorMap:
         generic = Alphabet(("a", "b"))
         m = sandwich_map(generic, 2)
         assert str(m.image("a")) == "b b a b b"
-        assert word_length(m.apply(word(generic, "a"))) == 5
+        assert len(m.apply(word(generic, "a"))) == 5
 
     @given(letters(2, max_len=8), letters(2, max_len=8))
     def test_multiplicative(self, r1, r2):
@@ -233,8 +233,8 @@ class TestGeneratorMap:
 
 class TestWordBasics:
     def test_lengths(self):
-        assert word_length(Word.identity(AB)) == 0
-        assert word_length(word(AB, "a1 b1 a1^-1 b1^-1")) == 4
+        assert len(Word.identity(AB)) == 0
+        assert len(word(AB, "a1 b1 a1^-1 b1^-1")) == 4
 
     def test_parse_exponents(self):
         assert str(word(AB, "a1^3 b1^-2")) == "a1 a1 a1 b1^-1 b1^-1"
