@@ -20,6 +20,7 @@ DISCLAIMER = "finite-scale diagnostic, not a proof"
 DEFAULT_SLOPE_THRESHOLD = 0.05
 # ties between verdict routes must not flip on rounding noise
 MONOTONE_SLACK = 1e-9
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def default_radius(dim: int) -> int:
@@ -77,13 +78,13 @@ class Profile:
             "alphabet": list(self.alphabet),
             "restricted_to": None if self.restricted_to is None
             else list(self.restricted_to),
-            # a saturated extremum (inf) has no strict-JSON number
+            # a non-finite extremum (inf) has no strict-JSON number
             "samples": [[l, _finite(lo), _finite(hi)]
                         for l, lo, hi in self.samples],
             "lower_fit": {"log_C": self.lower_fit[0], "slope": self.lower_fit[1]},
             "upper_fit": {"log_C": self.upper_fit[0], "slope": self.upper_fit[1]},
             "J": self.J,
-            "K": self.K,
+            "K": _finite(self.K),
             "slope_threshold": self.slope_threshold,
             "monotone": self.monotone,
             "verdict": self.verdict,
@@ -98,51 +99,60 @@ class Profile:
         return "\n".join(lines) + "\n"
 
 
-def _log_ratio(m: np.ndarray, hi: int, lo: int) -> tuple[float, float]:
-    """log(sigma_{hi+1} / sigma_{lo+1}) of a unimodular image and a lower
-    bound for it: (value, value), or (inf, floor) when the ratio saturated,
-    i.e. the smaller singular value computes as zero or the ratio
-    overflows.  The SVD is exact for a perturbation of norm about
-    dim * eps * sigma_1, so the true value is then at least ``floor``.
+def _log_ratios(images, hi: int, lo: int) -> np.ndarray:
+    """log(sigma_{hi+1} / sigma_{lo+1}) of each image of a sweep block, inf
+    where it is not finite (the smaller singular value computes as 0, or
+    the product overflowed).
 
     For 2x2 images sigma_1 = (s + t) / 2 with s = |(a+d, b-c)| and
     t = |(a-d, b+c)|, and sigma_1 * sigma_2 = det = 1, so the ratio is
-    sigma_1^2 in closed form: it never saturates, where the SVD of a
-    product past log(sigma_1/sigma_2) ~ 36 returns sigma_2 = 0.
+    sigma_1^2 in closed form.  For dim >= 3 the images are graded factors
+    (Q, R) and the singular values are those of R.
     """
-    if m.shape[0] == 2:
-        a, b, c, d = m.ravel().tolist()
-        s = math.hypot(a + d, b - c)
-        t = math.hypot(a - d, b + c)
-        v = 2.0 * math.log((s + t) / 2.0)
-        return v, v
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[lo] > 0.0:
-        v = float(np.log(sv[hi] / sv[lo]))
-        if math.isfinite(v):
-            return v, v
-    delta = m.shape[0] * np.finfo(float).eps * float(sv[0])
-    return math.inf, math.log(max(float(sv[hi]) - delta, delta) / delta)
+    with np.errstate(all="ignore"):
+        if not isinstance(images, tuple):
+            a, b, c, d = (images[:, i, j] for i in (0, 1) for j in (0, 1))
+            s = np.hypot(a + d, b - c)
+            t = np.hypot(a - d, b + c)
+            v = 2.0 * np.log((s + t) / 2.0)
+        else:
+            r = images[1]
+            finite = np.isfinite(r).all(axis=(1, 2))
+            sv = np.linalg.svd(np.where(finite[:, None, None], r, 0.0),
+                               compute_uv=False)
+            v = np.where(finite, np.log(sv[:, hi]) - np.log(sv[:, lo]), math.inf)
+    return np.where(np.isfinite(v), v, math.inf)
+
+
+def _rounding(v: float, dim: int) -> float:
+    """Rounding error of one envelope value: each singular value carries a
+    relative error of about dim * eps, so their log ratio is off by about
+    2 * dim * eps absolutely, plus eps * |v| from the logarithm."""
+    return 2 * dim * np.finfo(float).eps * (1.0 + abs(v))
+
+
+def _slope_range(boxes: Sequence[tuple[int, float, float]]) -> tuple[float, float]:
+    """Flattest and steepest fitted slope of an envelope known per length
+    only to lie in [low, high].  The fitted slope is linear in the envelope,
+    so it is extreme at the corners that are low (or high) on one side of
+    the mean length."""
+    mid = sum(l for l, _, _ in boxes) / max(len(boxes), 1)
+    flattest = _fit_line([(l, lo if l > mid else hi) for l, lo, hi in boxes])[1]
+    steepest = _fit_line([(l, hi if l > mid else lo) for l, lo, hi in boxes])[1]
+    return flattest, steepest
 
 
 def _verdict(boxes: Sequence[tuple[int, float, float]],
              slope_threshold: float) -> str:
     """Verdict on a lower envelope known per length only to lie in
-    [low, high] (low < high where a saturated ratio may sit below the
-    recorded minimum).  "pass" or "fail" must hold for every envelope in
-    the box."""
-    if any(math.isinf(hi) for _, _, hi in boxes):
-        return "inconclusive"
+    [low, high]: "pass" or "fail" must hold for every envelope in the
+    box, else "inconclusive"."""
     y = -math.inf  # the lowest monotone envelope in the box, if there is one
     for _, lo, hi in boxes:
         y = max(lo, y - MONOTONE_SLACK)
         if y > hi:
             return "fail"
-    # the fitted slope is linear in the envelope, so it is extreme at the
-    # corners that are low (or high) on one side of the mean length
-    mid = sum(l for l, _, _ in boxes) / max(len(boxes), 1)
-    flattest = _fit_line([(l, lo if l > mid else hi) for l, lo, hi in boxes])[1]
-    steepest = _fit_line([(l, hi if l > mid else lo) for l, lo, hi in boxes])[1]
+    flattest, steepest = _slope_range(boxes)
     if steepest <= slope_threshold:
         return "fail"
     if flattest > slope_threshold and all(
@@ -160,39 +170,40 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
-    floors: dict[int, float] = {}
     count = 0
     truncated = False
-    for w, m in iter_ball_images(rep, radius, subalphabet):
-        if not w.letters:
+    for length, codes, images in iter_ball_images(rep, radius, subalphabet):
+        if not length:
             continue
-        count += 1
-        if max_words is not None and count > max_words:
+        if max_words is not None and count + len(codes) > max_words:
             truncated = True
             break
-        v, floor = _log_ratio(m, hi, lo)
-        length = len(w)
-        mins[length] = min(mins.get(length, math.inf), v)
-        maxs[length] = max(maxs.get(length, -math.inf), v)
-        floors[length] = min(floors.get(length, math.inf), floor)
+        count += len(codes)
+        v = _log_ratios(images, hi, lo)
+        mins[length] = min(mins.get(length, math.inf), float(v.min()))
+        maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
 
     lower = _fit_line([(l, v) for l, v, _ in samples])
     upper = _fit_line([(l, v) for l, _, v in samples])
     lows = [v for l, v, _ in samples if l >= 2]
     monotone = all(v1 >= v0 - MONOTONE_SLACK for v0, v1 in zip(lows, lows[1:]))
-    if truncated:
+    # the lower envelope with its rounding error, per length
+    boxes = [(l, v - _rounding(v, rep.dim), v + _rounding(v, rep.dim))
+             for l, v, _ in samples if l >= 2 and math.isfinite(v)]
+    log_k = max(upper[0], -lower[0], 0.0)
+    if truncated or any(math.isinf(v) for _, _, v in samples):
         verdict = "inconclusive"
     else:
-        verdict = _verdict([(l, floors[l], lo) for l, lo, _ in samples
-                            if l >= 2], slope_threshold)
+        verdict = _verdict(boxes, slope_threshold)
     return Profile(
         index=index, radius=radius,
         alphabet=rep.alphabet.names,
         restricted_to=None if subalphabet is None else tuple(subalphabet),
         samples=samples, lower_fit=lower, upper_fit=upper,
-        J=max(upper[1], 1.0 / lower[1]) if lower[1] > 0 else None,
-        K=math.exp(max(upper[0], -lower[0], 0.0)),
+        # a slope within its rounding error of 0 may be 0: no J
+        J=max(upper[1], 1.0 / lower[1]) if _slope_range(boxes)[0] > 0 else None,
+        K=math.exp(log_k) if log_k <= _LOG_MAX else math.inf,
         slope_threshold=slope_threshold, monotone=monotone, verdict=verdict,
         words_evaluated=count,
     )
@@ -203,7 +214,13 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
                 subalphabet: Optional[Sequence[str]] = None,
                 max_words: Optional[int] = 200_000) -> Profile:
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
-    with a least-squares fit of the lower envelope."""
+    with a least-squares fit of the lower envelope.
+
+    The sweep stops before the block (``reps.iter_ball_images``) that would
+    take it past ``max_words``; the verdict is then "inconclusive" and
+    ``words_evaluated`` counts only the words evaluated.  A ratio that is
+    not finite is recorded as inf and makes the verdict "inconclusive".
+    """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
     return _profile(rep, i, radius, slope_threshold, subalphabet, max_words)

@@ -23,9 +23,9 @@ from .errors import (DegenerateConfigurationError, InputError, SamplingError,
 from .linalg import (DEFAULT_TOL, ExteriorClassification, classify,
                      classify_exterior, sort_eigenvalues,
                      top_eigenvalue_2x2_unimodular)
-from .reps import RepSpec
+from .reps import RepSpec, symbol_table
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
-                    in_index_two_core)
+                    extensions, in_index_two_core, shortlex_rank)
 
 SCHEMA_VERSION = 1
 TRANSVERSALITY_TOL = 1e-8
@@ -262,44 +262,78 @@ class DominationReport:
         }
 
 
+def _log_top_moduli(images: np.ndarray) -> np.ndarray:
+    """log of the largest eigenvalue modulus of each image in a stack: the
+    trace formula of ``top_eigenvalue_2x2_unimodular`` for 2x2 images,
+    batched ``eigvals`` otherwise.  Moduli and logarithms go through the
+    same libm ``hypot``/``log`` as ``RepSpec.top_modulus`` and ``math.log``
+    (numpy's SIMD ``abs``/``log`` can differ in the last bit), so exact
+    ties break as they do word by word."""
+    if not np.isfinite(images).all():
+        raise InputError("matrix has non-finite entries")
+    if images.shape[1] == 2:
+        t = images[:, 0, 0] + images[:, 1, 1]
+        disc = t * t - 4.0
+        root = np.sqrt(np.abs(disc))
+        top = np.where(disc >= 0.0, (np.abs(t) + root) / 2.0,
+                       np.hypot(t / 2.0, root / 2.0))
+    else:
+        eigs = np.linalg.eigvals(images)
+        top = np.hypot(eigs.real, eigs.imag).max(axis=1)
+    return np.fromiter(map(math.log, top.tolist()), float, len(top))
+
+
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int, *, tie_tol: float = 1e-9) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1).
 
-    Top moduli are class functions, so each word is evaluated on its cyclic
-    reduction; conjugation padding would only degrade conditioning.
+    Top moduli are class functions, so only the cyclically reduced words
+    are evaluated; a padded word u w u^-1 takes the margin of w, found by
+    its shortlex rank in the level two shorter.  Levels grow on the right,
+    one stacked product each, as ``RepSpec.evaluate`` multiplies.
+    ``argmin`` is the first strict minimum in shortlex order.
     """
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
     if radius < 1:
         raise InputError("domination radius must be >= 1: a sweep of no"
                          " words has no margin")
-    per_length: dict[int, float] = {}
+    alphabet = upper.alphabet
+    tables = [symbol_table(rep, alphabet) for rep in (upper, lower)]
+    nsym = len(tables[0])
+    codes = np.arange(nsym, dtype=np.int8)[:, None]
+    images = tables
+    levels: list[np.ndarray] = []  # margins of every word, per length
+    per_length = []
     margin = math.inf
     argmin = ""
-    count = 0
-    cache: dict[tuple, float] = {}
-    for w in enumerate_ball(upper.alphabet, radius):
-        if not w.letters:
-            continue
-        count += 1
-        core = w.cyclic_reduction()
-        if core.letters not in cache:
-            lu = math.log(upper.top_modulus(core))
-            ll = math.log(lower.top_modulus(core))
-            cache[core.letters] = lu - exponent * ll
-        m = cache[core.letters]
-        length = len(w)
-        per_length[length] = min(per_length.get(length, math.inf), m)
-        if m < margin:
-            margin = m
-            argmin = str(core)
+    for length in range(1, radius + 1):
+        if length > 1:
+            parent, last = extensions(codes[:, -1], nsym)
+            codes = np.concatenate([codes[parent],
+                                    last[:, None].astype(np.int8)], axis=1)
+            images = [img[parent] @ t[last] for img, t in zip(images, tables)]
+        padded = codes[:, 0] == codes[:, -1] ^ 1
+        m = np.empty(len(codes))
+        m[~padded] = (_log_top_moduli(images[0][~padded])
+                      - exponent * _log_top_moduli(images[1][~padded]))
+        if padded.any():
+            m[padded] = levels[length - 3][
+                shortlex_rank(codes[padded, 1:-1], nsym)]
+        levels.append(m)
+        first = int(np.argmin(m))
+        per_length.append((length, float(m[first])))
+        if m[first] < margin:
+            margin = float(m[first])
+            # a padded word ties with its core, a shorter word, so the first
+            # strict minimum is cyclically reduced
+            argmin = str(Word.from_codes(alphabet, codes[first]))
     return DominationReport(
         exponent=float(exponent), radius=radius, margin=margin, argmin=argmin,
-        per_length=tuple(sorted(per_length.items())),
+        per_length=tuple(per_length),
         passed=margin >= -tie_tol,
         boundary=abs(margin) <= tie_tol,
-        words_checked=count,
+        words_checked=sum(len(m) for m in levels),
     )
 
 

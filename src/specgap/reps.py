@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConstructionError, InputError, SizeError
 from .linalg import (MAX_DIM, _eigenvalues, matrix_hash,
                      top_eigenvalue_2x2_unimodular)
-from .words import Alphabet, GeneratorMap, Presentation, Word
+from .words import Alphabet, GeneratorMap, Presentation, Word, extensions
 
 UNIMODULAR_TOL = 1e-8
 
@@ -509,29 +509,72 @@ def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:
     return RepSpec(sub, images, prov)
 
 
+def symbol_table(rep: RepSpec, alphabet: Optional[Alphabet] = None) -> np.ndarray:
+    """(2k, d, d) stack of the images of the signed letters of ``alphabet``
+    (default: the representation's), indexed by letter code."""
+    alphabet = rep.alphabet if alphabet is None else alphabet
+    return np.stack([m for label in alphabet.names
+                     for m in (rep.image(label), rep.inverse_image(label))])
+
+
+# cap on the bytes of images in one block of the ball sweep; a block may
+# exceed it only when it holds the children of a single word
+BLOCK_BYTES = 1 << 18
+
+Block = tuple[int, np.ndarray, "np.ndarray | tuple[np.ndarray, np.ndarray]"]
+
+
 def iter_ball_images(rep: RepSpec, radius: int,
                      subalphabet: Optional[Sequence[str]] = None
-                     ) -> Iterator[tuple[Word, np.ndarray]]:
-    """Depth-first sweep of the reduced ball, one matrix product per word."""
+                     ) -> Iterator[Block]:
+    """Sweep of the reduced ball in blocks ``(length, codes, images)``,
+    the identity first; ``codes`` holds one row of letter codes (see
+    ``Alphabet.symbols``) per word.
+
+    Words grow on the left: a block holds s*w for the words w of a slice of
+    one parent block, minus the backtracking letters, made by one stacked
+    product with the letter table.  Blocks are visited depth first, so
+    about ``radius`` of them are live, each of at most ``BLOCK_BYTES``.
+
+    2x2 images are raw products.  For dim >= 3 ``images`` is a pair (Q, R)
+    of stacks, Q orthogonal, R upper triangular, Q @ R the product: a step
+    factors g @ Q = Q'R' and keeps R'R, so the growth sits in the graded
+    factor R instead of drowning the small singular values of a raw
+    product in rounding (Stewart, ETNA 3, 1995).
+    """
     if radius < 0:
         raise InputError("radius must be >= 0")
     alphabet = rep.alphabet if subalphabet is None else Alphabet(tuple(subalphabet))
-    mats = []
-    for label in alphabet.names:
-        mats.append(rep.image(label))
-        mats.append(rep.inverse_image(label))
-    symbols = alphabet.symbols()
-
-    def walk(prefix, matrix):
-        yield Word(alphabet, prefix), matrix
-        if len(prefix) == radius:
-            return
-        for k, (idx, sign) in enumerate(symbols):
-            if prefix and prefix[-1][0] == idx and prefix[-1][1] == -sign:
-                continue
-            yield from walk(prefix + ((idx, sign),), matrix @ mats[k])
-
-    yield from walk((), np.eye(rep.dim))
+    table = symbol_table(rep, alphabet)
+    nsym = len(table)
+    graded = rep.dim >= 3
+    eye = np.eye(rep.dim)[None]
+    root: Block = (0, np.zeros((1, 0), dtype=np.int8),
+                   (eye, eye) if graded else eye)
+    yield root
+    word_bytes = table[0].nbytes * (2 if graded else 1)
+    fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
+    stack = [(root, 0, 1)] if radius else []
+    while stack:
+        (length, codes, images), lo, hi = stack.pop()
+        heads = codes[lo:hi, 0] if length else np.full(1, -1)
+        parent, letter = extensions(heads, nsym)
+        parent += lo
+        g = table[letter]
+        with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
+            if graded:
+                q, r = np.linalg.qr(g @ images[0][parent])
+                images = (q, r @ images[1][parent])
+            else:
+                images = g @ images[parent]
+        block = (length + 1,
+                 np.concatenate([letter[:, None].astype(np.int8),
+                                 codes[parent]], axis=1), images)
+        yield block
+        if length + 1 < radius:
+            n = len(block[1])
+            stack.extend((block, i, min(i + fan, n))
+                         for i in reversed(range(0, n, fan)))
 
 
 class HomomorphismReport:

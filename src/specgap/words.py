@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 
@@ -43,7 +45,8 @@ class Alphabet:
         return label in self.names
 
     def symbols(self) -> list[tuple[int, int]]:
-        """All signed letters in shortlex symbol order."""
+        """All signed letters in shortlex symbol order; the position of a
+        letter in this list is its code (2*index, plus 1 for an inverse)."""
         out = []
         for i in range(self.size):
             out.append((i, 1))
@@ -84,6 +87,12 @@ class Word:
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
         return cls(alphabet, ())
+
+    @classmethod
+    def from_codes(cls, alphabet: Alphabet, codes: Iterable[int]) -> "Word":
+        """The word whose letters have the given codes (see Alphabet.symbols)."""
+        return cls(alphabet, tuple((int(c) >> 1, 1 - 2 * (int(c) & 1))
+                                   for c in codes))
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
@@ -197,6 +206,27 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
                 nxt.append(w)
                 yield Word(alphabet, w)
         level = nxt
+
+
+def extensions(ends: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """(word, letter code) pairs that extend reduced words by one letter at
+    an end whose letter codes are ``ends`` (-1 for the identity) and keep
+    them reduced: every code except the end's inverse ``end ^ 1``.  Pairs
+    come word-major, codes ascending, so extending a shortlex level on the
+    right gives the next level in shortlex order."""
+    return np.nonzero(np.arange(nsym) != (np.asarray(ends)[:, None] ^ 1))
+
+
+def shortlex_rank(codes: np.ndarray, nsym: int) -> np.ndarray:
+    """Position of each reduced word (a row of letter codes, all rows one
+    length >= 1) among the reduced words of its length in shortlex order:
+    the first letter has ``nsym`` choices and each later one ``nsym - 1``."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rank = codes[:, 0].copy()
+    for j in range(1, codes.shape[1]):
+        c = codes[:, j]
+        rank = rank * (nsym - 1) + c - (c > (codes[:, j - 1] ^ 1))
+    return rank
 
 
 def transport(w: Word, target: Alphabet) -> Word:

@@ -45,6 +45,7 @@ class TestGapProfile:
     def test_budget_truncation_is_inconclusive(self):
         prof = gap_profile(schottky_pair(), 1, radius=6, max_words=50)
         assert prof.verdict == "inconclusive"
+        assert 0 < prof.words_evaluated <= 50
 
     def test_verdict_stable_under_radius_extension(self):
         small = gap_profile(schottky_pair(), 1, radius=4)

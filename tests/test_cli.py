@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specgap.cli import main
@@ -149,15 +150,21 @@ class TestDiagnose:
     @pytest.mark.parametrize("build,args,code", [
         # identity pair: a flat lower envelope, so J is undefined
         (None, ["--qi", "--radius", "3"], 1),
-        # saturated ratios at lengths 3 and 4 may sit below the recorded
-        # minima, so the verdict cannot be decided
-        ("thm1i_d6", ["--qi", "--radius", "4", "--restrict", "a1,b1"], 3),
+        # log(sigma_1/sigma_6) reaches 92 at length 4; graded products keep
+        # every ratio finite and the profile decidable
+        ("thm1i_d6", ["--qi", "--radius", "4", "--restrict", "a1,b1"], 0),
+        # entries of 1e360 overflow: the ratios are not finite
+        ("overflow", ["--qi", "--radius", "3"], 3),
     ])
     def test_profile_json_is_strict(self, tmp_path, build, args, code):
+        rep = tmp_path / "rep.json"
         if build is None:
-            rep = tmp_path / "rep.json"
             rep.write_text(json.dumps({"alphabet": ["a", "b"], "images": {
                 "a": [[1.0, 0.0], [0.0, 1.0]], "b": [[1.0, 0.0], [0.0, 1.0]]}}))
+        elif build == "overflow":
+            big = np.diag([1e120, 1.0, 1e-120])
+            rep.write_text(json.dumps({"alphabet": ["a", "b"], "images": {
+                "a": big.tolist(), "b": big[::-1, ::-1].tolist()}}))
         else:
             main(["build", "--name", build, "--out", str(tmp_path / "b")])
             rep = tmp_path / "b" / "rep.json"
@@ -172,9 +179,23 @@ class TestDiagnose:
                          parse_constant=reject)
         if build is None:
             assert doc["J"] is None and doc["verdict"] == "fail"
-        else:
+        elif build == "overflow":
             assert doc["verdict"] == "inconclusive"
-            assert [s[2] for s in doc["samples"]][2:] == [None, None]
+            assert [s[2] for s in doc["samples"]][1:] == [None, None]
+        else:
+            assert doc["verdict"] == "pass"
+            assert all(v is not None for s in doc["samples"] for v in s)
+
+    def test_rounding_noise_slope_writes_null_j(self, tmp_path):
+        # the lower envelope of gap 1 is flat: sigma_1 = sigma_2 on every
+        # word, up to rounding
+        main(["build", "--name", "prop42_sl4", "--seed", "3",
+              "--out", str(tmp_path / "b")])
+        out = tmp_path / "prof"
+        assert main(["diagnose", "--rep", str(tmp_path / "b" / "rep.json"),
+                     "--gap", "1", "--radius", "4", "--out", str(out)]) == 1
+        doc = read_json(out / "profile.json")
+        assert doc["J"] is None and doc["verdict"] == "fail"
 
 
 class TestOptions:

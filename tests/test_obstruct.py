@@ -11,9 +11,10 @@ from specgap.obstruct import (certify_not_limit, check_domination,
                               find_negative_lambda, limit_formula_check,
                               sample_limit_set, verify_certificate)
 from specgap.reps import (RepSpec, pull_back, rename_generators,
-                          rotation_block_rep, schottky_sl2r, tensor_rep)
+                          rotation_block_rep, schottky_sl2c, schottky_sl2r,
+                          spin_lift, tensor_rep)
 from specgap.words import (Alphabet, Presentation, Word, commutator,
-                           sandwich_map, word)
+                           enumerate_ball, sandwich_map, word)
 
 PAIR = Alphabet(("a1", "b1"))
 
@@ -140,6 +141,56 @@ class TestDomination:
     def test_alphabet_mismatch(self):
         with pytest.raises(InputError):
             check_domination(schottky_sl2r(2, 4.0), j_spread(4.0), 1.0, 2)
+
+    @staticmethod
+    def _per_word(upper, lower, exponent, radius):
+        """The definition, word by word: every word of the ball in shortlex
+        order takes the margin of its cyclic reduction."""
+        per_length: dict = {}
+        margin, argmin, count = math.inf, "", 0
+        for w in enumerate_ball(upper.alphabet, radius):
+            if not w.letters:
+                continue
+            count += 1
+            core = w.cyclic_reduction()
+            m = (math.log(upper.top_modulus(core))
+                 - exponent * math.log(lower.top_modulus(core)))
+            per_length[len(w)] = min(per_length.get(len(w), math.inf), m)
+            if m < margin:
+                margin, argmin = m, str(core)
+        return count, tuple(sorted(per_length.items())), margin, argmin
+
+    @staticmethod
+    def _pairs(case):
+        """(upper, lower, exponent, radius): random Schottky pairs against
+        random spin lifts of loxodromic pairs, both ways round; then pairs
+        whose margins tie exactly in exact arithmetic, so that the argmin
+        rests on rounding alone."""
+        if case == "tied":
+            j = j_spread(4.0)
+            spin = spin_lift(rename_generators(schottky_sl2c(2, 4.0), PAIR))
+            return [(j, j, 1.0, 5), (j_spread(16.0), j, 2.0, 5),
+                    (spin, spin, 1.0, 4)]
+        rng = np.random.default_rng(case)
+        rank = 2 + case % 2
+        labels = Alphabet(("a1", "b1", "c1")[:rank])
+        j = rename_generators(schottky_sl2r(rank, rng.uniform(4, 9)), labels)
+        lox = rename_generators(schottky_sl2c(rank, rng.uniform(4, 9)), labels)
+        spin = spin_lift(lox)
+        exponent = float(rng.uniform(0.5, 3.0))
+        radius = 5 if rank == 2 else 4
+        return [(j, spin, exponent, radius), (spin, j, exponent, radius)]
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "tied"])
+    def test_matches_the_per_word_sweep(self, case):
+        for upper, lower, exponent, radius in self._pairs(case):
+            rpt = check_domination(upper, lower, exponent, radius)
+            count, per_length, margin, argmin = self._per_word(
+                upper, lower, exponent, radius)
+            assert rpt.words_checked == count
+            assert rpt.per_length == per_length
+            assert rpt.margin == margin
+            assert rpt.argmin == argmin
 
 
 class TestCertificates:

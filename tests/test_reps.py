@@ -6,14 +6,17 @@ import pytest
 
 from specgap.errors import ConstructionError, InputError
 from specgap.linalg import spectrum, spectrum_tensor, spectrum_union
+from specgap import reps
 from specgap.reps import (Character, RepSpec, block_sum,
                           common_eigenvector_defect, iter_ball_images,
-                          pull_back, realify_lift, realify_sl2c,
+                          pull_back, random_unimodular, realify_lift,
+                          realify_sl2c,
                           rename_generators, restrict_rep, rotation_block_rep,
                           scale_by_character, scaled_rotation_rep,
                           schottky_sl2c, schottky_sl2r, spin_so31,
                           tensor_rep, validate_homomorphism)
-from specgap.words import (Alphabet, Presentation, Word, enumerate_ball,
+from specgap.words import (Alphabet, Presentation, Word, ball_count,
+                           enumerate_ball,
                            retraction_to_free_part, standard_presentation,
                            word)
 
@@ -358,20 +361,62 @@ class TestValidateHomomorphism:
         assert not report.passed and report.max_deviation > 1e-3
 
 
+def _sweep_reps():
+    """(rep, subalphabet) pairs of dims 2, 3 and 6, with and without a
+    subalphabet."""
+    rng = np.random.default_rng(23)
+    abc = Alphabet(("a1", "b1", "c1"))
+    d2 = rename_generators(schottky_sl2r(3, 5.0), abc)
+    d3 = scaled_rotation_rep(abc, 1.7, 0.8, 1.1, seed=4)
+    d6 = RepSpec(PAIR, {l: random_unimodular(6, rng) for l in PAIR.names})
+    return [(d2, None), (d2, ("a1", "c1")), (d3, None), (d3, ("b1", "c1")),
+            (d6, None), (d6, ("b1",))]
+
+
+class TestBallSweep:
+    """The block engine against per-word evaluation and closed-form counts."""
+
+    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("cap", [None, 700])  # None: the module's cap
+    def test_blocks_cover_the_ball_with_exact_images(self, monkeypatch,
+                                                     case, cap):
+        rep, sub = _sweep_reps()[case]
+        if cap is None:
+            cap = reps.BLOCK_BYTES
+        monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
+        alphabet = rep.alphabet if sub is None else Alphabet(sub)
+        radius = 4 if rep.dim < 6 else 3
+        seen = set()
+        for length, codes, images in iter_ball_images(rep, radius, sub):
+            assert codes.shape == (len(codes), length)
+            if rep.dim == 2:
+                prods = images
+            else:
+                q, r = images
+                np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
+                prods = q @ r
+            # a block over the cap holds the children of a single word
+            if prods.nbytes * (1 if rep.dim == 2 else 2) > cap:
+                assert len({row[1:].tobytes() for row in codes}) == 1
+            for row, m in zip(codes, prods):
+                w = Word.from_codes(alphabet, row)
+                assert len(w) == length
+                seen.add(w.letters)
+                np.testing.assert_allclose(m, rep.evaluate(w), rtol=1e-12,
+                                           atol=1e-12 * np.abs(m).max())
+        assert len(seen) == ball_count(alphabet.size, radius)
+
+    def test_radius_zero_is_the_identity(self):
+        blocks = list(iter_ball_images(schottky_sl2r(2, 4.0), 0))
+        assert len(blocks) == 1 and blocks[0][0] == 0
+        np.testing.assert_array_equal(blocks[0][2], np.eye(2)[None])
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(InputError):
+            list(iter_ball_images(schottky_sl2r(2, 4.0), -1))
+
+
 class TestHelpers:
-    def test_iter_ball_images_counts_and_products(self):
-        rep = rename_generators(schottky_sl2r(2, 4.0), PAIR)
-        items = list(iter_ball_images(rep, 3))
-        assert len(items) == 53
-        for w, m in items[:10]:
-            np.testing.assert_allclose(m, rep.evaluate(w), rtol=1e-12)
-
-    def test_iter_ball_subalphabet(self):
-        rep = rename_generators(schottky_sl2r(3, 5.0),
-                                Alphabet(("a1", "b1", "c1")))
-        items = list(iter_ball_images(rep, 2, subalphabet=("a1", "b1")))
-        assert len(items) == 17
-
     def test_restrict_rep(self):
         rep = schottky_sl2r(3, 5.0)
         sub = restrict_rep(rep, ("a", "b"))

@@ -1,6 +1,6 @@
-"""Profile statistics past the range of a double-precision SVD: the 2x2
-closed form against an mpmath oracle, and the verdict on saturated
-ratios."""
+"""Profile statistics past the range of a raw double-precision product:
+the 2x2 closed form and the graded dim >= 3 route against mpmath oracles,
+overflow, and the verdict on envelopes known only to rounding error."""
 
 import itertools
 import math
@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from specgap.builders import build_named
-from specgap.certify import MONOTONE_SLACK, _verdict, qi_profile
-from specgap.reps import schottky_sl2r
+from specgap.certify import (DEFAULT_SLOPE_THRESHOLD, MONOTONE_SLACK,
+                             _fit_line, _rounding, _slope_range, _verdict,
+                             gap_profile, qi_profile)
+from specgap.reps import RepSpec, schottky_sl2r
+from specgap.words import Alphabet
 
 
 class TestSaturation:
@@ -55,20 +58,68 @@ class TestSaturation:
         assert prof.samples[-1][2] == pytest.approx(44.36, abs=5e-3)
         assert prof.verdict == "pass"
 
-    def test_saturated_maximum_off_the_lower_envelope_keeps_the_verdict(self):
-        # b1 b1 a1 saturates (sigma_6 computes as 0), but its floor keeps the
-        # length-3 minimum and the monotone envelope whatever its true value
+    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7"])
+    def test_graded_profiles_match_mpmath_oracle(self, name):
+        # every gap index and the QI ratio at radius 4 on (a1, b1), where a
+        # raw double-precision product loses sigma_dim (log ratios past 60)
+        mpmath = pytest.importorskip("mpmath")
+        rep = build_named(name, None, seed=0).rep
+        sub, radius, dim = ("a1", "b1"), 4, rep.dim
+        mats = [mpmath.matrix(m.tolist()) for label in sub
+                for m in (rep.image(label), rep.inverse_image(label))]
+        logs: dict = {}
+        with mpmath.workdps(80):
+            def walk(m, first, length):
+                if length:
+                    sv = sorted(mpmath.svd_r(m, compute_uv=False), reverse=True)
+                    logs.setdefault(length, []).append(
+                        [mpmath.log(s) for s in sv])
+                if length == radius:
+                    return
+                for k, g in enumerate(mats):
+                    if first is None or k != first ^ 1:
+                        walk(g * m, k, length + 1)
+
+            walk(mpmath.eye(dim), None, 0)
+        for index in [*range(1, dim), None]:
+            hi, lo = (0, dim - 1) if index is None else (index - 1, index)
+            prof = (qi_profile(rep, radius=radius, subalphabet=sub)
+                    if index is None else
+                    gap_profile(rep, index, radius=radius, subalphabet=sub))
+            assert [l for l, _, _ in prof.samples] == sorted(logs)
+            for l, got_lo, got_hi in prof.samples:
+                vals = [float(v[hi] - v[lo]) for v in logs[l]]
+                for got, want in ((got_lo, min(vals)), (got_hi, max(vals))):
+                    assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("radius", [3, 4])
+    def test_d6_qi_profile_is_finite_and_passes(self, radius):
+        # a raw-product SVD recorded inf maxima at lengths 3 and 4 and a
+        # length-4 minimum of 37.93 here, and could not decide radius 4
         rep = build_named("thm1i_d6", None, seed=0).rep
-        prof = qi_profile(rep, radius=3, subalphabet=("a1", "b1"))
+        prof = qi_profile(rep, radius=radius, subalphabet=("a1", "b1"))
         assert prof.verdict == "pass"
+        assert all(math.isfinite(hi) for _, _, hi in prof.samples)
+        if radius == 4:
+            assert prof.samples[-1][1] == pytest.approx(46.15, abs=5e-3)
+
+    def test_overflow_is_inconclusive(self):
+        big = np.diag([1e120, 1.0, 1e-120])
+        rep = RepSpec(Alphabet(("a", "b")), {"a": big, "b": big[::-1, ::-1]})
+        prof = qi_profile(rep, radius=3)
+        assert prof.verdict == "inconclusive"
         assert prof.samples[-1][2] == math.inf
         assert prof.to_json()["samples"][-1][2] is None
 
-    def test_saturation_that_may_reach_the_lower_envelope_is_inconclusive(self):
-        rep = build_named("thm1i_d6", None, seed=0).rep
-        prof = qi_profile(rep, radius=4, subalphabet=("a1", "b1"))
-        assert prof.verdict == "inconclusive"
-
+    def test_rounding_noise_slope_gives_no_j(self):
+        # a flat envelope whose values are rounding noise of 0: the parent
+        # of this check fitted slope 1.1e-16 and wrote J = 9.0e15
+        noise = [(2, 0.0), (3, 2.2e-16), (4, 2.2e-16)]
+        assert _fit_line(noise)[1] > 0
+        boxes = [(l, v - _rounding(v, 4), v + _rounding(v, 4)) for l, v in noise]
+        flattest, steepest = _slope_range(boxes)
+        assert flattest <= 0 < steepest < DEFAULT_SLOPE_THRESHOLD
+        assert _verdict(boxes, DEFAULT_SLOPE_THRESHOLD) == "fail"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_box_verdict_holds_for_every_envelope_in_the_box(self, seed):
