@@ -23,6 +23,7 @@ from .errors import (DegenerateConfigurationError, InputError, SamplingError,
 from .linalg import (DEFAULT_TOL, ExteriorClassification, classify,
                      classify_exterior, sort_eigenvalues,
                      top_eigenvalue_2x2_unimodular)
+from . import reps
 from .reps import RepSpec, symbol_table
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
                     extensions, in_index_two_core, shortlex_rank)
@@ -283,6 +284,16 @@ def _log_top_moduli(images: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, top.tolist()), float, len(top))
 
 
+def _extend(codes: np.ndarray, images: list, tables: list, lo: int, hi: int):
+    """Codes and images of the one-letter right extensions of the words
+    ``lo:hi`` of a level, in shortlex order."""
+    parent, last = extensions(codes[lo:hi, -1], len(tables[0]))
+    parent += lo
+    return (np.concatenate([codes[parent], last[:, None].astype(np.int8)],
+                           axis=1),
+            [img[parent] @ t[last] for img, t in zip(images, tables)])
+
+
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int, *, tie_tol: float = 1e-9) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1).
@@ -290,7 +301,9 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     Top moduli are class functions, so only the cyclically reduced words
     are evaluated; a padded word u w u^-1 takes the margin of w, found by
     its shortlex rank in the level two shorter.  Levels grow on the right,
-    one stacked product each, as ``RepSpec.evaluate`` multiplies.
+    one stacked product each, as ``RepSpec.evaluate`` multiplies.  The
+    last level is made and reduced in slices of at most ``reps.BLOCK_BYTES``
+    of images; only the margins of the shorter levels are kept.
     ``argmin`` is the first strict minimum in shortlex order.
     """
     if upper.alphabet.names != lower.alphabet.names:
@@ -301,39 +314,53 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     alphabet = upper.alphabet
     tables = [symbol_table(rep, alphabet) for rep in (upper, lower)]
     nsym = len(tables[0])
+    word_bytes = sum(t[0].nbytes for t in tables)
+    fan = max(1, reps.BLOCK_BYTES // (word_bytes * (nsym - 1)))
     codes = np.arange(nsym, dtype=np.int8)[:, None]
     images = tables
-    levels: list[np.ndarray] = []  # margins of every word, per length
+    levels: list[np.ndarray] = []  # margins of every word, per length < radius
     per_length = []
     margin = math.inf
     argmin = ""
+    words_checked = 0
     for length in range(1, radius + 1):
-        if length > 1:
-            parent, last = extensions(codes[:, -1], nsym)
-            codes = np.concatenate([codes[parent],
-                                    last[:, None].astype(np.int8)], axis=1)
-            images = [img[parent] @ t[last] for img, t in zip(images, tables)]
-        padded = codes[:, 0] == codes[:, -1] ^ 1
-        m = np.empty(len(codes))
-        m[~padded] = (_log_top_moduli(images[0][~padded])
-                      - exponent * _log_top_moduli(images[1][~padded]))
-        if padded.any():
-            m[padded] = levels[length - 3][
-                shortlex_rank(codes[padded, 1:-1], nsym)]
-        levels.append(m)
-        first = int(np.argmin(m))
-        per_length.append((length, float(m[first])))
-        if m[first] < margin:
-            margin = float(m[first])
+        if length == 1:
+            slices = [(codes, images)]
+        else:
+            # the last level is made and reduced in slices of its parents;
+            # an earlier level is one slice, kept whole for the next
+            step = fan if length == radius else len(codes)
+            slices = (_extend(codes, images, tables, lo, lo + step)
+                      for lo in range(0, len(codes), step))
+        mins, firsts = [], []
+        for codes_k, images_k in slices:
+            padded = codes_k[:, 0] == codes_k[:, -1] ^ 1
+            m = np.empty(len(codes_k))
+            m[~padded] = (_log_top_moduli(images_k[0][~padded])
+                          - exponent * _log_top_moduli(images_k[1][~padded]))
+            if padded.any():
+                m[padded] = levels[length - 3][
+                    shortlex_rank(codes_k[padded, 1:-1], nsym)]
+            first = int(np.argmin(m))
+            mins.append(m[first])
+            firsts.append(codes_k[first])
+            words_checked += len(m)
+        if length < radius:
+            codes, images = codes_k, images_k
+            levels.append(m)
+        k = int(np.argmin(mins))
+        per_length.append((length, float(mins[k])))
+        if mins[k] < margin:
+            margin = float(mins[k])
             # a padded word ties with its core, a shorter word, so the first
             # strict minimum is cyclically reduced
-            argmin = str(Word.from_codes(alphabet, codes[first]))
+            argmin = str(Word.from_codes(alphabet, firsts[k]))
     return DominationReport(
         exponent=float(exponent), radius=radius, margin=margin, argmin=argmin,
         per_length=tuple(per_length),
         passed=margin >= -tie_tol,
         boundary=abs(margin) <= tie_tol,
-        words_checked=sum(len(m) for m in levels),
+        words_checked=words_checked,
     )
 
 
@@ -505,30 +532,89 @@ class LimitSetSample:
         return "\n".join(lines) + "\n"
 
 
-def _random_reduced_word(alphabet: Alphabet, length: int,
-                         rng: np.random.Generator) -> Word:
-    symbols = alphabet.symbols()
-    letters: list[tuple[int, int]] = []
-    while len(letters) < length:
-        idx, sign = symbols[rng.integers(len(symbols))]
-        if letters and letters[-1][0] == idx and letters[-1][1] == -sign:
-            continue
-        letters.append((idx, sign))
-    return Word(alphabet, tuple(letters))
-
-
 def _line_angle_stats(lines: np.ndarray) -> dict:
-    if len(lines) < 2:
-        return {"count": int(len(lines))}
-    gram = np.abs(lines @ lines.T)
-    np.fill_diagonal(gram, -1.0)
-    nearest = np.arccos(np.clip(gram.max(axis=1), -1.0, 1.0))
+    """Angles between the lines spanned by the rows of ``lines`` (unit
+    vectors): each line's angle to its nearest other line, and the largest
+    angle of any pair.  |<l_i, l_j>| is formed a block of rows at a time,
+    each block at most ``reps.BLOCK_BYTES``, so no N x N array is held.  A
+    block has at least two rows: numpy hands a one-row product to BLAS
+    gemv, which rounds dot products differently from a matrix product."""
+    n = len(lines)
+    if n < 2:
+        return {"count": int(n)}
+    lines = np.ascontiguousarray(lines)
+    step = max(2, reps.BLOCK_BYTES // (lines.itemsize * n))
+    nearest = np.empty(n)
+    smallest = math.inf
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = np.abs(lines[lo:hi] @ lines.T)
+        diagonal = (np.arange(hi - lo), np.arange(lo, hi))
+        block[diagonal] = -1.0
+        nearest[lo:hi] = block.max(axis=1)
+        block[diagonal] = math.inf
+        smallest = min(smallest, float(block.min()))
+    nearest = np.arccos(np.clip(nearest, -1.0, 1.0))
     return {
-        "count": int(len(lines)),
+        "count": int(n),
         "nearest_neighbor_min": float(nearest.min()),
         "nearest_neighbor_median": float(np.median(nearest)),
-        "spread_max": float(np.arccos(np.clip(gram[gram > -1].min(), -1.0, 1.0))),
+        "spread_max": float(np.arccos(np.clip(smallest, -1.0, 1.0))),
     }
+
+
+def _eig_stack(images: np.ndarray):
+    """Eigenvalues and eigenvectors of a stack, and a mask of the images
+    whose decomposition succeeded: one batched call, or matrix by matrix
+    when the batched call raises ``LinAlgError``."""
+    ok = np.ones(len(images), dtype=bool)
+    try:
+        return (*np.linalg.eig(images), ok)
+    except np.linalg.LinAlgError:
+        pass
+    n, d = images.shape[:2]
+    vals, vecs = np.zeros((n, d), complex), np.zeros((n, d, d), complex)
+    for k, m in enumerate(images):
+        try:
+            vals[k], vecs[k] = np.linalg.eig(m)
+        except np.linalg.LinAlgError:
+            ok[k] = False
+    return vals, vecs, ok
+
+
+def _attracting_vectors(images: np.ndarray, tol: float):
+    """Positions in the stack of the proximal images with a real top
+    eigenvalue and a real top eigenvector, and those eigenvectors scaled by
+    their largest entry, then to unit norm.
+
+    Bit for bit as one ``np.linalg.eig`` per image: that returns real arrays
+    when the whole spectrum is real, so such rows are divided in real
+    arithmetic (complex division by a real pivot differs in the last bit);
+    moduli go through libm ``hypot`` as the scalar ``abs`` does, and each
+    norm is ``np.linalg.norm`` of its own row (``axis=1`` sums in another
+    order)."""
+    vals, vecs, ok = _eig_stack(images)
+    order = np.argsort(-np.abs(vals), axis=1)
+    rows = np.arange(len(vals))
+    top = vals[rows, order[:, 0]]
+    second = vals[rows, order[:, 1]]
+    top_mod = np.hypot(top.real, top.imag)
+    keep = (ok & ~(top_mod <= (1 + tol) * np.hypot(second.real, second.imag))
+            & ~(np.abs(top.imag) > tol * top_mod))
+    rows = np.flatnonzero(keep)
+    v = vecs[rows, :, order[rows, 0]]
+    pivot = v[np.arange(len(rows)), np.argmax(np.abs(v), axis=1)][:, None]
+    real = (vals[rows].imag == 0.0).all(axis=1)
+    out = np.empty(v.shape)
+    out[real] = v[real].real / pivot[real].real
+    w = v[~real] / pivot[~real]
+    out[~real] = w.real
+    real_vector = np.ones(len(rows), dtype=bool)
+    real_vector[~real] = ~(np.abs(w.imag).max(axis=1)
+                           > 1e-8 * np.abs(w.real).max(axis=1))
+    rows, out = rows[real_vector], out[real_vector]
+    out /= np.array([np.linalg.norm(x) for x in out])[:, None]
+    return rows, out
 
 
 def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
@@ -537,7 +623,16 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
                      tol: float = DEFAULT_TOL) -> LimitSetSample:
     """Sample attracting lines of proximal word images and measure how far
     each is from a pure tensor (second-to-first singular value of the
-    reshaped representative; scale invariant)."""
+    reshaped representative; scale invariant).
+
+    The seeded stream draws each word's length, then its letter codes one
+    at a time, redrawing a letter that would cancel its predecessor.  The
+    images are made by length, in slices of at most ``reps.BLOCK_BYTES``,
+    by stacked right multiplications as ``RepSpec.evaluate`` makes them,
+    with one eigendecomposition per slice; memory stays linear in
+    ``sample_words``."""
+    if sample_words < 1:
+        raise InputError(f"sample count must be >= 1, got {sample_words}")
     factors = rep.provenance.get("tensor_factors")
     if not factors or len(factors) != 2:
         raise InputError("representation provenance does not record tensor factors")
@@ -545,48 +640,50 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
     if d1 * d2 != rep.dim:
         raise InputError("recorded tensor factors do not multiply to the dimension")
     rng = np.random.default_rng(seed)
-    words, vecs, defects = [], [], []
-    left_lines, right_lines = [], []
+    nsym = 2 * rep.alphabet.size
+    draws: list[list[int]] = []
     for _ in range(sample_words):
         length = int(rng.integers(min_length, max_length + 1))
-        w = _random_reduced_word(rep.alphabet, length, rng)
-        m = rep.evaluate(w)
-        try:
-            vals, eigvecs = np.linalg.eig(m)
-        except np.linalg.LinAlgError:
-            continue
-        order = np.argsort(-np.abs(vals))
-        top, second = vals[order[0]], vals[order[1]]
-        if abs(top) <= (1 + tol) * abs(second):
-            continue
-        if abs(top.imag) > tol * abs(top):
-            continue
-        v = eigvecs[:, order[0]]
-        pivot = np.argmax(np.abs(v))
-        v = v / v[pivot]
-        if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v.real)):
-            continue
-        v = v.real / np.linalg.norm(v.real)
-        mat = v.reshape(d1, d2)
-        u, sv, vt = np.linalg.svd(mat)
-        defect = float(sv[1] / sv[0]) if len(sv) > 1 else 0.0
-        words.append(str(w))
-        vecs.append(v)
-        defects.append(defect)
-        left_lines.append(u[:, 0])
-        right_lines.append(vt[0])
-    if len(words) < min_proximal:
+        codes: list[int] = []
+        while len(codes) < length:
+            code = int(rng.integers(nsym))
+            if not (codes and code == codes[-1] ^ 1):
+                codes.append(code)
+        draws.append(codes)
+    table = symbol_table(rep)
+    eye = np.eye(rep.dim)
+    per_slice = max(1, reps.BLOCK_BYTES // eye.nbytes)
+    lengths = np.array([len(c) for c in draws])
+    kept = np.zeros(sample_words, dtype=bool)
+    vectors = np.empty((sample_words, rep.dim))
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        for lo in range(0, len(members), per_slice):
+            idx = members[lo:lo + per_slice]
+            codes = np.array([draws[k] for k in idx], dtype=np.intp)
+            images = np.broadcast_to(eye, (len(idx),) + eye.shape)
+            for j in range(length):
+                images = images @ table[codes[:, j]]
+            rows, vecs = _attracting_vectors(images, tol)
+            kept[idx[rows]] = True
+            vectors[idx[rows]] = vecs
+    keep = np.flatnonzero(kept)
+    if len(keep) < min_proximal:
         raise SamplingError(
-            f"only {len(words)} proximal samples out of {sample_words}")
+            f"only {len(keep)} proximal samples out of {sample_words}")
+    vectors = vectors[keep]
+    u, sv, vt = np.linalg.svd(vectors.reshape(-1, d1, d2))
+    defects = (sv[:, 1] / sv[:, 0] if sv.shape[1] > 1
+               else np.zeros(len(keep))).tolist()
     return LimitSetSample(
         factor_dims=(d1, d2),
-        words=tuple(words),
-        vectors=np.array(vecs),
+        words=tuple(str(Word.from_codes(rep.alphabet, draws[k])) for k in keep),
+        vectors=vectors,
         defects=tuple(defects),
         max_defect=max(defects),
         attempted=sample_words,
         factor_stats={
-            "left": _line_angle_stats(np.array(left_lines)),
-            "right": _line_angle_stats(np.array(right_lines)),
+            "left": _line_angle_stats(u[:, :, 0]),
+            "right": _line_angle_stats(vt[:, 0, :]),
         },
     )

@@ -243,3 +243,27 @@ class TestLimitset:
         main(["build", "--name", "thm1i_d5", "--out", str(build)])
         assert main(["limitset", "--rep", str(build / "rep.json"),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_non_positive_sample_count_exits_2(self, tmp_path, capsys, count):
+        build = tmp_path / "b"
+        main(["build", "--name", "prop42_sl6", "--out", str(build)])
+        capsys.readouterr()
+        assert main(["limitset", "--rep", str(build / "rep.json"),
+                     "--samples", count, "--out", str(tmp_path / "x")]) == 2
+        assert "sample count must be >= 1" in capsys.readouterr().err
+
+    def test_replay_is_bit_identical(self, tmp_path):
+        build = tmp_path / "b"
+        main(["build", "--name", "thm1ii_d12", "--seed", "3",
+              "--out", str(build)])
+        args = ["limitset", "--rep", str(build / "rep.json"),
+                "--samples", "400", "--seed", "3"]
+        runs = [tmp_path / "one", tmp_path / "two"]
+        for out in runs:
+            assert main(args + ["--out", str(out)]) == 0
+        for name in ("limitset.csv", "limitset.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        m1, m2 = (read_json(out / "manifest.json") for out in runs)
+        assert m1["outputs"] == m2["outputs"]
+        assert set(m1["outputs"]) == {"limitset.csv", "limitset.json"}

@@ -1,15 +1,19 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specgap import reps
+from specgap.builders import build_named
 from specgap.errors import (DegenerateConfigurationError, InputError,
                             SamplingError, SearchError)
 from specgap.linalg import classify
-from specgap.obstruct import (certify_not_limit, check_domination,
-                              find_negative_lambda, limit_formula_check,
-                              sample_limit_set, verify_certificate)
+from specgap.obstruct import (_line_angle_stats, certify_not_limit,
+                              check_domination, find_negative_lambda,
+                              limit_formula_check, sample_limit_set,
+                              verify_certificate)
 from specgap.reps import (RepSpec, pull_back, rename_generators,
                           rotation_block_rep, schottky_sl2c, schottky_sl2r,
                           spin_lift, tensor_rep)
@@ -165,7 +169,13 @@ class TestDomination:
         """(upper, lower, exponent, radius): random Schottky pairs against
         random spin lifts of loxodromic pairs, both ways round; then pairs
         whose margins tie exactly in exact arithmetic, so that the argmin
-        rests on rounding alone."""
+        rests on rounding alone; then diagonal powers of two, whose margins
+        tie exactly in floating point too (b1^5 and b1^-5 both reach the
+        minimum)."""
+        if case == "diagonal":
+            rep = RepSpec(PAIR, {"a1": np.diag([2.0, 0.5]),
+                                 "b1": np.diag([4.0, 0.25])})
+            return [(rep, rep, 2.0, 5)]
         if case == "tied":
             j = j_spread(4.0)
             spin = spin_lift(rename_generators(schottky_sl2c(2, 4.0), PAIR))
@@ -181,7 +191,7 @@ class TestDomination:
         radius = 5 if rank == 2 else 4
         return [(j, spin, exponent, radius), (spin, j, exponent, radius)]
 
-    @pytest.mark.parametrize("case", [0, 1, 2, 3, "tied"])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "tied", "diagonal"])
     def test_matches_the_per_word_sweep(self, case):
         for upper, lower, exponent, radius in self._pairs(case):
             rpt = check_domination(upper, lower, exponent, radius)
@@ -191,6 +201,29 @@ class TestDomination:
             assert rpt.per_length == per_length
             assert rpt.margin == margin
             assert rpt.argmin == argmin
+
+    @pytest.mark.parametrize("block_bytes", [1, 2000])
+    @pytest.mark.parametrize("case", [0, 1, "tied", "diagonal"])
+    def test_small_blocks_give_the_same_report(self, monkeypatch, case,
+                                               block_bytes):
+        pairs = self._pairs(case)
+        expected = [check_domination(*args) for args in pairs]
+        monkeypatch.setattr(reps, "BLOCK_BYTES", block_bytes)
+        assert [check_domination(*args) for args in pairs] == expected
+
+    def test_last_level_is_never_held_whole(self):
+        # radius 9 over a rank-2 pair of 2x2 images: the last level holds
+        # 26,244 words and 1.7 MB of images; made whole, with its gathered
+        # factors, it would take three times that
+        j = j_spread(4.0)
+        tracemalloc.start()
+        try:
+            rpt = check_domination(j_spread(16.0), j, 2.0, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rpt.words_checked == 4 * (3 ** 9 - 1) // 2
+        assert peak < 2 * (4 * 3 ** 8) * 2 * j.image("a1").nbytes
 
 
 class TestCertificates:
@@ -299,3 +332,177 @@ class TestLimitSet:
         lines = sample.to_csv().strip().splitlines()
         assert lines[0].startswith("word,")
         assert len(lines) == len(sample.words) + 1
+
+
+def _dense_angle_stats(lines):
+    """The angle statistics from the whole Gram matrix."""
+    if len(lines) < 2:
+        return {"count": int(len(lines))}
+    gram = np.abs(lines @ lines.T)
+    np.fill_diagonal(gram, -1.0)
+    nearest = np.arccos(np.clip(gram.max(axis=1), -1.0, 1.0))
+    return {
+        "count": int(len(lines)),
+        "nearest_neighbor_min": float(nearest.min()),
+        "nearest_neighbor_median": float(np.median(nearest)),
+        "spread_max": float(np.arccos(np.clip(gram[gram > -1].min(), -1.0, 1.0))),
+    }
+
+
+def _per_word_sample(rep, sample_words, seed, min_length=4, max_length=10,
+                     tol=1e-6):
+    """The sampler one word at a time: one evaluate, one eig and one SVD per
+    sample.  Also returns, per word length, the set of spectrum kinds
+    (real or not) that the eigendecompositions met."""
+    d1, d2 = rep.provenance["tensor_factors"]
+    rng = np.random.default_rng(seed)
+    symbols = rep.alphabet.symbols()
+    words, vecs, defects, left, right = [], [], [], [], []
+    kinds: dict = {}
+    for _ in range(sample_words):
+        length = int(rng.integers(min_length, max_length + 1))
+        letters = []
+        while len(letters) < length:
+            idx, sign = symbols[rng.integers(len(symbols))]
+            if letters and letters[-1][0] == idx and letters[-1][1] == -sign:
+                continue
+            letters.append((idx, sign))
+        w = Word(rep.alphabet, tuple(letters))
+        m = rep.evaluate(w)
+        try:
+            vals, eigvecs = np.linalg.eig(m)
+        except np.linalg.LinAlgError:
+            continue
+        kinds.setdefault(length, set()).add(np.isrealobj(vals))
+        order = np.argsort(-np.abs(vals))
+        top, second = vals[order[0]], vals[order[1]]
+        if abs(top) <= (1 + tol) * abs(second):
+            continue
+        if abs(top.imag) > tol * abs(top):
+            continue
+        v = eigvecs[:, order[0]]
+        pivot = np.argmax(np.abs(v))
+        v = v / v[pivot]
+        if np.max(np.abs(v.imag)) > 1e-8 * np.max(np.abs(v.real)):
+            continue
+        v = v.real / np.linalg.norm(v.real)
+        u, sv, vt = np.linalg.svd(v.reshape(d1, d2))
+        words.append(str(w))
+        vecs.append(v)
+        defects.append(float(sv[1] / sv[0]))
+        left.append(u[:, 0])
+        right.append(vt[0])
+    stats = {"left": _dense_angle_stats(np.array(left)),
+             "right": _dense_angle_stats(np.array(right))}
+    return (tuple(words), np.array(vecs), tuple(defects), max(defects),
+            stats, kinds)
+
+
+class TestSamplerMatchesPerWord:
+    """The batched sampler against the word-by-word definition, bit for
+    bit: the same words, vectors, defects and angle statistics."""
+
+    @staticmethod
+    def assert_same(sample, reference):
+        words, vecs, defects, max_defect, stats, _ = reference
+        assert sample.words == words
+        assert sample.vectors.shape == vecs.shape
+        assert sample.vectors.tobytes() == vecs.tobytes()
+        assert np.array(sample.defects).tobytes() == np.array(defects).tobytes()
+        assert sample.max_defect == max_defect
+        assert json.dumps(sample.factor_stats) == json.dumps(stats)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 3000])
+    @pytest.mark.parametrize("name", ["thm1ii_d12", "prop42_sl6"])
+    def test_matches_the_per_word_sampler(self, monkeypatch, name, block_bytes):
+        rep = build_named(name, None, seed=0).rep
+        reference = _per_word_sample(rep, 400, seed=3)
+        if block_bytes is not None:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", block_bytes)
+        self.assert_same(sample_limit_set(rep, 400, seed=3), reference)
+
+    def test_stacks_mix_real_and_complex_spectra(self):
+        # words of one length share a stack, so a length whose words met
+        # both kinds of spectrum makes a batched eig return complex arrays
+        # for real spectra too
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        reference = _per_word_sample(rep, 400, seed=3)
+        kinds = reference[-1]
+        assert any(k == {True, False} for k in kinds.values())
+        self.assert_same(sample_limit_set(rep, 400, seed=3), reference)
+
+    def test_linalg_error_falls_back_to_one_matrix_at_a_time(self,
+                                                             monkeypatch):
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        eig = np.linalg.eig
+        failed = []
+
+        def flaky_eig(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("batched eig refused")
+            if int(np.abs(a).sum() * 1e6) % 5 == 0:
+                failed.append(1)
+                raise np.linalg.LinAlgError("did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", flaky_eig)
+        reference = _per_word_sample(rep, 300, seed=5)
+        skipped = len(failed)
+        sample = sample_limit_set(rep, 300, seed=5)
+        assert skipped > 0 and len(failed) == 2 * skipped
+        self.assert_same(sample, reference)
+
+
+class TestLineAngleStats:
+    @staticmethod
+    def _exact_lines(n, seed):
+        """Unit lines whose dot products are exact in any summation order:
+        sign vectors in R^16 scaled by 1/4, with coordinate axes mixed in.
+        They repeat (up to sign) and meet at right angles."""
+        rng = np.random.default_rng(seed)
+        lines = rng.choice([-0.25, 0.25], size=(n, 16))
+        axes = rng.random(n) < 0.2
+        lines[axes] = np.eye(16)[rng.integers(16, size=int(axes.sum()))]
+        return lines
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 301])
+    def test_matches_the_dense_formula(self, monkeypatch, n, rows):
+        lines = self._exact_lines(n, n)
+        if rows is not None:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", 8 * n * rows)
+        assert _line_angle_stats(lines) == _dense_angle_stats(lines)
+
+    @pytest.mark.parametrize("rows", [None, 2, 7])
+    @pytest.mark.parametrize("n", [2, 50, 301])
+    def test_random_lines_match_to_rounding(self, monkeypatch, n, rows):
+        # the blocked and the whole products are different BLAS kernels and
+        # may round a dot product differently in the last bits; k ulps of a
+        # cosine near 1 move its arccos by up to sqrt(2 k eps), under 1e-7
+        # for k <= 8
+        rng = np.random.default_rng(n)
+        lines = rng.normal(size=(n, 4))
+        lines /= np.linalg.norm(lines, axis=1)[:, None]
+        if rows is not None:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", 8 * n * rows)
+        got, want = _line_angle_stats(lines), _dense_angle_stats(lines)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-7)
+
+    def test_duplicate_and_orthogonal_lines_are_degenerate(self):
+        lines = np.eye(4)[[0, 3, 0, 1]]
+        stats = _line_angle_stats(lines)
+        assert stats["nearest_neighbor_min"] == 0.0
+        assert stats["spread_max"] == math.pi / 2
+
+    def test_memory_stays_below_the_gram_matrix(self):
+        rng = np.random.default_rng(2)
+        lines = rng.normal(size=(3000, 4))  # a Gram matrix of 72 MB
+        tracemalloc.start()
+        try:
+            _line_angle_stats(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * reps.BLOCK_BYTES
