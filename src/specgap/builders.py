@@ -129,16 +129,14 @@ def _search_pair(spread: float) -> tuple[RepSpec, ComplexRep2]:
 
 
 def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 4.0, "headroom": 2.0,
-                          "max_candidates": 200, "max_power": 64})
+    p = _resolve(params, {"spread": 4.0, "headroom": 2.0})
     g = 1
     base, ambient = _search_pair(float(p["spread"]))
     retr = retraction_to_free_part(g)
     rho1 = realify_lift(ambient)
 
     coset = Word.parse(base.alphabet, "a1^2")
-    sw = find_negative_lambda(base, coset, max_candidates=int(p["max_candidates"]),
-                              max_power=int(p["max_power"]), tol=tol)
+    sw = find_negative_lambda(base, coset, tol=tol)
     lam = sw.lambda1
     gates: list = []
     x = (float(p["headroom"]) * abs(lam)) ** 0.8
@@ -197,12 +195,9 @@ def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict, dict]:
 
 
 def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6,
-                          "max_candidates": 200, "max_power": 64})
+    p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6})
     rho0, j, pair, checks = _dominated_pair(p)
-    sw = find_negative_lambda(j, Word.identity(j.alphabet),
-                              max_candidates=int(p["max_candidates"]),
-                              max_power=int(p["max_power"]), tol=tol)
+    sw = find_negative_lambda(j, Word.identity(j.alphabet), tol=tol)
     rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
 
     witness = transport(sw.word, rep.alphabet)
@@ -226,8 +221,7 @@ def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
 
 def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"d": 7, "spread": 4.0, "dom_margin": 1.25,
-                          "dom_radius": 6, "max_candidates": 200,
-                          "max_power": 64})
+                          "dom_radius": 6})
     d = int(p["d"])
     if d < 7:
         raise InputError("this construction needs dimension >= 7")
@@ -236,8 +230,7 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
     retr = retraction_to_free_part(g)
 
     coset = Word.parse(j.alphabet, "a1^2")
-    sw = find_negative_lambda(j, coset, max_candidates=int(p["max_candidates"]),
-                              max_power=int(p["max_power"]), tol=tol)
+    sw = find_negative_lambda(j, coset, tol=tol)
     lam = abs(sw.lambda1)
 
     full = full_alphabet(g)

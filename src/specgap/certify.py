@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
+from .linalg import Record
 from .reps import RepSpec, iter_ball_images
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
-DEFAULT_SLOPE_THRESHOLD = 0.05
+SLOPE_THRESHOLD = 0.05
 # ties between verdict routes must not flip on rounding noise
 MONOTONE_SLACK = 1e-9
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -47,7 +48,7 @@ def _finite(v: float) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Per-length envelopes of log(sigma_index / sigma_{index+1}), or of
     log(sigma_1 / sigma_dim) when ``index`` is None (the QI profile)."""
 
@@ -73,23 +74,13 @@ class Profile:
 
     def to_json(self) -> dict:
         return {
-            "index": self.index,
-            "radius": self.radius,
-            "alphabet": list(self.alphabet),
-            "restricted_to": None if self.restricted_to is None
-            else list(self.restricted_to),
+            **super().to_json(),
             # a non-finite extremum (inf) has no strict-JSON number
             "samples": [[l, _finite(lo), _finite(hi)]
                         for l, lo, hi in self.samples],
             "lower_fit": {"log_C": self.lower_fit[0], "slope": self.lower_fit[1]},
             "upper_fit": {"log_C": self.upper_fit[0], "slope": self.upper_fit[1]},
-            "J": self.J,
             "K": _finite(self.K),
-            "slope_threshold": self.slope_threshold,
-            "monotone": self.monotone,
-            "verdict": self.verdict,
-            "words_evaluated": self.words_evaluated,
-            "note": self.note,
         }
 
     def to_csv(self) -> str:
@@ -163,7 +154,7 @@ def _verdict(boxes: Sequence[tuple[int, float, float]],
 
 
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
-             slope_threshold: float, subalphabet: Optional[Sequence[str]],
+             subalphabet: Optional[Sequence[str]],
              max_words: Optional[int]) -> Profile:
     if radius is None:
         radius = default_radius(rep.dim)
@@ -195,7 +186,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     if truncated or any(math.isinf(v) for _, _, v in samples):
         verdict = "inconclusive"
     else:
-        verdict = _verdict(boxes, slope_threshold)
+        verdict = _verdict(boxes, SLOPE_THRESHOLD)
     return Profile(
         index=index, radius=radius,
         alphabet=rep.alphabet.names,
@@ -204,13 +195,12 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
         # a slope within its rounding error of 0 may be 0: no J
         J=max(upper[1], 1.0 / lower[1]) if _slope_range(boxes)[0] > 0 else None,
         K=math.exp(log_k) if log_k <= _LOG_MAX else math.inf,
-        slope_threshold=slope_threshold, monotone=monotone, verdict=verdict,
+        slope_threshold=SLOPE_THRESHOLD, monotone=monotone, verdict=verdict,
         words_evaluated=count,
     )
 
 
 def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
-                slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
                 subalphabet: Optional[Sequence[str]] = None,
                 max_words: Optional[int] = 200_000) -> Profile:
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
@@ -223,11 +213,10 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
-    return _profile(rep, i, radius, slope_threshold, subalphabet, max_words)
+    return _profile(rep, i, radius, subalphabet, max_words)
 
 
 def qi_profile(rep: RepSpec, radius: Optional[int] = None,
-               slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
                subalphabet: Optional[Sequence[str]] = None,
                max_words: Optional[int] = 200_000) -> Profile:
     """Two-sided per-length envelopes of log(sigma_1 / sigma_dim).
@@ -236,4 +225,4 @@ def qi_profile(rep: RepSpec, radius: Optional[int] = None,
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
     """
-    return _profile(rep, None, radius, slope_threshold, subalphabet, max_words)
+    return _profile(rep, None, radius, subalphabet, max_words)

@@ -19,7 +19,7 @@ import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,37 @@ def matrix_hash(m: np.ndarray) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
-def _as_square(m, *, allow_complex: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex if allow_complex else float)
+def to_plain(value):
+    """JSON form of a result value: a record's ``to_json()``, a complex
+    number as ``[re, im]``, a tuple or list as a list; anything else as is."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (tuple, list)):
+        return [to_plain(v) for v in value]
+    return value
+
+
+class Record:
+    """Base of the frozen result dataclasses: the JSON of a record is its
+    fields, each through ``to_plain``."""
+
+    def to_json(self) -> dict:
+        return {f.name: to_plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _as_real(m, what: str) -> np.ndarray:
+    """``m`` as a float array; complex entries are refused, never cast to
+    their real part."""
+    a = np.asarray(m)
+    if np.iscomplexobj(a):
+        raise InputError(f"{what} has complex entries; a real matrix is required")
+    return a.astype(float, copy=False)
+
+
+def _as_square(m) -> np.ndarray:
+    a = _as_real(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
@@ -55,17 +84,10 @@ def sort_eigenvalues(values: Iterable[complex]) -> tuple[complex, ...]:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     eigenvalues: tuple[complex, ...]
     moduli: tuple[float, ...]
     singular_values: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "moduli": list(self.moduli),
-            "singular_values": list(self.singular_values),
-        }
 
 
 def _solve(solver, a: np.ndarray, **kwargs):
@@ -141,7 +163,7 @@ def exterior_power(m, i: int) -> np.ndarray:
 # Classification
 
 @dataclass(frozen=True)
-class ProximalityClass:
+class ProximalityClass(Record):
     """Eigenvalue-ordering classification of one matrix.
 
     ``proximal[k]`` is the gap flag at index k+1 (i.e. moduli[k] exceeds
@@ -165,21 +187,6 @@ class ProximalityClass:
         if not 1 <= i <= self.dim - 1:
             raise InputError(f"proximality index {i} out of range 1..{self.dim - 1}")
         return self.proximal[i - 1]
-
-    def to_json(self) -> dict:
-        top = self.top_eigenvalue
-        return {
-            "dim": self.dim,
-            "tol": self.tol,
-            "proximal": list(self.proximal),
-            "semiproximal": self.semiproximal,
-            "positively_semiproximal": self.positively_semiproximal,
-            "top_eigenvalue": None if top is None else [top.real, top.imag],
-            "top_modulus": self.top_modulus,
-            "top_multiplicity": self.top_multiplicity,
-            "top_moduli": list(self.top_moduli),
-            "indeterminate": self.indeterminate,
-        }
 
 
 def classify(m, tol: float = DEFAULT_TOL) -> ProximalityClass:
@@ -245,7 +252,7 @@ def top_subset_products(values: Sequence[complex], i: int, count: int
 
 
 @dataclass(frozen=True)
-class ExteriorClassification:
+class ExteriorClassification(Record):
     """Classification of the i-th exterior power of a matrix, read off the
     i-subset products of its eigenvalues (``method`` "subset-products")."""
 
@@ -260,22 +267,6 @@ class ExteriorClassification:
     top_moduli: tuple[float, ...]
     indeterminate: bool
     tol: float
-
-    def to_json(self) -> dict:
-        top = self.top_eigenvalue
-        return {
-            "index": self.index,
-            "method": self.method,
-            "p1_proximal": self.p1_proximal,
-            "semiproximal": self.semiproximal,
-            "positively_semiproximal": self.positively_semiproximal,
-            "top_eigenvalue": None if top is None else [top.real, top.imag],
-            "top_modulus": self.top_modulus,
-            "top_multiplicity": self.top_multiplicity,
-            "top_moduli": list(self.top_moduli),
-            "indeterminate": self.indeterminate,
-            "tol": self.tol,
-        }
 
 
 def classify_exterior(m, i: int, tol: float = DEFAULT_TOL) -> ExteriorClassification:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateConfigurationError, InputError, SamplingError,
                      SearchError)
-from .linalg import (DEFAULT_TOL, ExteriorClassification, classify,
+from .linalg import (DEFAULT_TOL, ExteriorClassification, Record, classify,
                      classify_exterior, sort_eigenvalues,
                      top_eigenvalue_2x2_unimodular)
 from . import reps
@@ -30,6 +30,10 @@ from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
 
 SCHEMA_VERSION = 1
 TRANSVERSALITY_TOL = 1e-8
+MAX_POWER = 64  # powers w0^m the sign search scans per candidate
+CONV_TOL = 1e-4  # relative error at which a limit formula has converged
+TIE_TOL = 1e-9  # domination margins within this of 0 are ties
+SAMPLE_LENGTHS = (4, 10)  # word lengths the limit-set sampler draws from
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,7 @@ def _eigenframe_2x2(m: np.ndarray) -> np.ndarray:
 
 
 def find_negative_lambda(rep: RepSpec, coset: Word, *,
-                         max_candidates: int = 200, max_power: int = 64,
+                         max_candidates: int = 200,
                          tol: float = DEFAULT_TOL) -> SignWitness:
     """Find w = w0^m * coset with real negative leading eigenvalue.
 
@@ -127,7 +131,7 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             trace.append(entry)
             continue
         power_img = np.eye(2)
-        for m in range(1, max_power + 1):
+        for m in range(1, MAX_POWER + 1):
             power_img = power_img @ m0
             if np.max(np.abs(power_img)) > 1e250:
                 entry["rejected"] = f"power overflow at exponent {m}"
@@ -141,11 +145,11 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
                 return SignWitness(word=witness, lambda1=lam.real, base_word=w0,
                                    power=m, coset=coset,
                                    search_trace=tuple(trace), tol=tol)
-        entry.setdefault("rejected", f"no sign flip within power {max_power}")
+        entry.setdefault("rejected", f"no sign flip within power {MAX_POWER}")
         trace.append(entry)
     raise SearchError(
         f"no witness found within {max_candidates} candidates "
-        f"and power cap {max_power}", trace=trace)
+        f"and power cap {MAX_POWER}", trace=trace)
 
 
 def _revalidate_sign_witness(rep: RepSpec, witness: Word, tol: float):
@@ -161,7 +165,7 @@ def _revalidate_sign_witness(rep: RepSpec, witness: Word, tol: float):
 # Limit identities behind the power scan
 
 @dataclass(frozen=True)
-class LimitFormulaReport:
+class LimitFormulaReport(Record):
     ratios: tuple[complex, ...]
     predicted: float
     final_error: float
@@ -171,18 +175,13 @@ class LimitFormulaReport:
     consecutive_error: float
 
     def to_json(self) -> dict:
-        return {
-            "ratios": [[z.real, z.imag] for z in self.ratios],
-            "predicted": self.predicted,
-            "final_error": self.final_error,
-            "converged": self.converged,
-            "base_top_eigenvalue": self.base_top_eigenvalue,
-            "consecutive_error": self.consecutive_error,
-        }
+        doc = super().to_json()
+        del doc["consecutive"]
+        return doc
 
 
-def limit_formula_check(rep: RepSpec, w0: Word, a: Word, n_max: int = 30,
-                        conv_tol: float = 1e-4) -> LimitFormulaReport:
+def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
+                        n_max: int = 30) -> LimitFormulaReport:
     """Track lambda1(w0^n a) / lambda1(w0^n) against its frame-coordinate
     limit, and the consecutive ratio against lambda1(w0).
 
@@ -222,7 +221,7 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word, n_max: int = 30,
         ratios=tuple(ratios),
         predicted=predicted,
         final_error=final_error,
-        converged=final_error <= conv_tol * max(1.0, abs(predicted)),
+        converged=final_error <= CONV_TOL * max(1.0, abs(predicted)),
         consecutive=consecutive,
         base_top_eigenvalue=lam0,
         consecutive_error=consecutive_error,
@@ -233,7 +232,7 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word, n_max: int = 30,
 # Domination sweeps
 
 @dataclass(frozen=True)
-class DominationReport:
+class DominationReport(Record):
     """Finite-ball margin of log l1(upper) - exponent * log l1(lower).
 
     The required inequality is non-strict, so `passed` tolerates exact ties
@@ -249,18 +248,6 @@ class DominationReport:
     passed: bool
     boundary: bool
     words_checked: int
-
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "radius": self.radius,
-            "margin": self.margin,
-            "argmin": self.argmin,
-            "per_length": [[l, m] for l, m in self.per_length],
-            "passed": self.passed,
-            "boundary": self.boundary,
-            "words_checked": self.words_checked,
-        }
 
 
 def _log_top_moduli(images: np.ndarray) -> np.ndarray:
@@ -295,7 +282,7 @@ def _extend(codes: np.ndarray, images: list, tables: list, lo: int, hi: int):
 
 
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
-                     radius: int, *, tie_tol: float = 1e-9) -> DominationReport:
+                     radius: int) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1).
 
     Top moduli are class functions, so only the cyclically reduced words
@@ -358,8 +345,8 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     return DominationReport(
         exponent=float(exponent), radius=radius, margin=margin, argmin=argmin,
         per_length=tuple(per_length),
-        passed=margin >= -tie_tol,
-        boundary=abs(margin) <= tie_tol,
+        passed=margin >= -TIE_TOL,
+        boundary=abs(margin) <= TIE_TOL,
         words_checked=words_checked,
     )
 
@@ -368,26 +355,16 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
 # Certificates
 
 @dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(Record):
     index: int
     covered: bool
     witness: Optional[str]
     reason: str
     classification: Optional[ExteriorClassification]
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "covered": self.covered,
-            "witness": self.witness,
-            "reason": self.reason,
-            "classification": None if self.classification is None
-            else self.classification.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     """Record of exterior indices at which witnesses fail positive
     semiproximality, together with parity evidence and the declared,
     unverified subgroup hypotheses.
@@ -408,20 +385,6 @@ class ObstructionCertificate:
     assumptions: tuple[str, ...]
     covered_all: bool
     schema_version: int = SCHEMA_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "construction": self.construction,
-            "rep_digest": self.rep_digest,
-            "dim": self.dim,
-            "tol": self.tol,
-            "witnesses": list(self.witnesses),
-            "parity_evidence": list(self.parity_evidence),
-            "entries": [e.to_json() for e in self.entries],
-            "assumptions": list(self.assumptions),
-            "covered_all": self.covered_all,
-        }
 
 
 def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
@@ -618,7 +581,6 @@ def _attracting_vectors(images: np.ndarray, tol: float):
 
 
 def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
-                     min_length: int = 4, max_length: int = 10,
                      min_proximal: int = 30,
                      tol: float = DEFAULT_TOL) -> LimitSetSample:
     """Sample attracting lines of proximal word images and measure how far
@@ -641,9 +603,10 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
         raise InputError("recorded tensor factors do not multiply to the dimension")
     rng = np.random.default_rng(seed)
     nsym = 2 * rep.alphabet.size
+    shortest, longest = SAMPLE_LENGTHS
     draws: list[list[int]] = []
     for _ in range(sample_words):
-        length = int(rng.integers(min_length, max_length + 1))
+        length = int(rng.integers(shortest, longest + 1))
         codes: list[int] = []
         while len(codes) < length:
             code = int(rng.integers(nsym))

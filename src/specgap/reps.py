@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import (MAX_DIM, _eigenvalues, matrix_hash,
+from .linalg import (MAX_DIM, Record, _as_real, _eigenvalues, matrix_hash,
                      top_eigenvalue_2x2_unimodular)
 from .words import Alphabet, GeneratorMap, Presentation, Word, extensions
 
@@ -50,7 +51,7 @@ class RepSpec:
         for label in alphabet.names:
             if label not in images:
                 raise InputError(f"missing image for generator {label!r}")
-            m = np.array(images[label], dtype=float)
+            m = np.array(_as_real(images[label], f"image of {label!r}"))
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise InputError(f"image of {label!r} is not square")
             if not np.all(np.isfinite(m)):
@@ -431,11 +432,11 @@ def rotation_block_rep(alphabet: Alphabet, theta: float,
                                "theta": theta, "targets": sorted(targets)})
 
 
-def _reject_rational_angle(theta: float, max_denominator: int = 10 ** 6):
+def _reject_rational_angle(theta: float):
     # a genuine p/q lands within float rounding (~1e-17); the best rational
     # approximation of a generic irrational with q <= 1e6 stays above ~1e-13
     ratio = theta / math.pi
-    frac = Fraction(ratio).limit_denominator(max_denominator)
+    frac = Fraction(ratio).limit_denominator(10 ** 6)
     if abs(ratio - float(frac)) < 1e-14:
         raise InputError(
             f"theta = {theta} is a rational multiple of pi "
@@ -577,17 +578,12 @@ def iter_ball_images(rep: RepSpec, radius: int,
                          for i in reversed(range(0, n, fan)))
 
 
-class HomomorphismReport:
-    def __init__(self, deviations: Sequence[tuple[str, float]], tol: float):
-        self.deviations = list(deviations)
-        self.tol = tol
-        self.max_deviation = max((d for _, d in deviations), default=0.0)
-        self.passed = self.max_deviation <= tol
-
-    def to_json(self) -> dict:
-        return {"deviations": [[w, d] for w, d in self.deviations],
-                "max_deviation": self.max_deviation,
-                "tol": self.tol, "passed": self.passed}
+@dataclass(frozen=True)
+class HomomorphismReport(Record):
+    deviations: tuple[tuple[str, float], ...]
+    tol: float
+    max_deviation: float
+    passed: bool
 
 
 def validate_homomorphism(rep: RepSpec, p: Presentation,
@@ -599,7 +595,8 @@ def validate_homomorphism(rep: RepSpec, p: Presentation,
     for rel in p.relators:
         m = rep.evaluate(rel)
         devs.append((str(rel), float(np.linalg.norm(m - np.eye(rep.dim)))))
-    return HomomorphismReport(devs, tol)
+    worst = max((d for _, d in devs), default=0.0)
+    return HomomorphismReport(tuple(devs), tol, worst, worst <= tol)
 
 
 def common_eigenvector_defect(images: Sequence[np.ndarray]) -> float:

@@ -39,6 +39,16 @@ class TestBuild:
         assert main(["build", "--name", "thm1ii_d12", "--param", "x2",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("name,param", [
+        ("thm1i_d5", "max_power=3"),
+        ("thm1i_d6", "max_candidates=1"),
+        ("thm1i_dge7", "max_power=3"),
+    ])
+    def test_search_budget_is_not_a_param(self, tmp_path, name, param):
+        # the sign search runs on its fixed budget
+        assert main(["build", "--name", name, "--param", param,
+                     "--out", str(tmp_path)]) == 2
+
 
 class TestReplay:
     def test_rebuilding_reproduces_digests(self, tmp_path):

@@ -72,10 +72,19 @@ class TestSpectrum:
         with pytest.raises(InputError):
             spectrum(np.array([[np.inf, 0], [0, 1.0]]))
 
-    def test_json_shape(self):
+    def test_rejects_complex_entries(self):
+        # a cast to float would keep only the real part
+        for m in ([[0, -1 + 0.3j], [1, 0]],
+                  np.array([[0, -1], [1, 0]], dtype=complex)):
+            for fn in (spectrum, classify, lambda a: classify_exterior(a, 1)):
+                with pytest.raises(InputError, match="complex"):
+                    fn(m)
+
+    def test_json_shape(self, strict_json):
         doc = spectrum(np.eye(2)).to_json()
-        assert doc["eigenvalues"] == [[1.0, 0.0], [1.0, 0.0]]
-        assert doc["moduli"] == [1.0, 1.0]
+        assert strict_json(doc) == {"eigenvalues": [[1.0, 0.0], [1.0, 0.0]],
+                                    "moduli": [1.0, 1.0],
+                                    "singular_values": [1.0, 1.0]}
 
 
 class TestTwoByTwoTrace:
@@ -219,6 +228,16 @@ class TestClassify:
         pc = classify(np.diag([1.0, 1.0 - 5e-6, 0.1]), tol=1e-6)
         assert pc.indeterminate
 
+    def test_json_shape(self, strict_json):
+        doc = classify(np.diag([-4.0, 2.0, 0.5, 0.125])).to_json()
+        assert strict_json(doc) == {
+            "dim": 4, "tol": 1e-6, "proximal": [True, True, True],
+            "semiproximal": True, "positively_semiproximal": False,
+            "top_eigenvalue": [-4.0, 0.0], "top_modulus": 4.0,
+            "top_multiplicity": 1, "top_moduli": [4.0, 2.0, 0.5, 0.125],
+            "indeterminate": False,
+        }
+
 
 class TestClassifyExterior:
     @staticmethod
@@ -316,6 +335,27 @@ class TestClassifyExterior:
         assert whole.top_eigenvalue == pytest.approx(-(3.0 ** 8))
         assert not whole.positively_semiproximal
         assert classify_exterior(m, 40).top_multiplicity == math.comb(32, 12)
+
+    def test_json_shape(self, strict_json):
+        # a p1-proximal power with a negative real top eigenvalue
+        doc = classify_exterior(np.diag([-4.0, 2.0, 0.5, 0.125]), 2).to_json()
+        assert strict_json(doc) == {
+            "index": 2, "method": "subset-products", "p1_proximal": True,
+            "semiproximal": True, "positively_semiproximal": False,
+            "top_eigenvalue": [-8.0, 0.0], "top_modulus": 8.0,
+            "top_multiplicity": 1,
+            "top_moduli": [8.0, 2.0, 1.0, 0.5, 0.25, 0.0625],
+            "indeterminate": False, "tol": 1e-6,
+        }
+        # a top class of two: no single top eigenvalue
+        doc = classify_exterior(np.diag([2.0, -2.0, 0.5, 0.5]), 1).to_json()
+        assert strict_json(doc) == {
+            "index": 1, "method": "subset-products", "p1_proximal": False,
+            "semiproximal": True, "positively_semiproximal": True,
+            "top_eigenvalue": None, "top_modulus": 2.0,
+            "top_multiplicity": 2, "top_moduli": [2.0, 2.0, 0.5, 0.5],
+            "indeterminate": False, "tol": 1e-6,
+        }
 
     def test_large_dimension_uses_subset_products(self):
         m = np.diag([2.0 ** k for k in range(10, -11, -1)])  # 21x21, det 1

@@ -138,6 +138,18 @@ class TestDomination:
         rpt = check_domination(j, j, 2.0, 4)
         assert not rpt.passed and rpt.margin < -1.0
 
+    def test_json_shape(self, strict_json):
+        # diagonal images with power-of-two spectra: every margin is exact,
+        # log 2 at length 1 and 0 on a1 b1^-1, whose image is the identity
+        upper = RepSpec(PAIR, {l: np.diag([4.0, 0.25]) for l in PAIR.names})
+        lower = RepSpec(PAIR, {l: np.diag([2.0, 0.5]) for l in PAIR.names})
+        doc = check_domination(upper, lower, 1.0, 2).to_json()
+        assert strict_json(doc) == {
+            "exponent": 1.0, "radius": 2, "margin": 0.0, "argmin": "a1 b1^-1",
+            "per_length": [[1, math.log(2.0)], [2, 0.0]],
+            "passed": True, "boundary": True, "words_checked": 16,
+        }
+
     def test_per_length_minima_cover_every_length(self):
         rpt = check_domination(j_spread(16.0), j_spread(4.0), 2.0, 4)
         assert [l for l, _ in rpt.per_length] == [1, 2, 3, 4]
@@ -230,12 +242,17 @@ class TestCertificates:
     def _identity_rep(self):
         return RepSpec(PAIR, {"a1": np.eye(4), "b1": np.eye(4)})
 
-    def test_identity_rep_covers_nothing(self):
+    def test_identity_rep_covers_nothing(self, strict_json):
         rep = self._identity_rep()
         cert = certify_not_limit(rep, [word(PAIR, "a1^2")], [1, 2],
                                  Presentation.free(PAIR))
         assert not cert.covered_all
         assert all(not e.covered for e in cert.entries)
+        assert strict_json(cert.entries[0].to_json()) == {
+            "index": 1, "covered": False, "witness": None,
+            "reason": "all decisive witnesses positively semiproximal",
+            "classification": None,
+        }
 
     def test_tie_cluster_with_positive_products_stays_uncovered(self):
         # a1^2 = diag(2, -2 x24, 0.5 x25): at index 10 the top cluster holds
@@ -297,7 +314,7 @@ class TestCertificates:
                                "b1": np.diag([2.0, 1.0, 0.5])})
         assert not verify_certificate(cert, other)
 
-    def test_certificate_json_fields(self):
+    def test_certificate_json_fields(self, strict_json):
         rep = self._signed_rep()
         cert = certify_not_limit(rep, [word(PAIR, "a1 b1 a1 b1^-1")], [1],
                                  Presentation.free(PAIR),
@@ -307,6 +324,27 @@ class TestCertificates:
         assert doc["assumptions"] == ["declared hypothesis"]
         assert doc["parity_evidence"][0]["exponent_sums"] == [2, 0]
         assert len(doc["entries"][0]["classification"]["top_moduli"]) <= 8
+        assert strict_json(doc) == {
+            "schema_version": 1, "construction": {},
+            "rep_digest": rep.digest(), "dim": 3, "tol": 1e-6,
+            "witnesses": ["a1 b1 a1 b1^-1"],
+            "parity_evidence": [{"witness": "a1 b1 a1 b1^-1",
+                                 "exponent_sums": [2, 0],
+                                 "relator_count": 0}],
+            "entries": [{
+                "index": 1, "covered": True, "witness": "a1 b1 a1 b1^-1",
+                "reason": "witness fails positive semiproximality",
+                "classification": {
+                    "index": 1, "method": "subset-products",
+                    "p1_proximal": True, "semiproximal": True,
+                    "positively_semiproximal": False,
+                    "top_eigenvalue": [-10.0, 0.0], "top_modulus": 10.0,
+                    "top_multiplicity": 1, "top_moduli": [10.0, 0.5, 0.2],
+                    "indeterminate": False, "tol": 1e-6,
+                },
+            }],
+            "assumptions": ["declared hypothesis"], "covered_all": True,
+        }
 
 
 class TestLimitSet:

@@ -54,6 +54,13 @@ class TestRepSpec:
         with pytest.raises(InputError):
             RepSpec(PAIR, {"a1": np.zeros((2, 2)), "b1": np.eye(2)})
 
+    def test_rejects_complex_entries(self):
+        # a cast to float would accept this as diag(2, 0.5)
+        image = [[2 + 0.5j, 0], [0, 0.5 - 0.1j]]
+        for m in (image, np.array(image)):
+            with pytest.raises(InputError, match="complex"):
+                RepSpec(PAIR, {"a1": m, "b1": np.eye(2)})
+
     def test_evaluate_homomorphism_on_random_pairs(self):
         rep = rename_generators(schottky_sl2r(2, 4.0), PAIR)
         rng = np.random.default_rng(2)
@@ -344,7 +351,11 @@ class TestValidateHomomorphism:
         pres = standard_presentation(1)
         images = {n: np.eye(2) for n in pres.alphabet.names}
         rep = RepSpec(pres.alphabet, images)
-        assert validate_homomorphism(rep, pres).passed
+        report = validate_homomorphism(rep, pres)
+        assert report.passed
+        assert report.to_json() == {
+            "deviations": [[str(r), 0.0] for r in pres.relators],
+            "tol": 1e-8, "max_deviation": 0.0, "passed": True}
 
     def test_generic_rep_fails_surface_relator(self):
         pres = standard_presentation(1)

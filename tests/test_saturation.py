@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from specgap.builders import build_named
-from specgap.certify import (DEFAULT_SLOPE_THRESHOLD, MONOTONE_SLACK,
+from specgap.certify import (MONOTONE_SLACK, SLOPE_THRESHOLD,
                              _fit_line, _rounding, _slope_range, _verdict,
                              gap_profile, qi_profile)
 from specgap.reps import RepSpec, schottky_sl2r
@@ -118,8 +118,8 @@ class TestSaturation:
         assert _fit_line(noise)[1] > 0
         boxes = [(l, v - _rounding(v, 4), v + _rounding(v, 4)) for l, v in noise]
         flattest, steepest = _slope_range(boxes)
-        assert flattest <= 0 < steepest < DEFAULT_SLOPE_THRESHOLD
-        assert _verdict(boxes, DEFAULT_SLOPE_THRESHOLD) == "fail"
+        assert flattest <= 0 < steepest < SLOPE_THRESHOLD
+        assert _verdict(boxes, SLOPE_THRESHOLD) == "fail"
 
     @pytest.mark.parametrize("seed", range(40))
     def test_box_verdict_holds_for_every_envelope_in_the_box(self, seed):
