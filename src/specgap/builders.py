@@ -80,10 +80,6 @@ def _resolve(params: Optional[Mapping], defaults: dict) -> dict:
     return out
 
 
-def _boost4(c: float) -> np.ndarray:
-    return np.diag([c, 1.0, 1.0, 1.0 / c])
-
-
 def _ndiag(n: int, c: float) -> np.ndarray:
     entries = [c] + [1.0] * (n - 2) + [1.0 / c]
     return np.diag(entries)
@@ -297,9 +293,9 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     alphabet = free_part_alphabet(4)
     rng = np.random.default_rng(seed)
     spin_images = {
-        "a1": _boost4(1.5), "b1": _boost4(1.25),
-        "a2": _boost4(mu), "b2": _boost4(1.35),
-        "a3": _boost4(1.45), "b3": _boost4(nu),
+        "a1": _ndiag(4, 1.5), "b1": _ndiag(4, 1.25),
+        "a2": _ndiag(4, mu), "b2": _ndiag(4, 1.35),
+        "a3": _ndiag(4, 1.45), "b3": _ndiag(4, nu),
         "a4": spin_so31(_random_sl2c(rng)),
         "b4": spin_so31(_random_sl2c(rng)),
     }

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import RepSpec, iter_ball_images
+from .reps import (RepSpec, graded_products, iter_ball_images, products,
+                   symbol_table)
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -90,24 +91,24 @@ class Profile(Record):
         return "\n".join(lines) + "\n"
 
 
-def _log_ratios(images, hi: int, lo: int) -> np.ndarray:
-    """log(sigma_{hi+1} / sigma_{lo+1}) of each image of a sweep block, inf
+def _log_ratios(state, hi: int, lo: int) -> np.ndarray:
+    """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block, inf
     where it is not finite (the smaller singular value computes as 0, or
     the product overflowed).
 
-    For 2x2 images sigma_1 = (s + t) / 2 with s = |(a+d, b-c)| and
-    t = |(a-d, b+c)|, and sigma_1 * sigma_2 = det = 1, so the ratio is
-    sigma_1^2 in closed form.  For dim >= 3 the images are graded factors
-    (Q, R) and the singular values are those of R.
+    For 2x2 images, a state (M,) of raw products, sigma_1 = (s + t) / 2
+    with s = |(a+d, b-c)| and t = |(a-d, b+c)|, and sigma_1 * sigma_2 =
+    det = 1, so the ratio is sigma_1^2 in closed form.  For dim >= 3 the
+    state is graded factors (Q, R) and the singular values are those of R.
     """
     with np.errstate(all="ignore"):
-        if not isinstance(images, tuple):
-            a, b, c, d = (images[:, i, j] for i in (0, 1) for j in (0, 1))
+        if len(state) == 1:
+            a, b, c, d = (state[0][:, i, j] for i in (0, 1) for j in (0, 1))
             s = np.hypot(a + d, b - c)
             t = np.hypot(a - d, b + c)
             v = 2.0 * np.log((s + t) / 2.0)
         else:
-            r = images[1]
+            r = state[1]
             finite = np.isfinite(r).all(axis=(1, 2))
             sv = np.linalg.svd(np.where(finite[:, None, None], r, 0.0),
                                compute_uv=False)
@@ -163,14 +164,16 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     maxs: dict[int, float] = {}
     count = 0
     truncated = False
-    for length, codes, images in iter_ball_images(rep, radius, subalphabet):
+    table = symbol_table(rep, subalphabet)
+    sweep = products(table) if rep.dim == 2 else graded_products(table)
+    for length, codes, state in iter_ball_images(len(table), radius, *sweep):
         if not length:
             continue
         if max_words is not None and count + len(codes) > max_words:
             truncated = True
             break
         count += len(codes)
-        v = _log_ratios(images, hi, lo)
+        v = _log_ratios(state, hi, lo)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))

@@ -156,7 +156,11 @@ def _cmd_obstruct(args, run: _Run) -> int:
         pres = Presentation.free(rep.alphabet)
     witnesses = [Word.parse(rep.alphabet, w) for w in args.witness]
     if args.indices:
-        indices = [int(tok) for tok in args.indices.split(",") if tok]
+        try:
+            indices = [int(tok) for tok in args.indices.split(",") if tok]
+        except ValueError:
+            raise InputError("--indices expects comma-separated integers,"
+                             f" got {args.indices!r}") from None
     else:
         indices = list(range(1, rep.dim // 2 + 1))
     cert = certify_not_limit(rep, witnesses, indices, pres, tol=args.tol)

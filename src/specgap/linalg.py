@@ -57,10 +57,16 @@ class Record:
 
 def _as_real(m, what: str) -> np.ndarray:
     """``m`` as a float array; complex entries are refused, never cast to
-    their real part."""
-    a = np.asarray(m)
+    their real part, and so are ragged rows and entries that are not
+    numbers."""
+    try:
+        a = np.asarray(m)
+    except ValueError:  # numpy refuses ragged nested lists
+        raise InputError(f"{what} has rows of different lengths") from None
     if np.iscomplexobj(a):
         raise InputError(f"{what} has complex entries; a real matrix is required")
+    if a.dtype.kind not in "iuf":
+        raise InputError(f"{what} has entries that are not numbers")
     return a.astype(float, copy=False)
 
 

@@ -26,7 +26,7 @@ from .linalg import (DEFAULT_TOL, ExteriorClassification, Record, classify,
 from . import reps
 from .reps import RepSpec, symbol_table
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
-                    extensions, in_index_two_core, shortlex_rank)
+                    in_index_two_core)
 
 SCHEMA_VERSION = 1
 TRANSVERSALITY_TOL = 1e-8
@@ -271,80 +271,46 @@ def _log_top_moduli(images: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, top.tolist()), float, len(top))
 
 
-def _extend(codes: np.ndarray, images: list, tables: list, lo: int, hi: int):
-    """Codes and images of the one-letter right extensions of the words
-    ``lo:hi`` of a level, in shortlex order."""
-    parent, last = extensions(codes[lo:hi, -1], len(tables[0]))
-    parent += lo
-    return (np.concatenate([codes[parent], last[:, None].astype(np.int8)],
-                           axis=1),
-            [img[parent] @ t[last] for img, t in zip(images, tables)])
-
-
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1).
 
-    Top moduli are class functions, so only the cyclically reduced words
-    are evaluated; a padded word u w u^-1 takes the margin of w, found by
-    its shortlex rank in the level two shorter.  Levels grow on the right,
-    one stacked product each, as ``RepSpec.evaluate`` multiplies.  The
-    last level is made and reduced in slices of at most ``reps.BLOCK_BYTES``
-    of images; only the margins of the shorter levels are kept.
-    ``argmin`` is the first strict minimum in shortlex order.
+    The ball comes from ``reps.iter_ball_images``, both sides' images made
+    by right multiplication as ``RepSpec.evaluate`` makes them.  Top moduli
+    are class functions, so only the cyclically reduced words are
+    evaluated.  A padded word u w u^-1 takes the margin of its core w, and
+    with two or more generators every word of length L - 2 is such a core,
+    so the minimum over length L is that over its cyclically reduced words
+    and length L - 2.  ``argmin`` is the first strict minimum in shortlex
+    order: a padded word ties with its core, a shorter word, so it is the
+    first strict minimum among the cyclically reduced words.
     """
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
     if radius < 1:
         raise InputError("domination radius must be >= 1: a sweep of no"
                          " words has no margin")
-    alphabet = upper.alphabet
-    tables = [symbol_table(rep, alphabet) for rep in (upper, lower)]
-    nsym = len(tables[0])
-    word_bytes = sum(t[0].nbytes for t in tables)
-    fan = max(1, reps.BLOCK_BYTES // (word_bytes * (nsym - 1)))
-    codes = np.arange(nsym, dtype=np.int8)[:, None]
-    images = tables
-    levels: list[np.ndarray] = []  # margins of every word, per length < radius
-    per_length = []
-    margin = math.inf
-    argmin = ""
+    tables = [symbol_table(rep) for rep in (upper, lower)]
+    lows = [math.inf] * (radius + 1)  # per length: cyclically reduced, then all
+    firsts = [()] * (radius + 1)  # codes of the first word to reach each low
     words_checked = 0
-    for length in range(1, radius + 1):
-        if length == 1:
-            slices = [(codes, images)]
-        else:
-            # the last level is made and reduced in slices of its parents;
-            # an earlier level is one slice, kept whole for the next
-            step = fan if length == radius else len(codes)
-            slices = (_extend(codes, images, tables, lo, lo + step)
-                      for lo in range(0, len(codes), step))
-        mins, firsts = [], []
-        for codes_k, images_k in slices:
-            padded = codes_k[:, 0] == codes_k[:, -1] ^ 1
-            m = np.empty(len(codes_k))
-            m[~padded] = (_log_top_moduli(images_k[0][~padded])
-                          - exponent * _log_top_moduli(images_k[1][~padded]))
-            if padded.any():
-                m[padded] = levels[length - 3][
-                    shortlex_rank(codes_k[padded, 1:-1], nsym)]
-            first = int(np.argmin(m))
-            mins.append(m[first])
-            firsts.append(codes_k[first])
-            words_checked += len(m)
-        if length < radius:
-            codes, images = codes_k, images_k
-            levels.append(m)
-        k = int(np.argmin(mins))
-        per_length.append((length, float(mins[k])))
-        if mins[k] < margin:
-            margin = float(mins[k])
-            # a padded word ties with its core, a shorter word, so the first
-            # strict minimum is cyclically reduced
-            argmin = str(Word.from_codes(alphabet, firsts[k]))
+    blocks = reps.iter_ball_images(len(tables[0]), radius, *reps.products(*tables))
+    next(blocks)  # the identity, whose margin is identically zero
+    for length, codes, (up, low) in blocks:
+        words_checked += len(codes)
+        keep = codes[:, 0] != codes[:, -1] ^ 1  # cyclically reduced
+        m = _log_top_moduli(up[keep]) - exponent * _log_top_moduli(low[keep])
+        k = int(np.argmin(m))
+        if m[k] < lows[length]:
+            lows[length], firsts[length] = float(m[k]), codes[keep][k]
+    k = int(np.argmin(lows))
+    margin, argmin = lows[k], str(Word.from_codes(upper.alphabet, firsts[k]))
+    if upper.alphabet.size > 1:  # else no word is padded
+        for length in range(3, radius + 1):
+            lows[length] = min(lows[length], lows[length - 2])
     return DominationReport(
         exponent=float(exponent), radius=radius, margin=margin, argmin=argmin,
-        per_length=tuple(per_length),
+        per_length=tuple(enumerate(lows))[1:],
         passed=margin >= -TIE_TOL,
         boundary=abs(margin) <= TIE_TOL,
         words_checked=words_checked,

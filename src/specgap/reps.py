@@ -8,18 +8,17 @@ whether it factors through any intended quotient is checked numerically by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
 from .linalg import (MAX_DIM, Record, _as_real, _eigenvalues, matrix_hash,
                      top_eigenvalue_2x2_unimodular)
-from .words import Alphabet, GeneratorMap, Presentation, Word, extensions
+from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
 UNIMODULAR_TOL = 1e-8
 
@@ -110,14 +109,17 @@ class RepSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RepSpec":
-        alphabet = Alphabet(tuple(doc["alphabet"]))
-        images = {k: np.array(v, dtype=float) for k, v in doc["images"].items()}
+        try:
+            alphabet = Alphabet(tuple(doc["alphabet"]))
+            images = dict(doc["images"])
+        except (KeyError, TypeError):
+            raise InputError("a representation needs an 'alphabet' list and"
+                             " an 'images' object") from None
         return cls(alphabet, images, doc.get("provenance"))
 
     @classmethod
     def load(cls, path) -> "RepSpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
     def digest(self) -> str:
         stacked = np.concatenate([self._images[l].ravel()
@@ -375,9 +377,6 @@ def scale_by_character(rep: RepSpec, eps: Character, exponent) -> RepSpec:
         raise InputError("character alphabet does not match the representation")
     exp = Fraction(exponent).limit_denominator(10 ** 9)
     appended = -exp * rep.dim
-    if exp * rep.dim + appended != 0:
-        raise ConstructionError("character exponent bookkeeping is inconsistent",
-                                inequality="exponent*dim + appended = 0")
     dim = rep.dim + 1
     images = {}
     for label in rep.alphabet.names:
@@ -510,72 +509,87 @@ def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:
     return RepSpec(sub, images, prov)
 
 
-def symbol_table(rep: RepSpec, alphabet: Optional[Alphabet] = None) -> np.ndarray:
-    """(2k, d, d) stack of the images of the signed letters of ``alphabet``
-    (default: the representation's), indexed by letter code."""
-    alphabet = rep.alphabet if alphabet is None else alphabet
+def symbol_table(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None) -> np.ndarray:
+    """(2k, d, d) stack of the images of the signed letters of the labels
+    ``subalphabet`` (default: the representation's), indexed by letter code."""
+    alphabet = rep.alphabet if subalphabet is None else Alphabet(tuple(subalphabet))
     return np.stack([m for label in alphabet.names
                      for m in (rep.image(label), rep.inverse_image(label))])
 
 
-# cap on the bytes of images in one block of the ball sweep; a block may
+# cap on the bytes of states in one block of the ball sweep; a block may
 # exceed it only when it holds the children of a single word
 BLOCK_BYTES = 1 << 18
 
-Block = tuple[int, np.ndarray, "np.ndarray | tuple[np.ndarray, np.ndarray]"]
+State = tuple[np.ndarray, ...]  # stacks with one entry per word
+Block = tuple[int, np.ndarray, State]
 
 
-def iter_ball_images(rep: RepSpec, radius: int,
-                     subalphabet: Optional[Sequence[str]] = None
+def iter_ball_images(nsym: int, radius: int, root: State,
+                     step: Callable[[State, np.ndarray, np.ndarray], State]
                      ) -> Iterator[Block]:
-    """Sweep of the reduced ball in blocks ``(length, codes, images)``,
-    the identity first; ``codes`` holds one row of letter codes (see
-    ``Alphabet.symbols``) per word.
+    """Sweep of the reduced ball over ``nsym`` letter codes (see
+    ``Alphabet.symbols``) in blocks ``(length, codes, state)``, the identity
+    first, with state ``root``; ``codes`` holds one row of letter codes per
+    word, and ``state`` one stack per entry of ``root``.
 
-    Words grow on the left: a block holds s*w for the words w of a slice of
-    one parent block, minus the backtracking letters, made by one stacked
-    product with the letter table.  Blocks are visited depth first, so
-    about ``radius`` of them are live, each of at most ``BLOCK_BYTES``.
-
-    2x2 images are raw products.  For dim >= 3 ``images`` is a pair (Q, R)
-    of stacks, Q orthogonal, R upper triangular, Q @ R the product: a step
-    factors g @ Q = Q'R' and keeps R'R, so the growth sits in the graded
-    factor R instead of drowning the small singular values of a raw
-    product in rounding (Stewart, ETNA 3, 1995).
+    Words grow on the right: a block holds w*s for the words w of a slice
+    of one parent block and each letter s that keeps w*s reduced, and its
+    state is ``step(state, parent, letter)`` of the parent block's state,
+    each word's parent position in it and its appended code.  Blocks are
+    visited depth first, so about ``radius`` of them are live, each of at
+    most ``BLOCK_BYTES``, and each length's words come out in shortlex
+    order across blocks.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    alphabet = rep.alphabet if subalphabet is None else Alphabet(tuple(subalphabet))
-    table = symbol_table(rep, alphabet)
-    nsym = len(table)
-    graded = rep.dim >= 3
-    eye = np.eye(rep.dim)[None]
-    root: Block = (0, np.zeros((1, 0), dtype=np.int8),
-                   (eye, eye) if graded else eye)
-    yield root
-    word_bytes = table[0].nbytes * (2 if graded else 1)
+    first: Block = (0, np.zeros((1, 0), dtype=np.int8), root)
+    yield first
+    word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
-    stack = [(root, 0, 1)] if radius else []
+    stack = [(first, 0, 1)] if radius else []
     while stack:
-        (length, codes, images), lo, hi = stack.pop()
-        heads = codes[lo:hi, 0] if length else np.full(1, -1)
-        parent, letter = extensions(heads, nsym)
+        (length, codes, state), lo, hi = stack.pop()
+        ends = codes[lo:hi, -1] if length else np.full(1, -1)
+        # parent-major, codes ascending: a shortlex slice gives shortlex words
+        parent, letter = np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
         parent += lo
-        g = table[letter]
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
-            if graded:
-                q, r = np.linalg.qr(g @ images[0][parent])
-                images = (q, r @ images[1][parent])
-            else:
-                images = g @ images[parent]
+            state = step(state, parent, letter)
         block = (length + 1,
-                 np.concatenate([letter[:, None].astype(np.int8),
-                                 codes[parent]], axis=1), images)
+                 np.concatenate([codes[parent],
+                                 letter[:, None].astype(np.int8)], axis=1),
+                 state)
         yield block
         if length + 1 < radius:
             n = len(block[1])
             stack.extend((block, i, min(i + fan, n))
                          for i in reversed(range(0, n, fan)))
+
+
+def products(*tables: np.ndarray):
+    """Root and step of a ball sweep whose state is, per table of letter
+    images, the word's product as ``RepSpec.evaluate`` makes it, bit for
+    bit."""
+    def step(state, parent, letter):
+        return tuple(s[parent] @ t[letter] for s, t in zip(state, tables))
+    return tuple(np.eye(t.shape[1])[None] for t in tables), step
+
+
+def graded_products(table: np.ndarray):
+    """Root and step of a ball sweep whose state is graded factors (Q, R)
+    of the transposed product, W^T = QR with Q orthogonal and R upper
+    triangular: appending g factors g^T Q = Q'R' and keeps R'R.  The growth
+    sits in R, whose singular values are those of W, instead of drowning
+    the small singular values of a raw product in rounding (Stewart, ETNA
+    3, 1995)."""
+    transposed = table.transpose(0, 2, 1)
+
+    def step(state, parent, letter):
+        q, r = np.linalg.qr(transposed[letter] @ state[0][parent])
+        return q, r @ state[1][parent]
+    eye = np.eye(table.shape[1])[None]
+    return (eye, eye), step
 
 
 @dataclass(frozen=True)

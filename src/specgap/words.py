@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import InputError
 
 
@@ -208,25 +206,14 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         level = nxt
 
 
-def extensions(ends: np.ndarray, nsym: int) -> tuple[np.ndarray, np.ndarray]:
-    """(word, letter code) pairs that extend reduced words by one letter at
-    an end whose letter codes are ``ends`` (-1 for the identity) and keep
-    them reduced: every code except the end's inverse ``end ^ 1``.  Pairs
-    come word-major, codes ascending, so extending a shortlex level on the
-    right gives the next level in shortlex order."""
-    return np.nonzero(np.arange(nsym) != (np.asarray(ends)[:, None] ^ 1))
-
-
-def shortlex_rank(codes: np.ndarray, nsym: int) -> np.ndarray:
-    """Position of each reduced word (a row of letter codes, all rows one
-    length >= 1) among the reduced words of its length in shortlex order:
-    the first letter has ``nsym`` choices and each later one ``nsym - 1``."""
-    codes = np.asarray(codes, dtype=np.int64)
-    rank = codes[:, 0].copy()
-    for j in range(1, codes.shape[1]):
-        c = codes[:, j]
-        rank = rank * (nsym - 1) + c - (c > (codes[:, j - 1] ^ 1))
-    return rank
+def load_json(path):
+    """The JSON document in the file at ``path``; a file that cannot be
+    read or is not JSON is an input error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise InputError(f"cannot read {path} as JSON: {exc}") from None
 
 
 def transport(w: Word, target: Alphabet) -> Word:
@@ -258,14 +245,18 @@ class Presentation:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Presentation":
-        alphabet = Alphabet(tuple(doc["generators"]))
-        relators = tuple(Word.parse(alphabet, r) for r in doc.get("relators", []))
+        try:
+            alphabet = Alphabet(tuple(doc["generators"]))
+            relators = tuple(Word.parse(alphabet, r)
+                             for r in doc.get("relators", []))
+        except (AttributeError, KeyError, TypeError):
+            raise InputError("a presentation needs a 'generators' list and a"
+                             " 'relators' list of words") from None
         return cls(alphabet, relators)
 
     @classmethod
     def load(cls, path) -> "Presentation":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
 
 def _parity_mask(w: Word) -> int:

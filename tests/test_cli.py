@@ -277,3 +277,58 @@ class TestLimitset:
         m1, m2 = (read_json(out / "manifest.json") for out in runs)
         assert m1["outputs"] == m2["outputs"]
         assert set(m1["outputs"]) == {"limitset.csv", "limitset.json"}
+
+
+REP = {"alphabet": ["a1"], "images": {"a1": [[2.0, 0.0], [0.0, 0.5]]}}
+
+BAD_REP_FILES = {
+    "string entry": json.dumps({"alphabet": ["a1"],
+                                "images": {"a1": [["x", 0], [0, 1]]}}),
+    "ragged row": json.dumps({"alphabet": ["a1"],
+                              "images": {"a1": [[1, 0], [0]]}}),
+    "no alphabet": json.dumps({"images": REP["images"]}),
+    "malformed JSON": json.dumps(REP)[:-1],
+    "missing file": None,
+}
+
+BAD_PRESENTATION_FILES = {
+    "no generators": json.dumps({"relators": []}),
+    "malformed JSON": '{"generators": ["a1"]',
+    "missing file": None,
+}
+
+
+class TestInputErrors:
+    """Malformed input files and options are input errors: exit 2 and an
+    error line, never a traceback."""
+
+    @staticmethod
+    def _exits_2(capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @staticmethod
+    def _write(path, text):
+        if text is not None:
+            path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REP_FILES))
+    def test_bad_rep_file(self, tmp_path, capsys, case):
+        rep = self._write(tmp_path / "rep.json", BAD_REP_FILES[case])
+        self._exits_2(capsys, ["diagnose", "--rep", rep, "--qi",
+                               "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("case", sorted(BAD_PRESENTATION_FILES))
+    def test_bad_presentation_file(self, tmp_path, capsys, case):
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        pres = self._write(tmp_path / "pres.json", BAD_PRESENTATION_FILES[case])
+        self._exits_2(capsys, ["obstruct", "--rep", rep, "--presentation", pres,
+                               "--witness", "a1^2", "--out", str(tmp_path / "x")])
+
+    def test_non_integer_index(self, tmp_path, capsys):
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        self._exits_2(capsys, ["obstruct", "--rep", rep, "--witness", "a1^2",
+                               "--indices", "1,x", "--out", str(tmp_path / "x")])

@@ -183,7 +183,17 @@ class TestDomination:
         whose margins tie exactly in exact arithmetic, so that the argmin
         rests on rounding alone; then diagonal powers of two, whose margins
         tie exactly in floating point too (b1^5 and b1^-5 both reach the
-        minimum)."""
+        minimum); then a rank-1 pair, which has no padded words, and a
+        rank-4 pair."""
+        if case == "rank1":
+            a = Alphabet(("a",))
+            return [(RepSpec(a, {"a": np.array([[2.0, 1.0], [1.0, 1.0]])}),
+                     RepSpec(a, {"a": np.diag([1.5, 1 / 1.5])}), 1.5, 6)]
+        if case == "rank4":
+            labels = Alphabet(("a1", "b1", "c1", "d1"))
+            j = rename_generators(schottky_sl2r(4, 7.0), labels)
+            spin = spin_lift(rename_generators(schottky_sl2c(4, 6.0), labels))
+            return [(j, spin, 0.7, 3), (spin, j, 1.3, 3)]
         if case == "diagonal":
             rep = RepSpec(PAIR, {"a1": np.diag([2.0, 0.5]),
                                  "b1": np.diag([4.0, 0.25])})
@@ -203,7 +213,8 @@ class TestDomination:
         radius = 5 if rank == 2 else 4
         return [(j, spin, exponent, radius), (spin, j, exponent, radius)]
 
-    @pytest.mark.parametrize("case", [0, 1, 2, 3, "tied", "diagonal"])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "tied", "diagonal",
+                                      "rank1", "rank4"])
     def test_matches_the_per_word_sweep(self, case):
         for upper, lower, exponent, radius in self._pairs(case):
             rpt = check_domination(upper, lower, exponent, radius)
@@ -236,6 +247,21 @@ class TestDomination:
             tracemalloc.stop()
         assert rpt.words_checked == 4 * (3 ** 9 - 1) // 2
         assert peak < 2 * (4 * 3 ** 8) * 2 * j.image("a1").nbytes
+
+    def test_memory_is_bounded_whatever_the_ball_size(self):
+        # radius 10, a rank-2 pair of 2x2 images against a 4x4 spin lift:
+        # 118,096 words and 19 MB of images, swept with about one block of
+        # at most reps.BLOCK_BYTES per length live at a time
+        j = j_spread(4.0)
+        spin = spin_lift(rename_generators(schottky_sl2c(2, 4.0), PAIR))
+        tracemalloc.start()
+        try:
+            rpt = check_domination(j, spin, 2.0, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rpt.words_checked == 4 * (3 ** 10 - 1) // 2
+        assert peak < reps.BLOCK_BYTES * rpt.radius
 
 
 class TestCertificates:

@@ -8,13 +8,14 @@ from specgap.errors import ConstructionError, InputError
 from specgap.linalg import spectrum, spectrum_tensor, spectrum_union
 from specgap import reps
 from specgap.reps import (Character, RepSpec, block_sum,
-                          common_eigenvector_defect, iter_ball_images,
+                          common_eigenvector_defect, graded_products,
+                          iter_ball_images, products,
                           pull_back, random_unimodular, realify_lift,
                           realify_sl2c,
                           rename_generators, restrict_rep, rotation_block_rep,
                           scale_by_character, scaled_rotation_rep,
                           schottky_sl2c, schottky_sl2r, spin_so31,
-                          tensor_rep, validate_homomorphism)
+                          symbol_table, tensor_rep, validate_homomorphism)
 from specgap.words import (Alphabet, Presentation, Word, ball_count,
                            enumerate_ball,
                            retraction_to_free_part, standard_presentation,
@@ -384,6 +385,14 @@ def _sweep_reps():
             (d6, None), (d6, ("b1",))]
 
 
+def _sweep(rep, radius, sub=None):
+    """The ball sweep of a profile: raw products of 2x2 images, graded
+    factors of the transpose otherwise."""
+    table = symbol_table(rep, sub)
+    sweep = products(table) if rep.dim == 2 else graded_products(table)
+    return iter_ball_images(len(table), radius, *sweep)
+
+
 class TestBallSweep:
     """The block engine against per-word evaluation and closed-form counts."""
 
@@ -398,17 +407,17 @@ class TestBallSweep:
         alphabet = rep.alphabet if sub is None else Alphabet(sub)
         radius = 4 if rep.dim < 6 else 3
         seen = set()
-        for length, codes, images in iter_ball_images(rep, radius, sub):
+        for length, codes, state in _sweep(rep, radius, sub):
             assert codes.shape == (len(codes), length)
             if rep.dim == 2:
-                prods = images
+                prods, = state
             else:
-                q, r = images
+                q, r = state
                 np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
-                prods = q @ r
+                prods = (q @ r).transpose(0, 2, 1)
             # a block over the cap holds the children of a single word
-            if prods.nbytes * (1 if rep.dim == 2 else 2) > cap:
-                assert len({row[1:].tobytes() for row in codes}) == 1
+            if sum(s.nbytes for s in state) > cap:
+                assert len({row[:-1].tobytes() for row in codes}) == 1
             for row, m in zip(codes, prods):
                 w = Word.from_codes(alphabet, row)
                 assert len(w) == length
@@ -417,14 +426,42 @@ class TestBallSweep:
                                            atol=1e-12 * np.abs(m).max())
         assert len(seen) == ball_count(alphabet.size, radius)
 
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("cap", [None, 700])
+    def test_2x2_images_are_the_evaluated_products(self, monkeypatch, case,
+                                                   cap):
+        rep, sub = _sweep_reps()[case]
+        if cap is not None:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
+        alphabet = rep.alphabet if sub is None else Alphabet(sub)
+        for _, codes, (prods,) in _sweep(rep, 5, sub):
+            for row, m in zip(codes, prods):
+                np.testing.assert_array_equal(
+                    m, rep.evaluate(Word.from_codes(alphabet, row)))
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_each_length_comes_out_in_shortlex_order(self, monkeypatch, case):
+        rep, sub = _sweep_reps()[case]
+        monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
+        alphabet = rep.alphabet if sub is None else Alphabet(sub)
+        radius = 4 if rep.dim < 6 else 3
+        swept: dict = {}
+        for length, codes, _ in _sweep(rep, radius, sub):
+            swept.setdefault(length, []).extend(map(tuple, codes.tolist()))
+        expected: dict = {}
+        for w in enumerate_ball(alphabet, radius):
+            expected.setdefault(len(w), []).append(w.shortlex_key()[1])
+        assert swept == expected
+
     def test_radius_zero_is_the_identity(self):
-        blocks = list(iter_ball_images(schottky_sl2r(2, 4.0), 0))
+        blocks = list(_sweep(schottky_sl2r(2, 4.0), 0))
         assert len(blocks) == 1 and blocks[0][0] == 0
-        np.testing.assert_array_equal(blocks[0][2], np.eye(2)[None])
+        assert blocks[0][1].shape == (1, 0)
+        np.testing.assert_array_equal(blocks[0][2][0], np.eye(2)[None])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
-            list(iter_ball_images(schottky_sl2r(2, 4.0), -1))
+            list(_sweep(schottky_sl2r(2, 4.0), -1))
 
 
 class TestHelpers:
