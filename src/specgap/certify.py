@@ -99,7 +99,9 @@ def _log_ratios(state, hi: int, lo: int) -> np.ndarray:
     For 2x2 images, a state (M,) of raw products, sigma_1 = (s + t) / 2
     with s = |(a+d, b-c)| and t = |(a-d, b+c)|, and sigma_1 * sigma_2 =
     det = 1, so the ratio is sigma_1^2 in closed form.  For dim >= 3 the
-    state is graded factors (Q, R) and the singular values are those of R.
+    state is graded factors (Q, R) per Kronecker factor, and the singular
+    values are the products of those of the factors' R, one per tuple of
+    indices: their logs are the sums, sorted once.
     """
     with np.errstate(all="ignore"):
         if len(state) == 1:
@@ -108,11 +110,21 @@ def _log_ratios(state, hi: int, lo: int) -> np.ndarray:
             t = np.hypot(a - d, b + c)
             v = 2.0 * np.log((s + t) / 2.0)
         else:
-            r = state[1]
-            finite = np.isfinite(r).all(axis=(1, 2))
-            sv = np.linalg.svd(np.where(finite[:, None, None], r, 0.0),
-                               compute_uv=False)
-            v = np.where(finite, np.log(sv[:, hi]) - np.log(sv[:, lo]), math.inf)
+            rs = state[1::2]
+            finite = np.logical_and.reduce(
+                [np.isfinite(r).all(axis=(1, 2)) for r in rs])
+            svs = [np.linalg.svd(np.where(finite[:, None, None], r, 0.0),
+                                 compute_uv=False) for r in rs]
+            if len(svs) == 1:
+                top, bottom = np.log(svs[0][:, hi]), np.log(svs[0][:, lo])
+            else:
+                logs = np.log(svs[0])
+                for sv in svs[1:]:
+                    logs = (logs[:, :, None]
+                            + np.log(sv)[:, None, :]).reshape(len(sv), -1)
+                logs = np.sort(logs, axis=1)[:, ::-1]
+                top, bottom = logs[:, hi], logs[:, lo]
+            v = np.where(finite, top - bottom, math.inf)
     return np.where(np.isfinite(v), v, math.inf)
 
 
@@ -164,9 +176,13 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     maxs: dict[int, float] = {}
     count = 0
     truncated = False
-    table = symbol_table(rep, subalphabet)
-    sweep = products(table) if rep.dim == 2 else graded_products(table)
-    for length, codes, state in iter_ball_images(len(table), radius, *sweep):
+    # the 2x2 closed form reads raw products; larger images sweep graded
+    # products of each Kronecker factor
+    parts = (rep,) if rep.dim == 2 else rep.factors or (rep,)
+    tables = [symbol_table(f, subalphabet) for f in parts]
+    sweep = (products if rep.dim == 2 else graded_products)(*tables)
+    for length, codes, state in iter_ball_images(len(tables[0]), radius,
+                                                 *sweep):
         if not length:
             continue
         if max_words is not None and count + len(codes) > max_words:
@@ -186,7 +202,9 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     boxes = [(l, v - _rounding(v, rep.dim), v + _rounding(v, rep.dim))
              for l, v, _ in samples if l >= 2 and math.isfinite(v)]
     log_k = max(upper[0], -lower[0], 0.0)
-    if truncated or any(math.isinf(v) for _, _, v in samples):
+    # a slope needs two lengths >= 2; on fewer the fit reads 0
+    if (truncated or any(math.isinf(v) for _, _, v in samples)
+            or len(boxes) < 2):
         verdict = "inconclusive"
     else:
         verdict = _verdict(boxes, SLOPE_THRESHOLD)

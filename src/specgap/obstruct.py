@@ -562,9 +562,12 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
     if sample_words < 1:
         raise InputError(f"sample count must be >= 1, got {sample_words}")
     factors = rep.provenance.get("tensor_factors")
-    if not factors or len(factors) != 2:
-        raise InputError("representation provenance does not record tensor factors")
-    d1, d2 = int(factors[0]), int(factors[1])
+    if not (isinstance(factors, (list, tuple)) and len(factors) == 2
+            and all(isinstance(d, int) and not isinstance(d, bool) and d > 0
+                    for d in factors)):
+        raise InputError("representation provenance does not record tensor"
+                         " factors as a pair of positive integers")
+    d1, d2 = factors
     if d1 * d2 != rep.dim:
         raise InputError("recorded tensor factors do not multiply to the dimension")
     rng = np.random.default_rng(seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,10 +42,17 @@ def _check_unimodular(m: np.ndarray, dim: int, label: str):
 
 
 class RepSpec:
-    """Immutable map from generator labels to unimodular real matrices."""
+    """Immutable map from generator labels to unimodular real matrices.
+
+    ``factors`` are representations on the same alphabet whose ordered
+    Kronecker product is each image exactly, bit for bit; ``()`` when none
+    are known.  Singular values of a Kronecker product are the products of
+    the factors' singular values, so profiles sweep the factors instead.
+    """
 
     def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
-                 provenance: Optional[Mapping] = None):
+                 provenance: Optional[Mapping] = None,
+                 factors: Sequence["RepSpec"] = ()):
         dims = set()
         table = {}
         for label in alphabet.names:
@@ -70,6 +78,22 @@ class RepSpec:
         self._images = table
         self._inverses = {}
         self.provenance = dict(provenance or {})
+        self.factors = tuple(factors)
+        if self.factors:
+            self._check_factors()
+
+    def _check_factors(self):
+        for f in self.factors:
+            if f.alphabet.names != self.alphabet.names:
+                raise InputError("tensor factors use another alphabet")
+        dims = [f.dim for f in self.factors]
+        if math.prod(dims) != self.dim:
+            raise InputError(f"tensor factor dimensions {dims} do not"
+                             f" multiply to the dimension {self.dim}")
+        for label, m in self._images.items():
+            if not np.array_equal(_kron(self.factors, label), m):
+                raise InputError("the Kronecker product of the tensor factors"
+                                 f" is not the image of {label!r}")
 
     def image(self, label: str) -> np.ndarray:
         if label not in self._images:
@@ -99,13 +123,16 @@ class RepSpec:
         return abs(_eigenvalues(m)[0])
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "alphabet": list(self.alphabet.names),
             "dim": self.dim,
             "images": {label: self._images[label].tolist()
                        for label in self.alphabet.names},
             "provenance": self.provenance,
         }
+        if self.factors:
+            doc["factors"] = [f.to_json() for f in self.factors]
+        return doc
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RepSpec":
@@ -115,7 +142,11 @@ class RepSpec:
         except (KeyError, TypeError):
             raise InputError("a representation needs an 'alphabet' list and"
                              " an 'images' object") from None
-        return cls(alphabet, images, doc.get("provenance"))
+        factors = doc.get("factors", [])
+        if not isinstance(factors, list):
+            raise InputError("'factors' must be a list of representations")
+        return cls(alphabet, images, doc.get("provenance"),
+                   [cls.from_json(f) for f in factors])
 
     @classmethod
     def load(cls, path) -> "RepSpec":
@@ -396,15 +427,24 @@ def scale_by_character(rep: RepSpec, eps: Character, exponent) -> RepSpec:
                                 inequality="det = 1") from exc
 
 
+def _kron(factors: Sequence[RepSpec], label: str) -> np.ndarray:
+    """Ordered Kronecker product of the factors' images of ``label``."""
+    return reduce(np.kron, [f.image(label) for f in factors])
+
+
 def tensor_rep(r1: RepSpec, r2: RepSpec) -> RepSpec:
+    """r1 (x) r2, carrying the factors of both (or the reps themselves) as
+    its exact Kronecker factors."""
     if r1.alphabet.names != r2.alphabet.names:
         raise InputError("tensor factors use different alphabets")
     if r1.dim * r2.dim > MAX_DIM:
         raise SizeError(f"tensor dimension {r1.dim * r2.dim} exceeds {MAX_DIM}")
-    images = {l: np.kron(r1.image(l), r2.image(l)) for l in r1.alphabet.names}
+    factors = (r1.factors or (r1,)) + (r2.factors or (r2,))
+    images = {l: _kron(factors, l) for l in r1.alphabet.names}
     return RepSpec(r1.alphabet, images,
                    provenance={"construction": "tensor_rep",
-                               "tensor_factors": [r1.dim, r2.dim]})
+                               "tensor_factors": [r1.dim, r2.dim]},
+                   factors=factors)
 
 
 def pull_back(rep: RepSpec, gmap: GeneratorMap) -> RepSpec:
@@ -576,20 +616,23 @@ def products(*tables: np.ndarray):
     return tuple(np.eye(t.shape[1])[None] for t in tables), step
 
 
-def graded_products(table: np.ndarray):
-    """Root and step of a ball sweep whose state is graded factors (Q, R)
-    of the transposed product, W^T = QR with Q orthogonal and R upper
-    triangular: appending g factors g^T Q = Q'R' and keeps R'R.  The growth
-    sits in R, whose singular values are those of W, instead of drowning
-    the small singular values of a raw product in rounding (Stewart, ETNA
-    3, 1995)."""
-    transposed = table.transpose(0, 2, 1)
+def graded_products(*tables: np.ndarray):
+    """Root and step of a ball sweep whose state is, per table of letter
+    images, graded factors (Q, R) of the transposed product, W^T = QR with
+    Q orthogonal and R upper triangular: appending g factors g^T Q = Q'R'
+    and keeps R'R.  The growth sits in R, whose singular values are those
+    of W, instead of drowning the small singular values of a raw product
+    in rounding (Stewart, ETNA 3, 1995).  The state is (Q1, R1, Q2, R2,
+    ...), one pair per table."""
+    transposed = [t.transpose(0, 2, 1) for t in tables]
 
     def step(state, parent, letter):
-        q, r = np.linalg.qr(transposed[letter] @ state[0][parent])
-        return q, r @ state[1][parent]
-    eye = np.eye(table.shape[1])[None]
-    return (eye, eye), step
+        out = []
+        for t, q, r in zip(transposed, state[0::2], state[1::2]):
+            q_next, r_next = np.linalg.qr(t[letter] @ q[parent])
+            out += (q_next, r_next @ r[parent])
+        return tuple(out)
+    return tuple(np.eye(t.shape[1])[None] for t in tables for _ in range(2)), step
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,87 @@ class TestQIProfile:
         prof = qi_profile(schottky_pair(), radius=5)
         for _, lo, hi in prof.samples:
             assert lo <= hi + 1e-12
+
+
+class TestFactoredProfiles:
+    """A tensor build sweeps its Kronecker factors; the same images without
+    factors sweep the whole product.  The two must agree to rounding."""
+
+    @staticmethod
+    def _profiles(rep, index):
+        """The radius-3 profiles of ``rep`` and of its images without
+        factors."""
+        whole = RepSpec(rep.alphabet,
+                        {l: rep.image(l) for l in rep.alphabet.names},
+                        rep.provenance)
+        assert len(rep.factors) == 2 and whole.factors == ()
+        return [qi_profile(r, radius=3) if index is None
+                else gap_profile(r, index, radius=3) for r in (rep, whole)]
+
+    @pytest.mark.parametrize("name,params", [
+        ("thm1ii_d12", None), ("thm41_pattern", {"n": 13})])
+    def test_factored_and_whole_sweeps_agree(self, name, params):
+        rep = build_named(name, params, seed=3).rep
+        for index in [*range(1, rep.dim), None]:
+            got, want = self._profiles(rep, index)
+            assert got.verdict == want.verdict
+            assert (got.J is None) == (want.J is None)
+            assert got.words_evaluated == want.words_evaluated
+            assert [s[0] for s in got.samples] == [s[0] for s in want.samples]
+            for g, w in zip(got.samples, want.samples):
+                for a, b in zip(g[1:], w[1:]):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+    def test_prop42_sl6_factored_sweep_matches_mpmath_oracle(self):
+        # here the whole 6x6 sweep is the inaccurate one: its QI maximum at
+        # length 3 is 50.37 against the 80-digit 47.2031, and its gap-4 and
+        # gap-5 lower envelopes are rounding noise of 1e-12 instead of
+        # 1e-75, which gives them a J; the factored sweep is within 2.1e-11
+        mpmath = pytest.importorskip("mpmath")
+        rep = build_named("prop42_sl6", None, seed=3).rep
+        mats = [mpmath.matrix(m.tolist()) for label in rep.alphabet.names
+                for m in (rep.image(label), rep.inverse_image(label))]
+        logs: dict = {}
+        with mpmath.workdps(80):
+            def walk(m, first, length):
+                if length:
+                    sv = sorted(mpmath.svd_r(m, compute_uv=False), reverse=True)
+                    logs.setdefault(length, []).append(
+                        [mpmath.log(s) for s in sv])
+                if length < 3:
+                    for k, g in enumerate(mats):
+                        if first is None or k != first ^ 1:
+                            walk(g * m, k, length + 1)
+
+            walk(mpmath.eye(rep.dim), None, 0)
+        for index in [*range(1, rep.dim), None]:
+            hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
+            got, whole = self._profiles(rep, index)
+            assert got.verdict == whole.verdict
+            assert got.words_evaluated == whole.words_evaluated
+            for l, got_lo, got_hi in got.samples:
+                vals = [float(v[hi] - v[lo]) for v in logs[l]]
+                for a, b in ((got_lo, min(vals)), (got_hi, max(vals))):
+                    assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+            if index in (4, 5):
+                assert got.J is None and whole.J is not None
+
+    def test_overflow_in_one_factor_is_inconclusive(self):
+        ab = Alphabet(("a", "b"))
+        big = np.diag([1e120, 1.0, 1e-120])
+        wide = RepSpec(ab, {"a": big, "b": big[::-1, ::-1]})
+        rep = tensor_rep(wide, RepSpec(ab, {"a": np.eye(2),
+                                            "b": np.diag([2.0, 0.5])}))
+        prof = qi_profile(rep, radius=3)
+        assert prof.verdict == "inconclusive"
+        assert prof.samples[-1][2] == math.inf
+
+
+class TestTooFewLengths:
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_fewer_than_two_fitted_lengths_are_inconclusive(self, radius):
+        # a slope needs two lengths >= 2; a fit of fewer reads 0
+        prof = qi_profile(schottky_pair(), radius=radius)
+        assert prof.verdict == "inconclusive"
+        assert prof.J is None

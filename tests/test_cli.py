@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specgap.cli import main
+from specgap.cli import _canonical_json, main
+from specgap.reps import RepSpec, tensor_rep
+from specgap.words import Alphabet
 
 
 def read_json(path):
@@ -48,6 +50,17 @@ class TestBuild:
         # the sign search runs on its fixed budget
         assert main(["build", "--name", name, "--param", param,
                      "--out", str(tmp_path)]) == 2
+
+
+    def test_tensor_rep_file_keeps_its_factors(self, tmp_path):
+        main(["build", "--name", "thm1ii_d12", "--seed", "3",
+              "--out", str(tmp_path)])
+        doc = read_json(tmp_path / "rep.json")
+        assert [f["dim"] for f in doc["factors"]] == [4, 3]
+        rep = RepSpec.load(tmp_path / "rep.json")
+        assert [f.dim for f in rep.factors] == [4, 3]
+        assert (_canonical_json(rep.to_json())
+                == (tmp_path / "rep.json").read_text())
 
 
 class TestReplay:
@@ -196,6 +209,16 @@ class TestDiagnose:
             assert doc["verdict"] == "pass"
             assert all(v is not None for s in doc["samples"] for v in s)
 
+    @pytest.mark.parametrize("radius", ["0", "1", "2"])
+    def test_fewer_than_two_fitted_lengths_exit_3(self, tmp_path, radius):
+        # no sample, then lengths 1 and 2 only: no slope can be fitted
+        main(["build", "--name", "thm1ii_d12", "--out", str(tmp_path / "b")])
+        out = tmp_path / "prof"
+        assert main(["diagnose", "--rep", str(tmp_path / "b" / "rep.json"),
+                     "--qi", "--radius", radius, "--out", str(out)]) == 3
+        doc = read_json(out / "profile.json")
+        assert doc["verdict"] == "inconclusive" and doc["J"] is None
+
     def test_rounding_noise_slope_writes_null_j(self, tmp_path):
         # the lower envelope of gap 1 is flat: sigma_1 = sigma_2 on every
         # word, up to rounding
@@ -281,6 +304,25 @@ class TestLimitset:
 
 REP = {"alphabet": ["a1"], "images": {"a1": [[2.0, 0.0], [0.0, 0.5]]}}
 
+A1 = Alphabet(("a1",))
+TENSOR = json.dumps(tensor_rep(
+    RepSpec(A1, {"a1": np.diag([2.0, 1.0, 1.0, 0.5])}),
+    RepSpec(A1, {"a1": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+).to_json())
+
+
+def _tensor_file(edit) -> str:
+    doc = json.loads(TENSOR)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _one_ulp_off(doc):
+    row = doc["images"]["a1"][1]
+    assert row[0] == 2.0
+    row[0] = float(np.nextafter(2.0, 3.0))
+
+
 BAD_REP_FILES = {
     "string entry": json.dumps({"alphabet": ["a1"],
                                 "images": {"a1": [["x", 0], [0, 1]]}}),
@@ -289,6 +331,12 @@ BAD_REP_FILES = {
     "no alphabet": json.dumps({"images": REP["images"]}),
     "malformed JSON": json.dumps(REP)[:-1],
     "missing file": None,
+    # one entry one ulp away from the Kronecker product of the factors
+    "inexact factors": _tensor_file(_one_ulp_off),
+    "wrong factor dims": _tensor_file(
+        lambda d: d["factors"].__setitem__(1, d["factors"][0])),
+    "factors not a list": _tensor_file(
+        lambda d: d.__setitem__("factors", d["factors"][0])),
 }
 
 BAD_PRESENTATION_FILES = {
@@ -327,6 +375,15 @@ class TestInputErrors:
         pres = self._write(tmp_path / "pres.json", BAD_PRESENTATION_FILES[case])
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--presentation", pres,
                                "--witness", "a1^2", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("factors", [["x", 3], [4.9, 3.1]])
+    def test_malformed_tensor_factors_provenance(self, tmp_path, capsys,
+                                                 factors):
+        doc = json.loads(TENSOR)
+        doc["provenance"]["tensor_factors"] = factors
+        rep = self._write(tmp_path / "rep.json", json.dumps(doc))
+        self._exits_2(capsys, ["limitset", "--rep", rep, "--samples", "40",
+                               "--out", str(tmp_path / "x")])
 
     def test_non_integer_index(self, tmp_path, capsys):
         rep = self._write(tmp_path / "rep.json", json.dumps(REP))

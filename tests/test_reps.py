@@ -16,8 +16,8 @@ from specgap.reps import (Character, RepSpec, block_sum,
                           scale_by_character, scaled_rotation_rep,
                           schottky_sl2c, schottky_sl2r, spin_so31,
                           symbol_table, tensor_rep, validate_homomorphism)
-from specgap.words import (Alphabet, Presentation, Word, ball_count,
-                           enumerate_ball,
+from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
+                           ball_count, enumerate_ball,
                            retraction_to_free_part, standard_presentation,
                            word)
 
@@ -285,6 +285,72 @@ class TestComposites:
                 * spectrum(r2.evaluate(w)).singular_values[0], rel=1e-6)
 
 
+def _tensor_pair():
+    """A 4x4 and a 3x3 representation of (a1, b1) and their tensor."""
+    rng = np.random.default_rng(31)
+    left = RepSpec(PAIR, {l: random_unimodular(4, rng) for l in PAIR.names})
+    right = scaled_rotation_rep(PAIR, 1.7, 0.8, 1.1)
+    return left, right, tensor_rep(left, right)
+
+
+class TestFactors:
+    def test_tensor_carries_its_factors(self):
+        left, right, t = _tensor_pair()
+        assert t.factors == (left, right)
+        assert left.factors == right.factors == ()
+        for label in PAIR.names:
+            np.testing.assert_array_equal(
+                t.image(label), np.kron(left.image(label), right.image(label)))
+
+    def test_factors_of_factors_are_flattened(self):
+        left, right, t = _tensor_pair()
+        line = RepSpec(PAIR, {"a1": np.diag([2.0, 0.5]), "b1": np.eye(2)})
+        nested = tensor_rep(t, line)
+        assert nested.factors == (left, right, line)
+        assert nested.dim == 24
+
+    def test_derived_reps_carry_no_factors(self):
+        _, _, t = _tensor_pair()
+        derived = [
+            pull_back(t, GeneratorMap.identity(PAIR)),
+            block_sum([t, t]),
+            scale_by_character(t, Character.trivial(PAIR), -0.25),
+            restrict_rep(t, ("a1",)),
+            rename_generators(t, Alphabet(("x", "y"))),
+        ]
+        assert all(d.factors == () for d in derived)
+
+    def test_json_round_trip_keeps_the_factors(self):
+        left, right, t = _tensor_pair()
+        doc = json.loads(json.dumps(t.to_json()))
+        assert [f["dim"] for f in doc["factors"]] == [4, 3]
+        back = RepSpec.from_json(doc)
+        assert back.digest() == t.digest()
+        for got, want in zip(back.factors, (left, right)):
+            assert got.digest() == want.digest()
+        assert "factors" not in left.to_json()
+
+    def test_factors_must_multiply_to_the_images_exactly(self):
+        left, right, t = _tensor_pair()
+        images = {l: t.image(l).copy() for l in PAIR.names}
+        images["b1"][0, 0] = np.nextafter(images["b1"][0, 0], np.inf)
+        with pytest.raises(InputError, match="Kronecker"):
+            RepSpec(PAIR, images, factors=(left, right))
+        # the same images in the other order are another matrix
+        with pytest.raises(InputError, match="Kronecker"):
+            RepSpec(PAIR, {l: t.image(l) for l in PAIR.names},
+                    factors=(right, left))
+
+    def test_factor_dims_and_alphabet_are_checked(self):
+        left, right, t = _tensor_pair()
+        images = {l: t.image(l) for l in PAIR.names}
+        with pytest.raises(InputError, match="multiply to the dimension"):
+            RepSpec(PAIR, images, factors=(left,))
+        with pytest.raises(InputError, match="alphabet"):
+            RepSpec(PAIR, images, factors=(
+                left, rename_generators(right, Alphabet(("x", "y")))))
+
+
 class TestPullBack:
     def test_identity_map(self):
         from specgap.words import GeneratorMap
@@ -452,6 +518,26 @@ class TestBallSweep:
         for w in enumerate_ball(alphabet, radius):
             expected.setdefault(len(w), []).append(w.shortlex_key()[1])
         assert swept == expected
+
+    @pytest.mark.parametrize("cap", [None, 700])
+    def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
+        # one (Q, R) pair per table, each the graded product of its factor
+        if cap is not None:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
+        _, _, t = _tensor_pair()
+        sweep = graded_products(*(symbol_table(f) for f in t.factors))
+        count = 0
+        for length, codes, state in iter_ball_images(4, 4, *sweep):
+            assert len(state) == 4
+            count += len(codes)
+            for f, q, r in zip(t.factors, state[0::2], state[1::2]):
+                np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
+                prods = (q @ r).transpose(0, 2, 1)
+                for row, m in zip(codes, prods):
+                    want = f.evaluate(Word.from_codes(PAIR, row))
+                    np.testing.assert_allclose(m, want, rtol=1e-12,
+                                               atol=1e-12 * np.abs(m).max())
+        assert count == ball_count(2, 4)
 
     def test_radius_zero_is_the_identity(self):
         blocks = list(_sweep(schottky_sl2r(2, 4.0), 0))

@@ -58,13 +58,16 @@ class TestSaturation:
         assert prof.samples[-1][2] == pytest.approx(44.36, abs=5e-3)
         assert prof.verdict == "pass"
 
-    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7"])
+    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7", "thm1ii_d12"])
     def test_graded_profiles_match_mpmath_oracle(self, name):
         # every gap index and the QI ratio at radius 4 on (a1, b1), where a
-        # raw double-precision product loses sigma_dim (log ratios past 60)
+        # raw double-precision product loses sigma_dim (log ratios past 60);
+        # the tensor build sweeps its 4x4 and 3x3 Kronecker factors, here on
+        # (a4, b4), where neither factor's images are diagonal or monomial
         mpmath = pytest.importorskip("mpmath")
         rep = build_named(name, None, seed=0).rep
-        sub, radius, dim = ("a1", "b1"), 4, rep.dim
+        sub = ("a4", "b4") if rep.factors else ("a1", "b1")
+        radius, dim = 4, rep.dim
         mats = [mpmath.matrix(m.tolist()) for label in sub
                 for m in (rep.image(label), rep.inverse_image(label))]
         logs: dict = {}
