@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .linalg import spectrum
+from .linalg import _eigenvalues
 from .obstruct import check_domination, find_negative_lambda
 from .reps import (Character, ComplexRep2, RepSpec, axis_dilation, block_sum,
                    common_eigenvector_defect, pingpong_report, pull_back,
@@ -197,7 +197,7 @@ def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
     rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
 
     witness = transport(sw.word, rep.alphabet)
-    m0 = spectrum(rho0.evaluate(witness)).moduli[0]
+    m0 = abs(_eigenvalues(rho0.evaluate(witness))[0])
     gates: list = []
     _gate(gates, "ell1(j(w)) > ell1(rho0(w))", abs(sw.lambda1), m0)
     manifest = {
@@ -231,7 +231,7 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
 
     full = full_alphabet(g)
     witness = transport(sw.word, full)
-    m0 = spectrum(rho0.evaluate(witness)).moduli[0]
+    m0 = abs(_eigenvalues(rho0.evaluate(witness))[0])
     gates: list = []
     _gate(gates, "ell1(j(w a1^2)) > ell1(rho0(w a1^2))", lam, m0)
 

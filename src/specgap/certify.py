@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import (RepSpec, graded_products, iter_ball_images, products,
-                   symbol_table)
+from .reps import (RepSpec, graded_products, iter_ball_images,
+                   log_singular_values, products, symbol_table)
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -91,40 +91,32 @@ class Profile(Record):
         return "\n".join(lines) + "\n"
 
 
-def _log_ratios(state, hi: int, lo: int) -> np.ndarray:
+def _log_ratios(state, dim: int, hi: int, lo: int) -> np.ndarray:
     """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block, inf
-    where it is not finite (the smaller singular value computes as 0, or
-    the product overflowed).
+    where it is not finite (the smaller singular value computes as 0, the
+    product overflowed, or a Jacobi state gave up).
 
-    For 2x2 images, a state (M,) of raw products, sigma_1 = (s + t) / 2
-    with s = |(a+d, b-c)| and t = |(a-d, b+c)|, and sigma_1 * sigma_2 =
-    det = 1, so the ratio is sigma_1^2 in closed form.  For dim >= 3 the
-    state is graded factors (Q, R) per Kronecker factor, and the singular
-    values are the products of those of the factors' R, one per tuple of
-    indices: their logs are the sums, sorted once.
+    For dim 2, a state (M,) of raw products, sigma_1 = (s + t) / 2 with
+    s = |(a+d, b-c)| and t = |(a-d, b+c)|, and sigma_1 * sigma_2 = det = 1,
+    so the ratio is sigma_1^2 in closed form.  Otherwise the state has one
+    entry per Kronecker factor (``reps.graded_products``), and the
+    singular values of the product are the products of the factors', one
+    per tuple of indices: their logs are the sums, sorted once.
     """
     with np.errstate(all="ignore"):
-        if len(state) == 1:
+        if dim == 2:
             a, b, c, d = (state[0][:, i, j] for i in (0, 1) for j in (0, 1))
             s = np.hypot(a + d, b - c)
             t = np.hypot(a - d, b + c)
             v = 2.0 * np.log((s + t) / 2.0)
         else:
-            rs = state[1::2]
-            finite = np.logical_and.reduce(
-                [np.isfinite(r).all(axis=(1, 2)) for r in rs])
-            svs = [np.linalg.svd(np.where(finite[:, None, None], r, 0.0),
-                                 compute_uv=False) for r in rs]
-            if len(svs) == 1:
-                top, bottom = np.log(svs[0][:, hi]), np.log(svs[0][:, lo])
-            else:
-                logs = np.log(svs[0])
-                for sv in svs[1:]:
-                    logs = (logs[:, :, None]
-                            + np.log(sv)[:, None, :]).reshape(len(sv), -1)
-                logs = np.sort(logs, axis=1)[:, ::-1]
-                top, bottom = logs[:, hi], logs[:, lo]
-            v = np.where(finite, top - bottom, math.inf)
+            logs = [log_singular_values(entry) for entry in state]
+            total = logs[0]
+            for lg in logs[1:]:
+                total = (total[:, :, None]
+                         + lg[:, None, :]).reshape(len(lg), -1)
+            total = np.sort(total, axis=1)
+            v = total[:, -1 - hi] - total[:, -1 - lo]
     return np.where(np.isfinite(v), v, math.inf)
 
 
@@ -189,7 +181,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
             truncated = True
             break
         count += len(codes)
-        v = _log_ratios(state, hi, lo)
+        v = _log_ratios(state, rep.dim, hi, lo)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))

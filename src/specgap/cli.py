@@ -12,6 +12,7 @@ Exit codes: 0 success/pass, 1 verified failure (e.g. an uncovered index),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -82,6 +83,7 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+@functools.cache  # built once per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specgap",

@@ -32,9 +32,13 @@ def _rotation(theta: float) -> np.ndarray:
 def _check_unimodular(m: np.ndarray, dim: int, label: str):
     det = np.linalg.det(m)
     # the determinant of a large-norm product is itself only computable to
-    # about eps * |M|_F^2, so the gate widens with the norm
+    # about eps * |M|_F^2, so the gate widens with the norm; the norm is
+    # taken on M scaled to entries <= 1, and its square is a Python float,
+    # which overflows to inf without a warning
+    scale = float(np.abs(m).max())
+    frobenius = scale * float(np.linalg.norm(m / scale)) if scale else 0.0
     slack = max(UNIMODULAR_TOL * dim,
-                dim * np.finfo(float).eps * float(np.sum(m * m)))
+                dim * np.finfo(float).eps * frobenius * frobenius)
     if det <= 0 or abs(det - 1.0) > slack:
         raise InputError(
             f"image of {label!r} is not unimodular: det = {det!r} "
@@ -617,22 +621,177 @@ def products(*tables: np.ndarray):
 
 
 def graded_products(*tables: np.ndarray):
-    """Root and step of a ball sweep whose state is, per table of letter
-    images, graded factors (Q, R) of the transposed product, W^T = QR with
-    Q orthogonal and R upper triangular: appending g factors g^T Q = Q'R'
-    and keeps R'R.  The growth sits in R, whose singular values are those
-    of W, instead of drowning the small singular values of a raw product
-    in rounding (Stewart, ETNA 3, 1995).  The state is (Q1, R1, Q2, R2,
-    ...), one pair per table."""
-    transposed = [t.transpose(0, 2, 1) for t in tables]
+    """Root and step of a ball sweep whose state holds, per table of letter
+    images, one entry from which the singular values of the word's product
+    W are read without drowning the small ones in the rounding of a raw
+    product:
+
+    * dim <= ``JACOBI_MAX_DIM``: X = W^T V with V orthogonal, a (d, d, n)
+      stack laid out (column, row, word).  Its columns are orthogonal and
+      their norms are the singular values of W.  Appending g orthogonalises
+      the columns of g^T X by one-sided Jacobi (:func:`_orthogonalise`),
+      which is accurate on graded matrices (Demmel & Veselic, SIAM J.
+      Matrix Anal. Appl. 13, 1992).
+    * larger: graded factors W^T = QR, Q orthogonal and R upper triangular,
+      a (2, n, d, d) stack of Q and R (Stewart, ETNA 3, 1995).  Appending g
+      factors g^T Q = Q'R' and keeps R'R; the singular values are R's.
+    """
+    sweeps = [(_jacobi_step if t.shape[1] <= JACOBI_MAX_DIM else _qr_step)(t)
+              for t in tables]
 
     def step(state, parent, letter):
-        out = []
-        for t, q, r in zip(transposed, state[0::2], state[1::2]):
-            q_next, r_next = np.linalg.qr(t[letter] @ q[parent])
-            out += (q_next, r_next @ r[parent])
-        return tuple(out)
-    return tuple(np.eye(t.shape[1])[None] for t in tables for _ in range(2)), step
+        return tuple(f(s, parent, letter) for (_, f), s in zip(sweeps, state))
+    return tuple(root for root, _ in sweeps), step
+
+
+def _qr_step(table: np.ndarray):
+    transposed = table.transpose(0, 2, 1)
+
+    def step(qr, parent, letter):
+        q, r = qr.take(parent, axis=1)
+        q_next, r_next = np.linalg.qr(transposed[letter] @ q)
+        return np.stack((q_next, r_next @ r))
+    return np.eye(table.shape[1])[None, None].repeat(2, axis=0), step
+
+
+def _jacobi_step(table: np.ndarray):
+    d = table.shape[1]
+    g = table.transpose(1, 2, 0)  # g[k, i, s] is entry (k, i) of letter s
+
+    def step(x, parent, letter):
+        # column j of g^T X is sum_k g[k, :] X[k, j]; take keeps the word
+        # axis innermost in memory, where x[:, :, parent] would not
+        xp, gl = x.take(parent, axis=2), g.take(letter, axis=2)
+        m = xp[:, 0, None] * gl[0]
+        for k in range(1, d):
+            m += xp[:, k, None] * gl[k]
+        return _orthogonalise(m)
+    return np.eye(d)[:, :, None], step
+
+
+# tables up to this dimension keep a one-sided Jacobi state, about as fast
+# as the graded QR and SVD at 6 and accurate on graded products; past it
+# the per-word LAPACK QR and SVD are 1.5 to 2 times cheaper (CHANGES.md has
+# the per-word timings)
+JACOBI_MAX_DIM = 6
+# a matrix still rotating after this many sweeps is given up as NaN, which
+# a profile reads as inf ("inconclusive"); none seen has needed more than 7
+JACOBI_SWEEPS = 12
+
+
+def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rounds of disjoint column pairs (p, q) that meet every pair once: the
+    circle method, with a phantom column d padding an odd d."""
+    n = d + d % 2
+    seats = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = [(seats[i], seats[n - 1 - i]) for i in range(n // 2)
+                 if max(seats[i], seats[n - 1 - i]) < d]
+        if pairs:
+            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
+        seats = [seats[0], seats[-1], *seats[1:-1]]
+    return rounds
+
+
+_ROUNDS = {d: _round_robin(d) for d in range(1, JACOBI_MAX_DIM + 1)}
+
+
+def _column_exponents(x: np.ndarray) -> np.ndarray:
+    """(d, n) powers of two that scale each column of a (column, row, word)
+    stack to a largest entry in [1/2, 1), so that no square of a scaled
+    entry over- or underflows."""
+    return np.frexp(np.abs(x).max(axis=1))[1]
+
+
+def log_singular_values(entry: np.ndarray) -> np.ndarray:
+    """(n, d) logs of the singular values of each word's product, from one
+    table's entry of a :func:`graded_products` state; a row is NaN where
+    the entry is not finite.  A Jacobi state gives its log column norms, in
+    no particular order, taken on columns scaled by powers of two with the
+    exponents added back as logs; a (Q, R) stack gives the logs of the SVD
+    of R, descending."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if entry.ndim == 3:
+            finite = np.isfinite(entry).all(axis=(0, 1))
+            e = _column_exponents(entry)
+            y = np.ldexp(entry, -e[:, None])
+            logs = (0.5 * np.log(np.einsum("jin,jin->jn", y, y))
+                    + math.log(2.0) * e).T
+        else:
+            r = entry[1]
+            finite = np.isfinite(r).all(axis=(1, 2))
+            r = np.where(finite[:, None, None], r, 0.0)
+            logs = np.log(np.linalg.svd(r, compute_uv=False))
+    return np.where(finite[:, None], logs, np.nan)
+
+
+def _orthogonalise(m: np.ndarray) -> np.ndarray:
+    """Rotate the columns of each finite matrix of a (column, row, word)
+    stack, in place, until they are pairwise orthogonal: one-sided
+    (Hestenes) Jacobi, batched over the words.
+
+    A sweep visits every column pair once, in rounds of disjoint pairs.  A
+    pair is orthogonal when c^2 <= (d eps)^2 a b, with a = |x_p|^2,
+    b = |x_q|^2 and c = x_p . x_q recomputed for every round, and is
+    otherwise rotated to make c vanish.  The columns are first scaled by
+    powers of two, x_p = 2^e_p y_p, so that no square over- or underflows,
+    and the rotation of (x_p, x_q) is carried out on (y_p, y_q), where it
+    mixes in r = 2^(e_q - e_p); r is capped at 2^64, past which the
+    rotation no longer depends on it in double precision.  After each
+    sweep only the matrices that rotated go on; one still rotating after
+    ``JACOBI_SWEEPS`` sweeps is set to NaN.
+
+    Words are selected with ``take``, which keeps the word axis innermost
+    in memory; fancy indexing on the last axis would not, and every later
+    operation would run strided, at about 1.6 times the cost.
+    """
+    d = len(m)
+    tol2 = (d * np.finfo(float).eps) ** 2
+    rounds = _ROUNDS[d]
+    if not rounds:  # a single column
+        return m
+    live = np.flatnonzero(np.isfinite(m).all(axis=(0, 1)))
+    x = m if live.size == m.shape[2] else m.take(live, axis=2)
+    e = _column_exponents(x)
+    y = np.ldexp(x, -e[:, None])
+    # per round: r / 2, 1 / 2r, r and 1 / r
+    r = np.ldexp(1.0, np.stack([e[q] - e[p] for p, q in rounds]).clip(-64, 64))
+    ratios = np.stack((r / 2, 0.5 / r, r, 1 / r), axis=1)
+    # a pair with c = 0 is orthogonal: its zeta is not used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(JACOBI_SWEEPS):
+            moved = np.zeros(live.size, dtype=bool)
+            for (p, q), (h, h_inv, r, r_inv) in zip(rounds, ratios):
+                yp, yq = y[p], y[q]
+                a = np.einsum("kin,kin->kn", yp, yp)
+                b = np.einsum("kin,kin->kn", yq, yq)
+                c = np.einsum("kin,kin->kn", yp, yq)
+                rot = c * c > tol2 * a * b
+                if not rot.any():
+                    continue
+                moved |= rot.any(axis=0)
+                zeta = (b * h - a * h_inv) / c  # (b - a) / 2c unscaled
+                t = np.where(rot, np.copysign(
+                    1 / (np.abs(zeta) + np.sqrt(1 + zeta * zeta)), zeta), 0.0)
+                cs = 1 / np.sqrt(1 + t * t)
+                t *= cs  # the sine
+                tmp = yp * (t * r_inv)[:, None]
+                yp *= cs[:, None]
+                yp -= yq * (t * r)[:, None]
+                yq *= cs[:, None]
+                yq += tmp
+                y[p], y[q] = yp, yq
+            done, keep = np.flatnonzero(~moved), np.flatnonzero(moved)
+            m[:, :, live[done]] = np.ldexp(y.take(done, axis=2),
+                                          e.take(done, axis=1)[:, None])
+            live, y, e, ratios = (live[keep], y.take(keep, axis=2),
+                                  e.take(keep, axis=1),
+                                  ratios.take(keep, axis=-1))
+            if not live.size:
+                return m
+    m[:, :, live] = np.nan
+    return m
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from specgap.certify import (default_radius, gap_profile, qi_profile,
 from specgap.errors import InputError
 from specgap.linalg import exterior_power
 from specgap.reps import (Character, RepSpec, rename_generators,
-                          scale_by_character, schottky_sl2c, schottky_sl2r,
-                          spin_lift, tensor_rep)
+                          scale_by_character, scaled_rotation_rep,
+                          schottky_sl2c, schottky_sl2r, spin_lift,
+                          tensor_rep)
 from specgap.words import Alphabet
 
 PAIR = Alphabet(("a1", "b1"))
@@ -152,10 +153,11 @@ class TestFactoredProfiles:
 
 
     def test_prop42_sl6_factored_sweep_matches_mpmath_oracle(self):
-        # here the whole 6x6 sweep is the inaccurate one: its QI maximum at
-        # length 3 is 50.37 against the 80-digit 47.2031, and its gap-4 and
-        # gap-5 lower envelopes are rounding noise of 1e-12 instead of
-        # 1e-75, which gives them a J; the factored sweep is within 2.1e-11
+        # the (Q, R) sweep of the whole 6x6 product put the QI maximum at
+        # length 3 at 50.37 against the 80-digit 47.2031, and its gap-4 and
+        # gap-5 lower envelopes at rounding noise of 1e-12 instead of
+        # 1e-75, which gave them a J; both the factored (2x2 and 3x3) and
+        # the whole (6x6) Jacobi sweeps are within 1e-10 of the oracle
         mpmath = pytest.importorskip("mpmath")
         rep = build_named("prop42_sl6", None, seed=3).rep
         mats = [mpmath.matrix(m.tolist()) for label in rep.alphabet.names
@@ -178,12 +180,28 @@ class TestFactoredProfiles:
             got, whole = self._profiles(rep, index)
             assert got.verdict == whole.verdict
             assert got.words_evaluated == whole.words_evaluated
-            for l, got_lo, got_hi in got.samples:
-                vals = [float(v[hi] - v[lo]) for v in logs[l]]
-                for a, b in ((got_lo, min(vals)), (got_hi, max(vals))):
-                    assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+            for prof in (got, whole):
+                for l, got_lo, got_hi in prof.samples:
+                    vals = [float(v[hi] - v[lo]) for v in logs[l]]
+                    for a, b in ((got_lo, min(vals)), (got_hi, max(vals))):
+                        assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
             if index in (4, 5):
-                assert got.J is None and whole.J is not None
+                assert got.J is None and whole.J is None
+
+    def test_one_dimensional_factor_changes_nothing(self):
+        # a 1x1 Jacobi state has no column pair to rotate
+        ab = Alphabet(("a", "b"))
+        three = scaled_rotation_rep(ab, 1.7, 0.8, 1.1)
+        doc = three.to_json()
+        doc["factors"] = [RepSpec(ab, {"a": [[1.0]], "b": [[1.0]]}).to_json(),
+                          three.to_json()]
+        rep = RepSpec.from_json(doc)
+        assert [f.dim for f in rep.factors] == [1, 3]
+        for index in (1, 2, None):
+            got, want = (qi_profile(r, radius=3) if index is None
+                         else gap_profile(r, index, radius=3)
+                         for r in (rep, three))
+            assert got.samples == want.samples
 
     def test_overflow_in_one_factor_is_inconclusive(self):
         ab = Alphabet(("a", "b"))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specgap.cli import _canonical_json, main
+from specgap.cli import _build_parser, _canonical_json, main
 from specgap.reps import RepSpec, tensor_rep
 from specgap.words import Alphabet
 
@@ -176,7 +176,7 @@ class TestDiagnose:
         # log(sigma_1/sigma_6) reaches 92 at length 4; graded products keep
         # every ratio finite and the profile decidable
         ("thm1i_d6", ["--qi", "--radius", "4", "--restrict", "a1,b1"], 0),
-        # entries of 1e360 overflow: the ratios are not finite
+        # entries of 1e360 overflow at length 3: the ratios are not finite
         ("overflow", ["--qi", "--radius", "3"], 3),
     ])
     def test_profile_json_is_strict(self, tmp_path, build, args, code):
@@ -203,8 +203,11 @@ class TestDiagnose:
         if build is None:
             assert doc["J"] is None and doc["verdict"] == "fail"
         elif build == "overflow":
+            # length 2 reaches 1e240 / 1e-240, still inside the double range
             assert doc["verdict"] == "inconclusive"
-            assert [s[2] for s in doc["samples"]][1:] == [None, None]
+            assert doc["samples"][1][2] == pytest.approx(480 * np.log(10),
+                                                         rel=1e-12)
+            assert doc["samples"][2][2] is None
         else:
             assert doc["verdict"] == "pass"
             assert all(v is not None for s in doc["samples"] for v in s)
@@ -241,6 +244,25 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path):
+        # the parser is built once per process; each call parses afresh
+        assert _build_parser() is _build_parser()
+        runs = [
+            (["build", "--name", "thm1ii_d12", "--param", "x=2",
+              "--param", "mu=2"], {"x": 2, "mu": 2}),
+            (["diagnose", "--rep", str(tmp_path / "0" / "rep.json"), "--qi",
+              "--radius", "3"], None),
+            (["build", "--name", "thm1ii_d12", "--param", "x=2"], {"x": 2}),
+            (["build", "--name", "thm1ii_d12"], {}),
+        ]
+        for k, (argv, params) in enumerate(runs):
+            argv = [*argv, "--out", str(tmp_path / str(k))]
+            assert main(argv) in (0, 1)
+            manifest = read_json(tmp_path / str(k) / "manifest.json")
+            assert manifest["command"] == argv
+            assert manifest.get("params") == params
 
 
 class TestReproduce:

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from specgap.builders import build_named
+from specgap.certify import gap_profile, qi_profile
+from specgap.cli import main
 from specgap.errors import ConstructionError, InputError
 from specgap.linalg import spectrum, spectrum_tensor, spectrum_union
 from specgap import reps
@@ -54,6 +57,13 @@ class TestRepSpec:
     def test_rejects_degenerate(self):
         with pytest.raises(InputError):
             RepSpec(PAIR, {"a1": np.zeros((2, 2)), "b1": np.eye(2)})
+
+    def test_huge_entries_check_without_overflow(self):
+        # |M|_F^2 = 1e320 is past the double range; the gate's slack used
+        # to overflow with a RuntimeWarning, an error under pytest
+        big = np.diag([1e160, 1.0, 1e-160])
+        rep = RepSpec(PAIR, {"a1": big, "b1": big[::-1, ::-1]})
+        assert rep.dim == 3
 
     def test_rejects_complex_entries(self):
         # a cast to float would accept this as diag(2, 0.5)
@@ -440,29 +450,58 @@ class TestValidateHomomorphism:
 
 
 def _sweep_reps():
-    """(rep, subalphabet) pairs of dims 2, 3 and 6, with and without a
-    subalphabet."""
+    """(rep, subalphabet) pairs of dims 2, 3 and 6 (Jacobi states), with and
+    without a subalphabet, and of dim 8 ((Q, R) states)."""
     rng = np.random.default_rng(23)
     abc = Alphabet(("a1", "b1", "c1"))
     d2 = rename_generators(schottky_sl2r(3, 5.0), abc)
     d3 = scaled_rotation_rep(abc, 1.7, 0.8, 1.1, seed=4)
     d6 = RepSpec(PAIR, {l: random_unimodular(6, rng) for l in PAIR.names})
+    d8 = RepSpec(PAIR, {l: random_unimodular(8, rng) for l in PAIR.names})
     return [(d2, None), (d2, ("a1", "c1")), (d3, None), (d3, ("b1", "c1")),
-            (d6, None), (d6, ("b1",))]
+            (d6, None), (d6, ("b1",)), (d8, None)]
 
 
 def _sweep(rep, radius, sub=None):
     """The ball sweep of a profile: raw products of 2x2 images, graded
-    factors of the transpose otherwise."""
+    states otherwise."""
     table = symbol_table(rep, sub)
     sweep = products(table) if rep.dim == 2 else graded_products(table)
     return iter_ball_images(len(table), radius, *sweep)
 
 
+def _check_graded_state(entry, codes, rep, alphabet):
+    """One table's graded state against each word's evaluated product W:
+    for dim <= JACOBI_MAX_DIM, X = W^T V with X X^T = W^T W and pairwise
+    orthogonal columns (to d eps, the sweep's criterion, plus d eps for
+    the rounding of the recomputed products); otherwise W^T = QR with R
+    upper triangular."""
+    dim = rep.dim
+    for k, row in enumerate(codes):
+        w = rep.evaluate(Word.from_codes(alphabet, row))
+        if dim <= reps.JACOBI_MAX_DIM:
+            assert entry.shape == (dim, dim, len(codes))
+            x = entry[:, :, k].T
+            gram = w.T @ w
+            np.testing.assert_allclose(x @ x.T, gram, rtol=0,
+                                       atol=1e-12 * np.abs(gram).max())
+            cols = x.T @ x
+            norms = np.sqrt(np.diag(cols))
+            off = np.abs(cols - np.diag(np.diag(cols)))
+            assert np.all(off <= 2 * dim * np.finfo(float).eps
+                          * np.outer(norms, norms))
+        else:
+            q, r = entry[:, k]
+            np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
+            m = (q @ r).T
+            np.testing.assert_allclose(m, w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(m).max())
+
+
 class TestBallSweep:
     """The block engine against per-word evaluation and closed-form counts."""
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     @pytest.mark.parametrize("cap", [None, 700])  # None: the module's cap
     def test_blocks_cover_the_ball_with_exact_images(self, monkeypatch,
                                                      case, cap):
@@ -475,21 +514,22 @@ class TestBallSweep:
         seen = set()
         for length, codes, state in _sweep(rep, radius, sub):
             assert codes.shape == (len(codes), length)
-            if rep.dim == 2:
-                prods, = state
-            else:
-                q, r = state
-                np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
-                prods = (q @ r).transpose(0, 2, 1)
             # a block over the cap holds the children of a single word
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
-            for row, m in zip(codes, prods):
+            if rep.dim == 2:
+                prods, = state
+                for row, m in zip(codes, prods):
+                    np.testing.assert_allclose(
+                        m, rep.evaluate(Word.from_codes(alphabet, row)),
+                        rtol=1e-12, atol=1e-12 * np.abs(m).max())
+            else:
+                entry, = state
+                _check_graded_state(entry, codes, rep, alphabet)
+            for row in codes:
                 w = Word.from_codes(alphabet, row)
                 assert len(w) == length
                 seen.add(w.letters)
-                np.testing.assert_allclose(m, rep.evaluate(w), rtol=1e-12,
-                                           atol=1e-12 * np.abs(m).max())
         assert len(seen) == ball_count(alphabet.size, radius)
 
     @pytest.mark.parametrize("case", [0, 1])
@@ -505,7 +545,7 @@ class TestBallSweep:
                 np.testing.assert_array_equal(
                     m, rep.evaluate(Word.from_codes(alphabet, row)))
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_each_length_comes_out_in_shortlex_order(self, monkeypatch, case):
         rep, sub = _sweep_reps()[case]
         monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
@@ -521,23 +561,57 @@ class TestBallSweep:
 
     @pytest.mark.parametrize("cap", [None, 700])
     def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
-        # one (Q, R) pair per table, each the graded product of its factor
+        # one state per table, each the graded state of its factor
         if cap is not None:
             monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
         _, _, t = _tensor_pair()
         sweep = graded_products(*(symbol_table(f) for f in t.factors))
         count = 0
         for length, codes, state in iter_ball_images(4, 4, *sweep):
-            assert len(state) == 4
+            assert len(state) == 2
             count += len(codes)
-            for f, q, r in zip(t.factors, state[0::2], state[1::2]):
-                np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
-                prods = (q @ r).transpose(0, 2, 1)
-                for row, m in zip(codes, prods):
-                    want = f.evaluate(Word.from_codes(PAIR, row))
-                    np.testing.assert_allclose(m, want, rtol=1e-12,
-                                               atol=1e-12 * np.abs(m).max())
+            for f, entry in zip(t.factors, state):
+                _check_graded_state(entry, codes, f, PAIR)
         assert count == ball_count(2, 4)
+
+    def test_unconverged_jacobi_is_inconclusive(self, monkeypatch, tmp_path):
+        # one sweep orthogonalises no generic 3x3 product; a matrix still
+        # rotating at the cap is NaN, which the profile reads as inf
+        rep, _ = _sweep_reps()[2]
+        prof = qi_profile(rep, radius=3)
+        assert all(math.isfinite(v) for s in prof.samples for v in s[1:])
+        monkeypatch.setattr(reps, "JACOBI_SWEEPS", 1)
+        prof = qi_profile(rep, radius=3)
+        assert prof.verdict == "inconclusive"
+        assert any(math.isinf(v) for s in prof.samples for v in s[1:])
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep.to_json()))
+        assert main(["diagnose", "--rep", str(path), "--qi", "--radius", "3",
+                     "--out", str(tmp_path / "out")]) == 3
+
+    def test_singular_values_past_the_double_range(self):
+        # sigma_1 / sigma_3 = 1e400 at length 2: a, b and c are taken on
+        # columns scaled by powers of two, so no square overflows; the
+        # value is 400 log(10), as the (Q, R) sweep computed it
+        big = np.diag([1e100, 1.0, 1e-100])
+        cyclic = np.roll(np.eye(3), 1, axis=0)
+        rep = RepSpec(Alphabet(("a", "b")),
+                      {"a": big, "b": cyclic @ big @ cyclic.T})
+        prof = qi_profile(rep, radius=2)
+        assert prof.samples[-1][2] == pytest.approx(921.0340371976183,
+                                                    rel=1e-12)
+        assert prof.samples[-1][2] == pytest.approx(400 * math.log(10),
+                                                    rel=1e-12)
+
+    def test_small_factors_call_no_lapack(self, monkeypatch):
+        # the factored thm1ii_d12 profile sweeps 4x4 and 3x3 Jacobi states
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called on a Jacobi route")
+        rep = build_named("thm1ii_d12", None, seed=3).rep
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        prof = gap_profile(rep, 3, radius=3)
+        assert prof.words_evaluated == ball_count(8, 3) - 1
 
     def test_radius_zero_is_the_identity(self):
         blocks = list(_sweep(schottky_sl2r(2, 4.0), 0))

@@ -1,5 +1,5 @@
 """Profile statistics past the range of a raw double-precision product:
-the 2x2 closed form and the graded dim >= 3 route against mpmath oracles,
+the 2x2 closed form and the graded dim >= 3 routes against mpmath oracles,
 overflow, and the verdict on envelopes known only to rounding error."""
 
 import itertools
@@ -63,9 +63,12 @@ class TestSaturation:
         # every gap index and the QI ratio at radius 4 on (a1, b1), where a
         # raw double-precision product loses sigma_dim (log ratios past 60);
         # the tensor build sweeps its 4x4 and 3x3 Kronecker factors, here on
-        # (a4, b4), where neither factor's images are diagonal or monomial
+        # (a4, b4), where neither factor's images are diagonal or monomial.
+        # dims <= 6 sweep Jacobi states; d = 7 keeps the (Q, R) sweep,
+        # whose SVD of R misses by up to about 1e-7 here
         mpmath = pytest.importorskip("mpmath")
         rep = build_named(name, None, seed=0).rep
+        rel = 1e-6 if name == "thm1i_dge7" else 1e-10
         sub = ("a4", "b4") if rep.factors else ("a1", "b1")
         radius, dim = 4, rep.dim
         mats = [mpmath.matrix(m.tolist()) for label in sub
@@ -93,7 +96,7 @@ class TestSaturation:
             for l, got_lo, got_hi in prof.samples:
                 vals = [float(v[hi] - v[lo]) for v in logs[l]]
                 for got, want in ((got_lo, min(vals)), (got_hi, max(vals))):
-                    assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+                    assert abs(got - want) <= rel * max(1.0, abs(want))
 
     @pytest.mark.parametrize("radius", [3, 4])
     def test_d6_qi_profile_is_finite_and_passes(self, radius):
