@@ -20,6 +20,7 @@ from .reps import (RepSpec, graded_products, iter_ball_images,
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
+MAX_WORDS = 200_000  # words a profile evaluates before it stops, inconclusive
 # ties between verdict routes must not flip on rounding noise
 MONOTONE_SLACK = 1e-9
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -159,8 +160,7 @@ def _verdict(boxes: Sequence[tuple[int, float, float]],
 
 
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
-             subalphabet: Optional[Sequence[str]],
-             max_words: Optional[int]) -> Profile:
+             subalphabet: Optional[Sequence[str]]) -> Profile:
     if radius is None:
         radius = default_radius(rep.dim)
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
@@ -177,7 +177,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
                                                  *sweep):
         if not length:
             continue
-        if max_words is not None and count + len(codes) > max_words:
+        if count + len(codes) > MAX_WORDS:
             truncated = True
             break
         count += len(codes)
@@ -214,28 +214,26 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
 
 
 def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
-                subalphabet: Optional[Sequence[str]] = None,
-                max_words: Optional[int] = 200_000) -> Profile:
+                subalphabet: Optional[Sequence[str]] = None) -> Profile:
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
     with a least-squares fit of the lower envelope.
 
     The sweep stops before the block (``reps.iter_ball_images``) that would
-    take it past ``max_words``; the verdict is then "inconclusive" and
+    take it past ``MAX_WORDS``; the verdict is then "inconclusive" and
     ``words_evaluated`` counts only the words evaluated.  A ratio that is
     not finite is recorded as inf and makes the verdict "inconclusive".
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
-    return _profile(rep, i, radius, subalphabet, max_words)
+    return _profile(rep, i, radius, subalphabet)
 
 
 def qi_profile(rep: RepSpec, radius: Optional[int] = None,
-               subalphabet: Optional[Sequence[str]] = None,
-               max_words: Optional[int] = 200_000) -> Profile:
+               subalphabet: Optional[Sequence[str]] = None) -> Profile:
     """Two-sided per-length envelopes of log(sigma_1 / sigma_dim).
 
     The fitted slopes give finite-scale versions of the two-sided
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
     """
-    return _profile(rep, None, radius, subalphabet, max_words)
+    return _profile(rep, None, radius, subalphabet)

@@ -34,6 +34,8 @@ MAX_POWER = 64  # powers w0^m the sign search scans per candidate
 CONV_TOL = 1e-4  # relative error at which a limit formula has converged
 TIE_TOL = 1e-9  # domination margins within this of 0 are ties
 SAMPLE_LENGTHS = (4, 10)  # word lengths the limit-set sampler draws from
+MIN_PROXIMAL = 30  # proximal samples below which the sampler refuses
+MAX_CANDIDATES = 200  # commutator candidates the sign search examines
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,6 @@ def _eigenframe_2x2(m: np.ndarray) -> np.ndarray:
 
 
 def find_negative_lambda(rep: RepSpec, coset: Word, *,
-                         max_candidates: int = 200,
                          tol: float = DEFAULT_TOL) -> SignWitness:
     """Find w = w0^m * coset with real negative leading eigenvalue.
 
@@ -110,7 +111,7 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
         raise InputError("coset word uses a different alphabet")
     trace: list[dict] = []
     coset_img = rep.evaluate(coset)
-    for u, v, w0 in _commutator_candidates(rep.alphabet, max_candidates):
+    for u, v, w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
         m0 = rep.evaluate(w0)
         tr = float(m0[0, 0] + m0[1, 1])
         entry = {"candidate": str(w0), "trace": tr}
@@ -148,7 +149,7 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
         entry.setdefault("rejected", f"no sign flip within power {MAX_POWER}")
         trace.append(entry)
     raise SearchError(
-        f"no witness found within {max_candidates} candidates "
+        f"no witness found within {MAX_CANDIDATES} candidates "
         f"and power cap {MAX_POWER}", trace=trace)
 
 
@@ -547,11 +548,11 @@ def _attracting_vectors(images: np.ndarray, tol: float):
 
 
 def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
-                     min_proximal: int = 30,
                      tol: float = DEFAULT_TOL) -> LimitSetSample:
     """Sample attracting lines of proximal word images and measure how far
     each is from a pure tensor (second-to-first singular value of the
-    reshaped representative; scale invariant).
+    representative reshaped to the first of ``rep.factors`` against the
+    product of the rest; scale invariant).
 
     The seeded stream draws each word's length, then its letter codes one
     at a time, redrawing a letter that would cancel its predecessor.  The
@@ -561,15 +562,10 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
     ``sample_words``."""
     if sample_words < 1:
         raise InputError(f"sample count must be >= 1, got {sample_words}")
-    factors = rep.provenance.get("tensor_factors")
-    if not (isinstance(factors, (list, tuple)) and len(factors) == 2
-            and all(isinstance(d, int) and not isinstance(d, bool) and d > 0
-                    for d in factors)):
-        raise InputError("representation provenance does not record tensor"
-                         " factors as a pair of positive integers")
-    d1, d2 = factors
-    if d1 * d2 != rep.dim:
-        raise InputError("recorded tensor factors do not multiply to the dimension")
+    if not rep.factors:
+        raise InputError("representation records no tensor factors")
+    d1 = rep.factors[0].dim
+    d2 = rep.dim // d1
     rng = np.random.default_rng(seed)
     nsym = 2 * rep.alphabet.size
     shortest, longest = SAMPLE_LENGTHS
@@ -600,7 +596,7 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
             kept[idx[rows]] = True
             vectors[idx[rows]] = vecs
     keep = np.flatnonzero(kept)
-    if len(keep) < min_proximal:
+    if len(keep) < MIN_PROXIMAL:
         raise SamplingError(
             f"only {len(keep)} proximal samples out of {sample_words}")
     vectors = vectors[keep]

@@ -2,8 +2,8 @@
 
 Each named build carries symbolic expectations instantiated at its own
 parameters; this module evaluates the build's witnesses and diffs the
-computed spectra against those expectations, then sweeps the obstruction
-certificate across the exterior indices the construction claims.
+computed spectra against those expectations, reading its exterior-power
+checks from the one obstruction certificate it makes for the build.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .builders import BuildResult, build_named
 from .errors import InputError
 from .linalg import classify, classify_exterior, spectrum, top_subset_products
 from .obstruct import ObstructionCertificate, certify_not_limit
-from .words import Presentation
+from .words import Presentation, Word, in_index_two_core
 
 
 def _check(checks: list, name: str, passed: bool, detail: str = ""):
@@ -43,161 +43,141 @@ def _nonreal_top_pair(checks, name, eigs, modulus, angle, rtol):
            f"top pair {z1!r}, {z2!r}; expected modulus {modulus}, angle {angle}")
 
 
-def _certificate(result: BuildResult, witness_keys, indices, tol
-                 ) -> ObstructionCertificate:
-    rep = result.rep
-    pres = Presentation.free(rep.alphabet)
-    witnesses = [result.witness(k) for k in witness_keys]
-    return certify_not_limit(rep, witnesses, indices, pres, tol=tol,
-                             assumptions=result.manifest["assumptions"])
+def _covered_by(cert: ObstructionCertificate, i: int, witness: Word):
+    """(classification, "") when ``witness`` covers index ``i`` of the
+    certificate; otherwise (None, why it does not)."""
+    entry = cert.entries[i - 1]
+    if entry.witness == str(witness):
+        return entry.classification, ""
+    return None, (f"index {i} is covered by {entry.witness}" if entry.covered
+                  else f"index {i} is not covered: {entry.reason}")
 
 
 def verify_golden(result: BuildResult, tol: float = 1e-6) -> dict:
-    """Diff the build against its instantiated expectations.
-
-    Returns a report dict with per-check entries, the certificate, and an
-    overall flag.
-    """
+    """Certify the build once, on the manifest's witnesses in the index-two
+    core (in manifest order) at indices 1..dim//2, and diff the build
+    against its instantiated expectations, reading exterior-power checks
+    from that certificate.  Returns a report dict with per-check entries,
+    the certificate, and an overall flag."""
     name = result.manifest["construction"]
     fn = _VERIFIERS.get(name)
     if fn is None:
         raise InputError(f"no golden verifier for construction {name!r}")
+    rep = result.rep
+    pres = Presentation.free(rep.alphabet)
+    witnesses = [w for w in map(result.witness, result.manifest["witnesses"])
+                 if in_index_two_core(w, pres)]
+    top = rep.dim // 2
+    cert = certify_not_limit(rep, witnesses, range(1, top + 1), pres, tol=tol,
+                             assumptions=result.manifest["assumptions"])
     checks: list = []
-    cert = fn(result, checks, tol)
-    report = {
+    fn(result, cert, checks, tol)
+    _check(checks, f"certificate covers indices 1..{top}", cert.covered_all)
+    return {
         "construction": name,
         "checks": checks,
-        "passed": all(c["passed"] for c in checks)
-        and (cert is None or cert.covered_all),
+        "passed": all(c["passed"] for c in checks),
+        "certificate": cert.to_json(),
     }
-    if cert is not None:
-        report["certificate"] = cert.to_json()
-    return report
 
 
-def _verify_d5(result: BuildResult, checks, tol):
+def _verify_d5(result: BuildResult, cert, checks, tol):
     rep = result.rep
     exp = result.manifest["expected"]
     main = result.witness("main")
-    m = rep.evaluate(main)
-    _moduli_match(checks, "first three moduli", spectrum(m).moduli,
-                  exp["first3_moduli"], tol)
-    w2 = classify_exterior(m, 2, tol)
+    _moduli_match(checks, "first three moduli",
+                  spectrum(rep.evaluate(main)).moduli, exp["first3_moduli"], tol)
+    w2, why = _covered_by(cert, 2, main)
     _check(checks, "second exterior power not positively semiproximal",
-           not w2.positively_semiproximal and not w2.indeterminate,
-           f"top {w2.top_moduli[:3]}")
+           w2 is not None, why or f"top {w2.top_moduli[:3]}")
     aux = classify(rep.evaluate(result.witness("aux")), tol)
     _check(checks, "auxiliary witness has negative top pair",
            aux.semiproximal and not aux.positively_semiproximal,
            f"top eigenvalues {aux.top_moduli[:2]}")
-    cert = _certificate(result, ("main", "aux"), (1, 2), tol)
-    _check(checks, "certificate covers indices 1..2", cert.covered_all)
-    return cert
 
 
-def _verify_d6(result: BuildResult, checks, tol):
-    rep = result.rep
+def _verify_d6(result: BuildResult, cert, checks, tol):
+    exp = result.manifest["expected"]
     main = result.witness("main")
-    m = rep.evaluate(main)
-    pc = classify(m, tol)
+    pc = classify(result.rep.evaluate(main), tol)
     _check(checks, "witness proximal with negative top eigenvalue",
            pc.proximal[0] and pc.top_eigenvalue is not None
            and pc.top_eigenvalue.real < 0,
            f"top {pc.top_eigenvalue!r}")
-    w2 = classify_exterior(m, 2, tol)
+    w2, why = _covered_by(cert, 2, main)
     _check(checks, "second exterior power has negative top eigenvalue",
-           w2.p1_proximal and w2.top_eigenvalue is not None
+           w2 is not None and w2.p1_proximal and w2.top_eigenvalue is not None
            and w2.top_eigenvalue.real < 0,
-           f"top {w2.top_eigenvalue!r}")
-    w3 = classify_exterior(m, 3, tol)
+           why or f"top {w2.top_eigenvalue!r}")
+    w3, why = _covered_by(cert, 3, main)
     expected_top = result.manifest["derived"]["expected_wedge3_top"]
-    top_ok = (w3.top_multiplicity == 2 and w3.semiproximal
-              and not w3.positively_semiproximal)
-    val_ok = abs(w3.top_modulus - abs(expected_top)) <= tol * abs(expected_top)
     _check(checks, "third exterior power: negative top of multiplicity two",
-           top_ok and val_ok,
-           f"multiplicity {w3.top_multiplicity}, modulus {w3.top_modulus} "
-           f"vs {abs(expected_top)}")
-    cert = _certificate(result, ("main",), (1, 2, 3), tol)
-    _check(checks, "certificate covers indices 1..3", cert.covered_all)
-    return cert
+           w3 is not None
+           and w3.top_multiplicity == exp["wedge3_top_multiplicity"]
+           and w3.semiproximal and not w3.positively_semiproximal
+           and abs(w3.top_modulus - abs(expected_top))
+           <= tol * abs(expected_top),
+           why or f"multiplicity {w3.top_multiplicity}, modulus "
+           f"{w3.top_modulus} vs {abs(expected_top)}")
 
 
-def _verify_dge7(result: BuildResult, checks, tol):
-    rep = result.rep
-    d = rep.dim
-    m = rep.evaluate(result.witness("main"))
-    for i in range(1, d - 3):
+def _verify_dge7(result: BuildResult, cert, checks, tol):
+    # indices past dim//2 are outside the certificate: classify them here
+    m = result.rep.evaluate(result.witness("main"))
+    for i in result.manifest["expected"]["wedge_failures"]:
         cls = classify_exterior(m, i, tol)
         _check(checks, f"exterior power {i} proximal, not positively",
                cls.p1_proximal and cls.top_eigenvalue is not None
                and cls.top_eigenvalue.real < 0
                and abs(cls.top_eigenvalue.imag) <= tol * cls.top_modulus,
                f"top {cls.top_eigenvalue!r}")
-    cert = _certificate(result, ("main",), range(1, d // 2 + 1), tol)
-    _check(checks, f"certificate covers indices 1..{d // 2}", cert.covered_all)
-    return cert
 
 
-def _verify_d12(result: BuildResult, checks, tol):
+def _verify_d12(result: BuildResult, cert, checks, tol):
     rep = result.rep
     exp = result.manifest["expected"]
     main = result.witness("main")
     second = result.witness("second")
-    gm = rep.evaluate(main)
-    hm = rep.evaluate(second)
-    _moduli_match(checks, "first seven moduli", spectrum(gm).moduli,
-                  exp["first7_moduli"], 1e-9)
+    _moduli_match(checks, "first seven moduli",
+                  spectrum(rep.evaluate(main)).moduli, exp["first7_moduli"], 1e-9)
     _moduli_match(checks, "second witness first five moduli",
-                  spectrum(hm).moduli, exp["h_first5_moduli"], 1e-9)
+                  spectrum(rep.evaluate(second)).moduli,
+                  exp["h_first5_moduli"], 1e-9)
     for i in exp["coverage"]["main"]:
-        cls = classify_exterior(gm, i, tol)
+        cls, why = _covered_by(cert, i, main)
         _check(checks, f"exterior power {i} fails positive semiproximality",
-               not cls.positively_semiproximal and not cls.indeterminate,
-               f"top moduli {cls.top_moduli[:3]}")
-    w3 = classify_exterior(hm, 3, tol)
+               cls is not None, why or f"top moduli {cls.top_moduli[:3]}")
+    w3, why = _covered_by(cert, 3, second)
     expected_top = exp["wedge3_h_top"]
     _check(checks, "third exterior power of second witness: negative real top",
-           w3.p1_proximal and w3.top_eigenvalue is not None
+           w3 is not None and w3.p1_proximal and w3.top_eigenvalue is not None
            and w3.top_eigenvalue.real < 0
            and abs(w3.top_eigenvalue.real - expected_top)
            <= 1e-9 * abs(expected_top),
-           f"top {w3.top_eigenvalue!r} vs expected {expected_top}")
-    cert = _certificate(result, ("main", "second"), range(1, 7), tol)
-    _check(checks, "two-witness coverage of indices 1..6", cert.covered_all)
+           why or f"top {w3.top_eigenvalue!r} vs expected {expected_top}")
     cover = {e.index: e.witness for e in cert.entries}
     _check(checks, "index 3 is covered by the second witness",
            cover.get(3) == str(second), f"coverage {cover}")
-    return cert
 
 
-def _verify_thm41(result: BuildResult, checks, tol):
+def _verify_thm41(result: BuildResult, cert, checks, tol):
     rep = result.rep
     exp = result.manifest["expected"]
     n = result.manifest["params"]["n"]
     main = result.witness("main")
     second = result.witness("second")
-    gm = rep.evaluate(main)
-    hm = rep.evaluate(second)
-    _moduli_match(checks, f"first {2 * n - 1} moduli", spectrum(gm).moduli,
-                  exp["first_moduli"], 1e-9)
+    _moduli_match(checks, f"first {2 * n - 1} moduli",
+                  spectrum(rep.evaluate(main)).moduli, exp["first_moduli"], 1e-9)
     _moduli_match(checks, f"second witness first {n + 1} moduli",
-                  spectrum(hm).moduli, exp["h_first_moduli"], 1e-9)
-    cert = _certificate(result, ("main", "second"),
-                        range(1, (3 * n) // 2 + 1), tol)
-    _check(checks, f"certificate covers indices 1..{(3 * n) // 2}",
-           cert.covered_all)
+                  spectrum(rep.evaluate(second)).moduli,
+                  exp["h_first_moduli"], 1e-9)
     cover = {e.index: e.witness for e in cert.entries}
-    parity_ok = True
-    for i in range(2, n + 2):
-        want = str(main) if i % 2 == 0 else str(second)
-        if cover.get(i) != want:
-            parity_ok = False
+    parity_ok = all(cover.get(i) == str(main if i % 2 == 0 else second)
+                    for i in range(2, n + 2))
     _check(checks, "parity coverage pattern", parity_ok, f"coverage {cover}")
-    return cert
 
 
-def _verify_sl4(result: BuildResult, checks, tol):
+def _verify_sl4(result: BuildResult, cert, checks, tol):
     rep = result.rep
     exp = result.manifest["expected"]
     theta = result.manifest["params"]["theta"]
@@ -208,12 +188,9 @@ def _verify_sl4(result: BuildResult, checks, tol):
     _nonreal_top_pair(checks, "second exterior of second generator",
                       top_subset_products(a2, 2, 3), exp["wedge2_pair_modulus"],
                       theta, tol)
-    cert = _certificate(result, ("parity_main", "parity_second"), (1, 2), tol)
-    _check(checks, "certificate covers indices 1..2", cert.covered_all)
-    return cert
 
 
-def _verify_sl6(result: BuildResult, checks, tol):
+def _verify_sl6(result: BuildResult, cert, checks, tol):
     rep = result.rep
     exp = result.manifest["expected"]
     theta = result.manifest["params"]["theta"]
@@ -229,9 +206,6 @@ def _verify_sl6(result: BuildResult, checks, tol):
     _nonreal_top_pair(checks, "second exterior of second generator",
                       top_subset_products(h, 2, 3), exp["wedge2_h_pair_modulus"],
                       theta, tol)
-    cert = _certificate(result, ("parity_main", "parity_second"), (1, 2, 3), tol)
-    _check(checks, "certificate covers indices 1..3", cert.covered_all)
-    return cert
 
 
 _VERIFIERS = {

@@ -30,16 +30,17 @@ def _rotation(theta: float) -> np.ndarray:
 
 
 def _check_unimodular(m: np.ndarray, dim: int, label: str):
-    det = np.linalg.det(m)
-    # the determinant of a large-norm product is itself only computable to
-    # about eps * |M|_F^2, so the gate widens with the norm; the norm is
-    # taken on M scaled to entries <= 1, and its square is a Python float,
-    # which overflows to inf without a warning
-    scale = float(np.abs(m).max())
-    frobenius = scale * float(np.linalg.norm(m / scale)) if scale else 0.0
-    slack = max(UNIMODULAR_TOL * dim,
-                dim * np.finfo(float).eps * frobenius * frobenius)
-    if det <= 0 or abs(det - 1.0) > slack:
+    # a computed determinant is known only to about eps times the product of
+    # the row norms (Hadamard's bound on |det|), so the gate widens with it.
+    # The product is taken in logs on M scaled to entries <= 1, silently: a
+    # zero row gives 0, an overflow inf; a det that is not finite is refused
+    scale = float(np.abs(m).max()) or 1.0
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(m)
+        hadamard = np.exp(np.log(np.linalg.norm(m / scale, axis=1)).sum()
+                          + dim * math.log(scale))
+    slack = max(UNIMODULAR_TOL * dim, dim * np.finfo(float).eps * hadamard)
+    if not 0 < det < math.inf or abs(det - 1.0) > slack:
         raise InputError(
             f"image of {label!r} is not unimodular: det = {det!r} "
             f"(allowed deviation {slack:.3e})")
@@ -445,9 +446,7 @@ def tensor_rep(r1: RepSpec, r2: RepSpec) -> RepSpec:
         raise SizeError(f"tensor dimension {r1.dim * r2.dim} exceeds {MAX_DIM}")
     factors = (r1.factors or (r1,)) + (r2.factors or (r2,))
     images = {l: _kron(factors, l) for l in r1.alphabet.names}
-    return RepSpec(r1.alphabet, images,
-                   provenance={"construction": "tensor_rep",
-                               "tensor_factors": [r1.dim, r2.dim]},
+    return RepSpec(r1.alphabet, images, provenance={"construction": "tensor_rep"},
                    factors=factors)
 
 
@@ -456,8 +455,6 @@ def pull_back(rep: RepSpec, gmap: GeneratorMap) -> RepSpec:
         raise InputError("representation alphabet does not match the map target")
     images = {l: rep.evaluate(gmap.image(l)) for l in gmap.source.names}
     prov = {"construction": "pull_back", "base": rep.provenance.get("construction")}
-    if "tensor_factors" in rep.provenance:
-        prov["tensor_factors"] = rep.provenance["tensor_factors"]
     return RepSpec(gmap.source, images, prov)
 
 

@@ -1,14 +1,18 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specgap import obstruct
 from specgap.builders import build_named, known_constructions
 from specgap.errors import ConstructionError, InputError
 from specgap.linalg import classify_exterior
-from specgap.reproduce import run_reproduction
+from specgap.reproduce import run_reproduction, verify_golden
 from specgap.words import Word, in_index_two_core, Presentation
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 ALL_NAMES = ("thm1i_d5", "thm1i_d6", "thm1i_dge7", "thm1ii_d12",
              "thm41_pattern", "prop42_sl4", "prop42_sl6")
 
@@ -148,3 +152,37 @@ class TestGoldenReports:
         result = build_named("thm1i_d5", None, seed=0)
         assert result.manifest["derived"]["lambda1"] < 0
         assert result.manifest["search"]["candidates_examined"] <= 200
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_certificate_witnesses_are_the_benchmarks(self, monkeypatch,
+                                                      name):
+        # the benchmark checks each certificate against these witness keys
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import ReproducePaper
+        keys = ReproducePaper.WITNESS_KEYS[name]
+        for seed in (0, 3, 5):
+            result = build_named(name, None, seed=seed)
+            cert = verify_golden(result)["certificate"]
+            assert cert["witnesses"] == [result.manifest["witnesses"][k]
+                                         for k in keys]
+
+    def test_uncovered_entry_fails_the_report(self, monkeypatch):
+        result = build_named("thm1ii_d12", None, seed=0)
+        real = obstruct.classify_exterior
+
+        def blurred(m, i, tol):
+            cls = real(m, i, tol)
+            return dataclasses.replace(cls, indeterminate=True) if i == 3 else cls
+
+        monkeypatch.setattr(obstruct, "classify_exterior", blurred)
+        report = verify_golden(result)
+        failed = {c["name"]: c["detail"]
+                  for c in report["checks"] if not c["passed"]}
+        assert set(failed) == {
+            "third exterior power of second witness: negative real top",
+            "index 3 is covered by the second witness",
+            "certificate covers indices 1..6",
+        }
+        assert failed["third exterior power of second witness: negative"
+                      " real top"].startswith("index 3 is not covered")
+        assert not report["passed"]

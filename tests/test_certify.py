@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specgap import certify
 from specgap.builders import build_named
 from specgap.certify import (default_radius, gap_profile, qi_profile,
                              DISCLAIMER)
@@ -45,8 +46,9 @@ class TestGapProfile:
         prof = gap_profile(schottky_pair(), 1, radius=5)
         assert [l for l, _, _ in prof.samples] == [1, 2, 3, 4, 5]
 
-    def test_budget_truncation_is_inconclusive(self):
-        prof = gap_profile(schottky_pair(), 1, radius=6, max_words=50)
+    def test_budget_truncation_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(certify, "MAX_WORDS", 50)
+        prof = gap_profile(schottky_pair(), 1, radius=6)
         assert prof.verdict == "inconclusive"
         assert 0 < prof.words_evaluated <= 50
 

@@ -398,15 +398,6 @@ class TestInputErrors:
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--presentation", pres,
                                "--witness", "a1^2", "--out", str(tmp_path / "x")])
 
-    @pytest.mark.parametrize("factors", [["x", 3], [4.9, 3.1]])
-    def test_malformed_tensor_factors_provenance(self, tmp_path, capsys,
-                                                 factors):
-        doc = json.loads(TENSOR)
-        doc["provenance"]["tensor_factors"] = factors
-        rep = self._write(tmp_path / "rep.json", json.dumps(doc))
-        self._exits_2(capsys, ["limitset", "--rep", rep, "--samples", "40",
-                               "--out", str(tmp_path / "x")])
-
     def test_non_integer_index(self, tmp_path, capsys):
         rep = self._write(tmp_path / "rep.json", json.dumps(REP))
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--witness", "a1^2",

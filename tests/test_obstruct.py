@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specgap import reps
+from specgap import obstruct, reps
 from specgap.builders import build_named
 from specgap.errors import (DegenerateConfigurationError, InputError,
                             SamplingError, SearchError)
@@ -60,10 +60,11 @@ class TestFindNegativeLambda:
         assert sw1.word == sw2.word
         assert sw1.search_trace == sw2.search_trace
 
-    def test_budget_exhaustion_raises_with_trace(self):
+    def test_budget_exhaustion_raises_with_trace(self, monkeypatch):
+        monkeypatch.setattr(obstruct, "MAX_CANDIDATES", 10)
         rot = rotation_block_rep(PAIR, 1.0, ("a1", "b1"))
         with pytest.raises(SearchError) as err:
-            find_negative_lambda(rot, Word.identity(PAIR), max_candidates=10)
+            find_negative_lambda(rot, Word.identity(PAIR))
         assert len(err.value.trace) > 0
 
     def test_requires_2x2(self):
@@ -374,9 +375,10 @@ class TestCertificates:
 
 
 class TestLimitSet:
-    def test_pure_tensor_defect_is_tiny(self):
+    def test_pure_tensor_defect_is_tiny(self, monkeypatch):
+        monkeypatch.setattr(obstruct, "MIN_PROXIMAL", 20)
         t = tensor_rep(j_spread(4.0), j_spread(9.0))
-        sample = sample_limit_set(t, 120, seed=5, min_proximal=20)
+        sample = sample_limit_set(t, 120, seed=5)
         assert sample.max_defect < 1e-8
         assert sample.factor_dims == (2, 2)
 
@@ -384,15 +386,17 @@ class TestLimitSet:
         with pytest.raises(InputError):
             sample_limit_set(j_spread(4.0), 10, seed=0)
 
-    def test_sampling_error_when_nothing_is_proximal(self):
+    def test_sampling_error_when_nothing_is_proximal(self, monkeypatch):
+        monkeypatch.setattr(obstruct, "MIN_PROXIMAL", 5)
         rot = rotation_block_rep(PAIR, 1.0, ("a1", "b1"))
         t = tensor_rep(rot, rot)
         with pytest.raises(SamplingError):
-            sample_limit_set(t, 40, seed=0, min_proximal=5)
+            sample_limit_set(t, 40, seed=0)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, monkeypatch):
+        monkeypatch.setattr(obstruct, "MIN_PROXIMAL", 10)
         t = tensor_rep(j_spread(4.0), j_spread(9.0))
-        sample = sample_limit_set(t, 60, seed=5, min_proximal=10)
+        sample = sample_limit_set(t, 60, seed=5)
         lines = sample.to_csv().strip().splitlines()
         assert lines[0].startswith("word,")
         assert len(lines) == len(sample.words) + 1
@@ -418,7 +422,8 @@ def _per_word_sample(rep, sample_words, seed, min_length=4, max_length=10,
     """The sampler one word at a time: one evaluate, one eig and one SVD per
     sample.  Also returns, per word length, the set of spectrum kinds
     (real or not) that the eigendecompositions met."""
-    d1, d2 = rep.provenance["tensor_factors"]
+    d1 = rep.factors[0].dim
+    d2 = rep.dim // d1
     rng = np.random.default_rng(seed)
     symbols = rep.alphabet.symbols()
     words, vecs, defects, left, right = [], [], [], [], []

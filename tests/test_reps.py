@@ -65,6 +65,21 @@ class TestRepSpec:
         rep = RepSpec(PAIR, {"a1": big, "b1": big[::-1, ::-1]})
         assert rep.dim == 3
 
+    @pytest.mark.parametrize("e", [1e8, 1e20, 1e150, 1e160])
+    def test_rejects_scaled_unimodular_image(self, e):
+        # det 8 at every scale: a slack of dim * eps * |M|_F^2 accepted it
+        with pytest.raises(InputError, match="not unimodular"):
+            RepSpec(PAIR, {"a1": 2 * np.diag([e, 1.0, 1 / e]),
+                           "b1": np.eye(3)})
+
+    def test_rejects_overflowing_determinant(self):
+        # det = 2e360 overflows to inf, and so does the gate's slack: a
+        # determinant that is not finite is refused, without a warning
+        a = 1e120
+        m = [[a, a, 0.0], [0.0, a, a], [a, 0.0, a]]
+        with pytest.raises(InputError, match="not unimodular"):
+            RepSpec(PAIR, {"a1": m, "b1": np.eye(3)})
+
     def test_rejects_complex_entries(self):
         # a cast to float would accept this as diag(2, 0.5)
         image = [[2 + 0.5j, 0], [0, 0.5 - 0.1j]]
@@ -270,7 +285,7 @@ class TestComposites:
         r1 = rename_generators(schottky_sl2r(2, 2.5), PAIR)
         r2 = rename_generators(realify_lift(schottky_sl2c(2, 2.6)), PAIR)
         t = tensor_rep(r1, r2)
-        assert t.provenance["tensor_factors"] == [2, 4]
+        assert [f.dim for f in t.factors] == [2, 4]
         rng = np.random.default_rng(6)
         for _ in range(100):
             w = random_word(PAIR, int(rng.integers(1, 5)), rng)
