@@ -23,6 +23,7 @@ Construction ids (the CLI contract):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -30,7 +31,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .linalg import _eigenvalues
 from .obstruct import check_domination, find_negative_lambda
 from .reps import (Character, ComplexRep2, RepSpec, axis_dilation, block_sum,
                    common_eigenvector_defect, pingpong_report, pull_back,
@@ -72,11 +72,25 @@ def _gate(gates: list, name: str, lhs: float, rhs: float):
 
 
 def _resolve(params: Optional[Mapping], defaults: dict) -> dict:
+    """``defaults`` updated by ``params``, each value coerced to its
+    default's type: int for an int default, float otherwise (a default of
+    None included).  A value that is not a finite number, a bool, or a
+    non-integral value for an int parameter is refused."""
     out = dict(defaults)
     for key, val in (params or {}).items():
         if key not in defaults:
             raise InputError(f"unknown parameter {key!r}; known: {sorted(defaults)}")
-        out[key] = val
+        kind = int if isinstance(defaults[key], int) else float
+        try:
+            ok = (isinstance(val, numbers.Real) and not isinstance(val, bool)
+                  and math.isfinite(val) and (kind is float or val == int(val)))
+        except OverflowError:  # an int past the double range
+            ok = False
+        if not ok:
+            raise InputError(f"parameter {key!r} must be "
+                             f"{'an integer' if kind is int else 'a finite number'}"
+                             f", got {val!r}")
+        out[key] = kind(val)
     return out
 
 
@@ -127,7 +141,7 @@ def _search_pair(spread: float) -> tuple[RepSpec, ComplexRep2]:
 def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 4.0, "headroom": 2.0})
     g = 1
-    base, ambient = _search_pair(float(p["spread"]))
+    base, ambient = _search_pair(p["spread"])
     retr = retraction_to_free_part(g)
     rho1 = realify_lift(ambient)
 
@@ -135,7 +149,7 @@ def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
     sw = find_negative_lambda(base, coset, tol=tol)
     lam = sw.lambda1
     gates: list = []
-    x = (float(p["headroom"]) * abs(lam)) ** 0.8
+    x = (p["headroom"] * abs(lam)) ** 0.8
     _gate(gates, "x^(5/4) > ell1(rho1(w a1^2))", x ** 1.25, abs(lam))
 
     eps_free = Character(free_part_alphabet(g),
@@ -147,7 +161,7 @@ def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
     witness = transport(sw.word, rep.alphabet)
     aux = transport(sw.base_word, rep.alphabet)
     manifest = {
-        "params": {"spread": float(p["spread"]), "headroom": float(p["headroom"])},
+        "params": p,
         "derived": {"lambda1": lam, "x": x,
                     "character_on_witness": eps_free.value(sw.word)},
         "witnesses": {"main": str(witness), "aux": str(aux)},
@@ -165,21 +179,19 @@ def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
     return rep, manifest
 
 
-def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict, dict]:
+def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict]:
     """Spin lift rho0 of the ambient family and a Schottky pair j on
     (a1, b1) that dominates it on the ball of radius ``dom_radius``:
-    ell1(j(gamma)) >= ell1(rho0(gamma))^2.  Returns rho0, j, the pair's
-    parameters, and the manifest entries recording the domination sweep and
-    the ping-pong checks."""
-    pair = {"spread": float(p["spread"]), "dom_margin": float(p["dom_margin"]),
-            "dom_radius": int(p["dom_radius"])}
-    _, ambient = _search_pair(pair["spread"])
+    ell1(j(gamma)) >= ell1(rho0(gamma))^2.  Returns rho0, j, and the
+    manifest entries recording the domination sweep and the ping-pong
+    checks."""
+    _, ambient = _search_pair(p["spread"])
     rho0 = spin_lift(ambient)
 
-    spread_j = (pair["spread"] ** 2) ** 2 * pair["dom_margin"]
+    spread_j = (p["spread"] ** 2) ** 2 * p["dom_margin"]
     j = rename_generators(schottky_sl2r(2, spread_j), Alphabet(("a1", "b1")))
     dom = check_domination(j, restrict_rep(rho0, ("a1", "b1")), 2.0,
-                           pair["dom_radius"])
+                           p["dom_radius"])
     if not dom.passed:
         raise ConstructionError(
             "domination failed on the ball: ell1(j(gamma)) >= ell1(rho0(gamma))^2",
@@ -187,21 +199,21 @@ def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict, dict]:
     checks = {"domination": dom.to_json(),
               "pingpong": {"pair": j.provenance["pingpong"],
                            "ambient": ambient.provenance["pingpong"]}}
-    return rho0, j, pair, checks
+    return rho0, j, checks
 
 
 def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6})
-    rho0, j, pair, checks = _dominated_pair(p)
+    rho0, j, checks = _dominated_pair(p)
     sw = find_negative_lambda(j, Word.identity(j.alphabet), tol=tol)
     rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
 
     witness = transport(sw.word, rep.alphabet)
-    m0 = abs(_eigenvalues(rho0.evaluate(witness))[0])
+    m0 = rho0.top_modulus(witness)
     gates: list = []
     _gate(gates, "ell1(j(w)) > ell1(rho0(w))", abs(sw.lambda1), m0)
     manifest = {
-        "params": pair,
+        "params": p,
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "expected_wedge3_top": sw.lambda1 * m0},
         "witnesses": {"main": str(witness)},
@@ -218,11 +230,11 @@ def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
 def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"d": 7, "spread": 4.0, "dom_margin": 1.25,
                           "dom_radius": 6})
-    d = int(p["d"])
+    d = p["d"]
     if d < 7:
         raise InputError("this construction needs dimension >= 7")
     g = 1
-    rho0, j, pair, checks = _dominated_pair(p)
+    rho0, j, checks = _dominated_pair(p)
     retr = retraction_to_free_part(g)
 
     coset = Word.parse(j.alphabet, "a1^2")
@@ -231,7 +243,7 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
 
     full = full_alphabet(g)
     witness = transport(sw.word, full)
-    m0 = abs(_eigenvalues(rho0.evaluate(witness))[0])
+    m0 = rho0.top_modulus(witness)
     gates: list = []
     _gate(gates, "ell1(j(w a1^2)) > ell1(rho0(w a1^2))", lam, m0)
 
@@ -259,7 +271,7 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
         images[label] = blocks / det ** (1.0 / d)
     rep = RepSpec(full, images)
     manifest = {
-        "params": {"d": d, **pair},
+        "params": p,
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "character_chain": char_values},
         "witnesses": {"main": str(witness)},
@@ -277,8 +289,7 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
 def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"lam": -9.0, "mu": 2.0, "x": 2.0,
                           "s": -9.0, "nu": 1.2})
-    lam, mu, x = float(p["lam"]), float(p["mu"]), float(p["x"])
-    s, nu = float(p["s"]), float(p["nu"])
+    lam, mu, x, s, nu = (p[k] for k in ("lam", "mu", "x", "s", "nu"))
     gates: list = []
     _gate(gates, "lam < 0", 0.0, lam)
     _gate(gates, "s < 0", 0.0, s)
@@ -323,7 +334,7 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     zariski = common_eigenvector_defect(
         [line_images[l] for l in alphabet.names])
     manifest = {
-        "params": {"lam": lam, "mu": mu, "x": x, "s": s, "nu": nu},
+        "params": p,
         "derived": {"witness_character_value": x ** 2},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": {
@@ -348,10 +359,8 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
 
 def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"n": 5, "s": -3.0, "p": 1.2, "q": None})
-    n = int(p["n"])
-    s = float(p["s"])
-    pp = float(p["p"])
-    q = float(p["q"]) if p["q"] is not None else -1.5 * pp ** 10
+    n, s, pp = p["n"], p["s"], p["p"]
+    q = p["q"] if p["q"] is not None else -1.5 * pp ** 10
     gates: list = []
     if n % 2 == 0:
         raise ConstructionError("pattern dimension parameter n must be odd",
@@ -381,7 +390,7 @@ def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
     first = [abs(s) ** 3, s ** 2] + [abs(s)] * (n - 1) + [1.0] * (n - 2)
     h_first = [abs(q) * pp ** 2] + [abs(q)] * (n - 2) + [abs(q) / pp ** 2, pp ** 2]
     manifest = {
-        "params": {"n": n, "s": s, "p": pp, "q": q},
+        "params": {**p, "q": q},
         "derived": {},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": {
@@ -421,17 +430,15 @@ _SURFACE_ASSUMPTIONS = STANDARD_ASSUMPTIONS + (
 
 def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 6.0, "theta": 1.0, "x": None, "y": None})
-    spread = float(p["spread"])
-    theta = float(p["theta"])
-    rho1, lam, mu, shared = _rank4_pair(spread)
+    rho1, lam, mu, shared = _rank4_pair(p["spread"])
     alphabet = rho1.alphabet
-    x = float(p["x"]) if p["x"] is not None else math.sqrt(2.0 * lam)
-    y = float(p["y"]) if p["y"] is not None else math.sqrt(mu / 2.0)
+    x = p["x"] if p["x"] is not None else math.sqrt(2.0 * lam)
+    y = p["y"] if p["y"] is not None else math.sqrt(mu / 2.0)
     gates: list = []
     _gate(gates, "x^2 > |lam|", x ** 2, lam)
     _gate(gates, "|mu| > y^2", mu, y ** 2)
 
-    rot = rotation_block_rep(alphabet, theta, ("a1", "a2"))
+    rot = rotation_block_rep(alphabet, p["theta"], ("a1", "a2"))
     eps = Character(alphabet, {"a1": x, "a2": y, "a3": 1.0, "a4": 1.0})
     images = {}
     for label in alphabet.names:
@@ -442,10 +449,10 @@ def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
         images[label] = m
     rep = RepSpec(alphabet, images)
     manifest = {
-        "params": {"spread": spread, "theta": theta, "x": x, "y": y},
+        "params": {**p, "x": x, "y": y},
         "expected": {
             "top_pair_modulus": x,
-            "top_pair_angle": theta,
+            "top_pair_angle": p["theta"],
             "wedge2_pair_modulus": mu,
             "coverage_indices": [1, 2],
         },
@@ -458,20 +465,18 @@ def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
 
 def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
     p = _resolve(params, {"spread": 6.0, "theta": 1.0, "s": None, "t": None})
-    spread = float(p["spread"])
-    theta = float(p["theta"])
-    rho1, lam, mu, shared = _rank4_pair(spread)
-    s = float(p["s"]) if p["s"] is not None else 2.0 * lam ** (2.0 / 3.0)
-    t = float(p["t"]) if p["t"] is not None else mu ** (-1.0 / 3.0)
+    rho1, lam, mu, shared = _rank4_pair(p["spread"])
+    s = p["s"] if p["s"] is not None else 2.0 * lam ** (2.0 / 3.0)
+    t = p["t"] if p["t"] is not None else mu ** (-1.0 / 3.0)
     gates: list = []
     _gate(gates, "s > |lam|^(2/3)", s, lam ** (2.0 / 3.0))
     _gate(gates, "t > |mu|^(-2/3)", t, mu ** (-2.0 / 3.0))
     _gate(gates, "t < 1", 1.0, t)
 
-    jst = scaled_rotation_rep(rho1.alphabet, s, t, theta, seed)
+    jst = scaled_rotation_rep(rho1.alphabet, s, t, p["theta"], seed)
     rep = tensor_rep(rho1, jst)
     manifest = {
-        "params": {"spread": spread, "theta": theta, "s": s, "t": t},
+        "params": {**p, "s": s, "t": t},
         "expected": {
             "g_top_pair_modulus": lam * s,
             "g_moduli": [lam * s, lam * s, s / lam, s / lam,

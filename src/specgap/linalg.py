@@ -70,14 +70,15 @@ def _as_real(m, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _as_square(m) -> np.ndarray:
-    a = _as_real(m, "matrix")
+def _as_square(m, what: str = "matrix") -> np.ndarray:
+    """``m`` as a finite square float array of dimension <= ``MAX_DIM``."""
+    a = _as_real(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
+        raise InputError(f"{what} is not square: shape {a.shape}")
     if a.shape[0] > MAX_DIM:
-        raise SizeError(f"dimension {a.shape[0]} exceeds the cap {MAX_DIM}")
+        raise SizeError(f"{what} has dimension {a.shape[0]}, over the cap {MAX_DIM}")
     if not np.all(np.isfinite(a)):
-        raise InputError("matrix has non-finite entries")
+        raise InputError(f"{what} has non-finite entries")
     return a
 
 

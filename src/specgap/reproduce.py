@@ -155,9 +155,6 @@ def _verify_d12(result: BuildResult, cert, checks, tol):
            and abs(w3.top_eigenvalue.real - expected_top)
            <= 1e-9 * abs(expected_top),
            why or f"top {w3.top_eigenvalue!r} vs expected {expected_top}")
-    cover = {e.index: e.witness for e in cert.entries}
-    _check(checks, "index 3 is covered by the second witness",
-           cover.get(3) == str(second), f"coverage {cover}")
 
 
 def _verify_thm41(result: BuildResult, cert, checks, tol):

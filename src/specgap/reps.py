@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import (MAX_DIM, Record, _as_real, _eigenvalues, matrix_hash,
+from .linalg import (MAX_DIM, Record, _as_square, _eigenvalues, matrix_hash,
                      top_eigenvalue_2x2_unimodular)
 from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
@@ -29,21 +29,51 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_unimodular(m: np.ndarray, dim: int, label: str):
-    # a computed determinant is known only to about eps times the product of
-    # the row norms (Hadamard's bound on |det|), so the gate widens with it.
-    # The product is taken in logs on M scaled to entries <= 1, silently: a
-    # zero row gives 0, an overflow inf; a det that is not finite is refused
+def _check_unimodular(m: np.ndarray, what: str):
+    # the one determinant gate on input, real or complex.  A computed
+    # determinant is known only to about eps times the product of the row
+    # norms (Hadamard's bound on |det|), so the gate widens with it.  The
+    # product is taken in logs on M scaled to entries <= 1, silently: a zero
+    # row gives 0, an overflow inf.  A det that is not finite (NaN or inf
+    # entries included) or has no positive real part is refused
+    dim = m.shape[0]
     scale = float(np.abs(m).max()) or 1.0
     with np.errstate(all="ignore"):
         det = np.linalg.det(m)
         hadamard = np.exp(np.log(np.linalg.norm(m / scale, axis=1)).sum()
                           + dim * math.log(scale))
     slack = max(UNIMODULAR_TOL * dim, dim * np.finfo(float).eps * hadamard)
-    if not 0 < det < math.inf or abs(det - 1.0) > slack:
-        raise InputError(
-            f"image of {label!r} is not unimodular: det = {det!r} "
-            f"(allowed deviation {slack:.3e})")
+    if not (np.isfinite(det) and det.real > 0) or abs(det - 1.0) > slack:
+        raise InputError(f"{what} is not unimodular: det = {det!r} "
+                         f"(allowed deviation {slack:.3e})")
+
+
+def _as_unimodular(m, what: str) -> np.ndarray:
+    """A copy of ``m`` as a real matrix of determinant one."""
+    a = np.array(_as_square(m, what))
+    _check_unimodular(a, what)
+    return a
+
+
+def _as_sl2c(g, what: str) -> np.ndarray:
+    """A copy of ``g`` as a 2x2 complex matrix of determinant one."""
+    m = np.array(g, dtype=complex)
+    if m.shape != (2, 2):
+        raise InputError(f"{what} is not 2x2")
+    _check_unimodular(m, what)
+    return m
+
+
+def _image_table(alphabet: Alphabet, images: Mapping, as_image) -> dict:
+    """Read-only image of every generator label, each through ``as_image``."""
+    table = {}
+    for label in alphabet.names:
+        if label not in images:
+            raise InputError(f"missing image for generator {label!r}")
+        m = as_image(images[label], f"image of {label!r}")
+        m.flags.writeable = False
+        table[label] = m
+    return table
 
 
 class RepSpec:
@@ -58,28 +88,12 @@ class RepSpec:
     def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
                  provenance: Optional[Mapping] = None,
                  factors: Sequence["RepSpec"] = ()):
-        dims = set()
-        table = {}
-        for label in alphabet.names:
-            if label not in images:
-                raise InputError(f"missing image for generator {label!r}")
-            m = np.array(_as_real(images[label], f"image of {label!r}"))
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise InputError(f"image of {label!r} is not square")
-            if not np.all(np.isfinite(m)):
-                raise InputError(f"image of {label!r} has non-finite entries")
-            dims.add(m.shape[0])
-            m.flags.writeable = False
-            table[label] = m
+        table = _image_table(alphabet, images, _as_unimodular)
+        dims = {m.shape[0] for m in table.values()}
         if len(dims) != 1:
             raise InputError(f"generator images have mixed dimensions {sorted(dims)}")
-        dim = dims.pop()
-        if dim > MAX_DIM:
-            raise SizeError(f"dimension {dim} exceeds the cap {MAX_DIM}")
-        for label, m in table.items():
-            _check_unimodular(m, dim, label)
         self.alphabet = alphabet
-        self.dim = dim
+        self.dim = dims.pop()
         self._images = table
         self._inverses = {}
         self.provenance = dict(provenance or {})
@@ -168,21 +182,9 @@ class ComplexRep2:
 
     def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
                  provenance: Optional[Mapping] = None):
-        table = {}
-        for label in alphabet.names:
-            if label not in images:
-                raise InputError(f"missing image for generator {label!r}")
-            m = np.array(images[label], dtype=complex)
-            if m.shape != (2, 2):
-                raise InputError(f"image of {label!r} is not 2x2")
-            det = np.linalg.det(m)
-            if abs(det - 1.0) > UNIMODULAR_TOL:
-                raise InputError(f"image of {label!r} has det {det!r} != 1")
-            m.flags.writeable = False
-            table[label] = m
         self.alphabet = alphabet
         self.dim = 2
-        self._images = table
+        self._images = _image_table(alphabet, images, _as_sl2c)
         self.provenance = dict(provenance or {})
 
     def image(self, label: str) -> np.ndarray:
@@ -302,11 +304,7 @@ def spin_so31(g) -> np.ndarray:
     real 4x4 matrix of H -> g H g*.  diag(a, 1/a) with a real maps to a
     matrix with eigenvalue moduli (a^2, 1, 1, a^-2).
     """
-    m = np.array(g, dtype=complex)
-    if m.shape != (2, 2):
-        raise InputError("spin input must be 2x2")
-    if abs(np.linalg.det(m) - 1.0) > UNIMODULAR_TOL:
-        raise InputError("spin input must have determinant 1")
+    m = _as_sl2c(g, "spin input")
     out = np.empty((4, 4))
     conj = [m @ s @ m.conj().T for s in _SIGMA]
     for j in range(4):
@@ -317,11 +315,7 @@ def spin_so31(g) -> np.ndarray:
 
 def realify_sl2c(g) -> np.ndarray:
     """Real 4x4 form [[Re g, -Im g], [Im g, Re g]] of a 2x2 complex matrix."""
-    m = np.array(g, dtype=complex)
-    if m.shape != (2, 2):
-        raise InputError("realification input must be 2x2")
-    if abs(np.linalg.det(m) - 1.0) > UNIMODULAR_TOL:
-        raise InputError("realification input must have determinant 1")
+    m = _as_sl2c(g, "realification input")
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
@@ -538,8 +532,7 @@ def rename_generators(rep: RepSpec | ComplexRep2,
         raise InputError("alphabet sizes differ")
     images = {new: rep.image(old)
               for new, old in zip(alphabet.names, rep.alphabet.names)}
-    kind = ComplexRep2 if isinstance(rep, ComplexRep2) else RepSpec
-    return kind(alphabet, images, rep.provenance)
+    return type(rep)(alphabet, images, rep.provenance)
 
 
 def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:

@@ -33,6 +33,26 @@ class TestRegistry:
         with pytest.raises(InputError):
             build_named("thm1ii_d12", {"bogus": 1})
 
+    @pytest.mark.parametrize("name,params", [
+        ("thm1ii_d12", {"x": "2"}),
+        ("thm1ii_d12", {"x": True}),
+        ("thm1ii_d12", {"x": float("nan")}),
+        ("thm41_pattern", {"q": float("-inf")}),
+        ("thm41_pattern", {"n": 7.5}),
+        ("thm1i_dge7", {"d": 10 ** 400}),
+    ])
+    def test_parameter_that_is_no_number_of_its_type(self, name, params):
+        with pytest.raises(InputError, match="must be"):
+            build_named(name, params)
+
+    def test_parameters_take_their_defaults_types(self):
+        result = build_named("thm41_pattern", {"n": np.int64(7), "s": -3,
+                                               "q": -100})
+        params = result.manifest["params"]
+        assert params == {"n": 7, "s": -3.0, "p": 1.2, "q": -100.0}
+        assert [type(params[k]) for k in ("n", "s", "q")] == [int, float, float]
+        assert result.rep.dim == 21
+
 
 class TestManifests:
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -180,7 +200,6 @@ class TestGoldenReports:
                   for c in report["checks"] if not c["passed"]}
         assert set(failed) == {
             "third exterior power of second witness: negative real top",
-            "index 3 is covered by the second witness",
             "certificate covers indices 1..6",
         }
         assert failed["third exterior power of second witness: negative"

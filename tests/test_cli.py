@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,32 @@ class TestBuild:
         assert main(["build", "--name", name, "--param", param,
                      "--out", str(tmp_path)]) == 2
 
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--name", "thm1ii_d12", "--param", "lam=abc"],
+        ["reproduce", "prop42_sl4", "--param", "x=none"],
+        ["build", "--name", "thm1i_dge7", "--param", "d=7.5"],
+        ["build", "--name", "thm1i_d6", "--param", "dom_radius=2.5"],
+        ["build", "--name", "thm1ii_d12", "--param", "x=inf"],
+    ])
+    def test_param_that_is_no_number_of_its_type_exits_2(self, tmp_path,
+                                                          capsys, argv):
+        # a non-number once escaped as a ValueError (exit 1), and d=7.5
+        # silently built d=7
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter") and "Traceback" not in err
+
+    def test_integral_float_param_builds_the_int(self, tmp_path):
+        outs = [tmp_path / "int", tmp_path / "float"]
+        for out, d in zip(outs, ("d=8", "d=8.0")):
+            assert main(["build", "--name", "thm1i_dge7", "--param", d,
+                         "--out", str(out)]) == 0
+        for name in ("rep.json", "build.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert read_json(outs[1] / "build.json")["params"]["d"] == 8
+        assert read_json(outs[1] / "manifest.json")["params"] == {"d": 8.0}
 
     def test_tensor_rep_file_keeps_its_factors(self, tmp_path):
         main(["build", "--name", "thm1ii_d12", "--seed", "3",
@@ -144,6 +171,25 @@ class TestObstruct:
                                          "relators": ["a2"]}))
         code = main(common + ["--presentation", str(pres_path)])
         assert code in (0, 1)
+
+
+    def test_indeterminate_index_exits_3(self, tmp_path, capsys):
+        # a's top cluster at index 3 holds six products of modulus 12
+        a = np.zeros((6, 6))
+        a[0, 0], a[5, 5] = -3.0, -1 / 48
+        for at, t in ((1, 1.0), (3, 2.2)):
+            a[at:at + 2, at:at + 2] = 2 * np.array(
+                [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        rep, pres = tmp_path / "rep.json", tmp_path / "pres.json"
+        rep.write_text(json.dumps(RepSpec(
+            Alphabet(("a", "b")), {"a": a, "b": np.eye(6)}).to_json()))
+        pres.write_text(json.dumps({"generators": ["a", "b"],
+                                    "relators": ["a"]}))
+        capsys.readouterr()
+        assert main(["obstruct", "--rep", str(rep), "--presentation",
+                     str(pres), "--witness", "a",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "uncovered: [3]" in capsys.readouterr().out
 
 
 class TestDiagnose:
@@ -307,6 +353,22 @@ class TestLimitset:
         assert main(["limitset", "--rep", str(build / "rep.json"),
                      "--samples", count, "--out", str(tmp_path / "x")]) == 2
         assert "sample count must be >= 1" in capsys.readouterr().err
+
+    def test_no_proximal_sample_exits_3(self, tmp_path, capsys):
+        # every word maps to a rotation tensor the identity
+        ab = Alphabet(("a", "b"))
+        t = 1.0
+        rot = RepSpec(ab, {"a": [[math.cos(t), -math.sin(t)],
+                                 [math.sin(t), math.cos(t)]],
+                           "b": np.eye(2)})
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(tensor_rep(
+            rot, RepSpec(ab, {"a": np.eye(3), "b": np.eye(3)})).to_json()))
+        capsys.readouterr()
+        assert main(["limitset", "--rep", str(rep),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: only 0 proximal samples")
 
     def test_replay_is_bit_identical(self, tmp_path):
         build = tmp_path / "b"

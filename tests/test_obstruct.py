@@ -341,6 +341,43 @@ class TestCertificates:
                                "b1": np.diag([2.0, 1.0, 0.5])})
         assert not verify_certificate(cert, other)
 
+    @staticmethod
+    def _rotation_rep():
+        # a has eigenvalues -3, 2e^(+-i), 2e^(+-2.2i), -1/48: the witness a
+        # fails positive semiproximality at indices 1 and 2, and at index 3
+        # its six-fold top cluster leaves the classification indeterminate
+        ab = Alphabet(("a", "b"))
+        a = np.zeros((6, 6))
+        a[0, 0], a[5, 5] = -3.0, -1 / 48
+        a[1:3, 1:3] = 2 * rotation_block_rep(ab, 1.0, ("a",)).image("a")
+        a[3:5, 3:5] = 2 * rotation_block_rep(ab, 2.2, ("a",)).image("a")
+        rep = RepSpec(ab, {"a": a, "b": np.eye(6)})
+        cert = certify_not_limit(rep, [word(ab, "a")], [1, 2, 3],
+                                 Presentation(ab, (word(ab, "a"),)))
+        return rep, cert
+
+    def test_revalidation_skips_uncovered_entries(self):
+        rep, cert = self._rotation_rep()
+        assert [e.covered for e in cert.entries] == [True, True, False]
+        assert cert.entries[2].reason.startswith("classification indeterminate")
+        assert verify_certificate(cert, rep)
+
+    @pytest.mark.parametrize("tamper", [
+        # the index-2 entry claimed for index 3, where the class is
+        # indeterminate
+        lambda entries: entries[1].update(index=3),
+        # the index-1 entry relabelled as index 2, whose top modulus is 6
+        lambda entries: entries[0].update(index=2),
+        lambda entries: entries[0]["classification"].update(
+            top_modulus=1.01 * entries[0]["classification"]["top_modulus"]),
+    ], ids=["covered entry moved to index 3", "entry relabelled",
+            "top modulus scaled"])
+    def test_revalidation_refuses_tampered_entries(self, tamper):
+        rep, cert = self._rotation_rep()
+        doc = cert.to_json()
+        tamper(doc["entries"])
+        assert not verify_certificate(doc, rep)
+
     def test_certificate_json_fields(self, strict_json):
         rep = self._signed_rep()
         cert = certify_not_limit(rep, [word(PAIR, "a1 b1 a1 b1^-1")], [1],

@@ -10,14 +10,15 @@ from specgap.cli import main
 from specgap.errors import ConstructionError, InputError
 from specgap.linalg import spectrum, spectrum_tensor, spectrum_union
 from specgap import reps
-from specgap.reps import (Character, RepSpec, block_sum,
+from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
+                          block_sum,
                           common_eigenvector_defect, graded_products,
                           iter_ball_images, products,
                           pull_back, random_unimodular, realify_lift,
                           realify_sl2c,
                           rename_generators, restrict_rep, rotation_block_rep,
                           scale_by_character, scaled_rotation_rep,
-                          schottky_sl2c, schottky_sl2r, spin_so31,
+                          schottky_sl2c, schottky_sl2r, spin_lift, spin_so31,
                           symbol_table, tensor_rep, validate_homomorphism)
 from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
                            ball_count, enumerate_ball,
@@ -228,6 +229,68 @@ class TestRealify:
         assert lifted.dim == 4
         doubled = spectrum(lifted.image("a")).moduli
         assert doubled[0] == pytest.approx(doubled[1])
+
+
+SL2C_INPUTS = {
+    "image": lambda g: ComplexRep2(Alphabet(("a",)), {"a": g}),
+    "spin input": spin_so31,
+    "realification input": realify_sl2c,
+}
+
+
+class TestSL2CGate:
+    """2x2 complex images and the inputs of both lifts meet RepSpec's
+    unimodular gate: a slack that widens with the rounding of the computed
+    determinant, and a refusal of every determinant that is not finite or
+    has no positive real part."""
+
+    @pytest.mark.parametrize("spread", [30.0, 100.0])
+    def test_wide_loxodromic_families_build(self, spread):
+        # at spread 30 the det computes as 0.99999998+1.4e-9j, within the
+        # rounding of entries near spread^4 but outside a fixed 1e-8
+        rep = schottky_sl2c(4, spread)
+        assert realify_lift(rep).dim == 4
+        # the spin lift's det computes as 0.0 against a slack near 6e10: its
+        # sign is not resolved, so the real 4x4 gate refuses it
+        with pytest.raises(InputError, match="not unimodular"):
+            spin_lift(rep)
+
+    @pytest.mark.parametrize("z", [1e6, 1e8])
+    def test_lifts_accept_large_dilations(self, z):
+        # at z = 1e8 the det computes as 1.18+0.04j, within its rounding
+        g = axis_dilation(0.3, z * np.exp(0.4j))
+        assert np.all(np.isfinite(spin_so31(g)))
+        assert np.all(np.isfinite(realify_sl2c(g)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("what", sorted(SL2C_INPUTS))
+    def test_non_finite_entries_refused(self, what, bad):
+        # a NaN det once compared false against the tolerance and passed
+        g = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(InputError, match=f"{what}.* is not unimodular"):
+            SL2C_INPUTS[what](g)
+
+    @pytest.mark.parametrize("e", [1e8, 1e20, 1e150])
+    @pytest.mark.parametrize("what", sorted(SL2C_INPUTS))
+    def test_scaled_unimodular_input_refused(self, what, e):
+        g = 2 * np.diag([e, 1 / e]).astype(complex)
+        with pytest.raises(InputError, match="not unimodular"):
+            SL2C_INPUTS[what](g)
+
+    @pytest.mark.parametrize("what", sorted(SL2C_INPUTS))
+    def test_determinant_without_positive_real_part_refused(self, what):
+        with pytest.raises(InputError, match="not unimodular"):
+            SL2C_INPUTS[what](np.diag([1j, 1j]))
+
+    def test_wrong_shape_refused(self):
+        for what, take in SL2C_INPUTS.items():
+            with pytest.raises(InputError, match="not 2x2"):
+                take(np.eye(3, dtype=complex))
+
+    def test_renamed_complex_rep_keeps_its_kind(self):
+        rep = rename_generators(schottky_sl2c(2, 4.0), PAIR)
+        assert isinstance(rep, ComplexRep2)
+        assert rep.alphabet == PAIR
 
 
 class TestComposites:
