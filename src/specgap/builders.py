@@ -5,9 +5,10 @@ parameters, derived quantities (search results, characters, margins), the
 designated witness words, gate evaluations, and the assumptions that are
 declared rather than verified.  :func:`build_named` stamps the
 construction id, dimension, seed and tolerance onto every manifest, and the
-id, seed and parameters onto the representation's provenance.  Golden
-expectations are symbolic in the parameters and instantiated at build time,
-so any gate-satisfying choice validates.
+id, seed and parameters onto the representation's provenance.  The
+manifest's ``expected`` is the build's list of golden checks, in the kinds
+:mod:`specgap.reproduce` evaluates; they are symbolic in the parameters and
+instantiated at build time, so any gate-satisfying choice validates.
 
 Construction ids (the CLI contract):
 
@@ -165,9 +166,15 @@ def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
         "derived": {"lambda1": lam, "x": x,
                     "character_on_witness": eps_free.value(sw.word)},
         "witnesses": {"main": str(witness), "aux": str(aux)},
-        "expected": {"first3_moduli": [x, x ** -0.25 * abs(lam),
-                                       x ** -0.25 * abs(lam)],
-                     "wedge_failures": [1, 2]},
+        "expected": [
+            {"name": "first three moduli", "witness": "main",
+             "moduli": [x, x ** -0.25 * abs(lam), x ** -0.25 * abs(lam)],
+             "rtol": tol},
+            {"name": "second exterior power not positively semiproximal",
+             "witness": "main", "index": 2},
+            {"name": "auxiliary witness has negative top pair",
+             "witness": "aux", "index": 1, "semiproximal": True},
+        ],
         "gates": gates,
         "search": sw.to_json(),
         "pingpong": {"pair": base.provenance["pingpong"],
@@ -217,8 +224,15 @@ def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "expected_wedge3_top": sw.lambda1 * m0},
         "witnesses": {"main": str(witness)},
-        "expected": {"wedge3_top_multiplicity": 2,
-                     "wedge_failures": [1, 2, 3]},
+        "expected": [
+            {"name": "witness proximal with negative top eigenvalue",
+             "witness": "main", "index": 1, "top": None},
+            {"name": "second exterior power has negative top eigenvalue",
+             "witness": "main", "index": 2, "top": None},
+            {"name": "third exterior power: negative top of multiplicity two",
+             "witness": "main", "index": 3, "semiproximal": True,
+             "multiplicity": 2, "top_modulus": abs(sw.lambda1 * m0)},
+        ],
         "gates": gates,
         "search": sw.to_json(),
         "assumptions": list(STANDARD_ASSUMPTIONS),
@@ -275,7 +289,9 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "character_chain": char_values},
         "witnesses": {"main": str(witness)},
-        "expected": {"wedge_failures": list(range(1, d - 3))},
+        "expected": [{"name": f"exterior power {i} proximal, not positively",
+                      "witness": "main", "index": i, "top": None}
+                     for i in range(1, d - 3)],
         "gates": gates,
         "search": sw.to_json(),
         "assumptions": list(STANDARD_ASSUMPTIONS),
@@ -337,12 +353,16 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
         "params": p,
         "derived": {"witness_character_value": x ** 2},
         "witnesses": {"main": str(w1), "second": str(w2)},
-        "expected": {
-            "first7_moduli": first7,
-            "h_first5_moduli": h_first5,
-            "wedge3_h_top": s ** 3 * nu ** 2,
-            "coverage": {"main": [1, 2, 4, 5, 6], "second": [3]},
-        },
+        "expected": [
+            {"name": "first seven moduli", "witness": "main",
+             "moduli": first7, "rtol": 1e-9},
+            {"name": "second witness first five moduli", "witness": "second",
+             "moduli": h_first5, "rtol": 1e-9},
+            *({"name": f"exterior power {i} fails positive semiproximality",
+               "witness": "main", "index": i} for i in (1, 2, 4, 5, 6)),
+            {"name": "third exterior power of second witness: negative real top",
+             "witness": "second", "index": 3, "top": s ** 3 * nu ** 2},
+        ],
         "gates": gates,
         "zariski_heuristic": {
             "method": "no common eigenvector among 3x3 block images",
@@ -393,12 +413,15 @@ def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
         "params": {**p, "q": q},
         "derived": {},
         "witnesses": {"main": str(w1), "second": str(w2)},
-        "expected": {
-            "first_moduli": first,          # leading 2n-1 moduli
-            "h_first_moduli": h_first,      # leading n+1 moduli
-            "even_coverage_bound": n + 1,
-            "odd_coverage_bound": n + 1,
-        },
+        "expected": [
+            {"name": f"first {2 * n - 1} moduli", "witness": "main",
+             "moduli": first, "rtol": 1e-9},
+            {"name": f"second witness first {n + 1} moduli", "witness": "second",
+             "moduli": h_first, "rtol": 1e-9},
+            *({"name": f"parity coverage of index {i}",
+               "witness": "second" if i % 2 else "main", "index": i}
+              for i in range(2, n + 2)),
+        ],
         "gates": gates,
         "assumptions": list(STANDARD_ASSUMPTIONS) + [
             "witness images are exact diagonal tensor patterns",
@@ -450,12 +473,14 @@ def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
     rep = RepSpec(alphabet, images)
     manifest = {
         "params": {**p, "x": x, "y": y},
-        "expected": {
-            "top_pair_modulus": x,
-            "top_pair_angle": p["theta"],
-            "wedge2_pair_modulus": mu,
-            "coverage_indices": [1, 2],
-        },
+        "expected": [
+            {"name": "first generator image: non-real top pair",
+             "witness": "main", "top_pair": 1, "modulus": x,
+             "angle": p["theta"]},
+            {"name": "second exterior of second generator",
+             "witness": "second", "top_pair": 2, "modulus": mu,
+             "angle": p["theta"]},
+        ],
         "gates": gates,
         "assumptions": list(_SURFACE_ASSUMPTIONS),
         **shared,
@@ -477,14 +502,21 @@ def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
     rep = tensor_rep(rho1, jst)
     manifest = {
         "params": {**p, "s": s, "t": t},
-        "expected": {
-            "g_top_pair_modulus": lam * s,
-            "g_moduli": [lam * s, lam * s, s / lam, s / lam,
-                         lam / s ** 2, 1.0 / (lam * s ** 2)],
-            "wedge3_pair_modulus": lam * s ** 3,
-            "wedge2_h_pair_modulus": mu ** 2 / t,
-            "coverage_indices": [1, 2, 3],
-        },
+        "expected": [
+            {"name": "six moduli of the first generator image",
+             "witness": "main", "moduli": [lam * s, lam * s, s / lam, s / lam,
+                                           lam / s ** 2, 1.0 / (lam * s ** 2)],
+             "rtol": tol},
+            {"name": "first generator image: non-real top pair",
+             "witness": "main", "top_pair": 1, "modulus": lam * s,
+             "angle": p["theta"]},
+            {"name": "third exterior power: non-real top pair",
+             "witness": "main", "top_pair": 3, "modulus": lam * s ** 3,
+             "angle": p["theta"]},
+            {"name": "second exterior of second generator",
+             "witness": "second", "top_pair": 2, "modulus": mu ** 2 / t,
+             "angle": p["theta"]},
+        ],
         "gates": gates,
         "assumptions": list(_SURFACE_ASSUMPTIONS) + [
             "the 3x3 tail images are seeded pseudo-random stand-ins for an"

@@ -33,10 +33,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class _Run:
     """Collects output files and writes the manifest last."""
 
@@ -45,13 +41,14 @@ class _Run:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.argv = list(argv)
         self.subcommand = subcommand
-        self.files: dict[str, Path] = {}
+        self.digests: dict[str, str] = {}
         self.extra: dict = {}
 
     def write(self, name: str, text: str):
-        path = self.dir / name
-        path.write_text(text)
-        self.files[name] = path
+        """Write ``text`` as UTF-8 and keep the sha256 of the bytes written."""
+        data = text.encode()
+        (self.dir / name).write_bytes(data)
+        self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def finish(self) -> Path:
         manifest = {
@@ -59,7 +56,7 @@ class _Run:
             "tool_version": __version__,
             "subcommand": self.subcommand,
             "command": self.argv,
-            "outputs": {name: _digest(path) for name, path in self.files.items()},
+            "outputs": self.digests,
         }
         manifest.update(self.extra)
         path = self.dir / "manifest.json"

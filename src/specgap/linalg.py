@@ -55,18 +55,24 @@ class Record:
         return {f.name: to_plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _as_real(m, what: str) -> np.ndarray:
-    """``m`` as a float array; complex entries are refused, never cast to
-    their real part, and so are ragged rows and entries that are not
-    numbers."""
+def _as_numeric(m, what: str) -> np.ndarray:
+    """``m`` as an integer, float or complex array; ragged rows and entries
+    that are not numbers are refused."""
     try:
         a = np.asarray(m)
     except ValueError:  # numpy refuses ragged nested lists
         raise InputError(f"{what} has rows of different lengths") from None
+    if a.dtype.kind not in "iufc":
+        raise InputError(f"{what} has entries that are not numbers")
+    return a
+
+
+def _as_real(m, what: str) -> np.ndarray:
+    """``m`` as a float array; complex entries are refused, never cast to
+    their real part, and so is all that ``_as_numeric`` refuses."""
+    a = _as_numeric(m, what)
     if np.iscomplexobj(a):
         raise InputError(f"{what} has complex entries; a real matrix is required")
-    if a.dtype.kind not in "iuf":
-        raise InputError(f"{what} has entries that are not numbers")
     return a.astype(float, copy=False)
 
 

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import (MAX_DIM, Record, _as_square, _eigenvalues, matrix_hash,
-                     top_eigenvalue_2x2_unimodular)
+from .linalg import (MAX_DIM, Record, _as_numeric, _as_square, _eigenvalues,
+                     matrix_hash, top_eigenvalue_2x2_unimodular)
 from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
 UNIMODULAR_TOL = 1e-8
@@ -57,7 +57,7 @@ def _as_unimodular(m, what: str) -> np.ndarray:
 
 def _as_sl2c(g, what: str) -> np.ndarray:
     """A copy of ``g`` as a 2x2 complex matrix of determinant one."""
-    m = np.array(g, dtype=complex)
+    m = np.array(_as_numeric(g, what), dtype=complex)
     if m.shape != (2, 2):
         raise InputError(f"{what} is not 2x2")
     _check_unimodular(m, what)

@@ -205,3 +205,77 @@ class TestGoldenReports:
         assert failed["third exterior power of second witness: negative"
                       " real top"].startswith("index 3 is not covered")
         assert not report["passed"]
+
+
+def _perturbations(check: dict, witness_keys) -> list:
+    """Copies of a declared check, each with one of its own numbers moved
+    off (or, for an exterior-power check that carries no number, another
+    witness), so that each must fail."""
+    out = []
+    for k in range(len(check.get("moduli", ()))):
+        moduli = list(check["moduli"])
+        moduli[k] *= 1.01
+        out.append({**check, "moduli": moduli})
+    for key in ("modulus", "top", "top_modulus"):
+        if check.get(key) is not None:
+            out.append({**check, key: check[key] * 1.01})
+    if "angle" in check:
+        out.append({**check, "angle": check["angle"] + 0.1})
+    if "multiplicity" in check:
+        out.append({**check, "multiplicity": check["multiplicity"] + 1})
+    others = [k for k in witness_keys if k != check["witness"]]
+    if "index" in check and len(out) == 0 and others:
+        out.append({**check, "witness": others[0]})
+    return out
+
+
+class TestDeclaredChecks:
+    """The report evaluates exactly the checks a build declares in its
+    manifest's ``expected``, and each check reads its own numbers."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_report_lists_the_declared_checks(self, name):
+        result = build_named(name, None, seed=3)
+        report = verify_golden(result)
+        assert [c["name"] for c in report["checks"]] == [
+            c["name"] for c in result.manifest["expected"]] + [
+            f"certificate covers indices 1..{result.rep.dim // 2}"]
+        assert report["passed"]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_each_perturbed_check_fails_alone(self, name):
+        result = build_named(name, None, seed=3)
+        declared = result.manifest["expected"]
+        witness_keys = list(result.manifest["witnesses"])
+        for k, check in enumerate(declared):
+            variants = _perturbations(check, witness_keys)
+            # only a bare exterior-power check of a one-witness build has
+            # nothing of its own to move
+            assert variants or (set(check) == {"name", "witness", "index", "top"}
+                                and check["top"] is None
+                                and witness_keys == ["main"]), check
+            for variant in variants:
+                manifest = {**result.manifest,
+                            "expected": [*declared[:k], variant, *declared[k + 1:]]}
+                report = verify_golden(dataclasses.replace(result,
+                                                           manifest=manifest))
+                failed = [c["name"] for c in report["checks"] if not c["passed"]]
+                assert failed == [check["name"]], variant
+
+    @pytest.mark.parametrize("expected", [
+        None,
+        {"first seven moduli": [1.0]},
+        [{"name": "two kinds", "witness": "main", "moduli": [1.0],
+          "rtol": 1e-9, "index": 1}],
+        [{"name": "no kind", "witness": "main"}],
+        [{"name": "unknown key", "witness": "main", "index": 1, "bound": 3}],
+        [{"name": "no rtol", "witness": "main", "moduli": [1.0]}],
+        [{"name": "no modulus", "witness": "main", "index": 3,
+          "multiplicity": 2}],
+        [{"witness": "main", "index": 1}],
+    ])
+    def test_malformed_declarations_refused(self, expected):
+        result = build_named("thm1ii_d12", None, seed=0)
+        manifest = {**result.manifest, "expected": expected}
+        with pytest.raises(InputError):
+            verify_golden(dataclasses.replace(result, manifest=manifest))

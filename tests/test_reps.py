@@ -287,6 +287,17 @@ class TestSL2CGate:
             with pytest.raises(InputError, match="not 2x2"):
                 take(np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("g,why", [
+        ([["x", 0], [0, 1]], "entries that are not numbers"),
+        ([[1, 0], [0]], "rows of different lengths"),
+        ([[None, 0], [0, 1]], "entries that are not numbers"),
+    ])
+    @pytest.mark.parametrize("what", sorted(SL2C_INPUTS))
+    def test_malformed_input_refused(self, what, g, why):
+        # once a bare ValueError, or for None a NaN determinant
+        with pytest.raises(InputError, match=f"{what}.* has {why}"):
+            SL2C_INPUTS[what](g)
+
     def test_renamed_complex_rep_keeps_its_kind(self):
         rep = rename_generators(schottky_sl2c(2, 4.0), PAIR)
         assert isinstance(rep, ComplexRep2)
