@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import (RepSpec, graded_products, iter_ball_images,
-                   log_singular_values, products, symbol_table)
+from .reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
+                   iter_ball_images, log_singular_values, products,
+                   symbol_table)
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -92,7 +93,8 @@ class Profile(Record):
         return "\n".join(lines) + "\n"
 
 
-def _log_ratios(state, dim: int, hi: int, lo: int) -> np.ndarray:
+def _log_ratios(state, dim: int, hi: int, lo: int,
+                inverses: bool = False) -> np.ndarray:
     """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block, inf
     where it is not finite (the smaller singular value computes as 0, the
     product overflowed, or a Jacobi state gave up).
@@ -103,6 +105,12 @@ def _log_ratios(state, dim: int, hi: int, lo: int) -> np.ndarray:
     entry per Kronecker factor (``reps.graded_products``), and the
     singular values of the product are the products of the factors', one
     per tuple of indices: their logs are the sums, sorted once.
+
+    With ``inverses`` (dim > 2) the ratios of each word's inverse follow,
+    read from the same sorted sums: sigma_k(W^-1) = 1 / sigma_{dim+1-k}(W),
+    so gap_i(W^-1) = gap_{dim-i}(W), and sigma_1 / sigma_dim is its own
+    mirror.  That holds only where the smallest singular values are as
+    accurate as the largest, as on the Jacobi state.
     """
     with np.errstate(all="ignore"):
         if dim == 2:
@@ -118,6 +126,8 @@ def _log_ratios(state, dim: int, hi: int, lo: int) -> np.ndarray:
                          + lg[:, None, :]).reshape(len(lg), -1)
             total = np.sort(total, axis=1)
             v = total[:, -1 - hi] - total[:, -1 - lo]
+            if inverses:
+                v = np.concatenate((v, total[:, lo] - total[:, hi]))
     return np.where(np.isfinite(v), v, math.inf)
 
 
@@ -173,15 +183,21 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     parts = (rep,) if rep.dim == 2 else rep.factors or (rep,)
     tables = [symbol_table(f, subalphabet) for f in parts]
     sweep = (products if rep.dim == 2 else graded_products)(*tables)
+    # on Jacobi states the last length sweeps one word of each inverse pair;
+    # the (Q, R) route does not resolve the bottom of the spectrum, and the
+    # 2x2 closed form is cheaper than the regrouping
+    paired = rep.dim > 2 and all(t.shape[1] <= JACOBI_MAX_DIM for t in tables)
     for length, codes, state in iter_ball_images(len(tables[0]), radius,
-                                                 *sweep):
+                                                 *sweep, inverse_pairs=paired):
         if not length:
             continue
-        if count + len(codes) > MAX_WORDS:
+        inverses = paired and length == radius
+        words = len(codes) * (1 + inverses)
+        if count + words > MAX_WORDS:
             truncated = True
             break
-        count += len(codes)
-        v = _log_ratios(state, rep.dim, hi, lo)
+        count += words
+        v = _log_ratios(state, rep.dim, hi, lo, inverses)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
@@ -222,6 +238,11 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     take it past ``MAX_WORDS``; the verdict is then "inconclusive" and
     ``words_evaluated`` counts only the words evaluated.  A ratio that is
     not finite is recorded as inf and makes the verdict "inconclusive".
+
+    When every table is a Jacobi state (dim > 2, each Kronecker factor at
+    most ``reps.JACOBI_MAX_DIM``), the last length sweeps one word of each
+    pair {w, w^-1} and takes w^-1's ratio as gap_{dim-i}(w); both count
+    in ``words_evaluated`` and against ``MAX_WORDS``.
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
@@ -235,5 +256,7 @@ def qi_profile(rep: RepSpec, radius: Optional[int] = None,
     The fitted slopes give finite-scale versions of the two-sided
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
+    The sweep and its budget are those of :func:`gap_profile`, inverse
+    pairs included: log(sigma_1 / sigma_dim) is the same for w and w^-1.
     """
     return _profile(rep, None, radius, subalphabet)

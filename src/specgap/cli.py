@@ -25,7 +25,7 @@ from .errors import (ConstructionError, InputError, NumericalError,
                      SamplingError, SearchError)
 from .obstruct import certify_not_limit, sample_limit_set
 from .reproduce import run_reproduction
-from .reps import RepSpec
+from .reps import RepSpec, validate_homomorphism
 from .words import Presentation, Word
 
 
@@ -151,6 +151,13 @@ def _cmd_obstruct(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
     if args.presentation:
         pres = Presentation.load(args.presentation)
+        # a certificate about the presented group needs a representation of it
+        check = validate_homomorphism(rep, pres)
+        if not check.passed:
+            relator, dev = max(check.deviations, key=lambda d: d[1])
+            raise InputError(
+                f"the representation does not satisfy relator {relator}:"
+                f" relative deviation {dev:.3g} > {check.tol:g}")
     else:
         pres = Presentation.free(rep.alphabet)
     witnesses = [Word.parse(rep.alphabet, w) for w in args.witness]

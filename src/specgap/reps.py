@@ -560,8 +560,8 @@ Block = tuple[int, np.ndarray, State]
 
 
 def iter_ball_images(nsym: int, radius: int, root: State,
-                     step: Callable[[State, np.ndarray, np.ndarray], State]
-                     ) -> Iterator[Block]:
+                     step: Callable[[State, np.ndarray, np.ndarray], State],
+                     inverse_pairs: bool = False) -> Iterator[Block]:
     """Sweep of the reduced ball over ``nsym`` letter codes (see
     ``Alphabet.symbols``) in blocks ``(length, codes, state)``, the identity
     first, with state ``root``; ``codes`` holds one row of letter codes per
@@ -574,6 +574,13 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     visited depth first, so about ``radius`` of them are live, each of at
     most ``BLOCK_BYTES``, and each length's words come out in shortlex
     order across blocks.
+
+    With ``inverse_pairs`` the last length holds one word of each pair
+    {w, w^-1}, the one whose codes come first lexicographically (w^-1 has
+    w's codes reversed, each ``^ 1``), for a caller that reads w^-1's
+    statistic from w's state.  How many children of a word are kept
+    depends on its first code, so the kept children of a parent block are
+    regrouped into blocks of at most ``BLOCK_BYTES``.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -581,13 +588,29 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     yield first
     word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
-    stack = [(first, 0, 1)] if radius else []
+    stack: list = []
+
+    def push(block: Block):
+        """Queue the slices of the block's children, the first on top."""
+        length, codes, _ = block
+        if inverse_pairs and length + 1 == radius:
+            parent, letter = _first_of_pairs(codes, nsym, fan)
+            size = max(1, BLOCK_BYTES // word_bytes)  # kept words per block
+            stack.extend((block, (parent[i:i + size], letter[i:i + size]))
+                         for i in reversed(range(0, len(parent), size)))
+        else:
+            stack.extend((block, slice(i, i + fan))
+                         for i in reversed(range(0, len(codes), fan)))
+
+    if radius:
+        push(first)
     while stack:
-        (length, codes, state), lo, hi = stack.pop()
-        ends = codes[lo:hi, -1] if length else np.full(1, -1)
-        # parent-major, codes ascending: a shortlex slice gives shortlex words
-        parent, letter = np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
-        parent += lo
+        (length, codes, state), children = stack.pop()
+        if isinstance(children, slice):
+            parent, letter = _reduced_children(codes[children], nsym)
+            parent += children.start
+        else:
+            parent, letter = children
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
             state = step(state, parent, letter)
         block = (length + 1,
@@ -596,9 +619,35 @@ def iter_ball_images(nsym: int, radius: int, root: State,
                  state)
         yield block
         if length + 1 < radius:
-            n = len(block[1])
-            stack.extend((block, i, min(i + fan, n))
-                         for i in reversed(range(0, n, fan)))
+            push(block)
+
+
+def _reduced_children(codes: np.ndarray, nsym: int):
+    """(parent, letter) of each reduced child w*s of the words w in
+    ``codes``, parent-major and codes ascending, so that a shortlex slice
+    gives shortlex words."""
+    ends = codes[:, -1] if codes.shape[1] else np.full(len(codes), -1)
+    return np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
+
+
+def _first_of_pairs(codes: np.ndarray, nsym: int, fan: int):
+    """(parent, letter), as int32 and int8, of the reduced children x = w*s
+    of the words w in ``codes`` whose codes come before those of x^-1
+    (x's reversed, each ``^ 1``) lexicographically, in the order of
+    :func:`_reduced_children`; no reduced word is its own inverse.  Built
+    ``fan`` parents at a time, so that no index array spans the block."""
+    parents, kept = [], []
+    for lo in range(0, len(codes), fan):
+        parent, letter = _reduced_children(codes[lo:lo + fan], nsym)
+        x = np.concatenate([codes[lo + parent],
+                            letter[:, None].astype(np.int8)], axis=1)
+        mirror = x[:, ::-1] ^ 1
+        at = (x != mirror).argmax(axis=1)[:, None]
+        keep = (np.take_along_axis(x, at, axis=1)
+                < np.take_along_axis(mirror, at, axis=1))[:, 0]
+        parents.append((parent[keep] + lo).astype(np.int32))
+        kept.append(letter[keep].astype(np.int8))
+    return np.concatenate(parents), np.concatenate(kept)
 
 
 def products(*tables: np.ndarray):
@@ -794,13 +843,24 @@ class HomomorphismReport(Record):
 
 def validate_homomorphism(rep: RepSpec, p: Presentation,
                           tol: float = 1e-8) -> HomomorphismReport:
-    """Per-relator Frobenius distance of the image from the identity."""
+    """Per-relator Frobenius distance of the image from the identity,
+    relative to the product of the spectral norms of the images along the
+    relator, which bounds the rounding of the product; for unimodular
+    images that product is at least 1.  A distance that is not finite
+    counts as inf."""
     if rep.alphabet.names != p.alphabet.names:
         raise InputError("representation and presentation alphabets differ")
+    norms = [np.linalg.norm(rep.image(l), 2) for l in rep.alphabet.names]
+    inverse_norms = [np.linalg.norm(rep.inverse_image(l), 2)
+                     for l in rep.alphabet.names]
     devs = []
-    for rel in p.relators:
-        m = rep.evaluate(rel)
-        devs.append((str(rel), float(np.linalg.norm(m - np.eye(rep.dim)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rel in p.relators:
+            scale = math.prod(norms[i] if s > 0 else inverse_norms[i]
+                              for i, s in rel.letters)
+            dev = float(np.linalg.norm(rep.evaluate(rel) - np.eye(rep.dim))
+                        / scale)
+            devs.append((str(rel), dev if math.isfinite(dev) else math.inf))
     worst = max((d for _, d in devs), default=0.0)
     return HomomorphismReport(tuple(devs), tol, worst, worst <= tol)
 

@@ -9,10 +9,11 @@ from specgap.certify import (default_radius, gap_profile, qi_profile,
                              DISCLAIMER)
 from specgap.errors import InputError
 from specgap.linalg import exterior_power
-from specgap.reps import (Character, RepSpec, rename_generators,
-                          scale_by_character, scaled_rotation_rep,
-                          schottky_sl2c, schottky_sl2r, spin_lift,
-                          tensor_rep)
+from specgap.reps import (JACOBI_MAX_DIM, Character, RepSpec,
+                          graded_products, iter_ball_images,
+                          rename_generators, scale_by_character,
+                          scaled_rotation_rep, schottky_sl2c, schottky_sl2r,
+                          spin_lift, symbol_table, tensor_rep)
 from specgap.words import Alphabet
 
 PAIR = Alphabet(("a1", "b1"))
@@ -214,6 +215,96 @@ class TestFactoredProfiles:
         prof = qi_profile(rep, radius=3)
         assert prof.verdict == "inconclusive"
         assert prof.samples[-1][2] == math.inf
+
+
+class TestInversePairs:
+    """On Jacobi states a profile sweeps one word of each pair {w, w^-1} at
+    its last length and reads gap_i(w^-1) = gap_{dim-i}(w) from w's
+    singular values.  An unpaired sweep of the whole ball is the oracle."""
+
+    @staticmethod
+    def _unpaired(rep, radius, sub=None):
+        """Per index (None: QI), per length, the (min, max) of every word's
+        own ratio, and the number of words."""
+        parts = rep.factors or (rep,)
+        tables = [symbol_table(f, sub) for f in parts]
+        indices = [*range(1, rep.dim), None]
+        extrema = {i: {} for i in indices}
+        count = 0
+        for length, codes, state in iter_ball_images(
+                len(tables[0]), radius, *graded_products(*tables)):
+            if not length:
+                continue
+            count += len(codes)
+            for i in indices:
+                hi, lo = (0, rep.dim - 1) if i is None else (i - 1, i)
+                v = certify._log_ratios(state, rep.dim, hi, lo)
+                old = extrema[i].get(length, (math.inf, -math.inf))
+                extrema[i][length] = (min(old[0], v.min()),
+                                      max(old[1], v.max()))
+        return extrema, count
+
+    @staticmethod
+    def _whole(rep):
+        return RepSpec(rep.alphabet,
+                       {l: rep.image(l) for l in rep.alphabet.names})
+
+    @pytest.mark.parametrize("name,seed,sub,radius", [
+        ("thm1i_d6", 0, None, 3), ("thm1i_d6", 3, None, 3),
+        ("prop42_sl6", 0, None, 3), ("prop42_sl6", 3, None, 3),
+        ("thm1ii_d12", 3, ("a4", "b4"), 5)])
+    def test_paired_profiles_match_an_unpaired_sweep(self, name, seed, sub,
+                                                     radius):
+        rep = build_named(name, None, seed=seed).rep
+        if name == "prop42_sl6":
+            rep = self._whole(rep)  # one 6x6 Jacobi state
+        assert all(f.dim <= JACOBI_MAX_DIM for f in rep.factors or (rep,))
+        extrema, count = self._unpaired(rep, radius, sub)
+        for i, want in extrema.items():
+            prof = (qi_profile(rep, radius, sub) if i is None
+                    else gap_profile(rep, i, radius, sub))
+            assert prof.words_evaluated == count
+            assert [s[0] for s in prof.samples] == sorted(want)
+            # a log ratio is off by rounding at the scale of the logs, so a
+            # value near 0 is compared absolutely
+            for length, lo, hi in prof.samples:
+                for a, b in zip((lo, hi), want[length]):
+                    assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
+
+    def test_budget_counts_both_words_of_a_pair(self, monkeypatch):
+        rep = build_named("thm1i_d6", None, seed=0).rep
+        table = symbol_table(rep)
+        sizes = [(length, len(codes)) for length, codes, _ in iter_ball_images(
+            len(table), 3, *graded_products(table), inverse_pairs=True)]
+        below = sum(n for length, n in sizes if 0 < length < 3)
+        kept = [n for length, n in sizes if length == 3]
+        assert len(kept) > 1
+        # the budget runs out inside the second block of the paired length
+        monkeypatch.setattr(certify, "MAX_WORDS", below + 2 * kept[0] + 1)
+        for prof in (gap_profile(rep, 2, radius=3), qi_profile(rep, radius=3)):
+            assert prof.verdict == "inconclusive"
+            assert prof.words_evaluated == below + 2 * kept[0]
+
+    @pytest.mark.parametrize("case,paired", [
+        ("schottky", False), ("thm1i_d6", True), ("thm1ii_d12", True),
+        ("thm1ii_d12 whole", False)])
+    def test_only_jacobi_states_pair(self, monkeypatch, case, paired):
+        # the (Q, R) route does not resolve the bottom of the spectrum, and
+        # the 2x2 closed form is cheaper unpaired
+        if case == "schottky":
+            rep = schottky_pair()
+        else:
+            rep = build_named(case.split()[0]).rep
+            if case.endswith("whole"):
+                rep = self._whole(rep)  # one 12x12 (Q, R) state
+        seen = []
+
+        def spy(*args, inverse_pairs=False):
+            seen.append(inverse_pairs)
+            return iter_ball_images(*args, inverse_pairs=inverse_pairs)
+        monkeypatch.setattr(certify, "iter_ball_images", spy)
+        qi_profile(rep, radius=2)
+        assert seen == [paired]
 
 
 class TestTooFewLengths:

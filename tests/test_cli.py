@@ -160,6 +160,13 @@ class TestObstruct:
 
     def test_presentation_file_changes_the_parity_core(self, tmp_path):
         rep = self._build(tmp_path)
+        # a2 made a product of squares, so that a relator the images satisfy
+        # kills it mod 2
+        spec = RepSpec.load(rep)
+        images = {l: spec.image(l) for l in spec.alphabet.names}
+        images["a2"] = (images["b2"] @ images["b2"]
+                        @ images["b3"] @ images["b3"])
+        rep.write_text(json.dumps(RepSpec(spec.alphabet, images).to_json()))
         pres_path = tmp_path / "pres.json"
         names = ["a1", "b1", "a2", "b2", "a3", "b3", "a4", "b4"]
         common = ["obstruct", "--rep", str(rep), "--witness", "a2",
@@ -168,23 +175,69 @@ class TestObstruct:
         assert main(common) == 2
         # a presentation whose relator kills a2 mod 2 admits it
         pres_path.write_text(json.dumps({"generators": names,
-                                         "relators": ["a2"]}))
+                                         "relators": ["a2 b3^-2 b2^-2"]}))
         code = main(common + ["--presentation", str(pres_path)])
         assert code in (0, 1)
+
+    PRESENTATION = {"generators": ["a1", "a2", "a3", "a4"],
+                    "relators": ["a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1"]}
+
+    def test_unsatisfied_relator_exits_2(self, tmp_path, capsys):
+        # the Schottky images of prop42_sl4 do not satisfy the surface
+        # relator; no certificate may be written about that group
+        out = tmp_path / "build"
+        main(["build", "--name", "prop42_sl4", "--seed", "3",
+              "--out", str(out)])
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps(self.PRESENTATION))
+        capsys.readouterr()
+        assert main(["obstruct", "--rep", str(out / "rep.json"),
+                     "--presentation", str(pres), "--witness", "a1 a1",
+                     "--witness", "a2 a2", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "relator a1 a2 a1^-1 a2^-1 a3 a4 a3^-1 a4^-1" in err
+        assert not (tmp_path / "x" / "certificate.json").exists()
+
+    def test_commuting_images_satisfy_the_relator(self, tmp_path):
+        # scaled rotations on the same 2x2 blocks commute, so the surface
+        # relator holds up to rounding
+        def image(scale, t1, t2):
+            m = np.zeros((4, 4))
+            for at, s, t in ((0, scale, t1), (2, 1 / scale, t2)):
+                m[at:at + 2, at:at + 2] = s * np.array(
+                    [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            return m
+        names = self.PRESENTATION["generators"]
+        rep, pres = tmp_path / "rep.json", tmp_path / "pres.json"
+        rep.write_text(json.dumps(RepSpec(Alphabet(tuple(names)), {
+            l: image(2.0 + k, 1.0 + 0.3 * k, 0.5 + 0.2 * k)
+            for k, l in enumerate(names)}).to_json()))
+        pres.write_text(json.dumps(self.PRESENTATION))
+        assert main(["obstruct", "--rep", str(rep), "--presentation",
+                     str(pres), "--witness", "a1 a1", "--indices", "1",
+                     "--out", str(tmp_path / "x")]) == 0
+        assert read_json(tmp_path / "x" / "certificate.json")["covered_all"]
 
 
     def test_indeterminate_index_exits_3(self, tmp_path, capsys):
         # a's top cluster at index 3 holds six products of modulus 12
-        a = np.zeros((6, 6))
+        def rotation(t):
+            return np.array([[math.cos(t), -math.sin(t)],
+                             [math.sin(t), math.cos(t)]])
+        a, b, c = np.zeros((6, 6)), np.eye(6), np.zeros((6, 6))
         a[0, 0], a[5, 5] = -3.0, -1 / 48
+        c[0, 0], c[5, 5] = math.sqrt(3.0), 1 / math.sqrt(48.0)
         for at, t in ((1, 1.0), (3, 2.2)):
-            a[at:at + 2, at:at + 2] = 2 * np.array(
-                [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            a[at:at + 2, at:at + 2] = 2 * rotation(t)
+            c[at:at + 2, at:at + 2] = math.sqrt(2.0) * rotation(t / 2)
+        # b^2 is -1 on coordinates 0 and 5, so a = b^2 c^2: the relator
+        # a c^-2 b^-2 holds and kills a mod 2
+        b[np.ix_([0, 5], [0, 5])] = rotation(math.pi / 2)
         rep, pres = tmp_path / "rep.json", tmp_path / "pres.json"
         rep.write_text(json.dumps(RepSpec(
-            Alphabet(("a", "b")), {"a": a, "b": np.eye(6)}).to_json()))
-        pres.write_text(json.dumps({"generators": ["a", "b"],
-                                    "relators": ["a"]}))
+            Alphabet(("a", "b", "c")), {"a": a, "b": b, "c": c}).to_json()))
+        pres.write_text(json.dumps({"generators": ["a", "b", "c"],
+                                    "relators": ["a c^-2 b^-2"]}))
         capsys.readouterr()
         assert main(["obstruct", "--rep", str(rep), "--presentation",
                      str(pres), "--witness", "a",

@@ -551,12 +551,13 @@ def _sweep_reps():
             (d6, None), (d6, ("b1",)), (d8, None)]
 
 
-def _sweep(rep, radius, sub=None):
+def _sweep(rep, radius, sub=None, inverse_pairs=False):
     """The ball sweep of a profile: raw products of 2x2 images, graded
     states otherwise."""
     table = symbol_table(rep, sub)
     sweep = products(table) if rep.dim == 2 else graded_products(table)
-    return iter_ball_images(len(table), radius, *sweep)
+    return iter_ball_images(len(table), radius, *sweep,
+                            inverse_pairs=inverse_pairs)
 
 
 def _check_graded_state(entry, codes, rep, alphabet):
@@ -647,6 +648,50 @@ class TestBallSweep:
         for w in enumerate_ball(alphabet, radius):
             expected.setdefault(len(w), []).append(w.shortlex_key()[1])
         assert swept == expected
+
+    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("cap", [None, 700])
+    def test_inverse_pairs_keep_one_word_of_each_pair(self, monkeypatch,
+                                                      case, cap):
+        rep, sub = _sweep_reps()[case]
+        if cap is None:
+            cap = reps.BLOCK_BYTES
+        monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
+        alphabet = rep.alphabet if sub is None else Alphabet(sub)
+        radius = 4 if rep.dim < 6 else 3
+        swept: dict = {}
+        for length, codes, _ in _sweep(rep, radius, sub):
+            swept.setdefault(length, []).extend(map(tuple, codes.tolist()))
+        paired: dict = {}
+        for length, codes, state in _sweep(rep, radius, sub, True):
+            # a block over the cap holds the children of a single word
+            if sum(s.nbytes for s in state) > cap:
+                assert len({row[:-1].tobytes() for row in codes}) == 1
+            if length == radius:
+                if rep.dim == 2:
+                    for row, m in zip(codes, state[0]):
+                        np.testing.assert_allclose(
+                            m, rep.evaluate(Word.from_codes(alphabet, row)),
+                            rtol=1e-12, atol=1e-12 * np.abs(m).max())
+                else:
+                    _check_graded_state(state[0], codes, rep, alphabet)
+            paired.setdefault(length, []).extend(map(tuple, codes.tolist()))
+        kept, last = paired.pop(radius), swept.pop(radius)
+        # lengths below the last are unchanged
+        assert paired == swept
+        # shortlex order within one length is the order of the codes
+        assert kept == sorted(kept)
+        inverses = [tuple(c ^ 1 for c in reversed(w)) for w in kept]
+        assert all(w < v for w, v in zip(kept, inverses))
+        # the kept words and their inverses cover the last length once
+        assert sorted(kept + inverses) == last
+
+    def test_inverse_pairs_at_radius_one(self):
+        # each letter s is paired with s ^ 1: the kept codes are the even ones
+        rep, _ = _sweep_reps()[2]
+        blocks = list(_sweep(rep, 1, inverse_pairs=True))
+        assert [b[0] for b in blocks] == [0, 1]
+        assert blocks[1][1].tolist() == [[0], [2], [4]]
 
     @pytest.mark.parametrize("cap", [None, 700])
     def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
