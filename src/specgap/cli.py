@@ -25,7 +25,7 @@ from .errors import (ConstructionError, InputError, NumericalError,
                      SamplingError, SearchError)
 from .obstruct import certify_not_limit, sample_limit_set
 from .reproduce import run_reproduction
-from .reps import RepSpec, validate_homomorphism
+from .reps import RepSpec
 from .words import Presentation, Word
 
 
@@ -149,17 +149,8 @@ def _cmd_build(args, run: _Run) -> int:
 
 def _cmd_obstruct(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
-    if args.presentation:
-        pres = Presentation.load(args.presentation)
-        # a certificate about the presented group needs a representation of it
-        check = validate_homomorphism(rep, pres)
-        if not check.passed:
-            relator, dev = max(check.deviations, key=lambda d: d[1])
-            raise InputError(
-                f"the representation does not satisfy relator {relator}:"
-                f" relative deviation {dev:.3g} > {check.tol:g}")
-    else:
-        pres = Presentation.free(rep.alphabet)
+    pres = (Presentation.load(args.presentation) if args.presentation
+            else Presentation.free(rep.alphabet))
     witnesses = [Word.parse(rep.alphabet, w) for w in args.witness]
     if args.indices:
         try:
@@ -185,7 +176,9 @@ def _cmd_obstruct(args, run: _Run) -> int:
 
 def _cmd_diagnose(args, run: _Run) -> int:
     rep = RepSpec.load(args.rep)
-    restrict = args.restrict.split(",") if args.restrict else None
+    if args.restrict == "":
+        raise InputError("--restrict needs at least one generator label")
+    restrict = None if args.restrict is None else args.restrict.split(",")
     if args.gap is not None:
         profile = gap_profile(rep, args.gap, radius=args.radius,
                               subalphabet=restrict)

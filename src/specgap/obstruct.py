@@ -24,7 +24,7 @@ from .linalg import (DEFAULT_TOL, ExteriorClassification, Record, classify,
                      classify_exterior, sort_eigenvalues,
                      top_eigenvalue_2x2_unimodular)
 from . import reps
-from .reps import RepSpec, symbol_table
+from .reps import RepSpec, symbol_table, validate_homomorphism
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
                     in_index_two_core)
 
@@ -285,6 +285,25 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     and length L - 2.  ``argmin`` is the first strict minimum in shortlex
     order: a padded word ties with its core, a shorter word, so it is the
     first strict minimum among the cyclically reduced words.
+
+    With ``exponent > 0`` and a lower side wider than 2x2, ``eigvals`` runs
+    only on the words whose margin may reach the running threshold T of
+    their length L: ``min(lows[L], lows[L-2], ...)`` with two or more
+    generators, ``lows[L]`` alone with one, where no word is padded.  Each
+    word's margin is bounded below by ``top_up - exponent * (log|low|_F +
+    slack)``; a word whose bound exceeds T is skipped, and a NaN or inf
+    bound never is.  LAPACK's ``geev`` is backward stable: a computed
+    eigenvalue is one of A + E with |E|_F <= c d eps |A|_F, so its modulus
+    is at most |A|_F (1 + c d eps).  The Frobenius norm is computed to
+    within about d^2 eps, and each logarithm to within half an ulp of a
+    value below 746.  ``slack`` = (64 d^2 + 2048) eps covers all three, and
+    rounding is monotone, so a computed margin is never below its bound.
+    A skipped word's margin exceeds T, which is at least the final value of
+    every minimum the word could set (T only falls), so ``margin``,
+    ``argmin``, ``per_length`` and the verdict are those of the full sweep;
+    ``words_checked`` still counts every word.  The 2x2 trace formula is
+    not bounded by |A|_F when a computed product's det drifts from 1, so a
+    2x2 lower side is never pruned; it makes no ``eigvals`` call anyway.
     """
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
@@ -294,19 +313,32 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     tables = [symbol_table(rep) for rep in (upper, lower)]
     lows = [math.inf] * (radius + 1)  # per length: cyclically reduced, then all
     firsts = [()] * (radius + 1)  # codes of the first word to reach each low
+    padded = upper.alphabet.size > 1  # else no word is padded
+    prune = exponent > 0 and lower.dim > 2
+    slack = (64 * lower.dim ** 2 + 2048) * np.finfo(float).eps
     words_checked = 0
     blocks = reps.iter_ball_images(len(tables[0]), radius, *reps.products(*tables))
     next(blocks)  # the identity, whose margin is identically zero
     for length, codes, (up, low) in blocks:
         words_checked += len(codes)
         keep = codes[:, 0] != codes[:, -1] ^ 1  # cyclically reduced
-        m = _log_top_moduli(up[keep]) - exponent * _log_top_moduli(low[keep])
+        codes, m, low = codes[keep], _log_top_moduli(up[keep]), low[keep]
+        if prune:
+            threshold = min(lows[length::-2]) if padded else lows[length]
+            with np.errstate(all="ignore"):
+                log_norm = 0.5 * np.log(np.einsum("nij,nij->n", low, low))
+                bound = m - exponent * (log_norm + slack)
+            candidates = ~(bound > threshold)
+            if not candidates.any():
+                continue
+            codes, m, low = codes[candidates], m[candidates], low[candidates]
+        m = m - exponent * _log_top_moduli(low)
         k = int(np.argmin(m))
         if m[k] < lows[length]:
-            lows[length], firsts[length] = float(m[k]), codes[keep][k]
+            lows[length], firsts[length] = float(m[k]), codes[k]
     k = int(np.argmin(lows))
     margin, argmin = lows[k], str(Word.from_codes(upper.alphabet, firsts[k]))
-    if upper.alphabet.size > 1:  # else no word is padded
+    if padded:
         for length in range(3, radius + 1):
             lows[length] = min(lows[length], lows[length - 2])
     return DominationReport(
@@ -339,7 +371,10 @@ class ObstructionCertificate(Record):
     Semantics: were the representation a limit of representations with the
     index-i gap property, each listed witness would have positively
     semiproximal i-th exterior image; the recorded classification rules
-    that out at the stated tolerance.
+    that out at the stated tolerance.  ``relators`` records the
+    presentation's relators with their relative deviations from
+    ``reps.validate_homomorphism`` and its tol; the free presentation
+    records none.
     """
 
     construction: dict
@@ -351,6 +386,7 @@ class ObstructionCertificate(Record):
     entries: tuple[IndexEntry, ...]
     assumptions: tuple[str, ...]
     covered_all: bool
+    relators: dict
     schema_version: int = SCHEMA_VERSION
 
 
@@ -360,9 +396,17 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
                       assumptions: Sequence[str] = ()) -> ObstructionCertificate:
     """For each index, find a witness whose exterior image is not positively
     semiproximal; indeterminate classifications leave the index uncovered
-    rather than covering or failing it."""
+    rather than covering or failing it.  A representation that fails a
+    relator of ``p`` (``reps.validate_homomorphism``) is refused: the
+    certificate is about the presented group."""
     if not witnesses:
         raise InputError("at least one witness word is required")
+    check = validate_homomorphism(rep, p)
+    if not check.passed:
+        relator, dev = max(check.deviations, key=lambda d: d[1])
+        raise InputError(
+            f"the representation does not satisfy relator {relator}:"
+            f" relative deviation {dev:.3g} > {check.tol:g}")
     parity = []
     for w in witnesses:
         if not in_index_two_core(w, p):
@@ -405,14 +449,22 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
         entries=tuple(entries),
         assumptions=tuple(assumptions),
         covered_all=all(e.covered for e in entries),
+        relators={"tol": check.tol, "deviations": check.deviations},
     )
 
 
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
-    """Recompute every covered entry from the representation alone."""
+    """Recompute every covered entry, and every recorded relator's
+    deviation against the recorded tol, from the representation alone."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     if doc["rep_digest"] != rep.digest():
         return False
+    relators = doc.get("relators", {"deviations": []})
+    if relators["deviations"]:
+        p = Presentation(rep.alphabet, [Word.parse(rep.alphabet, r)
+                                        for r, _ in relators["deviations"]])
+        if not validate_homomorphism(rep, p, relators["tol"]).passed:
+            return False
     for entry in doc["entries"]:
         if not entry["covered"]:
             continue

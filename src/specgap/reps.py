@@ -29,50 +29,64 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_unimodular(m: np.ndarray, what: str):
-    # the one determinant gate on input, real or complex.  A computed
-    # determinant is known only to about eps times the product of the row
-    # norms (Hadamard's bound on |det|), so the gate widens with it.  The
-    # product is taken in logs on M scaled to entries <= 1, silently: a zero
-    # row gives 0, an overflow inf.  A det that is not finite (NaN or inf
-    # entries included) or has no positive real part is refused
-    dim = m.shape[0]
-    scale = float(np.abs(m).max()) or 1.0
+def _check_unimodular(m: np.ndarray, whats: Sequence[str]):
+    """The one determinant gate on input, real or complex: a (k, d, d)
+    stack of images, named by ``whats``, with one batched ``det``.
+
+    A computed determinant is known only to about eps times the product of
+    the row norms (Hadamard's bound on |det|), so the gate widens with it.
+    The product is taken in logs on each image scaled to entries <= 1,
+    silently: a zero row gives 0, an overflow inf.  A det that is not finite
+    (NaN or inf entries included) or has no positive real part is refused.
+    The first refused image in stack order is named."""
+    dim = m.shape[-1]
+    scale = np.abs(m).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
     with np.errstate(all="ignore"):
         det = np.linalg.det(m)
-        hadamard = np.exp(np.log(np.linalg.norm(m / scale, axis=1)).sum()
-                          + dim * math.log(scale))
-    slack = max(UNIMODULAR_TOL * dim, dim * np.finfo(float).eps * hadamard)
-    if not (np.isfinite(det) and det.real > 0) or abs(det - 1.0) > slack:
-        raise InputError(f"{what} is not unimodular: det = {det!r} "
-                         f"(allowed deviation {slack:.3e})")
-
-
-def _as_unimodular(m, what: str) -> np.ndarray:
-    """A copy of ``m`` as a real matrix of determinant one."""
-    a = np.array(_as_square(m, what))
-    _check_unimodular(a, what)
-    return a
+        hadamard = np.exp(np.log(np.linalg.norm(m / scale[:, None, None],
+                                                axis=2)).sum(axis=1)
+                          + dim * np.log(scale))
+    slack = np.maximum(UNIMODULAR_TOL * dim,
+                       dim * np.finfo(float).eps * hadamard)
+    bad = ~(np.isfinite(det) & (det.real > 0)) | (np.abs(det - 1.0) > slack)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InputError(f"{whats[k]} is not unimodular: det = {det[k]!r} "
+                         f"(allowed deviation {slack[k]:.3e})")
 
 
 def _as_sl2c(g, what: str) -> np.ndarray:
-    """A copy of ``g`` as a 2x2 complex matrix of determinant one."""
+    """A copy of ``g`` as a 2x2 complex matrix; the determinant is gated by
+    the caller."""
     m = np.array(_as_numeric(g, what), dtype=complex)
     if m.shape != (2, 2):
         raise InputError(f"{what} is not 2x2")
-    _check_unimodular(m, what)
+    return m
+
+
+def _sl2c_input(g, what: str) -> np.ndarray:
+    """A copy of ``g`` as a 2x2 complex matrix of determinant one."""
+    m = _as_sl2c(g, what)
+    _check_unimodular(m[None], (what,))
     return m
 
 
 def _image_table(alphabet: Alphabet, images: Mapping, as_image) -> dict:
-    """Read-only image of every generator label, each through ``as_image``."""
-    table = {}
+    """Read-only image of every generator label, each converted and
+    shape-checked by ``as_image``, then gated as one stack."""
+    table, whats = {}, []
     for label in alphabet.names:
         if label not in images:
             raise InputError(f"missing image for generator {label!r}")
-        m = as_image(images[label], f"image of {label!r}")
+        whats.append(f"image of {label!r}")
+        m = as_image(images[label], whats[-1])
         m.flags.writeable = False
         table[label] = m
+    dims = {m.shape[0] for m in table.values()}
+    if len(dims) != 1:
+        raise InputError(f"generator images have mixed dimensions {sorted(dims)}")
+    _check_unimodular(np.stack(list(table.values())), whats)
     return table
 
 
@@ -88,12 +102,10 @@ class RepSpec:
     def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
                  provenance: Optional[Mapping] = None,
                  factors: Sequence["RepSpec"] = ()):
-        table = _image_table(alphabet, images, _as_unimodular)
-        dims = {m.shape[0] for m in table.values()}
-        if len(dims) != 1:
-            raise InputError(f"generator images have mixed dimensions {sorted(dims)}")
+        table = _image_table(alphabet, images,
+                             lambda m, what: np.array(_as_square(m, what)))
         self.alphabet = alphabet
-        self.dim = dims.pop()
+        self.dim = table[alphabet.names[0]].shape[0]
         self._images = table
         self._inverses = {}
         self.provenance = dict(provenance or {})
@@ -288,12 +300,27 @@ def schottky_sl2c(rank: int, spread: float) -> ComplexRep2:
 # ---------------------------------------------------------------------------
 # The two maps out of SL(2, C)
 
-_SIGMA = (
-    np.array([[1, 0], [0, 1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+# the orthonormal Hermitian basis: the identity, then the Pauli matrices
+_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _spin(g: np.ndarray) -> np.ndarray:
+    """(k, 4, 4) spin images of a (k, 2, 2) complex stack, ungated: entry
+    (j, l) is Re tr(sigma_j g sigma_l g*) / 2.  One pass of stacked
+    products, c_l = (g sigma_l) g* and then sigma_j c_l, and a sum of the
+    diagonal; the same operations, in the same order, as the matrix by
+    matrix formula, so every image is the same bit for bit.  The sum starts
+    from 0, as ``np.trace``'s does, which turns -0 + -0 into +0."""
+    c = (g[:, None] @ _SIGMA) @ g.conj().transpose(0, 2, 1)[:, None]
+    p = _SIGMA[:, None] @ c[:, None]
+    return (0.5 * (0.0 + p[..., 0, 0] + p[..., 1, 1])).real
+
+
+def _realify(g: np.ndarray) -> np.ndarray:
+    """(k, 4, 4) real forms [[Re g, -Im g], [Im g, Re g]] of a (k, 2, 2)
+    complex stack, ungated."""
+    return np.block([[g.real, -g.imag], [g.imag, g.real]])
 
 
 def spin_so31(g) -> np.ndarray:
@@ -304,33 +331,36 @@ def spin_so31(g) -> np.ndarray:
     real 4x4 matrix of H -> g H g*.  diag(a, 1/a) with a real maps to a
     matrix with eigenvalue moduli (a^2, 1, 1, a^-2).
     """
-    m = _as_sl2c(g, "spin input")
-    out = np.empty((4, 4))
-    conj = [m @ s @ m.conj().T for s in _SIGMA]
-    for j in range(4):
-        for k in range(4):
-            out[j, k] = (0.5 * np.trace(_SIGMA[j] @ conj[k])).real
-    return out
+    return _spin(_sl2c_input(g, "spin input")[None])[0]
 
 
 def realify_sl2c(g) -> np.ndarray:
     """Real 4x4 form [[Re g, -Im g], [Im g, Re g]] of a 2x2 complex matrix."""
-    m = _as_sl2c(g, "realification input")
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    return _realify(_sl2c_input(g, "realification input")[None])[0]
+
+
+def _lift(rep: ComplexRep2 | RepSpec, construction: str, what: str,
+          lift: Callable[[np.ndarray], np.ndarray]) -> RepSpec:
+    """The representation of ``lift`` applied to the whole image table at
+    once.  The table passed its own unimodular gate, so only its shape is
+    checked here; the lifted table meets ``RepSpec``'s gate."""
+    if rep.dim != 2:
+        raise InputError(f"{what} is not 2x2")
+    lifted = lift(np.array([rep.image(l) for l in rep.alphabet.names],
+                           dtype=complex))
+    return RepSpec(rep.alphabet, dict(zip(rep.alphabet.names, lifted)),
+                   provenance={"construction": construction,
+                               "base": rep.provenance.get("construction")})
 
 
 def spin_lift(rep: ComplexRep2 | RepSpec) -> RepSpec:
-    images = {l: spin_so31(rep.image(l)) for l in rep.alphabet.names}
-    return RepSpec(rep.alphabet, images,
-                   provenance={"construction": "spin_lift",
-                               "base": rep.provenance.get("construction")})
+    """``spin_so31`` of every image, lifted as one stack."""
+    return _lift(rep, "spin_lift", "spin input", _spin)
 
 
 def realify_lift(rep: ComplexRep2 | RepSpec) -> RepSpec:
-    images = {l: realify_sl2c(rep.image(l)) for l in rep.alphabet.names}
-    return RepSpec(rep.alphabet, images,
-                   provenance={"construction": "realify_lift",
-                               "base": rep.provenance.get("construction")})
+    """``realify_sl2c`` of every image, lifted as one stack."""
+    return _lift(rep, "realify_lift", "realification input", _realify)
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +880,8 @@ def validate_homomorphism(rep: RepSpec, p: Presentation,
     counts as inf."""
     if rep.alphabet.names != p.alphabet.names:
         raise InputError("representation and presentation alphabets differ")
+    if not p.relators:  # no spectral norms to take
+        return HomomorphismReport((), tol, 0.0, True)
     norms = [np.linalg.norm(rep.image(l), 2) for l in rep.alphabet.names]
     inverse_norms = [np.linalg.norm(rep.inverse_image(l), 2)
                      for l in rep.alphabet.names]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specgap.cli import _build_parser, _canonical_json, main
+from specgap.obstruct import verify_certificate
 from specgap.reps import RepSpec, tensor_rep
 from specgap.words import Alphabet
 
@@ -216,7 +217,13 @@ class TestObstruct:
         assert main(["obstruct", "--rep", str(rep), "--presentation",
                      str(pres), "--witness", "a1 a1", "--indices", "1",
                      "--out", str(tmp_path / "x")]) == 0
-        assert read_json(tmp_path / "x" / "certificate.json")["covered_all"]
+        cert = read_json(tmp_path / "x" / "certificate.json")
+        assert cert["covered_all"]
+        # the certificate records the relator, and its read-back rechecks it
+        [(relator, dev)] = cert["relators"]["deviations"]
+        assert relator == self.PRESENTATION["relators"][0]
+        assert dev <= cert["relators"]["tol"] == 1e-8
+        assert verify_certificate(cert, RepSpec.load(rep))
 
 
     def test_indeterminate_index_exits_3(self, tmp_path, capsys):
@@ -512,6 +519,13 @@ class TestInputErrors:
         pres = self._write(tmp_path / "pres.json", BAD_PRESENTATION_FILES[case])
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--presentation", pres,
                                "--witness", "a1^2", "--out", str(tmp_path / "x")])
+
+    def test_empty_restriction(self, tmp_path, capsys):
+        # an empty --restrict once swept the whole alphabet
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        self._exits_2(capsys, ["diagnose", "--rep", rep, "--qi", "--restrict",
+                               "", "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x" / "profile.json").exists()
 
     def test_non_integer_index(self, tmp_path, capsys):
         rep = self._write(tmp_path / "rep.json", json.dumps(REP))

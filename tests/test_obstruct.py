@@ -14,9 +14,9 @@ from specgap.obstruct import (_line_angle_stats, certify_not_limit,
                               check_domination, find_negative_lambda,
                               limit_formula_check, sample_limit_set,
                               verify_certificate)
-from specgap.reps import (RepSpec, pull_back, rename_generators,
-                          rotation_block_rep, schottky_sl2c, schottky_sl2r,
-                          spin_lift, tensor_rep)
+from specgap.reps import (ComplexRep2, RepSpec, axis_dilation, pull_back,
+                          rename_generators, rotation_block_rep, schottky_sl2c,
+                          schottky_sl2r, spin_lift, tensor_rep)
 from specgap.words import (Alphabet, Presentation, Word, commutator,
                            enumerate_ball, sandwich_map, word)
 
@@ -235,6 +235,55 @@ class TestDomination:
         monkeypatch.setattr(reps, "BLOCK_BYTES", block_bytes)
         assert [check_domination(*args) for args in pairs] == expected
 
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("case", ["exponent 0", "negative exponent",
+                                      "4x4 upper side", "rank 1, 4x4 lower"])
+    def test_bound_pruning_matches_the_per_word_sweep(self, monkeypatch, case,
+                                                      block_bytes):
+        # exponent <= 0 prunes nothing; a 4x4 lower side is pruned against
+        # the merged threshold with two generators, its length's own with
+        # one.  One-word blocks put a^-L after a^L, where a^L's margin is
+        # the threshold and a^-L's may be a rounding below it
+        if block_bytes:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", block_bytes)
+        j = j_spread(4.0)
+        spin = spin_lift(rename_generators(schottky_sl2c(2, 4.0), PAIR))
+        wide = spin_lift(rename_generators(schottky_sl2c(2, 6.0), PAIR))
+        one = Alphabet(("a",))
+        pairs = {
+            "exponent 0": [(j, spin, 0.0, 5), (spin, wide, 0.0, 4)],
+            "negative exponent": [(j, spin, -1.5, 5), (spin, wide, -0.7, 4)],
+            "4x4 upper side": [(wide, spin, 1.2, 5), (spin, wide, 0.5, 4),
+                               (wide, j, 2.0, 5)],
+            "rank 1, 4x4 lower": [
+                (RepSpec(one, {"a": np.array([[2.0, 1.0], [1.0, 1.0]])}),
+                 spin_lift(ComplexRep2(one, {"a": axis_dilation(
+                     0.3, 1.2 * np.exp(0.5j))})), e, 8) for e in (0.9, 1.5)],
+        }[case]
+        for upper, lower, exponent, radius in pairs:
+            rpt = check_domination(upper, lower, exponent, radius)
+            count, per_length, margin, argmin = self._per_word(
+                upper, lower, exponent, radius)
+            assert rpt.words_checked == count
+            assert rpt.per_length == per_length
+            assert rpt.margin == margin
+            assert rpt.argmin == argmin
+
+    def test_d6_pair_sends_few_words_to_eigvals(self, monkeypatch):
+        # the d6 pair at radius 8: every one of the 9,856 cyclically reduced
+        # words meets the 2x2 upper side, at most 1% the 4x4 lower side's
+        # eigvals
+        rows = {2: 0, 4: 0}
+        real = obstruct._log_top_moduli
+
+        def spy(images):
+            rows[images.shape[1]] += len(images)
+            return real(images)
+        monkeypatch.setattr(obstruct, "_log_top_moduli", spy)
+        build_named("thm1i_d6", {"dom_radius": 8}, seed=0)
+        assert rows[2] == 9856
+        assert 0 < rows[4] <= 0.01 * rows[2]
+
     def test_last_level_is_never_held_whole(self):
         # radius 9 over a rank-2 pair of 2x2 images: the last level holds
         # 26,244 words and 1.7 MB of images; made whole, with its gathered
@@ -345,15 +394,22 @@ class TestCertificates:
     def _rotation_rep():
         # a has eigenvalues -3, 2e^(+-i), 2e^(+-2.2i), -1/48: the witness a
         # fails positive semiproximality at indices 1 and 2, and at index 3
-        # its six-fold top cluster leaves the classification indeterminate
-        ab = Alphabet(("a", "b"))
-        a = np.zeros((6, 6))
+        # its six-fold top cluster leaves the classification indeterminate.
+        # b^2 is -1 on coordinates 0 and 5, so a = b^2 c^2: the relator
+        # a c^-2 b^-2 holds and puts a in the index-two core
+        abc = Alphabet(("a", "b", "c"))
+        a, b, c = np.zeros((6, 6)), np.eye(6), np.zeros((6, 6))
         a[0, 0], a[5, 5] = -3.0, -1 / 48
-        a[1:3, 1:3] = 2 * rotation_block_rep(ab, 1.0, ("a",)).image("a")
-        a[3:5, 3:5] = 2 * rotation_block_rep(ab, 2.2, ("a",)).image("a")
-        rep = RepSpec(ab, {"a": a, "b": np.eye(6)})
-        cert = certify_not_limit(rep, [word(ab, "a")], [1, 2, 3],
-                                 Presentation(ab, (word(ab, "a"),)))
+        c[0, 0], c[5, 5] = math.sqrt(3.0), 1 / math.sqrt(48.0)
+        for at, t in ((1, 1.0), (3, 2.2)):
+            a[at:at + 2, at:at + 2] = 2 * rotation_block_rep(
+                abc, t, ("a",)).image("a")
+            c[at:at + 2, at:at + 2] = math.sqrt(2.0) * rotation_block_rep(
+                abc, t / 2, ("a",)).image("a")
+        b[np.ix_([0, 5], [0, 5])] = [[0.0, -1.0], [1.0, 0.0]]
+        rep = RepSpec(abc, {"a": a, "b": b, "c": c})
+        cert = certify_not_limit(rep, [word(abc, "a")], [1, 2, 3],
+                                 Presentation(abc, (word(abc, "a c^-2 b^-2"),)))
         return rep, cert
 
     def test_revalidation_skips_uncovered_entries(self):
@@ -361,6 +417,24 @@ class TestCertificates:
         assert [e.covered for e in cert.entries] == [True, True, False]
         assert cert.entries[2].reason.startswith("classification indeterminate")
         assert verify_certificate(cert, rep)
+
+    def test_relators_are_recorded_and_rechecked(self):
+        rep, cert = self._rotation_rep()
+        doc = json.loads(json.dumps(cert.to_json()))
+        [(relator, dev)] = doc["relators"]["deviations"]
+        assert relator == str(word(rep.alphabet, "a c^-2 b^-2"))
+        assert dev <= doc["relators"]["tol"]
+        assert verify_certificate(doc, rep)
+        # a relator the images fail, edited into the record
+        doc["relators"]["deviations"].append(["a b^-2", 0.0])
+        assert not verify_certificate(doc, rep)
+
+    def test_unsatisfied_relator_is_refused(self):
+        rep, _ = self._rotation_rep()
+        abc = rep.alphabet
+        with pytest.raises(InputError, match="does not satisfy relator a b"):
+            certify_not_limit(rep, [word(abc, "a^2")], [1],
+                              Presentation(abc, (word(abc, "a b^-2"),)))
 
     @pytest.mark.parametrize("tamper", [
         # the index-2 entry claimed for index 3, where the class is
@@ -408,6 +482,7 @@ class TestCertificates:
                 },
             }],
             "assumptions": ["declared hypothesis"], "covered_all": True,
+            "relators": {"tol": 1e-8, "deviations": []},
         }
 
 

@@ -55,6 +55,21 @@ class TestRepSpec:
         with pytest.raises(InputError):
             RepSpec(PAIR, {"a1": np.diag([2.0, 1.0]), "b1": np.eye(2)})
 
+    def test_gate_names_the_first_failing_label(self):
+        # one batched determinant for the whole table; of two failing
+        # images, the first in alphabet order is named
+        abc = Alphabet(("a", "b", "c"))
+        with pytest.raises(InputError, match="image of 'b' is not unimodular"):
+            RepSpec(abc, {"a": np.eye(2), "b": np.diag([2.0, 1.0]),
+                          "c": np.diag([3.0, 1.0])})
+        with pytest.raises(InputError, match="image of 'a' is not unimodular"):
+            RepSpec(Alphabet(("a", "c")), {"c": np.diag([3.0, 1.0]),
+                                           "a": np.diag([2.0, 1.0])})
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(InputError, match="mixed dimensions"):
+            RepSpec(PAIR, {"a1": np.eye(2), "b1": np.eye(3)})
+
     def test_rejects_degenerate(self):
         with pytest.raises(InputError):
             RepSpec(PAIR, {"a1": np.zeros((2, 2)), "b1": np.eye(2)})
@@ -196,6 +211,33 @@ class TestSpin:
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
             spin_so31(np.diag([2.0, 1.0]))
+
+    def test_lift_of_a_wider_table_is_refused(self):
+        with pytest.raises(InputError, match="spin input is not 2x2"):
+            spin_lift(RepSpec(PAIR, {"a1": np.eye(3), "b1": np.eye(3)}))
+
+    @staticmethod
+    def _per_entry(m):
+        """The spin image entry by entry: Re tr(sigma_j m sigma_k m*) / 2."""
+        out = np.empty((4, 4))
+        conj = [m @ s @ m.conj().T for s in reps._SIGMA]
+        for j in range(4):
+            for k in range(4):
+                out[j, k] = (0.5 * np.trace(reps._SIGMA[j] @ conj[k])).real
+        return out
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "imaginary"])
+    def test_stack_matches_the_per_entry_formula(self, kind):
+        # bit for bit, signs of zero included: real and purely imaginary
+        # inputs give exact zeros
+        rng = np.random.default_rng(12)
+        g = {"complex": rng.normal(size=(500, 2, 2))
+             + 1j * rng.normal(size=(500, 2, 2)),
+             "real": rng.normal(size=(500, 2, 2)).astype(complex),
+             "imaginary": 1j * rng.normal(size=(500, 2, 2))}[kind]
+        g /= np.sqrt(np.linalg.det(g))[:, None, None]
+        want = np.array([self._per_entry(m) for m in g])
+        assert reps._spin(g).tobytes() == want.tobytes()
 
 
 class TestRealify:

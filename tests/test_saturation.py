@@ -12,7 +12,9 @@ from specgap.builders import build_named
 from specgap.certify import (MONOTONE_SLACK, SLOPE_THRESHOLD,
                              _fit_line, _rounding, _slope_range, _verdict,
                              gap_profile, qi_profile)
-from specgap.reps import RepSpec, schottky_sl2r
+from specgap.reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
+                          iter_ball_images, log_singular_values,
+                          schottky_sl2r, symbol_table)
 from specgap.words import Alphabet
 
 
@@ -97,6 +99,37 @@ class TestSaturation:
                 vals = [float(v[hi] - v[lo]) for v in logs[l]]
                 for got, want in ((got_lo, min(vals)), (got_hi, max(vals))):
                     assert abs(got - want) <= rel * max(1.0, abs(want))
+
+    def test_dge7_word_sample_matches_mpmath_oracle(self):
+        # the d = 7 build sweeps its whole 7x7 table on the graded (Q, R)
+        # route.  Every 19th word of the radius-3 ball at seed 3, 203 words
+        # on all eight generators, against a 50-digit oracle of the same
+        # float images: the route is held at 1e-6, as above.  Splitting the
+        # table into its 4 + 2 + 1 direct-sum blocks (ROADMAP item 1) would
+        # put it on the Jacobi state, and should tighten this to 1e-10
+        mpmath = pytest.importorskip("mpmath")
+        rep = build_named("thm1i_dge7", None, seed=3).rep
+        table = symbol_table(rep)
+        assert rep.dim > JACOBI_MAX_DIM and not rep.factors
+        codes, logs = [], []
+        for length, block, (entry,) in iter_ball_images(
+                len(table), 3, *graded_products(table)):
+            if length:
+                codes += block.tolist()
+                logs.append(np.sort(log_singular_values(entry), axis=1)[:, ::-1])
+        codes, logs = codes[::19], np.concatenate(logs)[::19]
+        assert len(codes) == 203
+        mats = [mpmath.matrix(m.tolist()) for m in table]
+        with mpmath.workdps(50):
+            for word, got in zip(codes, logs):
+                m = mats[word[0]]
+                for c in word[1:]:
+                    m = m * mats[c]
+                sv = sorted(mpmath.svd_r(m, compute_uv=False), reverse=True)
+                want = [float(mpmath.log(s)) for s in sv]
+                gaps = np.diff(got), np.diff(want)
+                assert np.all(np.abs(gaps[0] - gaps[1])
+                              <= 1e-6 * np.maximum(1.0, np.abs(gaps[1])))
 
     @pytest.mark.parametrize("radius", [3, 4])
     def test_d6_qi_profile_is_finite_and_passes(self, radius):
