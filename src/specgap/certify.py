@@ -16,8 +16,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import Record
 from .reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
-                   iter_ball_images, log_singular_values, products,
-                   symbol_table)
+                   iter_ball_images, log_singular_values, symbol_table)
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -28,11 +27,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 
 def default_radius(dim: int) -> int:
-    if dim <= 4:
-        return 6
-    if dim >= 12:
-        return 4
-    return 5
+    return 6 if dim <= 4 else 4 if dim >= 12 else 5
 
 
 def _fit_line(samples: Sequence[tuple[int, float]]) -> tuple[float, float]:
@@ -93,41 +88,23 @@ class Profile(Record):
         return "\n".join(lines) + "\n"
 
 
-def _log_ratios(state, dim: int, hi: int, lo: int,
-                inverses: bool = False) -> np.ndarray:
+def _log_ratios(state, hi: int, lo: int, inverses: bool = False) -> np.ndarray:
     """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block, inf
     where it is not finite (the smaller singular value computes as 0, the
-    product overflowed, or a Jacobi state gave up).
+    product overflowed, or a Jacobi state gave up), read from the
+    descending log singular values of its ``reps.graded_products`` state.
 
-    For dim 2, a state (M,) of raw products, sigma_1 = (s + t) / 2 with
-    s = |(a+d, b-c)| and t = |(a-d, b+c)|, and sigma_1 * sigma_2 = det = 1,
-    so the ratio is sigma_1^2 in closed form.  Otherwise the state has one
-    entry per Kronecker factor (``reps.graded_products``), and the
-    singular values of the product are the products of the factors', one
-    per tuple of indices: their logs are the sums, sorted once.
-
-    With ``inverses`` (dim > 2) the ratios of each word's inverse follow,
-    read from the same sorted sums: sigma_k(W^-1) = 1 / sigma_{dim+1-k}(W),
-    so gap_i(W^-1) = gap_{dim-i}(W), and sigma_1 / sigma_dim is its own
+    With ``inverses`` the ratios of each word's inverse follow, read from
+    the same logs: sigma_k(W^-1) = 1 / sigma_{dim+1-k}(W), so
+    gap_i(W^-1) = gap_{dim-i}(W), and sigma_1 / sigma_dim is its own
     mirror.  That holds only where the smallest singular values are as
-    accurate as the largest, as on the Jacobi state.
+    accurate as the largest, as on the Jacobi and 2x2 states.
     """
     with np.errstate(all="ignore"):
-        if dim == 2:
-            a, b, c, d = (state[0][:, i, j] for i in (0, 1) for j in (0, 1))
-            s = np.hypot(a + d, b - c)
-            t = np.hypot(a - d, b + c)
-            v = 2.0 * np.log((s + t) / 2.0)
-        else:
-            logs = [log_singular_values(entry) for entry in state]
-            total = logs[0]
-            for lg in logs[1:]:
-                total = (total[:, :, None]
-                         + lg[:, None, :]).reshape(len(lg), -1)
-            total = np.sort(total, axis=1)
-            v = total[:, -1 - hi] - total[:, -1 - lo]
-            if inverses:
-                v = np.concatenate((v, total[:, lo] - total[:, hi]))
+        logs = log_singular_values(*state)
+        v = logs[:, hi] - logs[:, lo]
+        if inverses:
+            v = np.concatenate((v, logs[:, -1 - lo] - logs[:, -1 - hi]))
     return np.where(np.isfinite(v), v, math.inf)
 
 
@@ -178,17 +155,14 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     maxs: dict[int, float] = {}
     count = 0
     truncated = False
-    # the 2x2 closed form reads raw products; larger images sweep graded
-    # products of each Kronecker factor
-    parts = (rep,) if rep.dim == 2 else rep.factors or (rep,)
-    tables = [symbol_table(f, subalphabet) for f in parts]
-    sweep = (products if rep.dim == 2 else graded_products)(*tables)
-    # on Jacobi states the last length sweeps one word of each inverse pair;
-    # the (Q, R) route does not resolve the bottom of the spectrum, and the
-    # 2x2 closed form is cheaper than the regrouping
+    tables = [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
+    # on Jacobi and 2x2 states the last length sweeps one word of each
+    # inverse pair; the (Q, R) route does not resolve the bottom of the
+    # spectrum, and a whole 2x2 sweep is cheaper than the regrouping
     paired = rep.dim > 2 and all(t.shape[1] <= JACOBI_MAX_DIM for t in tables)
-    for length, codes, state in iter_ball_images(len(tables[0]), radius,
-                                                 *sweep, inverse_pairs=paired):
+    for length, codes, state in iter_ball_images(
+            len(tables[0]), radius, *graded_products(*tables),
+            inverse_pairs=paired):
         if not length:
             continue
         inverses = paired and length == radius
@@ -197,7 +171,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
             truncated = True
             break
         count += words
-        v = _log_ratios(state, rep.dim, hi, lo, inverses)
+        v = _log_ratios(state, hi, lo, inverses)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
@@ -239,10 +213,11 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     ``words_evaluated`` counts only the words evaluated.  A ratio that is
     not finite is recorded as inf and makes the verdict "inconclusive".
 
-    When every table is a Jacobi state (dim > 2, each Kronecker factor at
-    most ``reps.JACOBI_MAX_DIM``), the last length sweeps one word of each
-    pair {w, w^-1} and takes w^-1's ratio as gap_{dim-i}(w); both count
-    in ``words_evaluated`` and against ``MAX_WORDS``.
+    Each Kronecker factor (or the whole representation) sweeps on its own
+    route of ``reps.graded_products``.  When dim > 2 and every table is a
+    2x2 or Jacobi state, the last length sweeps one word of each pair
+    {w, w^-1} and takes w^-1's ratio as gap_{dim-i}(w); both count in
+    ``words_evaluated`` and against ``MAX_WORDS``.
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")

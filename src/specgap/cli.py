@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: build, obstruct, diagnose, reproduce, limitset.  Every run
-writes a manifest with the exact command line, resolved parameters, and
-sha256 digests of the other outputs, so replaying the recorded command in
-a fresh directory reproduces bit-identical files.
+writes a manifest with the exact command line, the seed, tolerance and
+``--param`` values it read, and sha256 digests of the other outputs, so
+replaying the recorded command in a fresh directory reproduces
+bit-identical files.
 
 Exit codes: 0 success/pass, 1 verified failure (e.g. an uncovered index),
 2 input or gate error, 3 numerical indeterminacy or exhausted search.
@@ -15,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +66,13 @@ class _Run:
         return path
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: finite and positive, else argparse exits 2."""
+    if not (math.isfinite(tol := float(text)) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return tol
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or []:
@@ -93,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if tol:
-            p.add_argument("--tol", type=float, default=1e-6,
+            p.add_argument("--tol", type=_tolerance, default=1e-6,
                            help="relative classification tolerance")
 
     b = sub.add_parser("build", help="run a named construction")
@@ -187,11 +196,7 @@ def _cmd_diagnose(args, run: _Run) -> int:
     run.write("profile.json", _canonical_json(profile.to_json()))
     run.write("profile.csv", profile.to_csv())
     print(f"verdict: {profile.verdict} ({profile.note})")
-    if profile.verdict == "pass":
-        return 0
-    if profile.verdict == "inconclusive":
-        return 3
-    return 1
+    return {"pass": 0, "inconclusive": 3}.get(profile.verdict, 1)
 
 
 def _cmd_reproduce(args, run: _Run) -> int:

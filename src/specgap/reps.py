@@ -693,14 +693,15 @@ def graded_products(*tables: np.ndarray):
     """Root and step of a ball sweep whose state holds, per table of letter
     images, one entry from which the singular values of the word's product
     W are read without drowning the small ones in the rounding of a raw
-    product:
+    product, on a route chosen by the table's dimension d:
 
-    * dim <= ``JACOBI_MAX_DIM``: X = W^T V with V orthogonal, a (d, d, n)
-      stack laid out (column, row, word).  Its columns are orthogonal and
-      their norms are the singular values of W.  Appending g orthogonalises
-      the columns of g^T X by one-sided Jacobi (:func:`_orthogonalise`),
-      which is accurate on graded matrices (Demmel & Veselic, SIAM J.
-      Matrix Anal. Appl. 13, 1992).
+    * d = 2: X = W^T / sqrt(det W), the product of the letters scaled to
+      det 1, a (2, 2, n) stack laid out (column, row, word), not rotated.
+    * d <= ``JACOBI_MAX_DIM``: X = W^T V with V orthogonal, in that layout.
+      Its columns are orthogonal and their norms are the singular values
+      of W.  Appending g orthogonalises the columns of g^T X by one-sided
+      Jacobi (:func:`_orthogonalise`), which is accurate on graded matrices
+      (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
     * larger: graded factors W^T = QR, Q orthogonal and R upper triangular,
       a (2, n, d, d) stack of Q and R (Stewart, ETNA 3, 1995).  Appending g
       factors g^T Q = Q'R' and keeps R'R; the singular values are R's.
@@ -725,6 +726,8 @@ def _qr_step(table: np.ndarray):
 
 def _jacobi_step(table: np.ndarray):
     d = table.shape[1]
+    if d == 2:  # the closed form takes det 1; ratios do not see the scale
+        table = table / np.sqrt(np.linalg.det(table))[:, None, None]
     g = table.transpose(1, 2, 0)  # g[k, i, s] is entry (k, i) of letter s
 
     def step(x, parent, letter):
@@ -734,7 +737,7 @@ def _jacobi_step(table: np.ndarray):
         m = xp[:, 0, None] * gl[0]
         for k in range(1, d):
             m += xp[:, k, None] * gl[k]
-        return _orthogonalise(m)
+        return m if d == 2 else _orthogonalise(m)
     return np.eye(d)[:, :, None], step
 
 
@@ -773,26 +776,42 @@ def _column_exponents(x: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(x).max(axis=1))[1]
 
 
-def log_singular_values(entry: np.ndarray) -> np.ndarray:
-    """(n, d) logs of the singular values of each word's product, from one
-    table's entry of a :func:`graded_products` state; a row is NaN where
-    the entry is not finite.  A Jacobi state gives its log column norms, in
-    no particular order, taken on columns scaled by powers of two with the
-    exponents added back as logs; a (Q, R) stack gives the logs of the SVD
-    of R, descending."""
+def log_singular_values(*entries: np.ndarray) -> np.ndarray:
+    """(n, D) logs of the singular values of each word's product, descending,
+    from the entries of a :func:`graded_products` state, one per table (past
+    one, of their Kronecker product: the sums over all index tuples); a row
+    is NaN where an entry is not finite.  A 2x2 entry gives
+    log sigma_1 = |log((s + t) / 2)|, s = |(a+d, b-c)| and t = |(a-d, b+c)|
+    (>= 0 but for rounding), and log sigma_2 = -log sigma_1, those of
+    W / sqrt(det W); a Jacobi state its log column norms, taken on columns
+    scaled by powers of two with the exponents added back as logs; a (Q, R)
+    stack the logs of the SVD of R.  Only Jacobi logs and Kronecker sums
+    need sorting."""
+    logs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if entry.ndim == 3:
-            finite = np.isfinite(entry).all(axis=(0, 1))
-            e = _column_exponents(entry)
-            y = np.ldexp(entry, -e[:, None])
-            logs = (0.5 * np.log(np.einsum("jin,jin->jn", y, y))
-                    + math.log(2.0) * e).T
-        else:
-            r = entry[1]
-            finite = np.isfinite(r).all(axis=(1, 2))
-            r = np.where(finite[:, None, None], r, 0.0)
-            logs = np.log(np.linalg.svd(r, compute_uv=False))
-    return np.where(finite[:, None], logs, np.nan)
+        for entry in entries:
+            if entry.ndim == 4:
+                finite = np.isfinite(entry[1]).all(axis=(1, 2))
+                r = np.where(finite[:, None, None], entry[1], 0.0)
+                lg = np.log(np.linalg.svd(r, compute_uv=False))
+            else:
+                finite = np.isfinite(entry).all(axis=(0, 1))
+                if len(entry) == 2:
+                    (a, b), (c, d) = entry
+                    top = np.abs(np.log((np.hypot(a + d, b - c)
+                                         + np.hypot(a - d, b + c)) / 2.0))
+                    lg = np.stack((top, -top), axis=1)
+                else:
+                    e = _column_exponents(entry)
+                    y = np.ldexp(entry, -e[:, None])
+                    lg = (0.5 * np.log(np.einsum("jin,jin->jn", y, y))
+                          + math.log(2.0) * e).T
+            logs.append(np.where(finite[:, None], lg, np.nan))
+        total = reduce(lambda t, lg: (t[:, :, None] + lg[:, None, :])
+                       .reshape(len(lg), -1), logs)
+        if len(logs) > 1 or entries[0].ndim == 3 and len(entries[0]) > 2:
+            total = np.sort(total, axis=1)[:, ::-1]
+    return total
 
 
 def _orthogonalise(m: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ class TestInversePairs:
             count += len(codes)
             for i in indices:
                 hi, lo = (0, rep.dim - 1) if i is None else (i - 1, i)
-                v = certify._log_ratios(state, rep.dim, hi, lo)
+                v = certify._log_ratios(state, hi, lo)
                 old = extrema[i].get(length, (math.inf, -math.inf))
                 extrema[i][length] = (min(old[0], v.min()),
                                       max(old[1], v.max()))
@@ -252,10 +252,13 @@ class TestInversePairs:
     @pytest.mark.parametrize("name,seed,sub,radius", [
         ("thm1i_d6", 0, None, 3), ("thm1i_d6", 3, None, 3),
         ("prop42_sl6", 0, None, 3), ("prop42_sl6", 3, None, 3),
-        ("thm1ii_d12", 3, ("a4", "b4"), 5)])
+        ("thm1ii_d12", 3, ("a4", "b4"), 5),
+        ("prop42_sl6 factored", 0, None, 3),
+        ("prop42_sl6 factored", 3, None, 3)])
     def test_paired_profiles_match_an_unpaired_sweep(self, name, seed, sub,
                                                      radius):
-        rep = build_named(name, None, seed=seed).rep
+        # a factored prop42_sl6 sweeps a 2x2 state with a 3x3 Jacobi state
+        rep = build_named(name.split()[0], None, seed=seed).rep
         if name == "prop42_sl6":
             rep = self._whole(rep)  # one 6x6 Jacobi state
         assert all(f.dim <= JACOBI_MAX_DIM for f in rep.factors or (rep,))

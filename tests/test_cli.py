@@ -352,6 +352,22 @@ class TestOptions:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["build", "--name", "prop42_sl4"],
+        ["obstruct", "--rep", "rep.json", "--witness", "a1"],
+        ["reproduce", "prop42_sl4"],
+        ["limitset", "--rep", "rep.json"],
+    ])
+    def test_tolerance_that_is_not_finite_and_positive_is_rejected(
+            self, tmp_path, argv, tol):
+        # nan reached the strict-JSON writer as a traceback, 0 split moduli
+        # on last-bit noise, and -1 sampled no proximal word (exit 3)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_one_parser_keeps_no_state_between_calls(self, tmp_path):
         # the parser is built once per process; each call parses afresh
         assert _build_parser() is _build_parser()

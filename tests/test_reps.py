@@ -581,8 +581,9 @@ class TestValidateHomomorphism:
 
 
 def _sweep_reps():
-    """(rep, subalphabet) pairs of dims 2, 3 and 6 (Jacobi states), with and
-    without a subalphabet, and of dim 8 ((Q, R) states)."""
+    """(rep, subalphabet) pairs of dim 2 (2x2 states), dims 3 and 6 (Jacobi
+    states), with and without a subalphabet, and of dim 8 ((Q, R)
+    states)."""
     rng = np.random.default_rng(23)
     abc = Alphabet(("a1", "b1", "c1"))
     d2 = rename_generators(schottky_sl2r(3, 5.0), abc)
@@ -594,29 +595,32 @@ def _sweep_reps():
 
 
 def _sweep(rep, radius, sub=None, inverse_pairs=False):
-    """The ball sweep of a profile: raw products of 2x2 images, graded
-    states otherwise."""
+    """The ball sweep of a profile: the graded state of one table."""
     table = symbol_table(rep, sub)
-    sweep = products(table) if rep.dim == 2 else graded_products(table)
-    return iter_ball_images(len(table), radius, *sweep,
+    return iter_ball_images(len(table), radius, *graded_products(table),
                             inverse_pairs=inverse_pairs)
 
 
 def _check_graded_state(entry, codes, rep, alphabet):
     """One table's graded state against each word's evaluated product W:
-    for dim <= JACOBI_MAX_DIM, X = W^T V with X X^T = W^T W and pairwise
-    orthogonal columns (to d eps, the sweep's criterion, plus d eps for
-    the rounding of the recomputed products); otherwise W^T = QR with R
-    upper triangular."""
+    for dim 2, X = W^T / sqrt(det W) with X X^T = W^T W / det W, det W
+    taken as the product of the letters' (the det of W itself loses about
+    |W|^2 eps to cancellation); for 3 <= dim <= JACOBI_MAX_DIM,
+    X = W^T V with X X^T = W^T W and pairwise orthogonal columns (to
+    d eps, the sweep's criterion, plus d eps for the rounding of the
+    recomputed products); otherwise W^T = QR with R upper triangular."""
     dim = rep.dim
+    dets = np.linalg.det(symbol_table(rep, alphabet.names))
     for k, row in enumerate(codes):
         w = rep.evaluate(Word.from_codes(alphabet, row))
         if dim <= reps.JACOBI_MAX_DIM:
             assert entry.shape == (dim, dim, len(codes))
             x = entry[:, :, k].T
-            gram = w.T @ w
+            gram = w.T @ w / (dets[row].prod() if dim == 2 else 1.0)
             np.testing.assert_allclose(x @ x.T, gram, rtol=0,
                                        atol=1e-12 * np.abs(gram).max())
+            if dim == 2:
+                continue  # the 2x2 state is not rotated
             cols = x.T @ x
             norms = np.sqrt(np.diag(cols))
             off = np.abs(cols - np.diag(np.diag(cols)))
@@ -649,15 +653,8 @@ class TestBallSweep:
             # a block over the cap holds the children of a single word
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
-            if rep.dim == 2:
-                prods, = state
-                for row, m in zip(codes, prods):
-                    np.testing.assert_allclose(
-                        m, rep.evaluate(Word.from_codes(alphabet, row)),
-                        rtol=1e-12, atol=1e-12 * np.abs(m).max())
-            else:
-                entry, = state
-                _check_graded_state(entry, codes, rep, alphabet)
+            entry, = state
+            _check_graded_state(entry, codes, rep, alphabet)
             for row in codes:
                 w = Word.from_codes(alphabet, row)
                 assert len(w) == length
@@ -668,11 +665,14 @@ class TestBallSweep:
     @pytest.mark.parametrize("cap", [None, 700])
     def test_2x2_images_are_the_evaluated_products(self, monkeypatch, case,
                                                    cap):
+        # raw products, as the domination sweep keeps them, bit for bit
         rep, sub = _sweep_reps()[case]
         if cap is not None:
             monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
         alphabet = rep.alphabet if sub is None else Alphabet(sub)
-        for _, codes, (prods,) in _sweep(rep, 5, sub):
+        table = symbol_table(rep, sub)
+        for _, codes, (prods,) in iter_ball_images(len(table), 5,
+                                                   *products(table)):
             for row, m in zip(codes, prods):
                 np.testing.assert_array_equal(
                     m, rep.evaluate(Word.from_codes(alphabet, row)))
@@ -710,13 +710,7 @@ class TestBallSweep:
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
             if length == radius:
-                if rep.dim == 2:
-                    for row, m in zip(codes, state[0]):
-                        np.testing.assert_allclose(
-                            m, rep.evaluate(Word.from_codes(alphabet, row)),
-                            rtol=1e-12, atol=1e-12 * np.abs(m).max())
-                else:
-                    _check_graded_state(state[0], codes, rep, alphabet)
+                _check_graded_state(state[0], codes, rep, alphabet)
             paired.setdefault(length, []).extend(map(tuple, codes.tolist()))
         kept, last = paired.pop(radius), swept.pop(radius)
         # lengths below the last are unchanged
@@ -793,7 +787,7 @@ class TestBallSweep:
         blocks = list(_sweep(schottky_sl2r(2, 4.0), 0))
         assert len(blocks) == 1 and blocks[0][0] == 0
         assert blocks[0][1].shape == (1, 0)
-        np.testing.assert_array_equal(blocks[0][2][0], np.eye(2)[None])
+        np.testing.assert_array_equal(blocks[0][2][0][:, :, 0], np.eye(2))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):

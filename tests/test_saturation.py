@@ -1,5 +1,5 @@
 """Profile statistics past the range of a raw double-precision product:
-the 2x2 closed form and the graded dim >= 3 routes against mpmath oracles,
+the 2x2, Jacobi and (Q, R) routes of the graded state against mpmath oracles,
 overflow, and the verdict on envelopes known only to rounding error."""
 
 import itertools
@@ -14,8 +14,43 @@ from specgap.certify import (MONOTONE_SLACK, SLOPE_THRESHOLD,
                              gap_profile, qi_profile)
 from specgap.reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
                           iter_ball_images, log_singular_values,
-                          schottky_sl2r, symbol_table)
+                          random_unimodular, schottky_sl2r, symbol_table,
+                          tensor_rep)
 from specgap.words import Alphabet
+
+
+def _sl2_oracle(rep, radius, mpmath):
+    """Per length (length, min, max) of log(sigma_1 / sigma_2) over the
+    reduced ball of a 2x2 representation, at 60 digits from its float
+    images, with no unimodularity assumed."""
+    mats = []
+    for label in rep.alphabet.names:
+        for m in (rep.image(label), rep.inverse_image(label)):
+            mats.append([[mpmath.mpf(float(x)) for x in row] for row in m])
+    lows: dict = {}
+    highs: dict = {}
+    with mpmath.workdps(60):
+        def walk(m, last, length):
+            if length:
+                # sigma_1^2 sigma_2^2 = det^2
+                f = sum(x * x for row in m for x in row)
+                det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+                s1 = (f + mpmath.sqrt(f * f - 4 * det * det)) / 2
+                ratio = s1 * s1 / (det * det)
+                lows[length] = min(lows.get(length, ratio), ratio)
+                highs[length] = max(highs.get(length, ratio), ratio)
+            if length == radius:
+                return
+            for k, g in enumerate(mats):
+                if last is not None and k == last ^ 1:
+                    continue
+                prod = [[m[i][0] * g[0][j] + m[i][1] * g[1][j]
+                         for j in range(2)] for i in range(2)]
+                walk(prod, k, length + 1)
+
+        walk([[mpmath.mpf(1), 0], [0, mpmath.mpf(1)]], None, 0)
+        return [(l, float(mpmath.log(lows[l]) / 2),
+                 float(mpmath.log(highs[l]) / 2)) for l in sorted(lows)]
 
 
 class TestSaturation:
@@ -25,40 +60,67 @@ class TestSaturation:
         mpmath = pytest.importorskip("mpmath")
         rep = schottky_sl2r(2, 4.0)
         prof = qi_profile(rep, radius=8)
-        mats = []
-        for label in rep.alphabet.names:
-            for m in (rep.image(label), rep.inverse_image(label)):
-                mats.append([[mpmath.mpf(float(x)) for x in row] for row in m])
-        lows: dict = {}
-        highs: dict = {}
-        with mpmath.workdps(60):
-            def walk(m, last, length):
-                if length:
-                    # sigma_1^2 sigma_2^2 = det^2, with no unimodularity assumed
-                    f = sum(x * x for row in m for x in row)
-                    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-                    s1 = (f + mpmath.sqrt(f * f - 4 * det * det)) / 2
-                    ratio = s1 * s1 / (det * det)
-                    lows[length] = min(lows.get(length, ratio), ratio)
-                    highs[length] = max(highs.get(length, ratio), ratio)
-                if length == 8:
-                    return
-                for k, g in enumerate(mats):
-                    if last is not None and k == last ^ 1:
-                        continue
-                    prod = [[m[i][0] * g[0][j] + m[i][1] * g[1][j]
-                             for j in range(2)] for i in range(2)]
-                    walk(prod, k, length + 1)
-
-            walk([[mpmath.mpf(1), 0], [0, mpmath.mpf(1)]], None, 0)
-            oracle = [(l, float(mpmath.log(lows[l]) / 2),
-                       float(mpmath.log(highs[l]) / 2)) for l in sorted(lows)]
+        oracle = _sl2_oracle(rep, 8, mpmath)
         assert [l for l, _, _ in prof.samples] == [l for l, _, _ in oracle]
         for (_, lo, hi), (_, olo, ohi) in zip(prof.samples, oracle):
             assert lo == pytest.approx(olo, rel=1e-12)
             assert hi == pytest.approx(ohi, rel=1e-12)
         assert prof.samples[-1][2] == pytest.approx(44.36, abs=5e-3)
         assert prof.verdict == "pass"
+
+    def test_sl2_profile_with_det_drift_matches_mpmath_oracle(self):
+        # both images have det 1 + 1.5e-8, inside the unimodular gate; a
+        # closed form that takes det = 1 is off by 1.5e-8 per letter and
+        # read -3.0e-8 for the length-2 minimum, which is 0 (b = det(a)
+        # a^-1, so a b is scalar)
+        mpmath = pytest.importorskip("mpmath")
+        a = np.array([[2.0, 1.0], [1.0, 1.0 + 7.5e-9]])
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        rep = RepSpec(Alphabet(("a", "b")),
+                      {"a": a, "b": quarter @ a @ quarter.T})
+        prof = qi_profile(rep, radius=8)
+        oracle = _sl2_oracle(rep, 8, mpmath)
+        assert [l for l, _, _ in prof.samples] == [l for l, _, _ in oracle]
+        for (_, lo, hi), (_, olo, ohi) in zip(prof.samples, oracle):
+            assert lo >= 0.0
+            for got, want in ((lo, olo), (hi, ohi)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (4,), (5,), (6,), (7,),
+                                      (8,), (2, 3)])
+    def test_every_route_gives_descending_logs_of_an_mpmath_svd(self, dims):
+        # one table per factor: the 2x2 route, Jacobi states for 3..6 and
+        # (Q, R) stacks for 7 and 8, and a Kronecker pair, whose logs are
+        # the sorted sums; every word of the radius-3 ball on random
+        # unimodular images against a 40-digit SVD of its product W, of
+        # W / sqrt(det W) on the 2x2 route
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(sum(dims))
+        ab = Alphabet(("a", "b"))
+        factors = [RepSpec(ab, {l: random_unimodular(d, rng) for l in "ab"})
+                   for d in dims]
+        rep = factors[0] if len(dims) == 1 else tensor_rep(*factors)
+        tables = [symbol_table(f) for f in factors]
+        mats = [mpmath.matrix(m.tolist()) for m in symbol_table(rep)]
+        count = 0
+        for _, codes, state in iter_ball_images(
+                len(tables[0]), 3, *graded_products(*tables)):
+            logs = log_singular_values(*state)
+            assert logs.shape == (len(codes), rep.dim)
+            assert np.all(np.diff(logs, axis=1) <= 0)
+            with mpmath.workdps(40):
+                for row, got in zip(codes.tolist(), logs):
+                    m = mpmath.eye(rep.dim)
+                    for c in row:
+                        m = m * mats[c]
+                    sv = sorted(mpmath.svd_r(m, compute_uv=False),
+                                reverse=True)
+                    shift = mpmath.log(mpmath.det(m)) / 2 if dims == (2,) else 0
+                    want = np.array([float(mpmath.log(v) - shift) for v in sv])
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                    count += 1
+        assert count == 1 + 4 + 12 + 36
 
     @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7", "thm1ii_d12"])
     def test_graded_profiles_match_mpmath_oracle(self, name):
