@@ -146,8 +146,20 @@ def _verdict(boxes: Sequence[tuple[int, float, float]],
     return "inconclusive"
 
 
+# widening of a bounded word's interval, relative to the values it adds: a
+# thousand times the 1e-12 at which the Jacobi and 2x2 routes meet their
+# high-precision oracles
+_BOUND_SLACK = 1e-9
+
+
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
+    """The profile of ratio ``index`` (None: QI) over the ball, swept by
+    ``reps.iter_ball_images`` on the tables' ``reps.graded_products``
+    routes.  On Jacobi and 2x2 states the last length sweeps one word of
+    each inverse pair; when the whole ball also fits ``MAX_WORDS`` it
+    skips, besides, the words that ``bound`` shows cannot move its
+    envelope, and counts them in ``words_evaluated`` unswept."""
     if radius is None:
         radius = default_radius(rep.dim)
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
@@ -156,13 +168,55 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     count = 0
     truncated = False
     tables = [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
+    nsym = len(tables[0])
+    root, step = graded_products(*tables)
     # on Jacobi and 2x2 states the last length sweeps one word of each
     # inverse pair; the (Q, R) route does not resolve the bottom of the
     # spectrum, and a whole 2x2 sweep is cheaper than the regrouping
     paired = rep.dim > 2 and all(t.shape[1] <= JACOBI_MAX_DIM for t in tables)
-    for length, codes, state in iter_ball_images(
-            len(tables[0]), radius, *graded_products(*tables),
-            inverse_pairs=paired):
+    # a sweep that cannot run out of budget also skips the last-length
+    # words whose statistic is bounded inside the envelope
+    if paired and sum(nsym * (nsym - 1) ** (l - 1)
+                      for l in range(1, radius + 1)) <= MAX_WORDS:
+        # log(sigma_max / sigma_min) of each letter, on the sweep's route
+        letters = log_singular_values(*step(root, np.zeros(nsym, dtype=int),
+                                            np.arange(nsym)))
+        kappa = letters[:, 0] - letters[:, -1]
+        reach = kappa + _BOUND_SLACK * (1.0 + kappa)
+        ratios = {(hi, lo), ((-1 - lo) % rep.dim, (-1 - hi) % rep.dim)}
+        memo: list = [None]  # the last parent block seen, its words' bounds
+
+        def bound(block, parent, letter):
+            """Mask of the children x = w*s to sweep.  By the multiplicative
+            Weyl inequalities sigma_k(w) sigma_min(s) <= sigma_k(x) <=
+            sigma_k(w) sigma_max(s), so each ratio of x, and of x^-1, lies
+            within kappa(s) of w's, and it is >= 0 (sorted logs); the
+            interval is widened by the slack.  A child whose intervals all
+            lie inside the last length's running envelope cannot move it,
+            and is counted without being swept.  A parent whose ratio is not
+            finite bounds nothing (NaN fails every comparison)."""
+            nonlocal count
+            if radius not in mins:
+                return np.ones(len(parent), dtype=bool)
+            if memo[0] is not block:
+                logs, memo[:] = log_singular_values(*block[2]), [block]
+                with np.errstate(invalid="ignore"):
+                    for a, b in ratios:
+                        v = logs[:, a] - logs[:, b]
+                        v = np.where(np.isfinite(v), v, np.nan)
+                        pad = _BOUND_SLACK * np.abs(v)
+                        memo.append((v - pad, v + pad))
+            r = reach[letter]
+            inside = np.ones(len(parent), dtype=bool)
+            for low, high in memo[1:]:
+                inside &= np.maximum(low[parent] - r, 0.0) >= mins[radius]
+                inside &= high[parent] + r <= maxs[radius]
+            count += 2 * int(inside.sum())
+            return ~inside
+    else:
+        bound = paired
+    for length, codes, state in iter_ball_images(nsym, radius, root, step,
+                                                 inverse_pairs=bound):
         if not length:
             continue
         inverses = paired and length == radius
@@ -217,7 +271,12 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     route of ``reps.graded_products``.  When dim > 2 and every table is a
     2x2 or Jacobi state, the last length sweeps one word of each pair
     {w, w^-1} and takes w^-1's ratio as gap_{dim-i}(w); both count in
-    ``words_evaluated`` and against ``MAX_WORDS``.
+    ``words_evaluated`` and against ``MAX_WORDS``.  When the whole ball
+    fits ``MAX_WORDS`` as well, a last-length word x = w*s is not swept
+    when gap_i and gap_{dim-i} of w, each within the log condition number
+    of the letter s of x's (Weyl), lie inside the envelope so far; the
+    samples are those of the full sweep, and ``words_evaluated`` counts
+    every word of the ball.
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
@@ -232,6 +291,7 @@ def qi_profile(rep: RepSpec, radius: Optional[int] = None,
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
     The sweep and its budget are those of :func:`gap_profile`, inverse
-    pairs included: log(sigma_1 / sigma_dim) is the same for w and w^-1.
+    pairs and bounded last-length words included: log(sigma_1 / sigma_dim)
+    is the same for w and w^-1.
     """
     return _profile(rep, None, radius, subalphabet)

@@ -128,12 +128,26 @@ def spectrum(m) -> Spectrum:
     )
 
 
-def top_eigenvalue_2x2_unimodular(m: np.ndarray) -> complex:
-    """Largest eigenvalue of a 2x2 real matrix whose determinant is 1 by
-    construction.  Computed from the trace alone, which stays accurate even
-    when the entries dwarf the eigenvalues (conjugation-heavy words)."""
-    t = float(m[0, 0] + m[1, 1])
-    disc = t * t - 4.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def top_eigenvalue_2x2(m: np.ndarray, det: float = 1.0) -> complex:
+    """Largest eigenvalue of a 2x2 real matrix [[a, b], [c, d]] of
+    determinant ``det``, known apart from its entries (for a word, from its
+    letters), from the discriminant t^2 - 4 det, t = a + d.  The trace
+    stays accurate when the entries dwarf the eigenvalues
+    (conjugation-heavy words).  Where the eigenvalues nearly coincide
+    (|t^2 - 4 det| < sqrt(eps) t^2) the root amplifies an error delta in the
+    entries to about sqrt(4 |t| delta); the entry form (a - d)^2 + 4bc of
+    the same number is taken there when delta moves it less,
+    2 (|a - d| + 2 |b| + 2 |c|) delta against 4 |t| delta, as on a
+    near-scalar matrix."""
+    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+    t = a + d
+    disc = t * t - 4.0 * det
+    if (abs(disc) < _SQRT_EPS * t * t
+            and abs(a - d) + 2.0 * (abs(b) + abs(c)) < 2.0 * abs(t)):
+        disc = (a - d) ** 2 + 4.0 * b * c
     if disc >= 0.0:
         root = math.sqrt(disc)
         lam = (t + root) / 2.0 if t >= 0 else (t - root) / 2.0

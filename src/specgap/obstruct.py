@@ -22,7 +22,7 @@ from .errors import (DegenerateConfigurationError, InputError, SamplingError,
                      SearchError)
 from .linalg import (DEFAULT_TOL, ExteriorClassification, Record, classify,
                      classify_exterior, sort_eigenvalues,
-                     top_eigenvalue_2x2_unimodular)
+                     top_eigenvalue_2x2)
 from . import reps
 from .reps import RepSpec, symbol_table, validate_homomorphism
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
@@ -99,28 +99,30 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
                          tol: float = DEFAULT_TOL) -> SignWitness:
     """Find w = w0^m * coset with real negative leading eigenvalue.
 
-    Stage one scans commutator candidates w0 until trace < -2 (a discrete
-    free 2x2 group always contains such an element).  Stage two walks the
-    powers w0^m * coset until the guaranteed sign flip shows a negative
-    leading eigenvalue.  Fails loudly with the examined trace when the
-    budget runs out; that is never a nonexistence claim.
+    Stage one scans commutator candidates w0 until trace < -2 sqrt(det)
+    (a discrete free 2x2 group always contains such an element).  Stage
+    two walks the powers w0^m * coset until the guaranteed sign flip shows
+    a negative leading eigenvalue, read from the trace and the letters'
+    determinants (``linalg.top_eigenvalue_2x2``).  Fails loudly with the
+    examined trace when the budget runs out; that is never a nonexistence
+    claim.
     """
     if rep.dim != 2:
         raise InputError("the sign search runs on 2x2 representations")
     if coset.alphabet.names != rep.alphabet.names:
         raise InputError("coset word uses a different alphabet")
     trace: list[dict] = []
-    coset_img = rep.evaluate(coset)
+    coset_img, coset_det = rep.evaluate(coset), rep._det(coset)
     for u, v, w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
-        m0 = rep.evaluate(w0)
+        m0, det0 = rep.evaluate(w0), rep._det(w0)
         tr = float(m0[0, 0] + m0[1, 1])
         entry = {"candidate": str(w0), "trace": tr}
-        if tr >= -2.0 - 1e-9:
+        if tr >= -2.0 * math.sqrt(det0) - 1e-9:
             entry["rejected"] = "trace not below -2"
             trace.append(entry)
             continue
         if not coset.letters:
-            lam = (tr - math.sqrt(tr * tr - 4.0)) / 2.0
+            lam = top_eigenvalue_2x2(m0, det0).real
             entry["accepted"] = "negative eigenvalue from trace"
             trace.append(entry)
             return SignWitness(word=w0, lambda1=lam, base_word=w0, power=1,
@@ -137,7 +139,8 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             if np.max(np.abs(power_img)) > 1e250:
                 entry["rejected"] = f"power overflow at exponent {m}"
                 break
-            lam = top_eigenvalue_2x2_unimodular(power_img @ coset_img)
+            lam = top_eigenvalue_2x2(power_img @ coset_img,
+                                     det0 ** m * coset_det)
             if abs(lam.imag) <= tol * abs(lam) and lam.real < 0:
                 entry["accepted"] = f"sign flip at power {m}"
                 trace.append(entry)
@@ -253,11 +256,11 @@ class DominationReport(Record):
 
 def _log_top_moduli(images: np.ndarray) -> np.ndarray:
     """log of the largest eigenvalue modulus of each image in a stack: the
-    trace formula of ``top_eigenvalue_2x2_unimodular`` for 2x2 images,
+    trace formula of ``top_eigenvalue_2x2`` at det 1 for 2x2 images,
     batched ``eigvals`` otherwise.  Moduli and logarithms go through the
     same libm ``hypot``/``log`` as ``RepSpec.top_modulus`` and ``math.log``
     (numpy's SIMD ``abs``/``log`` can differ in the last bit), so exact
-    ties break as they do word by word."""
+    ties break as they do word by word where ``RepSpec._det`` reads 1."""
     if not np.isfinite(images).all():
         raise InputError("matrix has non-finite entries")
     if images.shape[1] == 2:
@@ -396,11 +399,16 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
                       assumptions: Sequence[str] = ()) -> ObstructionCertificate:
     """For each index, find a witness whose exterior image is not positively
     semiproximal; indeterminate classifications leave the index uncovered
-    rather than covering or failing it.  A representation that fails a
+    rather than covering or failing it.  The indices must be distinct, and
+    there must be at least one.  A representation that fails a
     relator of ``p`` (``reps.validate_homomorphism``) is refused: the
     certificate is about the presented group."""
     if not witnesses:
         raise InputError("at least one witness word is required")
+    if not indices:
+        raise InputError("at least one exterior index is required")
+    if len(set(indices)) != len(indices):
+        raise InputError(f"exterior indices {list(indices)} repeat an index")
     check = validate_homomorphism(rep, p)
     if not check.passed:
         relator, dev = max(check.deviations, key=lambda d: d[1])
@@ -455,9 +463,13 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
 
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
     """Recompute every covered entry, and every recorded relator's
-    deviation against the recorded tol, from the representation alone."""
+    deviation against the recorded tol, from the representation alone.  A
+    certificate with no entries, or with two for one index, is refused."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     if doc["rep_digest"] != rep.digest():
+        return False
+    indices = [entry["index"] for entry in doc["entries"]]
+    if not indices or len(set(indices)) != len(indices):
         return False
     relators = doc.get("relators", {"deviations": []})
     if relators["deviations"]:

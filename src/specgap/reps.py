@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
 from .linalg import (MAX_DIM, Record, _as_numeric, _as_square, _eigenvalues,
-                     matrix_hash, top_eigenvalue_2x2_unimodular)
+                     matrix_hash, top_eigenvalue_2x2)
 from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
 UNIMODULAR_TOL = 1e-8
@@ -145,12 +145,23 @@ class RepSpec:
             out = out @ (self.image(label) if sign > 0 else self.inverse_image(label))
         return out
 
+    def _det(self, w: Word) -> float:
+        """Determinant of a 2x2 image of ``w``: the product of its letters'
+        (the det of a long product loses about |W|^2 eps to cancellation)."""
+        out = 1.0
+        for idx, sign in w.letters:
+            (a, b), (c, d) = self.image(w.alphabet.names[idx]).tolist()
+            out *= (a * d - b * c) ** sign
+        return out
+
     def top_modulus(self, w: Word) -> float:
         """Largest eigenvalue modulus of the image, computed on the cyclic
-        reduction (a class function, far better conditioned)."""
-        m = self.evaluate(w.cyclic_reduction())
+        reduction (a class function, far better conditioned); for 2x2
+        images from its trace and :meth:`_det`."""
+        core = w.cyclic_reduction()
+        m = self.evaluate(core)
         if self.dim == 2:
-            return abs(top_eigenvalue_2x2_unimodular(m))
+            return abs(top_eigenvalue_2x2(m, self._det(core)))
         return abs(_eigenvalues(m)[0])
 
     def to_json(self) -> dict:
@@ -587,11 +598,12 @@ BLOCK_BYTES = 1 << 18
 
 State = tuple[np.ndarray, ...]  # stacks with one entry per word
 Block = tuple[int, np.ndarray, State]
+Bound = Callable[[Block, np.ndarray, np.ndarray], np.ndarray]
 
 
 def iter_ball_images(nsym: int, radius: int, root: State,
                      step: Callable[[State, np.ndarray, np.ndarray], State],
-                     inverse_pairs: bool = False) -> Iterator[Block]:
+                     inverse_pairs: bool | Bound = False) -> Iterator[Block]:
     """Sweep of the reduced ball over ``nsym`` letter codes (see
     ``Alphabet.symbols``) in blocks ``(length, codes, state)``, the identity
     first, with state ``root``; ``codes`` holds one row of letter codes per
@@ -602,15 +614,23 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     state is ``step(state, parent, letter)`` of the parent block's state,
     each word's parent position in it and its appended code.  Blocks are
     visited depth first, so about ``radius`` of them are live, each of at
-    most ``BLOCK_BYTES``, and each length's words come out in shortlex
-    order across blocks.
+    most ``BLOCK_BYTES``.  Without ``inverse_pairs`` the blocks cover the
+    ball and each length's words come out in shortlex order across blocks.
 
     With ``inverse_pairs`` the last length holds one word of each pair
     {w, w^-1}, the one whose codes come first lexicographically (w^-1 has
     w's codes reversed, each ``^ 1``), for a caller that reads w^-1's
-    statistic from w's state.  How many children of a word are kept
-    depends on its first code, so the kept children of a parent block are
-    regrouped into blocks of at most ``BLOCK_BYTES``.
+    statistic from w's state.  When it is a callable, it is called as
+    ``inverse_pairs(parent_block, parent, letter)`` on those kept children
+    of a slice when the slice is taken off the stack, after every earlier
+    block has been yielded, and only the children where the boolean mask
+    it returns is true are swept; it sees each child at least once, and
+    again if it was kept but left over from a full block.  How many
+    children of a word are kept depends on its first code (and on the
+    callable), so the kept children of a parent block are regrouped into
+    blocks of at most ``BLOCK_BYTES``, refilled from the slices that
+    follow; the last length's kept words then come out in shortlex order
+    within each parent block.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -618,29 +638,52 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     yield first
     word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
+    size = max(1, BLOCK_BYTES // word_bytes)  # words per last-length block
     stack: list = []
 
-    def push(block: Block):
-        """Queue the slices of the block's children, the first on top."""
-        length, codes, _ = block
-        if inverse_pairs and length + 1 == radius:
-            parent, letter = _first_of_pairs(codes, nsym, fan)
-            size = max(1, BLOCK_BYTES // word_bytes)  # kept words per block
-            stack.extend((block, (parent[i:i + size], letter[i:i + size]))
-                         for i in reversed(range(0, len(parent), size)))
+    def children(block: Block, part) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, letter) of the children a stack entry sweeps: the
+        reduced children of a slice of the block's words, or a leftover
+        (parent, letter) pair; at the last length, only the kept ones."""
+        if isinstance(part, slice):
+            parent, letter = _reduced_children(block[1][part], nsym)
+            parent += part.start
+            if pairing(block):
+                keep = _first_of_pairs(block[1], parent, letter)
+                parent, letter = parent[keep], letter[keep]
         else:
-            stack.extend((block, slice(i, i + fan))
-                         for i in reversed(range(0, len(codes), fan)))
+            parent, letter = part
+        if callable(inverse_pairs) and pairing(block):
+            keep = inverse_pairs(block, parent, letter)
+            parent, letter = parent[keep], letter[keep]
+        return parent, letter
+
+    def pairing(block: Block) -> bool:
+        return bool(inverse_pairs) and block[0] + 1 == radius
+
+    def push(block: Block):
+        """Queue the slices of the block's words, the first on top."""
+        stack.extend((block, slice(i, i + fan))
+                     for i in reversed(range(0, len(block[1]), fan)))
 
     if radius:
         push(first)
     while stack:
-        (length, codes, state), children = stack.pop()
-        if isinstance(children, slice):
-            parent, letter = _reduced_children(codes[children], nsym)
-            parent += children.start
-        else:
-            parent, letter = children
+        parent_block, part = stack.pop()
+        parent, letter = children(parent_block, part)
+        if pairing(parent_block):
+            # refill from the block's next slices, then leave the rest over
+            while (len(parent) < size and stack
+                   and stack[-1][0] is parent_block):
+                more = children(*stack.pop())
+                parent, letter = (np.concatenate((parent, more[0])),
+                                  np.concatenate((letter, more[1])))
+            if len(parent) > size:
+                stack.append((parent_block, (parent[size:], letter[size:])))
+                parent, letter = parent[:size], letter[:size]
+            if not len(parent):
+                continue
+        length, codes, state = parent_block
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
             state = step(state, parent, letter)
         block = (length + 1,
@@ -660,24 +703,18 @@ def _reduced_children(codes: np.ndarray, nsym: int):
     return np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
 
 
-def _first_of_pairs(codes: np.ndarray, nsym: int, fan: int):
-    """(parent, letter), as int32 and int8, of the reduced children x = w*s
-    of the words w in ``codes`` whose codes come before those of x^-1
-    (x's reversed, each ``^ 1``) lexicographically, in the order of
-    :func:`_reduced_children`; no reduced word is its own inverse.  Built
-    ``fan`` parents at a time, so that no index array spans the block."""
-    parents, kept = [], []
-    for lo in range(0, len(codes), fan):
-        parent, letter = _reduced_children(codes[lo:lo + fan], nsym)
-        x = np.concatenate([codes[lo + parent],
-                            letter[:, None].astype(np.int8)], axis=1)
-        mirror = x[:, ::-1] ^ 1
-        at = (x != mirror).argmax(axis=1)[:, None]
-        keep = (np.take_along_axis(x, at, axis=1)
-                < np.take_along_axis(mirror, at, axis=1))[:, 0]
-        parents.append((parent[keep] + lo).astype(np.int32))
-        kept.append(letter[keep].astype(np.int8))
-    return np.concatenate(parents), np.concatenate(kept)
+def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,
+                    letter: np.ndarray) -> np.ndarray:
+    """Mask of the reduced children x = w*s (w the row ``parent`` of
+    ``codes``, s ``letter``) whose codes come before those of x^-1 (x's
+    reversed, each ``^ 1``) lexicographically; no reduced word is its own
+    inverse."""
+    x = np.concatenate([codes[parent], letter[:, None].astype(np.int8)],
+                       axis=1)
+    mirror = x[:, ::-1] ^ 1
+    at = (x != mirror).argmax(axis=1)[:, None]
+    return (np.take_along_axis(x, at, axis=1)
+            < np.take_along_axis(mirror, at, axis=1))[:, 0]
 
 
 def products(*tables: np.ndarray):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from specgap import certify
+from specgap import certify, reps
 from specgap.builders import build_named
 from specgap.certify import (default_radius, gap_profile, qi_profile,
                              DISCLAIMER)
@@ -11,7 +12,8 @@ from specgap.errors import InputError
 from specgap.linalg import exterior_power
 from specgap.reps import (JACOBI_MAX_DIM, Character, RepSpec,
                           graded_products, iter_ball_images,
-                          rename_generators, scale_by_character,
+                          log_singular_values, rename_generators,
+                          scale_by_character,
                           scaled_rotation_rep, schottky_sl2c, schottky_sl2r,
                           spin_lift, symbol_table, tensor_rep)
 from specgap.words import Alphabet
@@ -303,11 +305,151 @@ class TestInversePairs:
         seen = []
 
         def spy(*args, inverse_pairs=False):
-            seen.append(inverse_pairs)
+            # a paired sweep that fits the budget passes its bound instead
+            seen.append(bool(inverse_pairs))
             return iter_ball_images(*args, inverse_pairs=inverse_pairs)
         monkeypatch.setattr(certify, "iter_ball_images", spy)
         qi_profile(rep, radius=2)
         assert seen == [paired]
+
+
+def _unbounded(monkeypatch):
+    """Make profiles sweep the last length as they would unbounded: one
+    word of each inverse pair, every pair swept."""
+    real = certify.iter_ball_images
+
+    def sweep(*args, inverse_pairs=False):
+        return real(*args, inverse_pairs=bool(inverse_pairs))
+    monkeypatch.setattr(certify, "iter_ball_images", sweep)
+
+
+def _outputs(rep, index, radius=None, sub=None):
+    """The bytes ``diagnose`` writes of a profile: its JSON and CSV."""
+    prof = (qi_profile(rep, radius, sub) if index is None
+            else gap_profile(rep, index, radius, sub))
+    return json.dumps(prof.to_json(), sort_keys=True), prof.to_csv()
+
+
+class TestBoundedLastLength:
+    """Profiles whose ball fits ``MAX_WORDS`` on Jacobi and 2x2 states skip
+    the last-length words whose statistic is bounded inside the envelope;
+    the same sweep without the bound is the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", ["prop42_sl4", "prop42_sl6",
+                                      "thm1ii_d12", "thm41_pattern"])
+    def test_profiles_match_an_unbounded_sweep(self, monkeypatch, name,
+                                               seed):
+        # every gap index and the QI profile at the default radius; the
+        # thm1ii_d12 gap-3 profile is the benchmark's
+        rep = build_named(name, None, seed=seed).rep
+        indices = [*range(1, rep.dim), None]
+        got = [_outputs(rep, i) for i in indices]
+        _unbounded(monkeypatch)
+        assert got == [_outputs(rep, i) for i in indices]
+
+    @pytest.mark.parametrize("spread,radius", [(2.5, 10), (4.0, 8)])
+    def test_2x2_profiles_are_unchanged(self, monkeypatch, spread, radius):
+        # the benchmark's Schottky QI profiles: a whole 2x2 sweep is not
+        # paired, so it is not bounded either
+        rep = schottky_sl2r(2, spread)
+        got = _outputs(rep, None, radius)
+        _unbounded(monkeypatch)
+        assert got == _outputs(rep, None, radius)
+
+    @pytest.mark.parametrize("case,kind", [
+        ("thm1ii_d12 r4", "bound"), ("thm1i_d6 r5", True),
+        ("schottky r10", False), ("thm1ii_d12 whole r3", False)])
+    def test_only_paired_sweeps_within_budget_are_bounded(self, monkeypatch,
+                                                          case, kind):
+        # thm1i_d6's radius-5 ball passes MAX_WORDS: its sweep stops, so
+        # it keeps the words and blocks of the plain paired sweep
+        name, radius = case.split()[0], int(case.split()[-1][1:])
+        rep = (schottky_pair() if name == "schottky"
+               else build_named(name, None, seed=0).rep)
+        if "whole" in case:
+            rep = TestInversePairs._whole(rep)  # one 12x12 (Q, R) state
+        seen = []
+
+        def spy(*args, inverse_pairs=False):
+            seen.append("bound" if callable(inverse_pairs) else inverse_pairs)
+            return iter(())
+        monkeypatch.setattr(certify, "iter_ball_images", spy)
+        qi_profile(rep, radius=radius)
+        assert seen == [kind]
+
+    def test_jacobi_step_sees_at_most_65_percent_of_the_last_length(
+            self, monkeypatch):
+        # thm1ii_d12, seed 0, gap 3 at radius 4 over 16 letters: lengths
+        # 1-3 hold 3,856 words, and 27,000 pairs stand for the 54,000 words
+        # of length 4; 16,785 of them are swept
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        swept = self._swept(monkeypatch)
+        prof = gap_profile(rep, 3, radius=4)
+        assert prof.words_evaluated == 57_856
+        assert swept[0] - 3_856 <= 0.65 * 27_000
+
+    @pytest.mark.parametrize("case", ["2x2", "(Q, R)"])
+    def test_other_routes_sweep_every_word(self, monkeypatch, case):
+        if case == "2x2":
+            rep, radius, words = schottky_pair(2.5), 10, 4 * (3 ** 10 - 1) // 2
+        else:
+            rep = TestInversePairs._whole(build_named("thm1ii_d12").rep)
+            radius, words = 2, 16 + 16 * 15
+        swept = self._swept(monkeypatch)
+        prof = qi_profile(rep, radius=radius)
+        assert swept[0] == prof.words_evaluated == words
+
+    @staticmethod
+    def _swept(monkeypatch):
+        """Count of the words handed to the sweep's step, from now on."""
+        swept = [0]
+        real = certify.graded_products
+
+        def counted(*tables):
+            root, step = real(*tables)
+
+            def spy(state, parent, letter):
+                swept[0] += len(parent)
+                return step(state, parent, letter)
+            return root, spy
+        monkeypatch.setattr(certify, "graded_products", counted)
+        return swept
+
+    def test_parents_that_are_not_finite_bound_nothing(self, monkeypatch):
+        # a^2 overflows in the 3x3 factor, so the parents of the radius-4
+        # words that hold a^2 or a^-2 have no finite ratio; every child of
+        # such a parent is swept, while finite parents bound some children
+        # (small blocks give the bound many slices to act on)
+        monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
+        ab = Alphabet(("a", "b"))
+        cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        wide = RepSpec(ab, {"a": np.diag([1e160, 1.0, 1e-160]),
+                            "b": cycle @ np.diag([1.5, 1.0, 1 / 1.5])})
+        rep = tensor_rep(wide, RepSpec(ab, {"a": np.eye(2),
+                                            "b": np.diag([2.0, 0.5])}))
+        real = certify.iter_ball_images
+        calls = []
+
+        def sweep(*args, inverse_pairs=False):
+            def spy(block, parent, letter):
+                keep = inverse_pairs(block, parent, letter)
+                with np.errstate(all="ignore"):
+                    logs = log_singular_values(*block[2])[parent]
+                calls.append((np.isfinite(logs).all(axis=1), keep))
+                return keep
+            assert callable(inverse_pairs)
+            return real(*args, inverse_pairs=spy)
+        monkeypatch.setattr(certify, "iter_ball_images", sweep)
+        prof = gap_profile(rep, 1, radius=4)
+        finite = np.concatenate([f for f, _ in calls])
+        keep = np.concatenate([k for _, k in calls])
+        assert (~finite).any() and keep[~finite].all()
+        assert not keep[finite].all()
+        assert prof.samples[-1][2] == math.inf
+        monkeypatch.setattr(certify, "iter_ball_images", real)
+        _unbounded(monkeypatch)
+        assert gap_profile(rep, 1, radius=4) == prof
 
 
 class TestTooFewLengths:

@@ -547,3 +547,13 @@ class TestInputErrors:
         rep = self._write(tmp_path / "rep.json", json.dumps(REP))
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--witness", "a1^2",
                                "--indices", "1,x", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("indices", [",", "1,1", "1,,1"])
+    def test_empty_or_repeated_indices(self, tmp_path, capsys, indices):
+        # "," once certified no index with covered_all true, and "1,1"
+        # recorded index 1 twice
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        self._exits_2(capsys, ["obstruct", "--rep", rep, "--witness", "a1^2",
+                               "--indices", indices,
+                               "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x" / "certificate.json").exists()

@@ -8,7 +8,7 @@ from specgap.errors import InputError, SizeError
 from specgap.linalg import (classify, classify_exterior, exterior_power,
                             kronecker, predicted_spectrum, sort_eigenvalues,
                             spectrum, spectrum_tensor, spectrum_union,
-                            spectrum_wedge, top_eigenvalue_2x2_unimodular,
+                            spectrum_wedge, top_eigenvalue_2x2,
                             top_subset_products)
 
 RNG = np.random.default_rng(20240817)
@@ -91,17 +91,17 @@ class TestTwoByTwoTrace:
     def test_hyperbolic(self):
         m = np.array([[3.0, 1.0], [2.0, 1.0]])
         m = m / math.sqrt(np.linalg.det(m))
-        lam = top_eigenvalue_2x2_unimodular(m)
+        lam = top_eigenvalue_2x2(m)
         assert lam == pytest.approx(max(np.linalg.eigvals(m)), rel=1e-12)
 
     def test_negative_trace(self):
-        lam = top_eigenvalue_2x2_unimodular(np.diag([-5.0, -0.2]))
+        lam = top_eigenvalue_2x2(np.diag([-5.0, -0.2]))
         assert lam == pytest.approx(-5.0)
 
     def test_elliptic(self):
         t = 1.0
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        assert abs(top_eigenvalue_2x2_unimodular(rot)) == pytest.approx(1.0)
+        assert abs(top_eigenvalue_2x2(rot)) == pytest.approx(1.0)
 
 
 class TestKronecker:

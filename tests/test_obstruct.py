@@ -60,6 +60,26 @@ class TestFindNegativeLambda:
         assert sw1.word == sw2.word
         assert sw1.search_trace == sw2.search_trace
 
+    @pytest.mark.parametrize("coset", ["", "a1^2", "b1^-2"])
+    def test_lambda_with_det_drift_matches_mpmath(self, coset):
+        # letters of det 1 + 1.5e-8, inside the unimodular gate: the
+        # witness's eigenvalue against the 2x2 closed form of its product
+        # in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        base = j_spread(4.0)
+        j = RepSpec(PAIR, {l: math.sqrt(1 + 1.5e-8) * base.image(l)
+                           for l in PAIR.names})
+        sw = find_negative_lambda(j, word(PAIR, coset) if coset
+                                  else Word.identity(PAIR))
+        with mpmath.workdps(60):
+            m = mpmath.eye(2)
+            for idx, sign in sw.word.letters:
+                g = mpmath.matrix(j.image(PAIR.names[idx]).tolist())
+                m = m * (g if sign > 0 else mpmath.inverse(g))
+            t = m[0, 0] + m[1, 1]
+            want = (t - mpmath.sqrt(t * t - 4 * mpmath.det(m))) / 2
+        assert abs(sw.lambda1 - want) <= 1e-12 * abs(want)
+
     def test_budget_exhaustion_raises_with_trace(self, monkeypatch):
         monkeypatch.setattr(obstruct, "MAX_CANDIDATES", 10)
         rot = rotation_block_rep(PAIR, 1.0, ("a1", "b1"))
@@ -360,6 +380,22 @@ class TestCertificates:
         with pytest.raises(InputError):
             certify_not_limit(rep, [word(PAIR, "a1^2")], [3],
                               Presentation.free(PAIR))
+
+    @pytest.mark.parametrize("indices", [[], [1, 1], [2, 1, 2]])
+    def test_empty_or_repeated_indices(self, indices):
+        # an empty list once gave a certificate with covered_all true
+        with pytest.raises(InputError):
+            certify_not_limit(self._identity_rep(), [word(PAIR, "a1^2")],
+                              indices, Presentation.free(PAIR))
+
+    def test_revalidation_refuses_empty_or_repeated_entries(self):
+        rep = self._signed_rep()
+        cert = certify_not_limit(rep, [word(PAIR, "a1 b1 a1 b1^-1")], [1],
+                                 Presentation.free(PAIR))
+        doc = json.loads(json.dumps(cert.to_json()))
+        assert verify_certificate(doc, rep)
+        for entries in ([], doc["entries"] * 2):
+            assert not verify_certificate({**doc, "entries": entries}, rep)
 
     @staticmethod
     def _signed_rep():

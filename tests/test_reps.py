@@ -145,6 +145,39 @@ class TestSchottky:
         floor = [min(v) for _, v in sorted(mins.items())]
         assert all(b > a for a, b in zip(floor, floor[1:]))
 
+    @pytest.mark.parametrize("case", ["scalar words", "drifted schottky"])
+    def test_top_modulus_with_det_drift_matches_mpmath(self, case):
+        # images of det 1 + 1.5e-8, inside the unimodular gate: b = det(a)
+        # a^-1 makes every word of exponent sum 0 in a and b scalar, whose
+        # top modulus a det-1 trace formula read as 1.0001732 for a b; the
+        # Schottky letters scaled by sqrt(1 + 1.5e-8) keep distinct
+        # eigenvalues.  Every word of the radius-5 ball against the 2x2
+        # closed form of its product in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        if case == "scalar words":
+            a = np.array([[2.0, 1.0], [1.0, 1.0 + 7.5e-9]])
+            quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+            rep = RepSpec(Alphabet(("a", "b")),
+                          {"a": a, "b": quarter @ a @ quarter.T})
+        else:
+            base = schottky_sl2r(2, 4.0)
+            rep = RepSpec(base.alphabet,
+                          {l: math.sqrt(1 + 1.5e-8) * base.image(l)
+                           for l in base.alphabet.names})
+        mats = {l: mpmath.matrix(rep.image(l).tolist())
+                for l in rep.alphabet.names}
+        with mpmath.workdps(60):
+            for w in enumerate_ball(rep.alphabet, 5):
+                m = mpmath.eye(2)
+                for idx, sign in w.letters:
+                    g = mats[rep.alphabet.names[idx]]
+                    m = m * (g if sign > 0 else mpmath.inverse(g))
+                t, det = m[0, 0] + m[1, 1], mpmath.det(m)
+                disc = t * t - 4 * det
+                want = (mpmath.sqrt(det) if disc < 0
+                        else (abs(t) + mpmath.sqrt(disc)) / 2)
+                assert abs(rep.top_modulus(w) - want) <= 1e-12 * want, str(w)
+
     def test_commutator_trace_is_real_and_loxodromic(self):
         rep = schottky_sl2r(2, 4.0)
         m = rep.evaluate(word(rep.alphabet, "a b a^-1 b^-1"))
