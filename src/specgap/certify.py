@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
-                   iter_ball_images, log_singular_values, symbol_table)
+from .reps import RepSpec, graded_products, iter_ball_images, symbol_table
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -88,20 +87,17 @@ class Profile(Record):
         return "\n".join(lines) + "\n"
 
 
-def _log_ratios(state, hi: int, lo: int, inverses: bool = False) -> np.ndarray:
-    """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block, inf
+def _log_ratios(logs: np.ndarray, hi: int, lo: int,
+                inverses: bool = False) -> np.ndarray:
+    """log(sigma_{hi+1} / sigma_{lo+1}) of each word of a sweep block from
+    its descending ``logs`` (the reader of ``reps.graded_products``), inf
     where it is not finite (the smaller singular value computes as 0, the
-    product overflowed, or a Jacobi state gave up), read from the
-    descending log singular values of its ``reps.graded_products`` state.
-
-    With ``inverses`` the ratios of each word's inverse follow, read from
-    the same logs: sigma_k(W^-1) = 1 / sigma_{dim+1-k}(W), so
-    gap_i(W^-1) = gap_{dim-i}(W), and sigma_1 / sigma_dim is its own
-    mirror.  That holds only where the smallest singular values are as
-    accurate as the largest, as on the Jacobi and 2x2 states.
-    """
+    product overflowed, or a Jacobi state gave up).  With ``inverses`` the
+    ratios of each word's inverse follow, read from the same logs, which
+    resolve the smallest singular values as accurately as the largest:
+    sigma_k(W^-1) = 1 / sigma_{dim+1-k}(W), so gap_i(W^-1) = gap_{dim-i}(W),
+    and sigma_1 / sigma_dim is its own mirror."""
     with np.errstate(all="ignore"):
-        logs = log_singular_values(*state)
         v = logs[:, hi] - logs[:, lo]
         if inverses:
             v = np.concatenate((v, logs[:, -1 - lo] - logs[:, -1 - hi]))
@@ -147,7 +143,7 @@ def _verdict(boxes: Sequence[tuple[int, float, float]],
 
 
 # widening of a bounded word's interval, relative to the values it adds: a
-# thousand times the 1e-12 at which the Jacobi and 2x2 routes meet their
+# thousand times the 1e-12 at which the graded states meet their
 # high-precision oracles
 _BOUND_SLACK = 1e-9
 
@@ -155,9 +151,9 @@ _BOUND_SLACK = 1e-9
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
     """The profile of ratio ``index`` (None: QI) over the ball, swept by
-    ``reps.iter_ball_images`` on the tables' ``reps.graded_products``
-    routes.  On Jacobi and 2x2 states the last length sweeps one word of
-    each inverse pair; when the whole ball also fits ``MAX_WORDS`` it
+    ``reps.iter_ball_images`` on the ``reps.graded_products`` state of the
+    tables' direct-sum blocks.  Past dim 2 the last length sweeps one word
+    of each inverse pair; when the whole ball also fits ``MAX_WORDS`` it
     skips, besides, the words that ``bound`` shows cannot move its
     envelope, and counts them in ``words_evaluated`` unswept."""
     if radius is None:
@@ -165,22 +161,17 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
-    count = 0
-    truncated = False
+    count, truncated = 0, False
     tables = [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
     nsym = len(tables[0])
-    root, step = graded_products(*tables)
-    # on Jacobi and 2x2 states the last length sweeps one word of each
-    # inverse pair; the (Q, R) route does not resolve the bottom of the
-    # spectrum, and a whole 2x2 sweep is cheaper than the regrouping
-    paired = rep.dim > 2 and all(t.shape[1] <= JACOBI_MAX_DIM for t in tables)
+    root, step, logs = graded_products(*tables)
+    paired = rep.dim > 2  # a whole 2x2 sweep is cheaper than the regrouping
     # a sweep that cannot run out of budget also skips the last-length
     # words whose statistic is bounded inside the envelope
     if paired and sum(nsym * (nsym - 1) ** (l - 1)
                       for l in range(1, radius + 1)) <= MAX_WORDS:
-        # log(sigma_max / sigma_min) of each letter, on the sweep's route
-        letters = log_singular_values(*step(root, np.zeros(nsym, dtype=int),
-                                            np.arange(nsym)))
+        # log(sigma_max / sigma_min) of each letter, from its own state
+        letters = logs(step(root, np.zeros(nsym, dtype=int), np.arange(nsym)))
         kappa = letters[:, 0] - letters[:, -1]
         reach = kappa + _BOUND_SLACK * (1.0 + kappa)
         ratios = {(hi, lo), ((-1 - lo) % rep.dim, (-1 - hi) % rep.dim)}
@@ -199,10 +190,10 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
             if radius not in mins:
                 return np.ones(len(parent), dtype=bool)
             if memo[0] is not block:
-                logs, memo[:] = log_singular_values(*block[2]), [block]
+                lg, memo[:] = logs(block[2]), [block]
                 with np.errstate(invalid="ignore"):
                     for a, b in ratios:
-                        v = logs[:, a] - logs[:, b]
+                        v = lg[:, a] - lg[:, b]
                         v = np.where(np.isfinite(v), v, np.nan)
                         pad = _BOUND_SLACK * np.abs(v)
                         memo.append((v - pad, v + pad))
@@ -225,7 +216,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
             truncated = True
             break
         count += words
-        v = _log_ratios(state, hi, lo, inverses)
+        v = _log_ratios(logs(state), hi, lo, inverses)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
@@ -262,21 +253,21 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
     with a least-squares fit of the lower envelope.
 
-    The sweep stops before the block (``reps.iter_ball_images``) that would
-    take it past ``MAX_WORDS``; the verdict is then "inconclusive" and
-    ``words_evaluated`` counts only the words evaluated.  A ratio that is
-    not finite is recorded as inf and makes the verdict "inconclusive".
-
-    Each Kronecker factor (or the whole representation) sweeps on its own
-    route of ``reps.graded_products``.  When dim > 2 and every table is a
-    2x2 or Jacobi state, the last length sweeps one word of each pair
-    {w, w^-1} and takes w^-1's ratio as gap_{dim-i}(w); both count in
-    ``words_evaluated`` and against ``MAX_WORDS``.  When the whole ball
-    fits ``MAX_WORDS`` as well, a last-length word x = w*s is not swept
-    when gap_i and gap_{dim-i} of w, each within the log condition number
-    of the letter s of x's (Weyl), lie inside the envelope so far; the
-    samples are those of the full sweep, and ``words_evaluated`` counts
-    every word of the ball.
+    Each Kronecker factor (or the whole representation) is split into its
+    direct-sum blocks, each swept on its ``reps.graded_products`` state.
+    When dim > 2 the last length sweeps one word of each pair {w, w^-1},
+    taking w^-1's ratio as gap_{dim-i}(w); both count in ``words_evaluated``
+    and against ``MAX_WORDS``.  When the whole ball fits ``MAX_WORDS``, a
+    last-length word x = w*s is not swept when gap_i and gap_{dim-i} of w,
+    each within the log condition number of x's letter s (Weyl), lie inside
+    the envelope so far: the samples are those of the full sweep, and
+    ``words_evaluated`` counts every word of the ball.  Otherwise the sweep
+    stops before the block (``reps.iter_ball_images``) that would pass
+    ``MAX_WORDS``, the verdict is "inconclusive", and ``words_evaluated``
+    counts the words evaluated; a block's size follows from the bytes of a
+    word's state, so where the sweep stops depends on the block layout.  A
+    ratio that is not finite is recorded as inf and makes the verdict
+    "inconclusive".
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")

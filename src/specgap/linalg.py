@@ -147,7 +147,7 @@ def top_eigenvalue_2x2(m: np.ndarray, det: float = 1.0) -> complex:
     disc = t * t - 4.0 * det
     if (abs(disc) < _SQRT_EPS * t * t
             and abs(a - d) + 2.0 * (abs(b) + abs(c)) < 2.0 * abs(t)):
-        disc = (a - d) ** 2 + 4.0 * b * c
+        disc = (a - d) * (a - d) + 4.0 * b * c
     if disc >= 0.0:
         root = math.sqrt(disc)
         lam = (t + root) / 2.0 if t >= 0 else (t - root) / 2.0

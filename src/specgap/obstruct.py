@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (DegenerateConfigurationError, InputError, SamplingError,
                      SearchError)
-from .linalg import (DEFAULT_TOL, ExteriorClassification, Record, classify,
-                     classify_exterior, sort_eigenvalues,
+from .linalg import (_SQRT_EPS, DEFAULT_TOL, ExteriorClassification, Record,
+                     classify, classify_exterior, sort_eigenvalues,
                      top_eigenvalue_2x2)
 from . import reps
 from .reps import RepSpec, symbol_table, validate_homomorphism
@@ -254,21 +254,30 @@ class DominationReport(Record):
     words_checked: int
 
 
-def _log_top_moduli(images: np.ndarray) -> np.ndarray:
-    """log of the largest eigenvalue modulus of each image in a stack: the
-    trace formula of ``top_eigenvalue_2x2`` at det 1 for 2x2 images,
-    batched ``eigvals`` otherwise.  Moduli and logarithms go through the
-    same libm ``hypot``/``log`` as ``RepSpec.top_modulus`` and ``math.log``
-    (numpy's SIMD ``abs``/``log`` can differ in the last bit), so exact
-    ties break as they do word by word where ``RepSpec._det`` reads 1."""
+def _log_top_moduli(images: np.ndarray, codes: np.ndarray,
+                    letter_dets: Optional[np.ndarray]) -> np.ndarray:
+    """log of the largest eigenvalue modulus of each image in a stack, that
+    of the word of its row of ``codes``: the rule of ``top_eigenvalue_2x2``
+    for 2x2 images, on the product of the word's ``letter_dets`` in the
+    order of ``RepSpec._det``; batched ``eigvals`` otherwise.  Moduli and
+    logarithms go through the same libm ``hypot``/``log`` as
+    ``RepSpec.top_modulus`` and ``math.log`` (numpy's SIMD ``abs``/``log``
+    can differ in the last bit), so exact ties break as word by word."""
     if not np.isfinite(images).all():
         raise InputError("matrix has non-finite entries")
     if images.shape[1] == 2:
+        det = math.prod(letter_dets[codes.T.astype(np.intp)])
         t = images[:, 0, 0] + images[:, 1, 1]
-        disc = t * t - 4.0
+        disc = t * t - 4.0 * det
+        near = np.flatnonzero(np.abs(disc) < _SQRT_EPS * t * t)
+        if near.size:  # the entry form, where it moves the root less
+            (a, b), (c, d) = images[near].transpose(1, 2, 0)
+            entry = abs(a - d) + 2.0 * (abs(b) + abs(c)) < 2.0 * abs(t[near])
+            disc[near[entry]] = ((a - d) * (a - d) + 4.0 * b * c)[entry]
         root = np.sqrt(np.abs(disc))
-        top = np.where(disc >= 0.0, (np.abs(t) + root) / 2.0,
-                       np.hypot(t / 2.0, root / 2.0))
+        top = (np.abs(t) + root) / 2.0
+        pair = np.flatnonzero(disc < 0.0)  # complex conjugate eigenvalues
+        top[pair] = np.hypot(t[pair] / 2.0, root[pair] / 2.0)
     else:
         eigs = np.linalg.eigvals(images)
         top = np.hypot(eigs.real, eigs.imag).max(axis=1)
@@ -314,6 +323,11 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
         raise InputError("domination radius must be >= 1: a sweep of no"
                          " words has no margin")
     tables = [symbol_table(rep) for rep in (upper, lower)]
+    # a 2x2 side's determinant per letter code, as ``RepSpec._det`` takes it
+    up_dets, low_dets = (
+        np.array([rep._det(Word.from_codes(rep.alphabet, [c]))
+                  for c in range(len(tables[0]))]) if rep.dim == 2 else None
+        for rep in (upper, lower))
     lows = [math.inf] * (radius + 1)  # per length: cyclically reduced, then all
     firsts = [()] * (radius + 1)  # codes of the first word to reach each low
     padded = upper.alphabet.size > 1  # else no word is padded
@@ -325,7 +339,8 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     for length, codes, (up, low) in blocks:
         words_checked += len(codes)
         keep = codes[:, 0] != codes[:, -1] ^ 1  # cyclically reduced
-        codes, m, low = codes[keep], _log_top_moduli(up[keep]), low[keep]
+        codes, low = codes[keep], low[keep]
+        m = _log_top_moduli(up[keep], codes, up_dets)
         if prune:
             threshold = min(lows[length::-2]) if padded else lows[length]
             with np.errstate(all="ignore"):
@@ -335,7 +350,7 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
             if not candidates.any():
                 continue
             codes, m, low = codes[candidates], m[candidates], low[candidates]
-        m = m - exponent * _log_top_moduli(low)
+        m = m - exponent * _log_top_moduli(low, codes, low_dets)
         k = int(np.argmin(m))
         if m[k] < lows[length]:
             lows[length], firsts[length] = float(m[k]), codes[k]

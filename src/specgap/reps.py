@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -727,43 +728,53 @@ def products(*tables: np.ndarray):
 
 
 def graded_products(*tables: np.ndarray):
-    """Root and step of a ball sweep whose state holds, per table of letter
-    images, one entry from which the singular values of the word's product
-    W are read without drowning the small ones in the rounding of a raw
-    product, on a route chosen by the table's dimension d:
+    """Root, step and reader of a ball sweep whose state holds one entry
+    per direct-sum block (:func:`_blocks`) of each table of letter images,
+    from which the singular values of the block's product W are read
+    without drowning the small ones in the rounding of a raw product.
 
-    * d = 2: X = W^T / sqrt(det W), the product of the letters scaled to
-      det 1, a (2, 2, n) stack laid out (column, row, word), not rotated.
-    * d <= ``JACOBI_MAX_DIM``: X = W^T V with V orthogonal, in that layout.
-      Its columns are orthogonal and their norms are the singular values
-      of W.  Appending g orthogonalises the columns of g^T X by one-sided
-      Jacobi (:func:`_orthogonalise`), which is accurate on graded matrices
-      (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
-    * larger: graded factors W^T = QR, Q orthogonal and R upper triangular,
-      a (2, n, d, d) stack of Q and R (Stewart, ETNA 3, 1995).  Appending g
-      factors g^T Q = Q'R' and keeps R'R; the singular values are R's.
-    """
-    sweeps = [(_jacobi_step if t.shape[1] <= JACOBI_MAX_DIM else _qr_step)(t)
-              for t in tables]
+    A block keeps X = W^T V with V orthogonal, a (d, d, n) stack laid out
+    (column, row, word), whose columns are orthogonal with the singular
+    values of W as norms.  Appending g orthogonalises the columns of g^T X
+    by one-sided Jacobi (:func:`_orthogonalise`), accurate on graded
+    matrices at any width (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1992).  A table that is one 2x2 block keeps X = W^T / sqrt(det W), not
+    rotated; a 2x2 block of a larger sum keeps its scale on the Jacobi
+    step.  The reader, ``logs(state)``, is :func:`log_singular_values` on
+    the tables' block counts."""
+    counts, sweeps = [], []
+    for table in tables:
+        blocks = _blocks(table)
+        counts.append(len(blocks))
+        closed = len(blocks) == 1 and table.shape[1] == 2
+        sweeps += [_jacobi_step(table[:, b[:, None], b], closed)
+                   for b in blocks]
 
     def step(state, parent, letter):
         return tuple(f(s, parent, letter) for (_, f), s in zip(sweeps, state))
-    return tuple(root for root, _ in sweeps), step
+    return (tuple(root for root, _ in sweeps), step,
+            partial(log_singular_values, counts=tuple(counts)))
 
 
-def _qr_step(table: np.ndarray):
-    transposed = table.transpose(0, 2, 1)
+def _blocks(table: np.ndarray) -> list[np.ndarray]:
+    """Ascending index arrays, by first index, of the direct-sum blocks of
+    a (k, d, d) table: the connected components of the union of its nonzero
+    patterns.  The table holds the inverse images too, so every word's
+    product is the same block sum, and its singular values are the union
+    of its blocks'."""
+    linked = (table != 0).any(axis=0)
+    linked |= linked.T
+    label = np.arange(len(linked))  # the least index known to be linked
+    while ((least := np.where(linked, label, label[:, None]).min(axis=1))
+           < label).any():
+        label = least[least]  # pointer jumping: a chain takes log d rounds
+    return [np.flatnonzero(label == i) for i in range(len(label))
+            if label[i] == i]
 
-    def step(qr, parent, letter):
-        q, r = qr.take(parent, axis=1)
-        q_next, r_next = np.linalg.qr(transposed[letter] @ q)
-        return np.stack((q_next, r_next @ r))
-    return np.eye(table.shape[1])[None, None].repeat(2, axis=0), step
 
-
-def _jacobi_step(table: np.ndarray):
+def _jacobi_step(table: np.ndarray, closed: bool):
     d = table.shape[1]
-    if d == 2:  # the closed form takes det 1; ratios do not see the scale
+    if closed:  # the closed form takes det 1; ratios do not see the scale
         table = table / np.sqrt(np.linalg.det(table))[:, None, None]
     g = table.transpose(1, 2, 0)  # g[k, i, s] is entry (k, i) of letter s
 
@@ -774,20 +785,17 @@ def _jacobi_step(table: np.ndarray):
         m = xp[:, 0, None] * gl[0]
         for k in range(1, d):
             m += xp[:, k, None] * gl[k]
-        return m if d == 2 else _orthogonalise(m)
+        return m if closed else _orthogonalise(m)
     return np.eye(d)[:, :, None], step
 
 
-# tables up to this dimension keep a one-sided Jacobi state, about as fast
-# as the graded QR and SVD at 6 and accurate on graded products; past it
-# the per-word LAPACK QR and SVD are 1.5 to 2 times cheaper (CHANGES.md has
-# the per-word timings)
-JACOBI_MAX_DIM = 6
 # a matrix still rotating after this many sweeps is given up as NaN, which
-# a profile reads as inf ("inconclusive"); none seen has needed more than 7
-JACOBI_SWEEPS = 12
+# a profile reads as inf ("inconclusive"); the named builds' blocks need at
+# most 6 sweeps, dense tables 7 to 66 wide up to 15 (CHANGES.md has counts)
+JACOBI_SWEEPS = 30
 
 
+@cache
 def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rounds of disjoint column pairs (p, q) that meet every pair once: the
     circle method, with a phantom column d padding an odd d."""
@@ -803,52 +811,38 @@ def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-_ROUNDS = {d: _round_robin(d) for d in range(1, JACOBI_MAX_DIM + 1)}
-
-
-def _column_exponents(x: np.ndarray) -> np.ndarray:
-    """(d, n) powers of two that scale each column of a (column, row, word)
-    stack to a largest entry in [1/2, 1), so that no square of a scaled
-    entry over- or underflows."""
-    return np.frexp(np.abs(x).max(axis=1))[1]
-
-
-def log_singular_values(*entries: np.ndarray) -> np.ndarray:
+def log_singular_values(state: State, counts: Sequence[int]) -> np.ndarray:
     """(n, D) logs of the singular values of each word's product, descending,
-    from the entries of a :func:`graded_products` state, one per table (past
-    one, of their Kronecker product: the sums over all index tuples); a row
-    is NaN where an entry is not finite.  A 2x2 entry gives
+    from a :func:`graded_products` state whose tables hold ``counts``
+    blocks each, in order: per table the union of its blocks' logs, past
+    one table the sums over all index tuples (Kronecker product); a row is
+    NaN where an entry is not finite.  A table that is one 2x2 block gives
     log sigma_1 = |log((s + t) / 2)|, s = |(a+d, b-c)| and t = |(a-d, b+c)|
     (>= 0 but for rounding), and log sigma_2 = -log sigma_1, those of
-    W / sqrt(det W); a Jacobi state its log column norms, taken on columns
-    scaled by powers of two with the exponents added back as logs; a (Q, R)
-    stack the logs of the SVD of R.  Only Jacobi logs and Kronecker sums
-    need sorting."""
-    logs = []
+    W / sqrt(det W), unsorted; every other block its log column norms,
+    taken on columns scaled by powers of two, exponents added back as logs."""
+    entries, finite, tables = iter(state), True, []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for entry in entries:
-            if entry.ndim == 4:
-                finite = np.isfinite(entry[1]).all(axis=(1, 2))
-                r = np.where(finite[:, None, None], entry[1], 0.0)
-                lg = np.log(np.linalg.svd(r, compute_uv=False))
-            else:
-                finite = np.isfinite(entry).all(axis=(0, 1))
-                if len(entry) == 2:
+        for count in counts:
+            logs = []
+            for entry in islice(entries, count):
+                finite &= np.isfinite(entry).all(axis=(0, 1))
+                if count == 1 and len(entry) == 2:
                     (a, b), (c, d) = entry
                     top = np.abs(np.log((np.hypot(a + d, b - c)
                                          + np.hypot(a - d, b + c)) / 2.0))
-                    lg = np.stack((top, -top), axis=1)
+                    logs.append(np.stack((top, -top), axis=1))
                 else:
-                    e = _column_exponents(entry)
+                    e = np.frexp(np.abs(entry).max(axis=1))[1]
                     y = np.ldexp(entry, -e[:, None])
-                    lg = (0.5 * np.log(np.einsum("jin,jin->jn", y, y))
-                          + math.log(2.0) * e).T
-            logs.append(np.where(finite[:, None], lg, np.nan))
+                    logs.append((0.5 * np.log(np.einsum("jin,jin->jn", y, y))
+                                 + math.log(2.0) * e).T)
+            tables.append(np.concatenate(logs, axis=1))
         total = reduce(lambda t, lg: (t[:, :, None] + lg[:, None, :])
-                       .reshape(len(lg), -1), logs)
-        if len(logs) > 1 or entries[0].ndim == 3 and len(entries[0]) > 2:
+                       .reshape(len(lg), -1), tables)
+        if len(state) > 1 or len(state[0]) > 2:
             total = np.sort(total, axis=1)[:, ::-1]
-    return total
+    return total if finite.all() else np.where(finite[:, None], total, np.nan)
 
 
 def _orthogonalise(m: np.ndarray) -> np.ndarray:
@@ -873,12 +867,12 @@ def _orthogonalise(m: np.ndarray) -> np.ndarray:
     """
     d = len(m)
     tol2 = (d * np.finfo(float).eps) ** 2
-    rounds = _ROUNDS[d]
+    rounds = _round_robin(d)
     if not rounds:  # a single column
         return m
     live = np.flatnonzero(np.isfinite(m).all(axis=(0, 1)))
     x = m if live.size == m.shape[2] else m.take(live, axis=2)
-    e = _column_exponents(x)
+    e = np.frexp(np.abs(x).max(axis=1))[1]
     y = np.ldexp(x, -e[:, None])
     # per round: r / 2, 1 / 2r, r and 1 / r
     r = np.ldexp(1.0, np.stack([e[q] - e[p] for p, q in rounds]).clip(-64, 64))

@@ -10,9 +10,8 @@ from specgap.certify import (default_radius, gap_profile, qi_profile,
                              DISCLAIMER)
 from specgap.errors import InputError
 from specgap.linalg import exterior_power
-from specgap.reps import (JACOBI_MAX_DIM, Character, RepSpec,
-                          graded_products, iter_ball_images,
-                          log_singular_values, rename_generators,
+from specgap.reps import (Character, RepSpec, graded_products,
+                          iter_ball_images, rename_generators,
                           scale_by_character,
                           scaled_rotation_rep, schottky_sl2c, schottky_sl2r,
                           spin_lift, symbol_table, tensor_rep)
@@ -219,10 +218,43 @@ class TestFactoredProfiles:
         assert prof.samples[-1][2] == math.inf
 
 
+class TestBlockLayout:
+    """The direct-sum blocks each named build's profile sweeps, per table
+    (Kronecker factor or whole representation).  One-sided Jacobi costs
+    several times more per word on a wide dense table (CHANGES.md), so no
+    named build may sweep a block wider than 6 unnoticed."""
+
+    @pytest.mark.parametrize("name,params,layout", [
+        ("thm1i_d5", None, [[4, 1]]),
+        ("thm1i_d6", None, [[4, 2]]),
+        ("thm1i_dge7", None, [[4, 2, 1]]),
+        ("thm1i_dge7", {"d": 10}, [[4, 2, 1, 1, 1, 1]]),
+        ("prop42_sl4", None, [[2, 2]]),
+        ("thm41_pattern", None, [[1] * 5, [3]]),
+        ("thm41_pattern", {"n": 13}, [[1] * 13, [3]]),
+        ("thm1ii_d12", None, [[4], [3]]),
+        ("prop42_sl6", None, [[2], [3]])])
+    def test_named_builds_sweep_their_blocks(self, monkeypatch, name, params,
+                                             layout):
+        rep = build_named(name, params).rep
+        real = certify.graded_products
+        seen = []
+
+        def spy(*tables):
+            root, step, logs = real(*tables)
+            seen.append(([[len(b) for b in reps._blocks(t)] for t in tables],
+                         [len(entry) for entry in root]))
+            return root, step, logs
+        monkeypatch.setattr(certify, "graded_products", spy)
+        qi_profile(rep, radius=1)
+        assert seen == [(layout, [w for table in layout for w in table])]
+        assert max(seen[0][1]) <= 6
+
+
 class TestInversePairs:
-    """On Jacobi states a profile sweeps one word of each pair {w, w^-1} at
-    its last length and reads gap_i(w^-1) = gap_{dim-i}(w) from w's
-    singular values.  An unpaired sweep of the whole ball is the oracle."""
+    """Past dim 2 a profile sweeps one word of each pair {w, w^-1} at its
+    last length and reads gap_i(w^-1) = gap_{dim-i}(w) from w's singular
+    values.  An unpaired sweep of the whole ball is the oracle."""
 
     @staticmethod
     def _unpaired(rep, radius, sub=None):
@@ -233,14 +265,15 @@ class TestInversePairs:
         indices = [*range(1, rep.dim), None]
         extrema = {i: {} for i in indices}
         count = 0
-        for length, codes, state in iter_ball_images(
-                len(tables[0]), radius, *graded_products(*tables)):
+        root, step, logs = graded_products(*tables)
+        for length, codes, state in iter_ball_images(len(tables[0]), radius,
+                                                     root, step):
             if not length:
                 continue
             count += len(codes)
             for i in indices:
                 hi, lo = (0, rep.dim - 1) if i is None else (i - 1, i)
-                v = certify._log_ratios(state, hi, lo)
+                v = certify._log_ratios(logs(state), hi, lo)
                 old = extrema[i].get(length, (math.inf, -math.inf))
                 extrema[i][length] = (min(old[0], v.min()),
                                       max(old[1], v.max()))
@@ -256,14 +289,15 @@ class TestInversePairs:
         ("prop42_sl6", 0, None, 3), ("prop42_sl6", 3, None, 3),
         ("thm1ii_d12", 3, ("a4", "b4"), 5),
         ("prop42_sl6 factored", 0, None, 3),
-        ("prop42_sl6 factored", 3, None, 3)])
+        ("prop42_sl6 factored", 3, None, 3),
+        ("thm1i_dge7", 3, None, 3), ("thm1ii_d12 whole", 3, None, 2)])
     def test_paired_profiles_match_an_unpaired_sweep(self, name, seed, sub,
                                                      radius):
-        # a factored prop42_sl6 sweeps a 2x2 state with a 3x3 Jacobi state
+        # a factored prop42_sl6 sweeps a 2x2 state with a 3x3 Jacobi state,
+        # thm1i_dge7 its 4 + 2 + 1 blocks, a whole 12x12 table one block
         rep = build_named(name.split()[0], None, seed=seed).rep
-        if name == "prop42_sl6":
-            rep = self._whole(rep)  # one 6x6 Jacobi state
-        assert all(f.dim <= JACOBI_MAX_DIM for f in rep.factors or (rep,))
+        if name in ("prop42_sl6", "thm1ii_d12 whole"):
+            rep = self._whole(rep)  # one 6x6 or 12x12 Jacobi state
         extrema, count = self._unpaired(rep, radius, sub)
         for i, want in extrema.items():
             prof = (qi_profile(rep, radius, sub) if i is None
@@ -280,7 +314,7 @@ class TestInversePairs:
         rep = build_named("thm1i_d6", None, seed=0).rep
         table = symbol_table(rep)
         sizes = [(length, len(codes)) for length, codes, _ in iter_ball_images(
-            len(table), 3, *graded_products(table), inverse_pairs=True)]
+            len(table), 3, *graded_products(table)[:2], inverse_pairs=True)]
         below = sum(n for length, n in sizes if 0 < length < 3)
         kept = [n for length, n in sizes if length == 3]
         assert len(kept) > 1
@@ -292,16 +326,16 @@ class TestInversePairs:
 
     @pytest.mark.parametrize("case,paired", [
         ("schottky", False), ("thm1i_d6", True), ("thm1ii_d12", True),
-        ("thm1ii_d12 whole", False)])
+        ("thm1ii_d12 whole", True)])
     def test_only_jacobi_states_pair(self, monkeypatch, case, paired):
-        # the (Q, R) route does not resolve the bottom of the spectrum, and
-        # the 2x2 closed form is cheaper unpaired
+        # every state past dim 2 is a Jacobi state, a whole 12x12 table
+        # too; the 2x2 closed form of a whole 2x2 table is cheaper unpaired
         if case == "schottky":
             rep = schottky_pair()
         else:
             rep = build_named(case.split()[0]).rep
             if case.endswith("whole"):
-                rep = self._whole(rep)  # one 12x12 (Q, R) state
+                rep = self._whole(rep)  # one 12x12 Jacobi state
         seen = []
 
         def spy(*args, inverse_pairs=False):
@@ -348,6 +382,19 @@ class TestBoundedLastLength:
         _unbounded(monkeypatch)
         assert got == [_outputs(rep, i) for i in indices]
 
+    @pytest.mark.parametrize("name,d", [("thm1i_d6", None), ("thm1i_dge7", 7),
+                                        ("thm1i_dge7", 10)])
+    def test_block_sum_profiles_match_an_unbounded_sweep(self, monkeypatch,
+                                                         name, d):
+        # every gap index and the QI profile at radius 4, where the ball
+        # fits the budget (the default radius 5 does not); these builds
+        # sweep the 4 + 2 (+ 1 ...) blocks of their tables
+        rep = build_named(name, None if d is None else {"d": d}).rep
+        indices = [*range(1, rep.dim), None]
+        got = [_outputs(rep, i, 4) for i in indices]
+        _unbounded(monkeypatch)
+        assert got == [_outputs(rep, i, 4) for i in indices]
+
     @pytest.mark.parametrize("spread,radius", [(2.5, 10), (4.0, 8)])
     def test_2x2_profiles_are_unchanged(self, monkeypatch, spread, radius):
         # the benchmark's Schottky QI profiles: a whole 2x2 sweep is not
@@ -359,7 +406,7 @@ class TestBoundedLastLength:
 
     @pytest.mark.parametrize("case,kind", [
         ("thm1ii_d12 r4", "bound"), ("thm1i_d6 r5", True),
-        ("schottky r10", False), ("thm1ii_d12 whole r3", False)])
+        ("schottky r10", False), ("thm1ii_d12 whole r3", "bound")])
     def test_only_paired_sweeps_within_budget_are_bounded(self, monkeypatch,
                                                           case, kind):
         # thm1i_d6's radius-5 ball passes MAX_WORDS: its sweep stops, so
@@ -368,7 +415,7 @@ class TestBoundedLastLength:
         rep = (schottky_pair() if name == "schottky"
                else build_named(name, None, seed=0).rep)
         if "whole" in case:
-            rep = TestInversePairs._whole(rep)  # one 12x12 (Q, R) state
+            rep = TestInversePairs._whole(rep)  # one 12x12 Jacobi state
         seen = []
 
         def spy(*args, inverse_pairs=False):
@@ -389,13 +436,10 @@ class TestBoundedLastLength:
         assert prof.words_evaluated == 57_856
         assert swept[0] - 3_856 <= 0.65 * 27_000
 
-    @pytest.mark.parametrize("case", ["2x2", "(Q, R)"])
+    @pytest.mark.parametrize("case", ["2x2"])
     def test_other_routes_sweep_every_word(self, monkeypatch, case):
-        if case == "2x2":
-            rep, radius, words = schottky_pair(2.5), 10, 4 * (3 ** 10 - 1) // 2
-        else:
-            rep = TestInversePairs._whole(build_named("thm1ii_d12").rep)
-            radius, words = 2, 16 + 16 * 15
+        # the closed form of a whole 2x2 table is neither paired nor bounded
+        rep, radius, words = schottky_pair(2.5), 10, 4 * (3 ** 10 - 1) // 2
         swept = self._swept(monkeypatch)
         prof = qi_profile(rep, radius=radius)
         assert swept[0] == prof.words_evaluated == words
@@ -407,12 +451,12 @@ class TestBoundedLastLength:
         real = certify.graded_products
 
         def counted(*tables):
-            root, step = real(*tables)
+            root, step, logs = real(*tables)
 
             def spy(state, parent, letter):
                 swept[0] += len(parent)
                 return step(state, parent, letter)
-            return root, spy
+            return root, spy, logs
         monkeypatch.setattr(certify, "graded_products", counted)
         return swept
 
@@ -429,13 +473,14 @@ class TestBoundedLastLength:
         rep = tensor_rep(wide, RepSpec(ab, {"a": np.eye(2),
                                             "b": np.diag([2.0, 0.5])}))
         real = certify.iter_ball_images
+        reader = graded_products(*map(symbol_table, rep.factors))[2]
         calls = []
 
         def sweep(*args, inverse_pairs=False):
             def spy(block, parent, letter):
                 keep = inverse_pairs(block, parent, letter)
                 with np.errstate(all="ignore"):
-                    logs = log_singular_values(*block[2])[parent]
+                    logs = reader(block[2])[parent]
                 calls.append((np.isfinite(logs).all(axis=1), keep))
                 return keep
             assert callable(inverse_pairs)

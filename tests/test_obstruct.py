@@ -9,7 +9,7 @@ from specgap import obstruct, reps
 from specgap.builders import build_named
 from specgap.errors import (DegenerateConfigurationError, InputError,
                             SamplingError, SearchError)
-from specgap.linalg import classify
+from specgap.linalg import classify, top_eigenvalue_2x2
 from specgap.obstruct import (_line_angle_stats, certify_not_limit,
                               check_domination, find_negative_lambda,
                               limit_formula_check, sample_limit_set,
@@ -246,6 +246,45 @@ class TestDomination:
             assert rpt.margin == margin
             assert rpt.argmin == argmin
 
+    @pytest.mark.parametrize("case", ["det drift", "near parabolic",
+                                      "near scalar"])
+    def test_batched_2x2_rule_is_the_scalar_one(self, case):
+        # the domination sweep's batched rule against top_eigenvalue_2x2 on
+        # the letters' determinants, bit for bit, on every word of the
+        # radius-6 ball: images whose determinants drift from 1 inside the
+        # input gate, and words whose eigenvalues nearly coincide, where
+        # both take the entry form of the discriminant
+        ab = Alphabet(("a", "b"))
+        if case == "det drift":
+            a = np.array([[2.0, 1.0], [1.0, 1.0 + 7.5e-9]])
+            quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+            images = {"a": a, "b": quarter @ a @ quarter.T}
+        elif case == "near parabolic":
+            images = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]),
+                      "b": np.array([[1.0, 0.0], [3e-9, 1.0]])}
+        else:
+            c, s = math.cos(1e-9), math.sin(1e-9)
+            images = {"a": np.array([[1.0 + 4e-9, 1e-9], [1e-9, 1.0]]),
+                      "b": np.array([[c, -s], [s, c]])}
+        rep = RepSpec(ab, images)
+        table = reps.symbol_table(rep)
+        dets = np.array([rep._det(Word.from_codes(ab, [c])) for c in range(4)])
+        entry_form = 0
+        for length, codes, (prods,) in reps.iter_ball_images(
+                4, 6, *reps.products(table)):
+            if not length:
+                continue  # the identity
+            got = obstruct._log_top_moduli(prods, codes, dets)
+            for row, m, value in zip(codes, prods, got):
+                det = rep._det(Word.from_codes(ab, row))
+                assert value == math.log(abs(top_eigenvalue_2x2(m, det)))
+                (p, q), (r, t) = m.tolist()
+                entry_form += (abs((p + t) ** 2 - 4 * det)
+                               < 1.5e-8 * (p + t) ** 2
+                               and abs(p - t) + 2 * (abs(q) + abs(r))
+                               < 2 * abs(p + t))
+        assert entry_form
+
     @pytest.mark.parametrize("block_bytes", [1, 2000])
     @pytest.mark.parametrize("case", [0, 1, "tied", "diagonal"])
     def test_small_blocks_give_the_same_report(self, monkeypatch, case,
@@ -296,9 +335,9 @@ class TestDomination:
         rows = {2: 0, 4: 0}
         real = obstruct._log_top_moduli
 
-        def spy(images):
+        def spy(images, *rest):
             rows[images.shape[1]] += len(images)
-            return real(images)
+            return real(images, *rest)
         monkeypatch.setattr(obstruct, "_log_top_moduli", spy)
         build_named("thm1i_d6", {"dom_radius": 8}, seed=0)
         assert rows[2] == 9856

@@ -614,9 +614,8 @@ class TestValidateHomomorphism:
 
 
 def _sweep_reps():
-    """(rep, subalphabet) pairs of dim 2 (2x2 states), dims 3 and 6 (Jacobi
-    states), with and without a subalphabet, and of dim 8 ((Q, R)
-    states)."""
+    """(rep, subalphabet) pairs of dim 2 (2x2 states), dims 3, 6 and 8
+    (Jacobi states), with and without a subalphabet."""
     rng = np.random.default_rng(23)
     abc = Alphabet(("a1", "b1", "c1"))
     d2 = rename_generators(schottky_sl2r(3, 5.0), abc)
@@ -630,41 +629,44 @@ def _sweep_reps():
 def _sweep(rep, radius, sub=None, inverse_pairs=False):
     """The ball sweep of a profile: the graded state of one table."""
     table = symbol_table(rep, sub)
-    return iter_ball_images(len(table), radius, *graded_products(table),
+    return iter_ball_images(len(table), radius, *graded_products(table)[:2],
                             inverse_pairs=inverse_pairs)
 
 
-def _check_graded_state(entry, codes, rep, alphabet):
-    """One table's graded state against each word's evaluated product W:
-    for dim 2, X = W^T / sqrt(det W) with X X^T = W^T W / det W, det W
-    taken as the product of the letters' (the det of W itself loses about
-    |W|^2 eps to cancellation); for 3 <= dim <= JACOBI_MAX_DIM,
-    X = W^T V with X X^T = W^T W and pairwise orthogonal columns (to
+def _check_graded_state(state, codes, rep, alphabet):
+    """One table's graded state against each word's evaluated product W,
+    one entry per direct-sum block B of the table (W is 0 off the blocks):
+    for a table that is one 2x2 block, X = W^T / sqrt(det W) with
+    X X^T = W^T W / det W, det W taken as the product of the letters' (the
+    det of W itself loses about |W|^2 eps to cancellation); otherwise
+    X = W_B^T V with X X^T = W_B^T W_B and pairwise orthogonal columns (to
     d eps, the sweep's criterion, plus d eps for the rounding of the
-    recomputed products); otherwise W^T = QR with R upper triangular."""
-    dim = rep.dim
-    dets = np.linalg.det(symbol_table(rep, alphabet.names))
+    recomputed products)."""
+    table = symbol_table(rep, alphabet.names)
+    blocks = reps._blocks(table)
+    closed = rep.dim == 2 and len(blocks) == 1
+    off = np.ones((rep.dim, rep.dim), dtype=bool)
+    for b in blocks:
+        off[np.ix_(b, b)] = False
+    assert len(state) == len(blocks)
+    dets = np.linalg.det(table)
     for k, row in enumerate(codes):
         w = rep.evaluate(Word.from_codes(alphabet, row))
-        if dim <= reps.JACOBI_MAX_DIM:
+        assert not w[off].any()
+        for b, entry in zip(blocks, state):
+            dim = len(b)
             assert entry.shape == (dim, dim, len(codes))
-            x = entry[:, :, k].T
-            gram = w.T @ w / (dets[row].prod() if dim == 2 else 1.0)
+            x, wb = entry[:, :, k].T, w[np.ix_(b, b)]
+            gram = wb.T @ wb / (dets[row].prod() if closed else 1.0)
             np.testing.assert_allclose(x @ x.T, gram, rtol=0,
                                        atol=1e-12 * np.abs(gram).max())
-            if dim == 2:
+            if closed:
                 continue  # the 2x2 state is not rotated
             cols = x.T @ x
             norms = np.sqrt(np.diag(cols))
-            off = np.abs(cols - np.diag(np.diag(cols)))
-            assert np.all(off <= 2 * dim * np.finfo(float).eps
+            off_diag = np.abs(cols - np.diag(np.diag(cols)))
+            assert np.all(off_diag <= 2 * dim * np.finfo(float).eps
                           * np.outer(norms, norms))
-        else:
-            q, r = entry[:, k]
-            np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=0)
-            m = (q @ r).T
-            np.testing.assert_allclose(m, w, rtol=1e-12,
-                                       atol=1e-12 * np.abs(m).max())
 
 
 class TestBallSweep:
@@ -686,8 +688,7 @@ class TestBallSweep:
             # a block over the cap holds the children of a single word
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
-            entry, = state
-            _check_graded_state(entry, codes, rep, alphabet)
+            _check_graded_state(state, codes, rep, alphabet)
             for row in codes:
                 w = Word.from_codes(alphabet, row)
                 assert len(w) == length
@@ -743,7 +744,7 @@ class TestBallSweep:
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
             if length == radius:
-                _check_graded_state(state[0], codes, rep, alphabet)
+                _check_graded_state(state, codes, rep, alphabet)
             paired.setdefault(length, []).extend(map(tuple, codes.tolist()))
         kept, last = paired.pop(radius), swept.pop(radius)
         # lengths below the last are unchanged
@@ -764,17 +765,18 @@ class TestBallSweep:
 
     @pytest.mark.parametrize("cap", [None, 700])
     def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
-        # one state per table, each the graded state of its factor
+        # one entry per block of each table, in order: the 4x4 factor is
+        # one block, the 3x3 one a 2x2 block (on the Jacobi step) and a 1x1
         if cap is not None:
             monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
         _, _, t = _tensor_pair()
-        sweep = graded_products(*(symbol_table(f) for f in t.factors))
+        root, step, _ = graded_products(*(symbol_table(f) for f in t.factors))
         count = 0
-        for length, codes, state in iter_ball_images(4, 4, *sweep):
-            assert len(state) == 2
+        for length, codes, state in iter_ball_images(4, 4, root, step):
+            assert [len(e) for e in state] == [4, 2, 1]
             count += len(codes)
-            for f, entry in zip(t.factors, state):
-                _check_graded_state(entry, codes, f, PAIR)
+            _check_graded_state(state[:1], codes, t.factors[0], PAIR)
+            _check_graded_state(state[1:], codes, t.factors[1], PAIR)
         assert count == ball_count(2, 4)
 
     def test_unconverged_jacobi_is_inconclusive(self, monkeypatch, tmp_path):
@@ -795,7 +797,7 @@ class TestBallSweep:
     def test_singular_values_past_the_double_range(self):
         # sigma_1 / sigma_3 = 1e400 at length 2: a, b and c are taken on
         # columns scaled by powers of two, so no square overflows; the
-        # value is 400 log(10), as the (Q, R) sweep computed it
+        # value is 400 log(10)
         big = np.diag([1e100, 1.0, 1e-100])
         cyclic = np.roll(np.eye(3), 1, axis=0)
         rep = RepSpec(Alphabet(("a", "b")),
@@ -815,6 +817,20 @@ class TestBallSweep:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         prof = gap_profile(rep, 3, radius=3)
         assert prof.words_evaluated == ball_count(8, 3) - 1
+
+    def test_blocks_are_the_connected_components(self):
+        # blocks interleave in index order, an entry of one letter joins
+        # two blocks of another, and a chain links a block end to end
+        table = np.zeros((4, 7, 7))
+        table[:] = np.eye(7)
+        table[0, 0, 5] = table[1, 2, 4] = table[2, 6, 3] = 1.0
+        assert [b.tolist() for b in reps._blocks(table)] == [
+            [0, 5], [1], [2, 4], [3, 6]]
+        table[3, 5, 2] = 1.0
+        assert [b.tolist() for b in reps._blocks(table)] == [
+            [0, 2, 4, 5], [1], [3, 6]]
+        chain = np.eye(9)[None] + np.eye(9, k=1)[None]
+        assert [b.tolist() for b in reps._blocks(chain)] == [list(range(9))]
 
     def test_radius_zero_is_the_identity(self):
         blocks = list(_sweep(schottky_sl2r(2, 4.0), 0))

@@ -1,6 +1,7 @@
 """Profile statistics past the range of a raw double-precision product:
-the 2x2, Jacobi and (Q, R) routes of the graded state against mpmath oracles,
-overflow, and the verdict on envelopes known only to rounding error."""
+the 2x2 closed form and the Jacobi states of the graded sweep against mpmath
+oracles, overflow, and the verdict on envelopes known only to rounding
+error."""
 
 import itertools
 import math
@@ -12,8 +13,8 @@ from specgap.builders import build_named
 from specgap.certify import (MONOTONE_SLACK, SLOPE_THRESHOLD,
                              _fit_line, _rounding, _slope_range, _verdict,
                              gap_profile, qi_profile)
-from specgap.reps import (JACOBI_MAX_DIM, RepSpec, graded_products,
-                          iter_ball_images, log_singular_values,
+from specgap import reps
+from specgap.reps import (RepSpec, graded_products, iter_ball_images,
                           random_unimodular, schottky_sl2r, symbol_table,
                           tensor_rep)
 from specgap.words import Alphabet
@@ -89,11 +90,10 @@ class TestSaturation:
     @pytest.mark.parametrize("dims", [(2,), (3,), (4,), (5,), (6,), (7,),
                                       (8,), (2, 3)])
     def test_every_route_gives_descending_logs_of_an_mpmath_svd(self, dims):
-        # one table per factor: the 2x2 route, Jacobi states for 3..6 and
-        # (Q, R) stacks for 7 and 8, and a Kronecker pair, whose logs are
-        # the sorted sums; every word of the radius-3 ball on random
-        # unimodular images against a 40-digit SVD of its product W, of
-        # W / sqrt(det W) on the 2x2 route
+        # one table per factor: the 2x2 closed form, Jacobi states for
+        # 3..8, and a Kronecker pair, whose logs are the sorted sums; every
+        # word of the radius-3 ball on random unimodular images against a
+        # 40-digit SVD of its product W, of W / sqrt(det W) on the 2x2 route
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(sum(dims))
         ab = Alphabet(("a", "b"))
@@ -103,9 +103,10 @@ class TestSaturation:
         tables = [symbol_table(f) for f in factors]
         mats = [mpmath.matrix(m.tolist()) for m in symbol_table(rep)]
         count = 0
-        for _, codes, state in iter_ball_images(
-                len(tables[0]), 3, *graded_products(*tables)):
-            logs = log_singular_values(*state)
+        root, step, reader = graded_products(*tables)
+        for _, codes, state in iter_ball_images(len(tables[0]), 3, root,
+                                                step):
+            logs = reader(state)
             assert logs.shape == (len(codes), rep.dim)
             assert np.all(np.diff(logs, axis=1) <= 0)
             with mpmath.workdps(40):
@@ -127,12 +128,10 @@ class TestSaturation:
         # every gap index and the QI ratio at radius 4 on (a1, b1), where a
         # raw double-precision product loses sigma_dim (log ratios past 60);
         # the tensor build sweeps its 4x4 and 3x3 Kronecker factors, here on
-        # (a4, b4), where neither factor's images are diagonal or monomial.
-        # dims <= 6 sweep Jacobi states; d = 7 keeps the (Q, R) sweep,
-        # whose SVD of R misses by up to about 1e-7 here
+        # (a4, b4), where neither factor's images are diagonal or monomial;
+        # thm1i_d6 sweeps 4 + 2 blocks, thm1i_dge7 4 + 2 + 1
         mpmath = pytest.importorskip("mpmath")
         rep = build_named(name, None, seed=0).rep
-        rel = 1e-6 if name == "thm1i_dge7" else 1e-10
         sub = ("a4", "b4") if rep.factors else ("a1", "b1")
         radius, dim = 4, rep.dim
         mats = [mpmath.matrix(m.tolist()) for label in sub
@@ -160,38 +159,62 @@ class TestSaturation:
             for l, got_lo, got_hi in prof.samples:
                 vals = [float(v[hi] - v[lo]) for v in logs[l]]
                 for got, want in ((got_lo, min(vals)), (got_hi, max(vals))):
-                    assert abs(got - want) <= rel * max(1.0, abs(want))
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_dge7_word_sample_matches_mpmath_oracle(self):
-        # the d = 7 build sweeps its whole 7x7 table on the graded (Q, R)
-        # route.  Every 19th word of the radius-3 ball at seed 3, 203 words
-        # on all eight generators, against a 50-digit oracle of the same
-        # float images: the route is held at 1e-6, as above.  Splitting the
-        # table into its 4 + 2 + 1 direct-sum blocks (ROADMAP item 1) would
-        # put it on the Jacobi state, and should tighten this to 1e-10
-        mpmath = pytest.importorskip("mpmath")
-        rep = build_named("thm1i_dge7", None, seed=3).rep
-        table = symbol_table(rep)
-        assert rep.dim > JACOBI_MAX_DIM and not rep.factors
+    @staticmethod
+    def _word_sample(table, radius, every, mpmath):
+        """(got, want) log singular values of every ``every``-th word of
+        the reduced ball of a table, lengths >= 1: the graded sweep's and
+        those of a 50-digit SVD of the same float images' product."""
+        root, step, reader = graded_products(table)
         codes, logs = [], []
-        for length, block, (entry,) in iter_ball_images(
-                len(table), 3, *graded_products(table)):
+        for length, block, state in iter_ball_images(len(table), radius,
+                                                     root, step):
             if length:
                 codes += block.tolist()
-                logs.append(np.sort(log_singular_values(entry), axis=1)[:, ::-1])
-        codes, logs = codes[::19], np.concatenate(logs)[::19]
-        assert len(codes) == 203
+                logs.append(reader(state))
+        codes, logs = codes[::every], np.concatenate(logs)[::every]
         mats = [mpmath.matrix(m.tolist()) for m in table]
+        wants = []
         with mpmath.workdps(50):
-            for word, got in zip(codes, logs):
+            for word in codes:
                 m = mats[word[0]]
                 for c in word[1:]:
                     m = m * mats[c]
                 sv = sorted(mpmath.svd_r(m, compute_uv=False), reverse=True)
-                want = [float(mpmath.log(s)) for s in sv]
-                gaps = np.diff(got), np.diff(want)
-                assert np.all(np.abs(gaps[0] - gaps[1])
-                              <= 1e-6 * np.maximum(1.0, np.abs(gaps[1])))
+                wants.append([float(mpmath.log(s)) for s in sv])
+        return logs, np.array(wants)
+
+    def test_dge7_word_sample_matches_mpmath_oracle(self):
+        # the d = 7 build sweeps the 4 + 2 + 1 direct-sum blocks of its
+        # table.  Every 19th word of the radius-3 ball at seed 3, 203 words
+        # on all eight generators, against a 50-digit oracle of the same
+        # float images; a graded (Q, R) sweep of the whole 7x7 table missed
+        # these gaps by up to 8.7e-7
+        mpmath = pytest.importorskip("mpmath")
+        rep = build_named("thm1i_dge7", None, seed=3).rep
+        table = symbol_table(rep)
+        assert [len(b) for b in reps._blocks(table)] == [4, 2, 1]
+        got, want = self._word_sample(table, 3, 19, mpmath)
+        assert len(got) == 203
+        gaps = np.diff(got), np.diff(want)
+        assert np.all(np.abs(gaps[0] - gaps[1])
+                      <= 1e-10 * np.maximum(1.0, np.abs(gaps[1])))
+
+    def test_dense_12x12_word_sample_matches_mpmath_oracle(self):
+        # a table with no block structure is one 12x12 Jacobi state: every
+        # 4th word of the radius-4 ball of two random unimodular images,
+        # 40 words, against a 50-digit oracle
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        rep = RepSpec(Alphabet(("a", "b")),
+                      {l: random_unimodular(12, rng) for l in "ab"})
+        table = symbol_table(rep)
+        assert [len(b) for b in reps._blocks(table)] == [12]
+        got, want = self._word_sample(table, 4, 4, mpmath)
+        assert len(got) == 40
+        assert np.all(np.abs(got - want)
+                      <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("radius", [3, 4])
     def test_d6_qi_profile_is_finite_and_passes(self, radius):
