@@ -19,7 +19,7 @@ from .linalg import (ProximalityClass, Spectrum, classify, classify_exterior,
 from .reps import (Character, ComplexRep2, RepSpec, block_sum, pull_back,
                    realify_lift, realify_sl2c, rotation_block_rep,
                    scale_by_character, scaled_rotation_rep, schottky_sl2c,
-                   schottky_sl2r, spin_lift, spin_so31, tensor_rep,
+                   schottky_sl2r, spectra, spin_lift, spin_so31, tensor_rep,
                    validate_homomorphism)
 from .obstruct import (ObstructionCertificate, SignWitness, certify_not_limit,
                        check_domination, find_negative_lambda,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import RepSpec, graded_products, iter_ball_images, symbol_table
+from .reps import RepSpec, factor_tables, graded_products, iter_ball_images
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -162,7 +162,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
     count, truncated = 0, False
-    tables = [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
+    tables = factor_tables(rep, subalphabet)
     nsym = len(tables[0])
     root, step, logs = graded_products(*tables)
     paired = rep.dim > 2  # a whole 2x2 sweep is cheaper than the regrouping

@@ -8,6 +8,9 @@ Conventions used throughout:
 * classification is relative: a gap at index i means
   ``moduli[i-1] > (1 + tol) * moduli[i]``.
 
+The classifiers take a spectrum, a sequence of eigenvalues: a word's from
+``reps.spectra``, which reads it from the representation's structure
+through :func:`block_eigenvalues`, a bare matrix's from :func:`spectrum`.
 The symbolic spectrum algebra (union / tensor / wedge on literal value
 multisets) is the independent oracle the numerical kernels are tested
 against.
@@ -15,6 +18,7 @@ against.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import heapq
 import itertools
@@ -111,15 +115,11 @@ def _solve(solver, a: np.ndarray, **kwargs):
                              matrix_hash=matrix_hash(a)) from exc
 
 
-def _eigenvalues(m) -> tuple[complex, ...]:
-    """Eigenvalues in decreasing order, without the singular values."""
-    return sort_eigenvalues(_solve(np.linalg.eigvals, _as_square(m)))
-
-
 def spectrum(m) -> Spectrum:
-    """Eigenvalues and singular values, both in decreasing order."""
+    """Eigenvalues and singular values of a bare matrix, both in decreasing
+    order."""
     a = _as_square(m)
-    eigs = _eigenvalues(a)
+    eigs = sort_eigenvalues(_solve(np.linalg.eigvals, a))
     sv = _solve(np.linalg.svd, a, compute_uv=False)
     return Spectrum(
         eigenvalues=eigs,
@@ -131,28 +131,48 @@ def spectrum(m) -> Spectrum:
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def top_eigenvalue_2x2(m: np.ndarray, det: float = 1.0) -> complex:
-    """Largest eigenvalue of a 2x2 real matrix [[a, b], [c, d]] of
-    determinant ``det``, known apart from its entries (for a word, from its
-    letters), from the discriminant t^2 - 4 det, t = a + d.  The trace
-    stays accurate when the entries dwarf the eigenvalues
-    (conjugation-heavy words).  Where the eigenvalues nearly coincide
+def block_eigenvalues(images: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """(n, b) eigenvalues, unordered, of a (n, b, b) stack of real blocks:
+    the one kernel that reads words' eigenvalues.  Width 1 is the entry,
+    widths past 2 one batched ``eigvals`` (NaN where not finite).  Width 2
+    is solved from t = a + d and the determinants ``dets`` (for a word, of
+    its letters: ``reps.word_dets``); the trace stays accurate when the
+    entries dwarf the eigenvalues.  Where they nearly coincide
     (|t^2 - 4 det| < sqrt(eps) t^2) the root amplifies an error delta in the
     entries to about sqrt(4 |t| delta); the entry form (a - d)^2 + 4bc of
-    the same number is taken there when delta moves it less,
-    2 (|a - d| + 2 |b| + 2 |c|) delta against 4 |t| delta, as on a
-    near-scalar matrix."""
-    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
-    t = a + d
-    disc = t * t - 4.0 * det
-    if (abs(disc) < _SQRT_EPS * t * t
-            and abs(a - d) + 2.0 * (abs(b) + abs(c)) < 2.0 * abs(t)):
-        disc = (a - d) * (a - d) + 4.0 * b * c
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        lam = (t + root) / 2.0 if t >= 0 else (t - root) / 2.0
-        return complex(lam)
-    return complex(t / 2.0, math.sqrt(-disc) / 2.0)
+    the discriminant is taken there when delta moves it less,
+    2 (|a - d| + 2 |b| + 2 |c|) delta against 4 |t| delta.  The larger root
+    takes the sign of t, the other is det over it; a negative discriminant
+    gives the pair t / 2 +- i sqrt(-disc) / 2."""
+    n, b = images.shape[:2]
+    out = np.full((n, b), np.nan, dtype=complex)
+    with np.errstate(all="ignore"):  # an image that is not finite gives NaN
+        if b == 1:
+            out[:, 0] = images[:, 0, 0]
+        elif b == 2:
+            # t and det scaled down by a power of two, exactly, so that no
+            # square overflows
+            t = images[:, 0, 0] + images[:, 1, 1]
+            e = np.frexp(t)[1].clip(0)
+            t = np.ldexp(t, -e)
+            disc = t * t - 4.0 * np.ldexp(dets, -2 * e)
+            near = np.flatnonzero(np.abs(disc) < _SQRT_EPS * t * t)
+            if near.size:
+                (p, q), (r, s) = np.ldexp(
+                    images[near], -e[near, None, None]).transpose(1, 2, 0)
+                entry = (np.abs(p - s) + 2.0 * (np.abs(q) + np.abs(r))
+                         < 2.0 * np.abs(t[near]))
+                disc[near[entry]] = ((p - s) * (p - s) + 4.0 * q * r)[entry]
+            t, root = np.ldexp(t, e), np.ldexp(np.sqrt(np.abs(disc)), e)
+            top = (t + np.copysign(root, t)) / 2.0
+            pair = disc < 0.0
+            z = t / 2.0 + 1j * (root / 2.0)  # the pair's, imaginary part up
+            out[:, 0] = np.where(pair, z, top)
+            out[:, 1] = np.where(pair, z.conj(), dets / top)
+        else:
+            ok = np.isfinite(images).all(axis=(1, 2))
+            out[ok] = _solve(np.linalg.eigvals, images[ok])
+    return out
 
 
 def kronecker(a, b) -> np.ndarray:
@@ -216,8 +236,23 @@ class ProximalityClass(Record):
         return self.proximal[i - 1]
 
 
-def classify(m, tol: float = DEFAULT_TOL) -> ProximalityClass:
-    eigs = _eigenvalues(m)
+def _as_spectrum(values: Iterable[complex]) -> tuple[complex, ...]:
+    """``values`` as eigenvalues in decreasing order, sorted unless their
+    moduli are already nonincreasing (the classifiers read no other order);
+    an empty spectrum, or one with a value that is not finite, is
+    refused."""
+    eigs = tuple(map(complex, values))
+    if any(abs(a) < abs(b) for a, b in zip(eigs, eigs[1:])):
+        eigs = sort_eigenvalues(eigs)
+    if not eigs or not all(map(cmath.isfinite, eigs)):
+        raise InputError("a spectrum needs one or more finite eigenvalues")
+    return eigs
+
+
+def classify(eigenvalues: Iterable[complex],
+             tol: float = DEFAULT_TOL) -> ProximalityClass:
+    """Classify a spectrum (a matrix's: ``spectrum(m).eigenvalues``)."""
+    eigs = _as_spectrum(eigenvalues)
     dim = len(eigs)
     moduli = [abs(z) for z in eigs]
     l1 = moduli[0]
@@ -296,8 +331,10 @@ class ExteriorClassification(Record):
     tol: float
 
 
-def classify_exterior(m, i: int, tol: float = DEFAULT_TOL) -> ExteriorClassification:
-    """Classify the induced action on i-vectors by counting modulus classes.
+def classify_exterior(eigenvalues: Iterable[complex], i: int,
+                      tol: float = DEFAULT_TOL) -> ExteriorClassification:
+    """Classify the induced action on i-vectors of a matrix of the spectrum
+    ``eigenvalues`` by counting modulus classes.
 
     The top i-subset products take every class above the boundary class (the
     class of the i-th largest modulus) and k of its m members: C(m, k) of
@@ -305,11 +342,10 @@ def classify_exterior(m, i: int, tol: float = DEFAULT_TOL) -> ExteriorClassifica
     reals, negative reals and whole conjugate pairs can make one; if only
     halves of two non-real pairs could, the result is indeterminate.
     """
-    a = _as_square(m)
-    d = a.shape[0]
+    eigs = _as_spectrum(eigenvalues)
+    d = len(eigs)
     if not 1 <= i <= d:
         raise InputError(f"exterior index {i} out of range 1..{d}")
-    eigs = _eigenvalues(a)
     mods = [abs(z) for z in eigs]
     top_moduli = tuple(abs(z) for z in top_subset_products(eigs, i, 8))
     if mods[i - 1] == 0.0:

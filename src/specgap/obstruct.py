@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,11 +21,11 @@ import numpy as np
 
 from .errors import (DegenerateConfigurationError, InputError, SamplingError,
                      SearchError)
-from .linalg import (_SQRT_EPS, DEFAULT_TOL, ExteriorClassification, Record,
-                     classify, classify_exterior, sort_eigenvalues,
-                     top_eigenvalue_2x2)
+from .linalg import (DEFAULT_TOL, ExteriorClassification, Record,
+                     block_eigenvalues, classify, classify_exterior)
 from . import reps
-from .reps import RepSpec, symbol_table, validate_homomorphism
+from .reps import (RepSpec, letter_codes, spectra, symbol_table,
+                   validate_homomorphism, word_dets)
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
                     in_index_two_core)
 
@@ -95,6 +96,14 @@ def _eigenframe_2x2(m: np.ndarray) -> np.ndarray:
     return frame
 
 
+def _image_and_det(rep: RepSpec, table: np.ndarray,
+                   w: Word) -> tuple[np.ndarray, float]:
+    """The 2x2 image of ``w`` and its determinant from its letters'
+    (``reps.word_dets`` over ``rep``'s symbol table)."""
+    codes = np.array([letter_codes(rep.alphabet, w)], dtype=np.intp)
+    return rep.evaluate(w), float(word_dets(table, codes)[0])
+
+
 def find_negative_lambda(rep: RepSpec, coset: Word, *,
                          tol: float = DEFAULT_TOL) -> SignWitness:
     """Find w = w0^m * coset with real negative leading eigenvalue.
@@ -102,8 +111,8 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
     Stage one scans commutator candidates w0 until trace < -2 sqrt(det)
     (a discrete free 2x2 group always contains such an element).  Stage
     two walks the powers w0^m * coset until the guaranteed sign flip shows
-    a negative leading eigenvalue, read from the trace and the letters'
-    determinants (``linalg.top_eigenvalue_2x2``).  Fails loudly with the
+    a negative leading eigenvalue, read by ``linalg.block_eigenvalues``
+    from the trace and the letters' determinants.  Fails loudly with the
     examined trace when the budget runs out; that is never a nonexistence
     claim.
     """
@@ -112,9 +121,10 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
     if coset.alphabet.names != rep.alphabet.names:
         raise InputError("coset word uses a different alphabet")
     trace: list[dict] = []
-    coset_img, coset_det = rep.evaluate(coset), rep._det(coset)
+    table = symbol_table(rep)
+    coset_img, coset_det = _image_and_det(rep, table, coset)
     for u, v, w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
-        m0, det0 = rep.evaluate(w0), rep._det(w0)
+        m0, det0 = _image_and_det(rep, table, w0)
         tr = float(m0[0, 0] + m0[1, 1])
         entry = {"candidate": str(w0), "trace": tr}
         if tr >= -2.0 * math.sqrt(det0) - 1e-9:
@@ -122,11 +132,12 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             trace.append(entry)
             continue
         if not coset.letters:
-            lam = top_eigenvalue_2x2(m0, det0).real
+            lam = block_eigenvalues(m0[None], np.array([det0]))[0, 0].real
             entry["accepted"] = "negative eigenvalue from trace"
             trace.append(entry)
-            return SignWitness(word=w0, lambda1=lam, base_word=w0, power=1,
-                               coset=coset, search_trace=tuple(trace), tol=tol)
+            return SignWitness(word=w0, lambda1=float(lam), base_word=w0,
+                               power=1, coset=coset, search_trace=tuple(trace),
+                               tol=tol)
         frame = _eigenframe_2x2(m0)
         predicted = (np.linalg.inv(frame) @ coset_img @ frame)[0, 0]
         if abs(predicted) <= TRANSVERSALITY_TOL * np.linalg.norm(coset_img):
@@ -139,8 +150,9 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             if np.max(np.abs(power_img)) > 1e250:
                 entry["rejected"] = f"power overflow at exponent {m}"
                 break
-            lam = top_eigenvalue_2x2(power_img @ coset_img,
-                                     det0 ** m * coset_det)
+            det = np.array([det0 ** m * coset_det])
+            top = block_eigenvalues((power_img @ coset_img)[None], det)
+            lam = complex(top[0, 0])
             if abs(lam.imag) <= tol * abs(lam) and lam.real < 0:
                 entry["accepted"] = f"sign flip at power {m}"
                 trace.append(entry)
@@ -157,7 +169,8 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
 
 
 def _revalidate_sign_witness(rep: RepSpec, witness: Word, tol: float):
-    pc = classify(rep.evaluate(witness.cyclic_reduction()), tol)
+    m, det = _image_and_det(rep, symbol_table(rep), witness.cyclic_reduction())
+    pc = classify(block_eigenvalues(m[None], np.array([det]))[0], tol)
     lam = pc.top_eigenvalue
     if not pc.proximal[0] or lam is None or lam.real >= 0 or \
             abs(lam.imag) > tol * abs(lam):
@@ -194,14 +207,15 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
     """
     if rep.dim != 2:
         raise InputError("limit formulas are checked on 2x2 representations")
-    m0 = rep.evaluate(w0)
-    pc = classify(m0)
+    table = symbol_table(rep)
+    m0, det0 = _image_and_det(rep, table, w0)
+    pc = classify(spectra(rep, [w0])[0])
     lam0 = pc.top_eigenvalue
     if not pc.proximal[0] or lam0 is None or abs(lam0.imag) > 1e-9 * abs(lam0):
         raise InputError("base word must have a real proximal leading eigenvalue")
     lam0 = lam0.real
     frame = _eigenframe_2x2(m0)
-    ma = rep.evaluate(a)
+    ma, det_a = _image_and_det(rep, table, a)
     predicted = (np.linalg.inv(frame) @ ma @ frame)[0, 0]
     if abs(predicted.imag) > 1e-9 * max(abs(predicted), 1.0):
         raise DegenerateConfigurationError("predicted limit is not real")
@@ -210,13 +224,15 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
         raise DegenerateConfigurationError(
             "predicted limit vanishes: coset fixed lines are not transverse")
     q = m0 / lam0
-    ratios = []
-    power = np.eye(2)
+    images, power = [], np.eye(2)
     for _ in range(n_max):
         power = power @ q
-        # lambda1(w0^n a) / lambda1(w0)^n, exactly
-        vals = sort_eigenvalues(np.linalg.eigvals(power @ ma))
-        ratios.append(complex(vals[0]))
+        images.append(power @ ma)
+    # lambda1(w0^n a) / lambda1(w0)^n, exactly; det q = det0 / lam0^2
+    dets = np.array([(det0 / lam0 ** 2) ** n * det_a
+                     for n in range(1, n_max + 1)])
+    ratios = block_eigenvalues(np.array(images).reshape(-1, 2, 2),
+                               dets)[:, 0].tolist()
     consecutive = tuple(lam0 * ratios[k + 1] / ratios[k]
                         for k in range(len(ratios) - 1))
     final_error = abs(ratios[-1] - predicted)
@@ -254,103 +270,85 @@ class DominationReport(Record):
     words_checked: int
 
 
-def _log_top_moduli(images: np.ndarray, codes: np.ndarray,
-                    letter_dets: Optional[np.ndarray]) -> np.ndarray:
-    """log of the largest eigenvalue modulus of each image in a stack, that
-    of the word of its row of ``codes``: the rule of ``top_eigenvalue_2x2``
-    for 2x2 images, on the product of the word's ``letter_dets`` in the
-    order of ``RepSpec._det``; batched ``eigvals`` otherwise.  Moduli and
-    logarithms go through the same libm ``hypot``/``log`` as
-    ``RepSpec.top_modulus`` and ``math.log`` (numpy's SIMD ``abs``/``log``
-    can differ in the last bit), so exact ties break as word by word."""
-    if not np.isfinite(images).all():
-        raise InputError("matrix has non-finite entries")
-    if images.shape[1] == 2:
-        det = math.prod(letter_dets[codes.T.astype(np.intp)])
-        t = images[:, 0, 0] + images[:, 1, 1]
-        disc = t * t - 4.0 * det
-        near = np.flatnonzero(np.abs(disc) < _SQRT_EPS * t * t)
-        if near.size:  # the entry form, where it moves the root less
-            (a, b), (c, d) = images[near].transpose(1, 2, 0)
-            entry = abs(a - d) + 2.0 * (abs(b) + abs(c)) < 2.0 * abs(t[near])
-            disc[near[entry]] = ((a - d) * (a - d) + 4.0 * b * c)[entry]
-        root = np.sqrt(np.abs(disc))
-        top = (np.abs(t) + root) / 2.0
-        pair = np.flatnonzero(disc < 0.0)  # complex conjugate eigenvalues
-        top[pair] = np.hypot(t[pair] / 2.0, root[pair] / 2.0)
-    else:
-        eigs = np.linalg.eigvals(images)
-        top = np.hypot(eigs.real, eigs.imag).max(axis=1)
-    return np.fromiter(map(math.log, top.tolist()), float, len(top))
-
-
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int) -> DominationReport:
-    """Exhaustive margin sweep over the reduced ball (length >= 1).
+    """Exhaustive margin sweep over the reduced ball (length >= 1), of
+    images made and read as ``RepSpec.top_modulus`` makes and reads them:
+    per block of both sides' ``structure``, by ``reps.iter_ball_images``.
+    Top moduli are class functions, so only the cyclically reduced words
+    are evaluated.  A padded word u w u^-1 takes the margin of its core w,
+    and with two or more generators every word of length L - 2 is such a
+    core, so the minimum over length L is that over its cyclically reduced
+    words and length L - 2.  ``argmin`` is the first strict minimum in
+    shortlex order: a padded word ties with its core, a shorter word.  An
+    image that is not finite is refused.
 
-    The ball comes from ``reps.iter_ball_images``, both sides' images made
-    by right multiplication as ``RepSpec.evaluate`` makes them.  Top moduli
-    are class functions, so only the cyclically reduced words are
-    evaluated.  A padded word u w u^-1 takes the margin of its core w, and
-    with two or more generators every word of length L - 2 is such a core,
-    so the minimum over length L is that over its cyclically reduced words
-    and length L - 2.  ``argmin`` is the first strict minimum in shortlex
-    order: a padded word ties with its core, a shorter word, so it is the
-    first strict minimum among the cyclically reduced words.
-
-    With ``exponent > 0`` and a lower side wider than 2x2, ``eigvals`` runs
-    only on the words whose margin may reach the running threshold T of
-    their length L: ``min(lows[L], lows[L-2], ...)`` with two or more
-    generators, ``lows[L]`` alone with one, where no word is padded.  Each
-    word's margin is bounded below by ``top_up - exponent * (log|low|_F +
-    slack)``; a word whose bound exceeds T is skipped, and a NaN or inf
-    bound never is.  LAPACK's ``geev`` is backward stable: a computed
-    eigenvalue is one of A + E with |E|_F <= c d eps |A|_F, so its modulus
-    is at most |A|_F (1 + c d eps).  The Frobenius norm is computed to
-    within about d^2 eps, and each logarithm to within half an ulp of a
-    value below 746.  ``slack`` = (64 d^2 + 2048) eps covers all three, and
-    rounding is monotone, so a computed margin is never below its bound.
-    A skipped word's margin exceeds T, which is at least the final value of
-    every minimum the word could set (T only falls), so ``margin``,
-    ``argmin``, ``per_length`` and the verdict are those of the full sweep;
-    ``words_checked`` still counts every word.  The 2x2 trace formula is
-    not bounded by |A|_F when a computed product's det drifts from 1, so a
-    2x2 lower side is never pruned; it makes no ``eigvals`` call anyway.
+    With ``exponent > 0`` the lower side's blocks wider than 2 go to
+    ``eigvals`` only for words whose margin may reach the running threshold
+    T of their length L, ``min(lows[L], lows[L-2], ...)`` (``lows[L]`` with
+    one generator, where no word is padded): a word is skipped when its
+    margin bound exceeds T, the lower log top modulus taken with each such
+    block's top modulus replaced by |B|_F, plus ``slack``; a NaN or inf
+    bound never is.  ``geev`` is backward stable, so a computed modulus is
+    at most |B|_F (1 + c b eps); |B|_F is computed to within about b^2 eps,
+    products and maxima of the narrower blocks' moduli, read alike in both,
+    round monotonically, and each logarithm is within an ulp of a value
+    below 746.  ``slack`` = (64 b^2 + 2048) eps, b the widest block, covers
+    them all, so no computed margin is below its bound.  T only falls, so a
+    skipped word could set no minimum: the report is the full sweep's,
+    ``words_checked`` included.
     """
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
     if radius < 1:
         raise InputError("domination radius must be >= 1: a sweep of no"
                          " words has no margin")
-    tables = [symbol_table(rep) for rep in (upper, lower)]
-    # a 2x2 side's determinant per letter code, as ``RepSpec._det`` takes it
-    up_dets, low_dets = (
-        np.array([rep._det(Word.from_codes(rep.alphabet, [c]))
-                  for c in range(len(tables[0]))]) if rep.dim == 2 else None
-        for rep in (upper, lower))
+    tables = [t for rep in (upper, lower) for blocks in rep.structure
+              for t in blocks]
+    split = sum(map(len, upper.structure))
     lows = [math.inf] * (radius + 1)  # per length: cyclically reduced, then all
     firsts = [()] * (radius + 1)  # codes of the first word to reach each low
     padded = upper.alphabet.size > 1  # else no word is padded
-    prune = exponent > 0 and lower.dim > 2
-    slack = (64 * lower.dim ** 2 + 2048) * np.finfo(float).eps
+    widest = max(len(t[0]) for blocks in lower.structure for t in blocks)
+    prune = exponent > 0 and widest > 2
+    slack = (64 * widest ** 2 + 2048) * np.finfo(float).eps
+
+    def frobenius(b: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.einsum("nij,nij->n", b, b))[:, None]
+
+    def tops(rep: RepSpec, codes, images, wide=None) -> np.ndarray:
+        return reps.top_moduli(reps.block_spectra(rep.structure, codes,
+                                                  images, wide))
+
+    def logs(rep: RepSpec, codes, images) -> np.ndarray:
+        """``math.log`` of each word's top modulus (numpy's SIMD ``log``
+        can differ in the last bit), so exact ties break as word by word."""
+        values = tops(rep, codes, images).tolist()
+        return np.fromiter(map(math.log, values), float, len(values))
+
     words_checked = 0
-    blocks = reps.iter_ball_images(len(tables[0]), radius, *reps.products(*tables))
+    blocks = reps.iter_ball_images(len(tables[0]), radius,
+                                   *reps.products(*tables))
     next(blocks)  # the identity, whose margin is identically zero
-    for length, codes, (up, low) in blocks:
+    for length, codes, state in blocks:
         words_checked += len(codes)
         keep = codes[:, 0] != codes[:, -1] ^ 1  # cyclically reduced
-        codes, low = codes[keep], low[keep]
-        m = _log_top_moduli(up[keep], codes, up_dets)
+        codes, state = codes[keep], [s[keep] for s in state]
+        if not all(np.isfinite(s).all() for s in state):
+            raise InputError("matrix has non-finite entries")
+        low = state[split:]
+        m = logs(upper, codes, state[:split])
         if prune:
             threshold = min(lows[length::-2]) if padded else lows[length]
             with np.errstate(all="ignore"):
-                log_norm = 0.5 * np.log(np.einsum("nij,nij->n", low, low))
-                bound = m - exponent * (log_norm + slack)
+                bound = m - exponent * (np.log(tops(lower, codes, low,
+                                                    frobenius)) + slack)
             candidates = ~(bound > threshold)
             if not candidates.any():
                 continue
-            codes, m, low = codes[candidates], m[candidates], low[candidates]
-        m = m - exponent * _log_top_moduli(low, codes, low_dets)
+            codes, m = codes[candidates], m[candidates]
+            low = [s[candidates] for s in low]
+        m = m - exponent * logs(lower, codes, low)
         k = int(np.argmin(m))
         if m[k] < lows[length]:
             lows[length], firsts[length] = float(m[k]), codes[k]
@@ -408,14 +406,20 @@ class ObstructionCertificate(Record):
     schema_version: int = SCHEMA_VERSION
 
 
+def _finite(spec: Sequence[complex]) -> bool:
+    return all(map(cmath.isfinite, spec))
+
+
 def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
                       indices: Sequence[int], p: Presentation,
                       tol: float = DEFAULT_TOL,
                       assumptions: Sequence[str] = ()) -> ObstructionCertificate:
     """For each index, find a witness whose exterior image is not positively
     semiproximal; indeterminate classifications leave the index uncovered
-    rather than covering or failing it.  The indices must be distinct, and
-    there must be at least one.  A representation that fails a
+    rather than covering or failing it.  Each witness's spectrum is read
+    once (``reps.spectra``); one that is not finite is indeterminate at
+    every index.  The indices must be distinct, and there must be at least
+    one.  A representation that fails a
     relator of ``p`` (``reps.validate_homomorphism``) is refused: the
     certificate is about the presented group."""
     if not witnesses:
@@ -440,16 +444,16 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
             "exponent_sums": list(w.exponent_sums()),
             "relator_count": len(p.relators),
         })
-    images = [rep.evaluate(w) for w in witnesses]
+    found = spectra(rep, witnesses)
     entries = []
     for i in indices:
         if not 1 <= i <= rep.dim // 2:
             raise InputError(f"exterior index {i} out of range 1..{rep.dim // 2}")
         entry = None
         saw_indeterminate = False
-        for w, img in zip(witnesses, images):
-            cls = classify_exterior(img, i, tol)
-            if cls.indeterminate:
+        for w, spec in zip(witnesses, found):
+            cls = classify_exterior(spec, i, tol) if _finite(spec) else None
+            if cls is None or cls.indeterminate:
                 saw_indeterminate = True
                 continue
             if not cls.positively_semiproximal:
@@ -479,7 +483,8 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
     """Recompute every covered entry, and every recorded relator's
     deviation against the recorded tol, from the representation alone.  A
-    certificate with no entries, or with two for one index, is refused."""
+    certificate with no entries, or with two for one index, is refused, and
+    so is an entry whose witness's image is not finite."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     if doc["rep_digest"] != rep.digest():
         return False
@@ -492,11 +497,12 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
                                         for r, _ in relators["deviations"]])
         if not validate_homomorphism(rep, p, relators["tol"]).passed:
             return False
-    for entry in doc["entries"]:
-        if not entry["covered"]:
-            continue
-        w = Word.parse(rep.alphabet, entry["witness"])
-        cls = classify_exterior(rep.evaluate(w), entry["index"], doc["tol"])
+    covered = [entry for entry in doc["entries"] if entry["covered"]]
+    words = [Word.parse(rep.alphabet, entry["witness"]) for entry in covered]
+    for entry, spec in zip(covered, spectra(rep, words)):
+        if not _finite(spec):
+            return False
+        cls = classify_exterior(spec, entry["index"], doc["tol"])
         if cls.positively_semiproximal or cls.indeterminate:
             return False
         recorded = entry["classification"]

@@ -11,15 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import (MAX_DIM, Record, _as_numeric, _as_square, _eigenvalues,
-                     matrix_hash, top_eigenvalue_2x2)
+from .linalg import (MAX_DIM, Record, _as_numeric, _as_square,
+                     block_eigenvalues, matrix_hash, sort_eigenvalues)
 from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
 UNIMODULAR_TOL = 1e-8
@@ -109,6 +109,7 @@ class RepSpec:
         self.dim = table[alphabet.names[0]].shape[0]
         self._images = table
         self._inverses = {}
+        self._spectra = {}  # letter codes -> spectrum, filled by spectra()
         self.provenance = dict(provenance or {})
         self.factors = tuple(factors)
         if self.factors:
@@ -133,10 +134,12 @@ class RepSpec:
         return self._images[label]
 
     def inverse_image(self, label: str) -> np.ndarray:
-        if label not in self._inverses:
-            inv = np.linalg.inv(self.image(label))
+        self.image(label)  # an unknown label is refused
+        if not self._inverses:  # one batched inverse, each as its own
+            names = self.alphabet.names
+            inv = np.linalg.inv(np.stack([self._images[l] for l in names]))
             inv.flags.writeable = False
-            self._inverses[label] = inv
+            self._inverses = dict(zip(names, inv))
         return self._inverses[label]
 
     def evaluate(self, w: Word) -> np.ndarray:
@@ -146,24 +149,21 @@ class RepSpec:
             out = out @ (self.image(label) if sign > 0 else self.inverse_image(label))
         return out
 
-    def _det(self, w: Word) -> float:
-        """Determinant of a 2x2 image of ``w``: the product of its letters'
-        (the det of a long product loses about |W|^2 eps to cancellation)."""
-        out = 1.0
-        for idx, sign in w.letters:
-            (a, b), (c, d) = self.image(w.alphabet.names[idx]).tolist()
-            out *= (a * d - b * c) ** sign
-        return out
+    @cached_property
+    def structure(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per Kronecker factor (:func:`factor_tables`), the letter tables
+        of its direct-sum blocks; made on first use."""
+        return tuple(tuple(block_tables(t)) for t in factor_tables(self))
 
     def top_modulus(self, w: Word) -> float:
         """Largest eigenvalue modulus of the image, computed on the cyclic
-        reduction (a class function, far better conditioned); for 2x2
-        images from its trace and :meth:`_det`."""
-        core = w.cyclic_reduction()
-        m = self.evaluate(core)
-        if self.dim == 2:
-            return abs(top_eigenvalue_2x2(m, self._det(core)))
-        return abs(_eigenvalues(m)[0])
+        reduction (a class function, far better conditioned) from its block
+        images (:func:`top_moduli`)."""
+        codes = np.array([letter_codes(self.alphabet, w.cyclic_reduction())],
+                         np.intp)
+        spectra = block_spectra(self.structure, codes,
+                                word_images(self.structure, codes))
+        return float(top_moduli(spectra)[0])
 
     def to_json(self) -> dict:
         doc = {
@@ -593,6 +593,98 @@ def symbol_table(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None) -> n
                      for m in (rep.image(label), rep.inverse_image(label))])
 
 
+def letter_codes(alphabet: Alphabet, w: Word) -> list[int]:
+    """Codes over ``alphabet`` of the letters of ``w``, matched by label."""
+    return [2 * alphabet.index(w.alphabet.names[i]) + (sign < 0)
+            for i, sign in w.letters]
+
+
+def factor_tables(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None
+                  ) -> list[np.ndarray]:
+    """The symbol tables of the representation's Kronecker factors (itself
+    when it records none), from which words' statistics are read."""
+    return [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
+
+
+def block_tables(table: np.ndarray) -> list[np.ndarray]:
+    """The letter tables of a table's direct-sum blocks (:func:`_blocks`);
+    the table itself when it is one block."""
+    blocks = _blocks(table)
+    if len(blocks) == 1:
+        return [table]
+    return [table[:, b[:, None], b] for b in blocks]
+
+
+def word_dets(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Determinants of the images of words (rows of letter codes) over a
+    symbol table of 2x2 letter images, as products in word order of their
+    letters' a d - b c (an inverse letter's: its reciprocal); the det of a
+    long product would lose about |w|^2 eps to cancellation."""
+    dets = np.array([(p * s - q * r) ** sign for (p, q), (r, s)
+                     in table[0::2].tolist() for sign in (1, -1)])
+    out = np.ones(len(codes))
+    for column in codes.T:
+        out = out * dets[column]
+    return out
+
+
+def word_images(structure, codes: np.ndarray) -> State:
+    """Per block of ``structure`` (``RepSpec.structure``), the images of
+    the words of letter codes ``codes`` (rows, one length), as a ball sweep
+    of :func:`products` makes them, bit for bit."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
+        for table in (t for blocks in structure for t in blocks):
+            m = np.eye(len(table[0]))[None][np.zeros(len(codes), np.intp)]
+            for column in codes.T:
+                m = m @ table[column]
+            out.append(m)
+    return tuple(out)
+
+
+def block_spectra(structure, codes: np.ndarray, images: State, wide=None
+                  ) -> list[list[np.ndarray]]:
+    """Per factor and block, the eigenvalues of the words' ``images``
+    (:func:`word_images`; ``codes`` their letters): :func:`block_eigenvalues`
+    on 2x2 determinants from the letters, or ``wide`` of the images of a
+    block wider than 2 when it is given."""
+    images = iter(images)
+    return [[wide(m) if wide and len(t[0]) > 2 else block_eigenvalues(
+                m, word_dets(t, codes) if len(t[0]) == 2 else None)
+             for t, m in zip(blocks, images)] for blocks in structure]
+
+
+def top_moduli(factors: list[list[np.ndarray]]) -> np.ndarray:
+    """Each word's top eigenvalue modulus from its :func:`block_spectra`:
+    per factor the largest over its blocks (libm ``hypot``, as the scalar
+    ``abs`` takes it), multiplied over the factors in order."""
+    return reduce(np.multiply, [
+        reduce(np.maximum, [np.hypot(e.real, e.imag).max(axis=1)
+                            for e in blocks]) for blocks in factors])
+
+
+def spectra(rep: RepSpec, words: Sequence[Word]) -> list[tuple[complex, ...]]:
+    """Each word's eigenvalues in ``eigenvalue_sort_key`` order, read from
+    ``rep.structure``: per Kronecker factor the union of its direct-sum
+    blocks' (:func:`block_spectra`), across factors their products, once
+    per distinct word and representation.  A word whose eigenvalues are not
+    all finite has NaN for each."""
+    codes = [tuple(letter_codes(rep.alphabet, w)) for w in words]
+    found = rep._spectra
+    new = [c for c in dict.fromkeys(codes) if c not in found]
+    for length in set(map(len, new)):
+        at = [c for c in new if len(c) == length]
+        rows = np.array(at, np.intp).reshape(len(at), length)
+        blocks = block_spectra(rep.structure, rows,
+                               word_images(rep.structure, rows))
+        with np.errstate(invalid="ignore"):  # inf * 0 in a product
+            eigs = reduce(lambda x, y: (x[:, :, None] * y[:, None]).reshape(
+                len(at), -1), [np.concatenate(b, axis=1) for b in blocks])
+        eigs[~np.isfinite(eigs).all(axis=1)] = np.nan
+        found.update(zip(at, map(sort_eigenvalues, eigs.tolist())))
+    return [found[c] for c in codes]
+
+
 # cap on the bytes of states in one block of the ball sweep; a block may
 # exceed it only when it holds the children of a single word
 BLOCK_BYTES = 1 << 18
@@ -744,11 +836,10 @@ def graded_products(*tables: np.ndarray):
     the tables' block counts."""
     counts, sweeps = [], []
     for table in tables:
-        blocks = _blocks(table)
+        blocks = block_tables(table)
         counts.append(len(blocks))
         closed = len(blocks) == 1 and table.shape[1] == 2
-        sweeps += [_jacobi_step(table[:, b[:, None], b], closed)
-                   for b in blocks]
+        sweeps += [_jacobi_step(b, closed) for b in blocks]
 
     def step(state, parent, letter):
         return tuple(f(s, parent, letter) for (_, f), s in zip(sweeps, state))

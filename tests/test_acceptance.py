@@ -59,10 +59,10 @@ def test_criterion_1_d12_golden():
                 abs(lam) / x, x ** 2, x ** 2, abs(lam) / (x * mu ** 2)]
     np.testing.assert_allclose(spectrum(g).moduli[:7], expected, rtol=1e-9)
     for i in (1, 2, 4, 5, 6):
-        cls = classify_exterior(g, i, 1e-6)
+        cls = classify_exterior(spectrum(g).eigenvalues, i, 1e-6)
         assert not cls.positively_semiproximal and not cls.indeterminate, i
     h = rep.evaluate(result.witness("second"))
-    w3 = classify_exterior(h, 3, 1e-6)
+    w3 = classify_exterior(spectrum(h).eigenvalues, 3, 1e-6)
     assert w3.p1_proximal
     assert w3.top_eigenvalue.real == pytest.approx(s ** 3 * nu ** 2, rel=1e-9)
     assert w3.top_eigenvalue.real < 0
@@ -85,7 +85,7 @@ def test_criterion_2_d5_and_d6_goldens():
     np.testing.assert_allclose(
         spectrum(m).moduli[:3],
         [x, x ** -0.25 * lam, x ** -0.25 * lam], rtol=1e-6)
-    w2 = classify_exterior(m, 2, 1e-6)
+    w2 = classify_exterior(spectrum(m).eigenvalues, 2, 1e-6)
     assert not w2.positively_semiproximal and not w2.indeterminate
     d5_elapsed = time.monotonic() - t0
     assert d5_elapsed < 30
@@ -96,9 +96,9 @@ def test_criterion_2_d5_and_d6_goldens():
     m = d6.rep.evaluate(d6.witness("main"))
     pc = spectrum(m).eigenvalues
     assert pc[0].real < 0 and abs(pc[0].imag) <= 1e-6 * abs(pc[0])
-    w2 = classify_exterior(m, 2, 1e-6)
+    w2 = classify_exterior(spectrum(m).eigenvalues, 2, 1e-6)
     assert w2.p1_proximal and w2.top_eigenvalue.real < 0
-    w3 = classify_exterior(m, 3, 1e-6)
+    w3 = classify_exterior(spectrum(m).eigenvalues, 3, 1e-6)
     assert w3.top_multiplicity == 2
     assert w3.semiproximal and not w3.positively_semiproximal
     d6_elapsed = time.monotonic() - t1
@@ -113,7 +113,7 @@ def test_criterion_3_dge7_golden():
         result = build_named("thm1i_dge7", {"d": d}, seed=0)
         m = result.rep.evaluate(result.witness("main"))
         for i in range(1, d - 3):
-            cls = classify_exterior(m, i, 1e-6)
+            cls = classify_exterior(spectrum(m).eigenvalues, i, 1e-6)
             assert cls.p1_proximal, (d, i)
             assert cls.top_eigenvalue.real < 0, (d, i)
             assert abs(cls.top_eigenvalue.imag) <= 1e-6 * cls.top_modulus
@@ -138,7 +138,7 @@ def test_criterion_4_pattern_family():
         h = rep.evaluate(result.witness("second"))
         for i in range(2, n + 2):
             target = g if i % 2 == 0 else h
-            cls = classify_exterior(target, i, 1e-6)
+            cls = classify_exterior(spectrum(target).eigenvalues, i, 1e-6)
             assert not cls.positively_semiproximal and not cls.indeterminate, \
                 (n, i)
     elapsed = time.monotonic() - t0

@@ -8,7 +8,7 @@ import pytest
 from specgap import obstruct
 from specgap.builders import build_named, known_constructions
 from specgap.errors import ConstructionError, InputError
-from specgap.linalg import classify_exterior
+from specgap.linalg import classify_exterior, spectrum
 from specgap.reproduce import run_reproduction, verify_golden
 from specgap.words import Word, in_index_two_core, Presentation
 
@@ -163,7 +163,7 @@ class TestGoldenReports:
     def test_d6_wedge3_value(self):
         result = build_named("thm1i_d6", None, seed=0)
         m = result.rep.evaluate(result.witness("main"))
-        cls = classify_exterior(m, 3)
+        cls = classify_exterior(spectrum(m).eigenvalues, 3)
         expected = result.manifest["derived"]["expected_wedge3_top"]
         assert cls.top_modulus == pytest.approx(abs(expected), rel=1e-6)
         assert cls.top_multiplicity == 2

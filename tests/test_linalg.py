@@ -1,17 +1,25 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specgap.errors import InputError, SizeError
-from specgap.linalg import (classify, classify_exterior, exterior_power,
-                            kronecker, predicted_spectrum, sort_eigenvalues,
-                            spectrum, spectrum_tensor, spectrum_union,
-                            spectrum_wedge, top_eigenvalue_2x2,
+from specgap.linalg import (block_eigenvalues, classify, classify_exterior,
+                            exterior_power, kronecker, predicted_spectrum,
+                            sort_eigenvalues, spectrum, spectrum_tensor,
+                            spectrum_union, spectrum_wedge,
                             top_subset_products)
 
 RNG = np.random.default_rng(20240817)
+SRC = Path(__file__).resolve().parent.parent / "src" / "specgap"
+
+
+def eigs(m):
+    """A bare matrix's spectrum, the classifiers' input."""
+    return spectrum(m).eigenvalues
 
 
 def random_unimodular(d, rng=RNG):
@@ -76,9 +84,14 @@ class TestSpectrum:
         # a cast to float would keep only the real part
         for m in ([[0, -1 + 0.3j], [1, 0]],
                   np.array([[0, -1], [1, 0]], dtype=complex)):
-            for fn in (spectrum, classify, lambda a: classify_exterior(a, 1)):
-                with pytest.raises(InputError, match="complex"):
-                    fn(m)
+            with pytest.raises(InputError, match="complex"):
+                spectrum(m)
+
+    def test_classifiers_refuse_spectra_that_are_not_finite(self):
+        for values in ([], [2.0, complex(math.inf, 0.0)], [math.nan, 1.0]):
+            for fn in (classify, lambda v: classify_exterior(v, 1)):
+                with pytest.raises(InputError, match="finite"):
+                    fn(values)
 
     def test_json_shape(self, strict_json):
         doc = spectrum(np.eye(2)).to_json()
@@ -87,21 +100,55 @@ class TestSpectrum:
                                     "singular_values": [1.0, 1.0]}
 
 
+def both(m, det=1.0):
+    """Both eigenvalues of one 2x2 image of determinant ``det`` from the
+    kernel."""
+    return block_eigenvalues(np.array([m], dtype=float), np.array([det]))[0]
+
+
 class TestTwoByTwoTrace:
+    """The kernel's 2x2 rule on single det-1 images (the mpmath oracle over
+    word balls is in test_obstruct)."""
+
     def test_hyperbolic(self):
         m = np.array([[3.0, 1.0], [2.0, 1.0]])
         m = m / math.sqrt(np.linalg.det(m))
-        lam = top_eigenvalue_2x2(m)
-        assert lam == pytest.approx(max(np.linalg.eigvals(m)), rel=1e-12)
+        want = sort_eigenvalues(np.linalg.eigvals(m))
+        assert both(m) == pytest.approx(want, rel=1e-12)
 
     def test_negative_trace(self):
-        lam = top_eigenvalue_2x2(np.diag([-5.0, -0.2]))
-        assert lam == pytest.approx(-5.0)
+        assert both(np.diag([-5.0, -0.2])) == pytest.approx([-5.0, -0.2])
 
     def test_elliptic(self):
         t = 1.0
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        assert abs(top_eigenvalue_2x2(rot)) == pytest.approx(1.0)
+        top, other = both(rot)
+        assert top == pytest.approx(complex(math.cos(t), math.sin(t)))
+        assert other == top.conjugate()
+
+
+class TestBlockEigenvalues:
+    def test_widths_one_and_three(self):
+        ones = np.array([[[2.0]], [[-0.5]]])
+        np.testing.assert_array_equal(block_eigenvalues(ones, None),
+                                      [[2.0], [-0.5]])
+        m = np.diag([3.0, -1.0, 0.5])
+        got = sort_eigenvalues(block_eigenvalues(m[None], None)[0])
+        assert got == (3.0, -1.0, 0.5)
+
+    def test_2x2_far_from_one_squares_nothing_that_overflows(self):
+        # t^2 would overflow past 1e154; the rule runs on a power-of-two
+        # scaling of the image, which is exact
+        assert tuple(both(np.diag([1e200, 1e-200]))) == (1e200, 1e-200)
+        m = np.array([[3.0, 1.0], [2.0, 1.0]])
+        assert tuple(both(m * 2.0 ** 511, 2.0 ** 1022)) == tuple(
+            z * 2.0 ** 511 for z in both(m))
+
+    def test_images_that_are_not_finite(self):
+        bad = np.full((1, 3, 3), np.inf)
+        assert np.isnan(block_eigenvalues(bad, None)).all()
+        two = np.array([[[np.inf, 1.0], [0.0, 1.0]]])
+        assert not np.isfinite(block_eigenvalues(two, np.ones(1))).all()
 
 
 class TestKronecker:
@@ -191,13 +238,13 @@ class TestExteriorPower:
 
 class TestClassify:
     def test_identity(self):
-        pc = classify(np.eye(4))
+        pc = classify(eigs(np.eye(4)))
         assert pc.positively_semiproximal and pc.semiproximal
         assert not any(pc.proximal)
         assert pc.top_multiplicity == 4
 
     def test_signed_diagonal(self):
-        pc = classify(np.diag([-5.0, 2.0, 0.5, -0.1]))
+        pc = classify(eigs(np.diag([-5.0, 2.0, 0.5, -0.1])))
         assert pc.is_proximal_at(1)
         assert pc.top_eigenvalue == pytest.approx(-5.0 + 0j)
         assert pc.semiproximal and not pc.positively_semiproximal
@@ -207,7 +254,7 @@ class TestClassify:
         t = 1.0
         m = np.diag([2.0, 1.0]) @ np.eye(2)
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        pc = classify(np.kron(np.eye(1), 2.0 * rot) * 1.0)
+        pc = classify(eigs(np.kron(np.eye(1), 2.0 * rot) * 1.0))
         assert not pc.semiproximal and not pc.positively_semiproximal
         del m
 
@@ -219,17 +266,18 @@ class TestClassify:
             q2, _ = np.linalg.qr(rng.normal(size=(5, 5)))
             # condition number <= 1e3 by construction
             p = q1 @ np.diag(np.exp(rng.uniform(-3.45, 3.45, size=5))) @ q2
-            pc0, pc1 = classify(m), classify(p @ m @ np.linalg.inv(p))
+            pc0 = classify(eigs(m))
+            pc1 = classify(eigs(p @ m @ np.linalg.inv(p)))
             assert pc0.proximal == pc1.proximal
             assert pc0.semiproximal == pc1.semiproximal
             assert pc0.positively_semiproximal == pc1.positively_semiproximal
 
     def test_gray_zone_flags_indeterminate(self):
-        pc = classify(np.diag([1.0, 1.0 - 5e-6, 0.1]), tol=1e-6)
+        pc = classify(eigs(np.diag([1.0, 1.0 - 5e-6, 0.1])), tol=1e-6)
         assert pc.indeterminate
 
     def test_json_shape(self, strict_json):
-        doc = classify(np.diag([-4.0, 2.0, 0.5, 0.125])).to_json()
+        doc = classify(eigs(np.diag([-4.0, 2.0, 0.5, 0.125]))).to_json()
         assert strict_json(doc) == {
             "dim": 4, "tol": 1e-6, "proximal": [True, True, True],
             "semiproximal": True, "positively_semiproximal": False,
@@ -267,14 +315,14 @@ class TestClassifyExterior:
             yield p @ m @ np.linalg.inv(p), 1e-5
 
     def test_matches_exterior_power_oracle(self):
-        # classify() of the dense minor matrix is the oracle; compare
-        # wherever both answers are decisive
+        # classify() of the dense minor matrix's spectrum is the oracle;
+        # compare wherever both answers are decisive
         compared = skipped = 0
         for m, rtol in self._oracle_cases(np.random.default_rng(11)):
             d = m.shape[0]
             for i in range(1, d + 1):
-                got = classify_exterior(m, i)
-                want = classify(exterior_power(m, i))
+                got = classify_exterior(eigs(m), i)
+                want = classify(eigs(exterior_power(m, i)))
                 assert got.method == "subset-products"
                 if want.indeterminate or got.indeterminate:
                     skipped += 1
@@ -295,7 +343,7 @@ class TestClassifyExterior:
     def test_tie_cluster_past_any_cap(self):
         # all C(25, 10) top products have modulus 1024 and C(24, 10) of
         # them equal +1024
-        cls = classify_exterior(np.diag([2.0] + [-2.0] * 24), 10)
+        cls = classify_exterior(eigs(np.diag([2.0] + [-2.0] * 24)), 10)
         assert cls.positively_semiproximal and cls.semiproximal
         assert not cls.indeterminate and not cls.p1_proximal
         assert cls.top_multiplicity == math.comb(25, 10) == 3_268_760
@@ -311,34 +359,36 @@ class TestClassifyExterior:
             m = np.zeros((6, 6))
             m[0, 0], m[5, 5] = -3.0, 0.1
             m[1:3, 1:3], m[3:5, 3:5] = block(0.7), block(t2)
-            cls = classify_exterior(m, 3)
+            cls = classify_exterior(eigs(m), 3)
             assert cls.indeterminate and not cls.positively_semiproximal
             assert cls.top_multiplicity == math.comb(4, 2)
         # at angles 0.7 and pi - 0.7 two halves multiply to -4, so a top
         # product is +48; at 0.7 and 1.9 none is real and positive
-        assert classify(exterior_power(m, 3)).positively_semiproximal
+        assert classify(eigs(exterior_power(m, 3))).positively_semiproximal
         # taking one member, or all but one, never multiplies two halves
-        assert not classify_exterior(m, 2).indeterminate
-        assert not classify_exterior(m, 4).indeterminate
+        assert not classify_exterior(eigs(m), 2).indeterminate
+        assert not classify_exterior(eigs(m), 4).indeterminate
 
     def test_closed_form_cluster_on_large_diagonal(self):
         # classes: -3, 3 x7 | -1 x20 | 0.25 x32 (d = 60); at index 18 the top
         # cluster takes the eight 3s and ten of the twenty -1s
         m = np.diag([-3.0] + [3.0] * 7 + [-1.0] * 20 + [0.25] * 32)
-        cls = classify_exterior(m, 18)
+        cls = classify_exterior(eigs(m), 18)
         assert cls.top_multiplicity == math.comb(20, 10) == 184_756
         assert cls.top_modulus == pytest.approx(3.0 ** 8)
         assert cls.semiproximal and not cls.positively_semiproximal
         assert not cls.indeterminate and not cls.p1_proximal
-        whole = classify_exterior(m, 8)
+        whole = classify_exterior(eigs(m), 8)
         assert whole.p1_proximal and whole.top_multiplicity == 1
         assert whole.top_eigenvalue == pytest.approx(-(3.0 ** 8))
         assert not whole.positively_semiproximal
-        assert classify_exterior(m, 40).top_multiplicity == math.comb(32, 12)
+        assert (classify_exterior(eigs(m), 40).top_multiplicity
+                == math.comb(32, 12))
 
     def test_json_shape(self, strict_json):
         # a p1-proximal power with a negative real top eigenvalue
-        doc = classify_exterior(np.diag([-4.0, 2.0, 0.5, 0.125]), 2).to_json()
+        doc = classify_exterior(eigs(np.diag([-4.0, 2.0, 0.5, 0.125])),
+                                2).to_json()
         assert strict_json(doc) == {
             "index": 2, "method": "subset-products", "p1_proximal": True,
             "semiproximal": True, "positively_semiproximal": False,
@@ -348,7 +398,8 @@ class TestClassifyExterior:
             "indeterminate": False, "tol": 1e-6,
         }
         # a top class of two: no single top eigenvalue
-        doc = classify_exterior(np.diag([2.0, -2.0, 0.5, 0.5]), 1).to_json()
+        doc = classify_exterior(eigs(np.diag([2.0, -2.0, 0.5, 0.5])),
+                                1).to_json()
         assert strict_json(doc) == {
             "index": 1, "method": "subset-products", "p1_proximal": False,
             "semiproximal": True, "positively_semiproximal": True,
@@ -359,7 +410,7 @@ class TestClassifyExterior:
 
     def test_large_dimension_uses_subset_products(self):
         m = np.diag([2.0 ** k for k in range(10, -11, -1)])  # 21x21, det 1
-        cls = classify_exterior(m, 8)
+        cls = classify_exterior(eigs(m), 8)
         assert cls.method == "subset-products"
         assert cls.p1_proximal and cls.positively_semiproximal
         expected = float(np.prod([2.0 ** k for k in range(10, 2, -1)]))
@@ -410,3 +461,49 @@ class TestPredictedSpectrum:
         got = spectrum(block).eigenvalues
         oracle = spectrum_union(spectrum(a).eigenvalues, spectrum(b).eigenvalues)
         assert_moduli_close(got, oracle)
+
+
+class TestEigenvalueRoutes:
+    """Library code reads a word's eigenvalues through ``reps.spectra`` and
+    its kernel ``block_eigenvalues`` alone; ``spectrum`` serves bare
+    matrices, and the limit-set sampler and the eigenvector routines take
+    their own decompositions.  Any other call of numpy's ``eig`` or
+    ``eigvals`` in ``src/specgap`` is a second eigenvalue route."""
+
+    ALLOWED = {"block_eigenvalues", "spectrum", "_eig_stack",
+               "_eigenframe_2x2", "common_eigenvector_defect"}
+
+    @staticmethod
+    def _routes(tree):
+        """(function, line) of each reference to numpy's eig or eigvals."""
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "numpy.linalg" for a in node.names
+                 if a.name in ("eig", "eigvals")}
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("eig", "eigvals")
+                    and ast.unparse(node.value) in ("np.linalg",
+                                                    "numpy.linalg")
+                    or isinstance(node, ast.Name) and node.id in names):
+                yield where, node.lineno
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, where)
+        return list(visit(tree, None))
+
+    def test_no_other_route_calls_eig(self):
+        found = {}
+        for path in sorted(SRC.glob("*.py")):
+            for where, line in self._routes(ast.parse(path.read_text())):
+                found.setdefault(where, []).append(f"{path.name}:{line}")
+        assert set(found) <= self.ALLOWED, found
+
+    def test_the_scan_sees_every_form(self):
+        code = ("from numpy.linalg import eigvals as ev\n"
+                "def f(m):\n    return np.linalg.eig(m)\n"
+                "def g(m):\n    return ev(m)\n"
+                "def h(m):\n    return _solve(numpy.linalg.eigvals, m)\n")
+        assert [w for w, _ in self._routes(ast.parse(code))] == ["f", "g", "h"]

@@ -5,16 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specgap import obstruct, reps
+from specgap import builders, obstruct, reps
 from specgap.builders import build_named
+from specgap.cli import main
 from specgap.errors import (DegenerateConfigurationError, InputError,
                             SamplingError, SearchError)
-from specgap.linalg import classify, top_eigenvalue_2x2
+from specgap.linalg import block_eigenvalues, classify, spectrum
 from specgap.obstruct import (_line_angle_stats, certify_not_limit,
                               check_domination, find_negative_lambda,
                               limit_formula_check, sample_limit_set,
                               verify_certificate)
-from specgap.reps import (ComplexRep2, RepSpec, axis_dilation, pull_back,
+from specgap.reps import (ComplexRep2, RepSpec, axis_dilation, block_sum,
+                          pull_back,
                           rename_generators, rotation_block_rep, schottky_sl2c,
                           schottky_sl2r, spin_lift, tensor_rep)
 from specgap.words import (Alphabet, Presentation, Word, commutator,
@@ -33,7 +35,7 @@ class TestFindNegativeLambda:
         sw = find_negative_lambda(j, Word.identity(PAIR))
         assert sw.power == 1 and sw.word == sw.base_word
         assert sw.lambda1 < -1
-        pc = classify(j.evaluate(sw.word))
+        pc = classify(spectrum(j.evaluate(sw.word)).eigenvalues)
         assert pc.proximal[0] and pc.top_eigenvalue.real == pytest.approx(
             sw.lambda1, rel=1e-9)
 
@@ -43,7 +45,8 @@ class TestFindNegativeLambda:
         assert sw.power <= 20
         assert sw.lambda1 < 0
         # independent re-check of the returned witness
-        pc = classify(j.evaluate(sw.word.cyclic_reduction()))
+        pc = classify(spectrum(j.evaluate(sw.word.cyclic_reduction()))
+                      .eigenvalues)
         assert pc.top_eigenvalue.real < 0
 
     def test_witness_stays_in_commutator_coset(self):
@@ -248,12 +251,15 @@ class TestDomination:
 
     @pytest.mark.parametrize("case", ["det drift", "near parabolic",
                                       "near scalar"])
-    def test_batched_2x2_rule_is_the_scalar_one(self, case):
-        # the domination sweep's batched rule against top_eigenvalue_2x2 on
-        # the letters' determinants, bit for bit, on every word of the
-        # radius-6 ball: images whose determinants drift from 1 inside the
-        # input gate, and words whose eigenvalues nearly coincide, where
-        # both take the entry form of the discriminant
+    def test_2x2_rule_matches_mpmath(self, case):
+        # both eigenvalues from the kernel, on the letters' determinants,
+        # against those of the exact product of the letters in 50 digits, on
+        # every word of the radius-6 ball: images whose determinants drift
+        # from 1 inside the input gate, and words whose eigenvalues nearly
+        # coincide, where the entry form of the discriminant is taken.  An
+        # error delta ~ |w| eps |W| in the entries moves coinciding roots by
+        # up to sqrt(|t| delta); separated ones stay within 1e-13 relative
+        mpmath = pytest.importorskip("mpmath")
         ab = Alphabet(("a", "b"))
         if case == "det drift":
             a = np.array([[2.0, 1.0], [1.0, 1.0 + 7.5e-9]])
@@ -268,22 +274,42 @@ class TestDomination:
                       "b": np.array([[c, -s], [s, c]])}
         rep = RepSpec(ab, images)
         table = reps.symbol_table(rep)
-        dets = np.array([rep._det(Word.from_codes(ab, [c])) for c in range(4)])
-        entry_form = 0
-        for length, codes, (prods,) in reps.iter_ball_images(
-                4, 6, *reps.products(table)):
-            if not length:
-                continue  # the identity
-            got = obstruct._log_top_moduli(prods, codes, dets)
-            for row, m, value in zip(codes, prods, got):
-                det = rep._det(Word.from_codes(ab, row))
-                assert value == math.log(abs(top_eigenvalue_2x2(m, det)))
-                (p, q), (r, t) = m.tolist()
-                entry_form += (abs((p + t) ** 2 - 4 * det)
-                               < 1.5e-8 * (p + t) ** 2
-                               and abs(p - t) + 2 * (abs(q) + abs(r))
-                               < 2 * abs(p + t))
+        eps = np.finfo(float).eps
+        entry_form = separated = 0
+        with mpmath.workdps(50):
+            letters = [mpmath.matrix(images[l].tolist()) for l in ab.names]
+            letters = [g for m in letters for g in (m, mpmath.inverse(m))]
+            for length, codes, (prods,) in reps.iter_ball_images(
+                    4, 6, *reps.products(table)):
+                if not length:
+                    continue  # the identity
+                dets = reps.word_dets(table, codes)
+                got = block_eigenvalues(prods, dets)
+                for row, m, det, pair in zip(codes, prods, dets, got):
+                    w = mpmath.eye(2)
+                    for code in row:
+                        w = w * letters[code]
+                    t = w[0, 0] + w[1, 1]
+                    root = mpmath.sqrt(t * t - 4 * mpmath.det(w))
+                    want = [complex((t + root) / 2), complex((t - root) / 2)]
+                    err = min(max(abs(pair[0] - want[0]),
+                                  abs(pair[1] - want[1])),
+                              max(abs(pair[0] - want[1]),
+                                  abs(pair[1] - want[0])))
+                    top = max(map(abs, want))
+                    if abs(want[0] - want[1]) > 1e-2 * top:
+                        separated += 1
+                        assert err <= 1e-13 * top, row
+                    delta = len(row) * eps * np.abs(m).max()
+                    assert err <= 1e-13 * top + math.sqrt(
+                        delta * max(abs(t), 1)), row
+                    (p, q), (r, s) = m.tolist()
+                    entry_form += (abs((p + s) ** 2 - 4 * det)
+                                   < 1.5e-8 * (p + s) ** 2
+                                   and abs(p - s) + 2 * (abs(q) + abs(r))
+                                   < 2 * abs(p + s))
         assert entry_form
+        assert separated or case != "det drift"
 
     @pytest.mark.parametrize("block_bytes", [1, 2000])
     @pytest.mark.parametrize("case", [0, 1, "tied", "diagonal"])
@@ -328,20 +354,66 @@ class TestDomination:
             assert rpt.margin == margin
             assert rpt.argmin == argmin
 
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_pruning_with_a_2x2_lower_block(self, monkeypatch, block_bytes):
+        # a lower side of a 4x4 spin block and a 2x2 block of drifted
+        # determinant: the 2x2 block is read exactly in the bound, the 4x4
+        # one bounded by its Frobenius norm, and words are still skipped
+        if block_bytes:
+            monkeypatch.setattr(reps, "BLOCK_BYTES", block_bytes)
+        spin = spin_lift(rename_generators(schottky_sl2c(2, 4.0), PAIR))
+        scale = math.sqrt(1 + 1.5e-8)
+        drift = RepSpec(PAIR, {l: scale * j_spread(5.0).image(l)
+                               for l in PAIR.names})
+        rows = {2: 0, 4: 0}
+        real = reps.block_eigenvalues
+
+        def spy(images, dets):
+            rows[images.shape[1]] += len(images)
+            return real(images, dets)
+        monkeypatch.setattr(reps, "block_eigenvalues", spy)
+        for lower in (block_sum([spin, drift]), block_sum([drift, spin])):
+            for upper, exponent, radius in ((j_spread(16.0), 1.5, 5),
+                                            (spin, 0.5, 4)):
+                rows.update({2: 0, 4: 0})
+                rpt = check_domination(upper, lower, exponent, radius)
+                if upper.dim == 2:
+                    # N words meet the upper side and the 2x2 block's bound,
+                    # C < N the 4x4 block: 3 C < 2 N + C
+                    assert 3 * rows[4] < rows[2]
+                count, per_length, margin, argmin = self._per_word(
+                    upper, lower, exponent, radius)
+                assert rpt.words_checked == count
+                assert rpt.per_length == per_length
+                assert rpt.margin == margin
+                assert rpt.argmin == argmin
+
     def test_d6_pair_sends_few_words_to_eigvals(self, monkeypatch):
         # the d6 pair at radius 8: every one of the 9,856 cyclically reduced
-        # words meets the 2x2 upper side, at most 1% the 4x4 lower side's
-        # eigvals
-        rows = {2: 0, 4: 0}
-        real = obstruct._log_top_moduli
+        # words meets the kernel on the 2x2 upper side, at most 1% on the
+        # lower side's blocks wider than 2, where it calls eigvals
+        rows: dict = {}
+        sweeping = []
+        real, sweep = reps.block_eigenvalues, builders.check_domination
 
-        def spy(images, *rest):
-            rows[images.shape[1]] += len(images)
-            return real(images, *rest)
-        monkeypatch.setattr(obstruct, "_log_top_moduli", spy)
+        def spy(images, dets):
+            if sweeping:
+                width = images.shape[1]
+                rows[width] = rows.get(width, 0) + len(images)
+            return real(images, dets)
+
+        def traced(*args):
+            sweeping.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                sweeping.clear()
+        monkeypatch.setattr(reps, "block_eigenvalues", spy)
+        monkeypatch.setattr(builders, "check_domination", traced)
         build_named("thm1i_d6", {"dom_radius": 8}, seed=0)
         assert rows[2] == 9856
-        assert 0 < rows[4] <= 0.01 * rows[2]
+        wide = sum(n for width, n in rows.items() if width > 2)
+        assert 0 < wide <= 0.01 * rows[2]
 
     def test_last_level_is_never_held_whole(self):
         # radius 9 over a rank-2 pair of 2x2 images: the last level holds
@@ -559,6 +631,53 @@ class TestCertificates:
             "assumptions": ["declared hypothesis"], "covered_all": True,
             "relators": {"tol": 1e-8, "deviations": []},
         }
+
+
+class TestOverflowingWitness:
+    """a = diag(1e100, 1e-100, 1): the image of a^4 overflows.  b^2 has the
+    negative top pair -4, -4 and covers index 1."""
+
+    AB = Alphabet(("a", "b"))
+
+    def rep(self):
+        b = np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.25]])
+        return RepSpec(self.AB, {"a": np.diag([1e100, 1e-100, 1.0]), "b": b})
+
+    def certify(self, *witnesses):
+        words = [word(self.AB, w) for w in witnesses]
+        return certify_not_limit(self.rep(), words, [1],
+                                 Presentation.free(self.AB))
+
+    def test_is_indeterminate_at_every_index(self):
+        (entry,) = self.certify("a^4").entries
+        assert not entry.covered
+        assert entry.reason == "classification indeterminate at this tolerance"
+
+    def test_a_later_witness_still_covers(self):
+        cert = self.certify("a^4", "b^2")
+        assert cert.covered_all and cert.entries[0].witness == "b b"
+        assert cert.entries[0].classification.top_multiplicity == 2
+
+    def test_verify_refuses_an_entry_it_covers(self):
+        doc = self.certify("b^2").to_json()
+        assert verify_certificate(doc, self.rep())
+        doc["entries"][0]["witness"] = "a^4"
+        assert verify_certificate(doc, self.rep()) is False
+
+    def test_cli_leaves_the_index_uncovered_and_exits_3(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(self.rep().to_json()))
+        argv = ["obstruct", "--rep", str(path), "--witness", "a^4"]
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 3
+        assert main(argv + ["--witness", "b^2",
+                            "--out", str(tmp_path / "two")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_domination_still_refuses_it(self):
+        rep = self.rep()
+        with pytest.raises(InputError, match="non-finite"):
+            check_domination(rep, rep, 1.0, 4)
 
 
 class TestLimitSet:

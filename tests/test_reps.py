@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from specgap.builders import build_named
+from specgap.builders import BuildResult, build_named
 from specgap.certify import gap_profile, qi_profile
 from specgap.cli import main
 from specgap.errors import ConstructionError, InputError
-from specgap.linalg import spectrum, spectrum_tensor, spectrum_union
+from specgap.linalg import (predicted_spectrum, spectrum, spectrum_tensor,
+                            spectrum_union)
+from specgap.reproduce import verify_golden
 from specgap import reps
 from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
                           block_sum,
@@ -523,6 +525,79 @@ class TestFactors:
         with pytest.raises(InputError, match="alphabet"):
             RepSpec(PAIR, images, factors=(
                 left, rename_generators(right, Alphabet(("x", "y")))))
+
+
+def _nearest_match(got, want, scale):
+    """Largest distance, over ``scale``, from each value of ``got`` to its
+    nearest unmatched value of ``want``, each matched once."""
+    want, worst = list(want), 0.0
+    for z in got:
+        k = min(range(len(want)), key=lambda j: abs(want[j] - z))
+        worst = max(worst, abs(want.pop(k) - z) / scale)
+    return worst
+
+
+class TestSpectra:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("name", [
+        "prop42_sl4", "prop42_sl6", "thm1i_d5", "thm1i_d6", "thm1i_dge7",
+        "thm1ii_d12", "thm41_pattern"])
+    def test_matches_the_block_algebra_and_the_whole_image(self, name, seed):
+        # every declared witness of every named build: spectra against the
+        # union (blocks) and tensor (factors) algebra on each block image's
+        # own eigvals, and against eigvals of the whole image.  eigvals is
+        # accurate to eps |image|, not on each eigenvalue: on the d6 witness
+        # it gives 0 where the 2x2 closed form gives -3.7253630598e-15, the
+        # 60-digit value; so distances are relative to the top modulus
+        result = build_named(name, None, seed=seed)
+        rep = result.rep
+        keys = sorted(result.manifest["witnesses"])
+        words = [result.witness(k) for k in keys]
+        for w, got in zip(words, reps.spectra(rep, words)):
+            factors = []
+            for f in rep.factors or (rep,):
+                image = f.evaluate(w)
+                factors.append(("union",) + tuple(
+                    ("lit", spectrum(image[np.ix_(b, b)]).eigenvalues)
+                    for b in reps._blocks(symbol_table(f))))
+            expr = factors[0]
+            for factor in factors[1:]:
+                expr = ("tensor", expr, factor)
+            top = abs(got[0])
+            assert len(got) == rep.dim and got == tuple(sorted(
+                got, key=lambda z: (-abs(z), -z.real, -z.imag)))
+            assert _nearest_match(got, predicted_spectrum(expr), top) <= 1e-9
+            whole = spectrum(rep.evaluate(w)).eigenvalues
+            assert _nearest_match(got, whole, top) <= 1e-9, (name, str(w))
+
+    @pytest.mark.parametrize("name", ["prop42_sl6", "thm1ii_d12",
+                                      "thm41_pattern"])
+    def test_factors_removed_give_the_same_certificate(self, name):
+        # without its factors a tensor build is read from the blocks of
+        # its whole images; coverage, covering witnesses and top
+        # multiplicities stay
+        for seed in (0, 3):
+            result = build_named(name, None, seed=seed)
+            doc = result.rep.to_json()
+            assert doc.pop("factors")
+            bare = RepSpec.from_json(doc)
+            assert not bare.factors
+            reports = [verify_golden(BuildResult(rep, result.manifest))
+                       for rep in (result.rep, bare)]
+            assert [r["passed"] for r in reports] == [True, True]
+            entries = [[(e["covered"], e["witness"], e["classification"]
+                         and e["classification"]["top_multiplicity"])
+                        for e in r["certificate"]["entries"]]
+                       for r in reports]
+            assert entries[0] == entries[1]
+
+    def test_identity_and_repeated_words(self):
+        rep = schottky_sl2r(2, 4.0)
+        a = word(rep.alphabet, "a")
+        e = Word.identity(rep.alphabet)
+        got = reps.spectra(rep, [a, e, a])
+        assert got[0] is got[2] and got[1] == (1.0, 1.0)
+        assert got[0] == pytest.approx((4.0, 0.25))
 
 
 class TestPullBack:
