@@ -237,16 +237,12 @@ class ProximalityClass(Record):
 
 
 def _as_spectrum(values: Iterable[complex]) -> tuple[complex, ...]:
-    """``values`` as eigenvalues in decreasing order, sorted unless their
-    moduli are already nonincreasing (the classifiers read no other order);
-    an empty spectrum, or one with a value that is not finite, is
-    refused."""
+    """``values`` as eigenvalues in decreasing order; an empty spectrum, or
+    one with a value that is not finite, is refused."""
     eigs = tuple(map(complex, values))
-    if any(abs(a) < abs(b) for a, b in zip(eigs, eigs[1:])):
-        eigs = sort_eigenvalues(eigs)
     if not eigs or not all(map(cmath.isfinite, eigs)):
         raise InputError("a spectrum needs one or more finite eigenvalues")
-    return eigs
+    return sort_eigenvalues(eigs)
 
 
 def classify(eigenvalues: Iterable[complex],

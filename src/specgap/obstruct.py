@@ -169,8 +169,7 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
 
 
 def _revalidate_sign_witness(rep: RepSpec, witness: Word, tol: float):
-    m, det = _image_and_det(rep, symbol_table(rep), witness.cyclic_reduction())
-    pc = classify(block_eigenvalues(m[None], np.array([det]))[0], tol)
+    pc = classify(spectra(rep, [witness.cyclic_reduction()])[0], tol)
     lam = pc.top_eigenvalue
     if not pc.proximal[0] or lam is None or lam.real >= 0 or \
             abs(lam.imag) > tol * abs(lam):
@@ -209,7 +208,7 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
         raise InputError("limit formulas are checked on 2x2 representations")
     table = symbol_table(rep)
     m0, det0 = _image_and_det(rep, table, w0)
-    pc = classify(spectra(rep, [w0])[0])
+    pc = classify(block_eigenvalues(m0[None], np.array([det0]))[0])
     lam0 = pc.top_eigenvalue
     if not pc.proximal[0] or lam0 is None or abs(lam0.imag) > 1e-9 * abs(lam0):
         raise InputError("base word must have a real proximal leading eigenvalue")
@@ -303,18 +302,18 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     if radius < 1:
         raise InputError("domination radius must be >= 1: a sweep of no"
                          " words has no margin")
-    tables = [t for rep in (upper, lower) for blocks in rep.structure
-              for t in blocks]
+    tables = [t for rep in (upper, lower) for group in rep.structure
+              for t in group]
     split = sum(map(len, upper.structure))
     lows = [math.inf] * (radius + 1)  # per length: cyclically reduced, then all
     firsts = [()] * (radius + 1)  # codes of the first word to reach each low
     padded = upper.alphabet.size > 1  # else no word is padded
-    widest = max(len(t[0]) for blocks in lower.structure for t in blocks)
+    widest = max(t.shape[-1] for group in lower.structure for t in group)
     prune = exponent > 0 and widest > 2
     slack = (64 * widest ** 2 + 2048) * np.finfo(float).eps
 
     def frobenius(b: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.einsum("nij,nij->n", b, b))[:, None]
+        return np.sqrt(np.einsum("ngij,ngij->ng", b, b))
 
     def tops(rep: RepSpec, codes, images, wide=None) -> np.ndarray:
         return reps.top_moduli(reps.block_spectra(rep.structure, codes,

@@ -122,18 +122,19 @@ def verify_golden(result: BuildResult, tol: float = 1e-6) -> dict:
     cert = certify_not_limit(rep, witnesses, range(1, top + 1), pres, tol=tol,
                              assumptions=manifest["assumptions"])
 
-    def spec(key):  # spectra keeps what the certificate read
-        return spectra(rep, [result.witness(key)])[0]
-
+    kinds = [_kind(check) for check in declared]
+    keys = [check["witness"] for check, kind in zip(declared, kinds)
+            if kind != "index" or not 1 <= check["index"] <= top]
+    spec = dict(zip(keys, spectra(rep, list(map(result.witness, keys)))))
     checks = []
-    for check in declared:
-        kind, key = _kind(check), check["witness"]
+    for check, kind in zip(declared, kinds):
+        key = check["witness"]
         if kind == "moduli":
-            ok, detail = _moduli(check, spec(key))
+            ok, detail = _moduli(check, spec[key])
         elif kind == "top_pair":
-            ok, detail = _top_pair(check, spec(key), tol)
+            ok, detail = _top_pair(check, spec[key], tol)
         elif not 1 <= check["index"] <= top:
-            ok, detail = _index(check, classify_exterior(spec(key),
+            ok, detail = _index(check, classify_exterior(spec[key],
                                                          check["index"], tol),
                                 tol)
         else:

@@ -591,6 +591,35 @@ class TestSpectra:
                        for r in reports]
             assert entries[0] == entries[1]
 
+    def test_structure_stacks_the_blocks_of_one_width(self):
+        # a factor's blocks of one width are one table, and reading a word
+        # through it gives each block's image and determinant bit for bit
+        rep = build_named("thm41_pattern", {"n": 15}, seed=7).rep
+        assert [[t.shape for t in f] for f in rep.structure] == [
+            [(8, 15, 1, 1)], [(8, 1, 3, 3)]]
+        rep = build_named("prop42_sl4", None, seed=0).rep
+        ((table,),) = rep.structure
+        assert table.shape == (8, 2, 2, 2)
+        codes = np.array([[0, 3, 5, 2, 6], [7, 7, 1, 4, 4]])
+        (stacked,) = reps.word_images(rep.structure, codes)
+        dets = reps.word_dets(table, codes)
+        for k in range(2):
+            block = np.ascontiguousarray(table[:, k])
+            (alone,) = reps.word_images(((block,),), codes)
+            assert stacked[:, k].tobytes() == alone.tobytes()
+            assert dets[:, k].tobytes() == reps.word_dets(block, codes).tobytes()
+
+    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7", "thm1ii_d12"])
+    def test_symbol_table_inverses_are_inverse_image(self, name):
+        # the batched inverses are each the one inverse_image takes, so a
+        # sweep over the table makes evaluate's products bit for bit
+        rep = build_named(name, None, seed=3).rep
+        for f in rep.factors or (rep,):
+            table = symbol_table(f)
+            for k, label in enumerate(f.alphabet.names):
+                assert (table[2 * k + 1].tobytes()
+                        == f.inverse_image(label).tobytes())
+
     def test_identity_and_repeated_words(self):
         rep = schottky_sl2r(2, 4.0)
         a = word(rep.alphabet, "a")
