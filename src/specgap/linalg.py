@@ -80,13 +80,18 @@ def _as_real(m, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _as_square(m, what: str = "matrix") -> np.ndarray:
-    """``m`` as a finite square float array of dimension <= ``MAX_DIM``."""
-    a = _as_real(m, what)
+def _check_square(a: np.ndarray, what: str):
+    """Refuse an array that is not square or has dimension over ``MAX_DIM``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"{what} is not square: shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise SizeError(f"{what} has dimension {a.shape[0]}, over the cap {MAX_DIM}")
+
+
+def _as_square(m, what: str = "matrix") -> np.ndarray:
+    """``m`` as a finite square float array of dimension <= ``MAX_DIM``."""
+    a = _as_real(m, what)
+    _check_square(a, what)
     if not np.all(np.isfinite(a)):
         raise InputError(f"{what} has non-finite entries")
     return a

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, InputError, SizeError
-from .linalg import (MAX_DIM, Record, _as_numeric, _as_square,
+from .linalg import (MAX_DIM, Record, _as_numeric, _as_real, _check_square,
                      block_eigenvalues, matrix_hash, sort_eigenvalues)
 from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
 
@@ -35,16 +35,20 @@ def _check_unimodular(m: np.ndarray, whats: Sequence[str]):
     stack of images, named by ``whats``, with one batched ``det``.
 
     A computed determinant is known only to about eps times the product of
-    the row norms (Hadamard's bound on |det|), so the gate widens with it.
-    The product is taken in logs on each image scaled to entries <= 1,
-    silently: a zero row gives 0, an overflow inf.  A det that is not finite
-    (NaN or inf entries included) or has no positive real part is refused.
-    The first refused image in stack order is named."""
+    the row norms (Hadamard's bound on |det|), so the gate widens with it,
+    never below ``UNIMODULAR_TOL * d``: dets all within that floor of 1 are
+    accepted at once, before the slack is computed.  The product is taken
+    in logs on each image scaled to entries <= 1, silently: a zero row
+    gives 0, an overflow inf.  A det that is not finite (NaN or inf entries
+    included) or has no positive real part is refused.  The first refused
+    image in stack order is named."""
     dim = m.shape[-1]
-    scale = np.abs(m).max(axis=(1, 2))
-    scale[scale == 0.0] = 1.0
     with np.errstate(all="ignore"):
         det = np.linalg.det(m)
+        if (np.abs(det - 1.0) <= UNIMODULAR_TOL * dim).all():
+            return
+        scale = np.abs(m).max(axis=(1, 2))
+        scale[scale == 0.0] = 1.0
         hadamard = np.exp(np.log(np.linalg.norm(m / scale[:, None, None],
                                                 axis=2)).sum(axis=1)
                           + dim * np.log(scale))
@@ -57,41 +61,62 @@ def _check_unimodular(m: np.ndarray, whats: Sequence[str]):
                          f"(allowed deviation {slack[k]:.3e})")
 
 
-def _as_sl2c(g, what: str) -> np.ndarray:
-    """A copy of ``g`` as a 2x2 complex matrix; the determinant is gated by
-    the caller."""
-    m = np.array(_as_numeric(g, what), dtype=complex)
-    if m.shape != (2, 2):
-        raise InputError(f"{what} is not 2x2")
-    return m
-
-
-def _sl2c_input(g, what: str) -> np.ndarray:
-    """A copy of ``g`` as a 2x2 complex matrix of determinant one."""
-    m = _as_sl2c(g, what)
-    _check_unimodular(m[None], (what,))
-    return m
-
-
-def _image_table(alphabet: Alphabet, images: Mapping, as_image) -> dict:
-    """Read-only image of every generator label, each converted and
-    shape-checked by ``as_image``, then gated as one stack."""
-    table, whats = {}, []
-    for label in alphabet.names:
-        if label not in images:
-            raise InputError(f"missing image for generator {label!r}")
-        whats.append(f"image of {label!r}")
-        m = as_image(images[label], whats[-1])
-        m.flags.writeable = False
-        table[label] = m
-    dims = {m.shape[0] for m in table.values()}
+def _image_table(images: Sequence, whats: Sequence[str],
+                 dtype: type) -> np.ndarray:
+    """The one validation of generator images: a read-only (k, d, d) copy
+    of ``images``, named by ``whats``.  Each image is read with
+    ``np.asarray`` and its entries and shape checked (real: square, at most
+    ``MAX_DIM`` and not empty; complex: 2x2); then the images are stacked,
+    tested finite (real) and gated (:func:`_check_unimodular`) as one.
+    Of two faults of one kind, the first image is named."""
+    arrays = []
+    for m, what in zip(images, whats):
+        if dtype is float:
+            a = _as_real(m, what)
+            _check_square(a, what)
+            if not a.size:
+                raise InputError(f"{what} is empty: shape {a.shape}")
+        elif (a := _as_numeric(m, what)).shape != (2, 2):
+            raise InputError(f"{what} is not 2x2")
+        arrays.append(a)
+    dims = {a.shape[0] for a in arrays}
     if len(dims) != 1:
         raise InputError(f"generator images have mixed dimensions {sorted(dims)}")
-    _check_unimodular(np.stack(list(table.values())), whats)
-    return table
+    stack = np.array(arrays, dtype)
+    if dtype is float and not (finite := np.isfinite(stack).all(axis=(1, 2))).all():
+        raise InputError(f"{whats[int(np.argmin(finite))]} has non-finite entries")
+    _check_unimodular(stack, whats)
+    stack.flags.writeable = False
+    return stack
 
 
-class RepSpec:
+class _Images:
+    """Generator labels mapped to unimodular matrices of entries ``dtype``,
+    held as one read-only (k, d, d) ``stack`` in alphabet order, validated
+    once (:func:`_image_table`); ``image`` and every table read it."""
+
+    dtype: type = float
+
+    def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
+                 provenance: Optional[Mapping] = None):
+        for label in alphabet.names:
+            if label not in images:
+                raise InputError(f"missing image for generator {label!r}")
+        self.alphabet = alphabet
+        self.stack = _image_table([images[l] for l in alphabet.names],
+                                  [f"image of {l!r}" for l in alphabet.names],
+                                  self.dtype)
+        self.dim = self.stack.shape[1]
+        self._images = dict(zip(alphabet.names, self.stack))
+        self.provenance = dict(provenance or {})
+
+    def image(self, label: str) -> np.ndarray:
+        if label not in self._images:
+            raise InputError(f"unknown generator label {label!r}")
+        return self._images[label]
+
+
+class RepSpec(_Images):
     """Immutable map from generator labels to unimodular real matrices.
 
     ``factors`` are representations on the same alphabet whose ordered
@@ -103,13 +128,8 @@ class RepSpec:
     def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
                  provenance: Optional[Mapping] = None,
                  factors: Sequence["RepSpec"] = ()):
-        table = _image_table(alphabet, images,
-                             lambda m, what: np.array(_as_square(m, what)))
-        self.alphabet = alphabet
-        self.dim = table[alphabet.names[0]].shape[0]
-        self._images = table
+        super().__init__(alphabet, images, provenance)
         self._inverses = {}
-        self.provenance = dict(provenance or {})
         self.factors = tuple(factors)
         if self.factors:
             self._check_factors()
@@ -122,15 +142,10 @@ class RepSpec:
         if math.prod(dims) != self.dim:
             raise InputError(f"tensor factor dimensions {dims} do not"
                              f" multiply to the dimension {self.dim}")
-        for label, m in self._images.items():
-            if not np.array_equal(_kron(self.factors, label), m):
-                raise InputError("the Kronecker product of the tensor factors"
-                                 f" is not the image of {label!r}")
-
-    def image(self, label: str) -> np.ndarray:
-        if label not in self._images:
-            raise InputError(f"unknown generator label {label!r}")
-        return self._images[label]
+        kron = _kron([f.stack for f in self.factors])
+        if not (same := (kron == self.stack).all(axis=(1, 2))).all():
+            raise InputError("the Kronecker product of the tensor factors is not"
+                             f" the image of {self.alphabet.names[np.argmin(same)]!r}")
 
     def inverse_image(self, label: str) -> np.ndarray:
         if label not in self._inverses:
@@ -173,8 +188,7 @@ class RepSpec:
         doc = {
             "alphabet": list(self.alphabet.names),
             "dim": self.dim,
-            "images": {label: self._images[label].tolist()
-                       for label in self.alphabet.names},
+            "images": dict(zip(self.alphabet.names, self.stack.tolist())),
             "provenance": self.provenance,
         }
         if self.factors:
@@ -200,25 +214,13 @@ class RepSpec:
         return cls.from_json(load_json(path))
 
     def digest(self) -> str:
-        stacked = np.concatenate([self._images[l].ravel()
-                                  for l in self.alphabet.names])
-        return matrix_hash(stacked)
+        return matrix_hash(self.stack)
 
 
-class ComplexRep2:
+class ComplexRep2(_Images):
     """Generator map into 2x2 complex matrices of determinant one."""
 
-    def __init__(self, alphabet: Alphabet, images: Mapping[str, np.ndarray],
-                 provenance: Optional[Mapping] = None):
-        self.alphabet = alphabet
-        self.dim = 2
-        self._images = _image_table(alphabet, images, _as_sl2c)
-        self.provenance = dict(provenance or {})
-
-    def image(self, label: str) -> np.ndarray:
-        if label not in self._images:
-            raise InputError(f"unknown generator label {label!r}")
-        return self._images[label]
+    dtype = complex
 
     def evaluate(self, w: Word) -> np.ndarray:
         out = np.eye(2, dtype=complex)
@@ -347,12 +349,12 @@ def spin_so31(g) -> np.ndarray:
     real 4x4 matrix of H -> g H g*.  diag(a, 1/a) with a real maps to a
     matrix with eigenvalue moduli (a^2, 1, 1, a^-2).
     """
-    return _spin(_sl2c_input(g, "spin input")[None])[0]
+    return _spin(_image_table([g], ["spin input"], complex))[0]
 
 
 def realify_sl2c(g) -> np.ndarray:
     """Real 4x4 form [[Re g, -Im g], [Im g, Re g]] of a 2x2 complex matrix."""
-    return _realify(_sl2c_input(g, "realification input")[None])[0]
+    return _realify(_image_table([g], ["realification input"], complex))[0]
 
 
 def _lift(rep: ComplexRep2 | RepSpec, construction: str, what: str,
@@ -362,8 +364,7 @@ def _lift(rep: ComplexRep2 | RepSpec, construction: str, what: str,
     checked here; the lifted table meets ``RepSpec``'s gate."""
     if rep.dim != 2:
         raise InputError(f"{what} is not 2x2")
-    lifted = lift(np.array([rep.image(l) for l in rep.alphabet.names],
-                           dtype=complex))
+    lifted = lift(rep.stack.astype(complex, copy=False))
     return RepSpec(rep.alphabet, dict(zip(rep.alphabet.names, lifted)),
                    provenance={"construction": construction,
                                "base": rep.provenance.get("construction")})
@@ -429,15 +430,11 @@ def block_sum(parts: Sequence[RepSpec]) -> RepSpec:
     dim = sum(p.dim for p in parts)
     if dim > MAX_DIM:
         raise SizeError(f"block sum dimension {dim} exceeds {MAX_DIM}")
-    images = {}
-    for label in alphabet.names:
-        m = np.zeros((dim, dim))
-        at = 0
-        for p in parts:
-            m[at:at + p.dim, at:at + p.dim] = p.image(label)
-            at += p.dim
-        images[label] = m
-    return RepSpec(alphabet, images,
+    stack, at = np.zeros((alphabet.size, dim, dim)), 0
+    for p in parts:
+        stack[:, at:at + p.dim, at:at + p.dim] = p.stack
+        at += p.dim
+    return RepSpec(alphabet, dict(zip(alphabet.names, stack)),
                    provenance={"construction": "block_sum",
                                "part_dims": [p.dim for p in parts]})
 
@@ -453,16 +450,13 @@ def scale_by_character(rep: RepSpec, eps: Character, exponent) -> RepSpec:
         raise InputError("character alphabet does not match the representation")
     exp = Fraction(exponent).limit_denominator(10 ** 9)
     appended = -exp * rep.dim
-    dim = rep.dim + 1
-    images = {}
-    for label in rep.alphabet.names:
-        v = eps.value(label)
-        m = np.zeros((dim, dim))
-        m[:rep.dim, :rep.dim] = (v ** float(exp)) * rep.image(label)
-        m[rep.dim, rep.dim] = v ** float(appended)
-        images[label] = m
+    values = [eps.value(label) for label in rep.alphabet.names]
+    stack = np.zeros((len(values), rep.dim + 1, rep.dim + 1))
+    stack[:, :-1, :-1] = (np.array([v ** float(exp) for v in values])[:, None, None]
+                          * rep.stack)
+    stack[:, -1, -1] = [v ** float(appended) for v in values]
     try:
-        return RepSpec(rep.alphabet, images,
+        return RepSpec(rep.alphabet, dict(zip(rep.alphabet.names, stack)),
                        provenance={"construction": "scale_by_character",
                                    "exponent": str(exp),
                                    "appended_exponent": str(appended),
@@ -472,12 +466,12 @@ def scale_by_character(rep: RepSpec, eps: Character, exponent) -> RepSpec:
                                 inequality="det = 1") from exc
 
 
-def _kron(factors: Sequence[RepSpec], label: str) -> np.ndarray:
-    """Ordered Kronecker product of the factors' images of ``label``, entry
-    by entry the one product ``np.kron`` takes, at a third of its cost."""
-    return reduce(lambda a, b: (a[:, None, :, None] * b[None, :, None, :])
-                  .reshape(len(a) * len(b), -1),
-                  [f.image(label) for f in factors])
+def _kron(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Ordered Kronecker products of (k, d_i, d_i) stacks, image by image,
+    entry by entry the one product ``np.kron`` takes, in one broadcast
+    multiply per factor."""
+    return reduce(lambda a, b: (a[:, :, None, :, None] * b[:, None, :, None, :])
+                  .reshape(len(a), a.shape[1] * b.shape[1], -1), stacks)
 
 
 def tensor_rep(r1: RepSpec, r2: RepSpec) -> RepSpec:
@@ -488,7 +482,7 @@ def tensor_rep(r1: RepSpec, r2: RepSpec) -> RepSpec:
     if r1.dim * r2.dim > MAX_DIM:
         raise SizeError(f"tensor dimension {r1.dim * r2.dim} exceeds {MAX_DIM}")
     factors = (r1.factors or (r1,)) + (r2.factors or (r2,))
-    images = {l: _kron(factors, l) for l in r1.alphabet.names}
+    images = dict(zip(r1.alphabet.names, _kron([f.stack for f in factors])))
     return RepSpec(r1.alphabet, images, provenance={"construction": "tensor_rep"},
                    factors=factors)
 
@@ -579,9 +573,8 @@ def rename_generators(rep: RepSpec | ComplexRep2,
     """Same images, new labels (positional)."""
     if alphabet.size != rep.alphabet.size:
         raise InputError("alphabet sizes differ")
-    images = {new: rep.image(old)
-              for new, old in zip(alphabet.names, rep.alphabet.names)}
-    return type(rep)(alphabet, images, rep.provenance)
+    return type(rep)(alphabet, dict(zip(alphabet.names, rep.stack)),
+                     rep.provenance)
 
 
 def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:
@@ -597,8 +590,8 @@ def symbol_table(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None) -> n
     ``subalphabet`` (default: the representation's), indexed by letter code;
     the inverses in one batched ``inv``, each the same as
     ``RepSpec.inverse_image``."""
-    alphabet = rep.alphabet if subalphabet is None else Alphabet(tuple(subalphabet))
-    images = np.stack([rep.image(label) for label in alphabet.names])
+    images = rep.stack if subalphabet is None else rep.stack[
+        [rep.alphabet.index(l) for l in Alphabet(tuple(subalphabet)).names]]
     return np.stack([images, np.linalg.inv(images)], axis=1).reshape(
         -1, *images.shape[1:])
 

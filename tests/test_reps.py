@@ -1,14 +1,17 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgap.builders import BuildResult, build_named
 from specgap.certify import gap_profile, qi_profile
 from specgap.cli import main
-from specgap.errors import ConstructionError, InputError
-from specgap.linalg import (predicted_spectrum, spectrum, spectrum_tensor,
+from specgap.errors import ConstructionError, InputError, SizeError
+from specgap.linalg import (MAX_DIM, predicted_spectrum, spectrum, spectrum_tensor,
                             spectrum_union)
 from specgap.reproduce import verify_golden
 from specgap import reps
@@ -21,7 +24,8 @@ from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
                           rename_generators, restrict_rep, rotation_block_rep,
                           scale_by_character, scaled_rotation_rep,
                           schottky_sl2c, schottky_sl2r, spin_lift, spin_so31,
-                          symbol_table, tensor_rep, validate_homomorphism)
+                          symbol_table, tensor_rep, validate_homomorphism,
+                          UNIMODULAR_TOL)
 from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
                            ball_count, enumerate_ball,
                            retraction_to_free_part, standard_presentation,
@@ -129,6 +133,219 @@ class TestRepSpec:
         rep = schottky_sl2r(2, 4.0)
         with pytest.raises(ValueError):
             rep.image("a")[0, 0] = 99.0
+
+
+# the faulty image is that of "b"; those of "a" and "c" are valid
+ABC = Alphabet(("a", "b", "c"))
+BEYOND_CAP = np.broadcast_to(0.0, (MAX_DIM + 1, MAX_DIM + 1))  # a view
+
+
+def _det_message(det, slack="2.000e-08"):
+    return (f"image of 'b' is not unimodular: det = {det!r}"
+            f" (allowed deviation {slack})")
+
+
+# fault -> (image of "b", RepSpec's refusal, ComplexRep2's refusal); None
+# as the image leaves "b" out, None as a refusal means accepted
+IMAGE_FAULTS = {
+    "missing label": (None, (InputError, "missing image for generator 'b'"),
+                      (InputError, "missing image for generator 'b'")),
+    "non-number": ([["x", 0], [0, 1]],
+                   (InputError, "image of 'b' has entries that are not numbers"),
+                   (InputError, "image of 'b' has entries that are not numbers")),
+    "ragged rows": ([[1, 0], [0]],
+                    (InputError, "image of 'b' has rows of different lengths"),
+                    (InputError, "image of 'b' has rows of different lengths")),
+    "complex entries": ([[1j, 0], [0, -1j]],
+                        (InputError, "image of 'b' has complex entries; a real"
+                                     " matrix is required"), None),
+    "not square": (np.ones((2, 3)),
+                   (InputError, "image of 'b' is not square: shape (2, 3)"),
+                   (InputError, "image of 'b' is not 2x2")),
+    "mixed dimensions": (np.eye(3), (InputError, "generator images have mixed"
+                                                 " dimensions [2, 3]"),
+                         (InputError, "image of 'b' is not 2x2")),
+    "over MAX_DIM": (BEYOND_CAP,
+                     (SizeError, f"image of 'b' has dimension {MAX_DIM + 1},"
+                                 f" over the cap {MAX_DIM}"),
+                     (InputError, "image of 'b' is not 2x2")),
+    "non-finite": ([[np.inf, 0], [0, 1]],
+                   (InputError, "image of 'b' has non-finite entries"),
+                   (InputError, _det_message(np.complex128(complex("nan+nanj")),
+                                             "nan"))),
+    "not unimodular": (np.diag([2.0, 1.0]),
+                       (InputError, _det_message(np.float64(2.0))),
+                       (InputError, _det_message(np.complex128(2.0)))),
+}
+
+
+class TestImageValidation:
+    """The one validation of generator images (``reps._image_table``),
+    shared by ``RepSpec`` and ``ComplexRep2``."""
+
+    @pytest.mark.parametrize("kind", [RepSpec, ComplexRep2])
+    @pytest.mark.parametrize("fault", sorted(IMAGE_FAULTS))
+    def test_each_fault_has_its_exception_and_message(self, kind, fault):
+        image, real, cplx = IMAGE_FAULTS[fault]
+        images = {"a": np.eye(2), "c": np.eye(2)}
+        if image is not None:
+            images["b"] = image
+        refusal = real if kind is RepSpec else cplx
+        if refusal is None:
+            assert kind(ABC, images).dim == 2
+            return
+        with pytest.raises(refusal[0]) as info:
+            kind(ABC, images)
+        assert type(info.value) is refusal[0]
+        assert str(info.value) == refusal[1]
+
+    @pytest.mark.parametrize("kind", [RepSpec, ComplexRep2])
+    @pytest.mark.parametrize("fault", sorted(IMAGE_FAULTS))
+    def test_of_two_faults_of_one_kind_the_first_is_named(self, kind, fault):
+        image, real, cplx = IMAGE_FAULTS[fault]
+        refusal = real if kind is RepSpec else cplx
+        if refusal is None:
+            return
+        # "c" goes in first: the order named is the alphabet's
+        images = {"a": np.eye(2)}
+        if image is not None:
+            images = {"c": image, "a": np.eye(2), "b": image}
+        with pytest.raises(refusal[0], match=re.escape(refusal[1])):
+            kind(ABC, images)
+
+    def test_an_empty_image_is_refused_by_name(self):
+        # it once escaped the gate as numpy's "zero-size array to reduction
+        # operation maximum which has no identity"
+        with pytest.raises(InputError, match=r"image of 'a' is empty: shape \(0, 0\)"):
+            RepSpec(Alphabet(("a",)), {"a": np.zeros((0, 0))})
+        with pytest.raises(InputError, match="image of 'b' is empty"):
+            RepSpec(ABC, {"a": np.eye(2), "b": np.zeros((0, 0)), "c": np.eye(2)})
+        with pytest.raises(InputError, match="image of 'a' is not 2x2"):
+            ComplexRep2(Alphabet(("a",)), {"a": np.zeros((0, 0))})
+
+    @pytest.mark.parametrize("kind", [RepSpec, ComplexRep2])
+    def test_caller_arrays_are_copied(self, kind):
+        rep = schottky_sl2r(3, 4.0)
+        images = {l: rep.image(l).copy() for l in rep.alphabet.names}
+        before = kind(rep.alphabet, images)
+        fresh = kind(rep.alphabet, images)
+        saved = before.stack.copy()
+        if kind is RepSpec:
+            digest, structure = before.digest(), before.structure
+        for m in images.values():
+            m *= 3.0
+        np.testing.assert_array_equal(before.stack, saved)
+        for k, label in enumerate(rep.alphabet.names):
+            np.testing.assert_array_equal(fresh.image(label), saved[k])
+        if kind is RepSpec:
+            assert fresh.digest() == digest
+            for got, want in zip(fresh.structure, structure):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", [RepSpec, ComplexRep2])
+    def test_stack_and_images_are_read_only(self, kind):
+        rep = kind(ABC, {l: np.eye(2) for l in ABC.names})
+        assert not rep.stack.flags.writeable
+        for label in ABC.names:
+            with pytest.raises(ValueError):
+                rep.image(label)[0, 0] = 2.0
+
+    def test_one_batched_det_per_construction(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        alphabet = Alphabet(tuple(f"g{i}" for i in range(8)))
+        real = {l: random_unimodular(6, rng) for l in alphabet.names}
+        cplx = {l: axis_dilation(0.1 * i, 2.0 * np.exp(0.3j * i))
+                for i, l in enumerate(alphabet.names)}
+        det, calls = np.linalg.det, []
+        monkeypatch.setattr(np.linalg, "det",
+                            lambda m: calls.append(np.shape(m)) or det(m))
+        RepSpec(alphabet, real)
+        ComplexRep2(alphabet, cplx)
+        assert calls == [(8, 6, 6), (8, 2, 2)]
+
+    def test_one_kronecker_comparison_per_factored_construction(
+            self, monkeypatch):
+        left, right, t = _tensor_pair()
+        images = {l: t.image(l) for l in PAIR.names}
+        kron, calls = reps._kron, []
+        monkeypatch.setattr(reps, "_kron",
+                            lambda stacks: calls.append(len(stacks)) or kron(stacks))
+        RepSpec(PAIR, images, factors=(left, right))
+        assert calls == [2]
+
+
+def _gate_oracle(m, whats):
+    """The determinant gate's full rule on every image of a stack, with no
+    early accept: the slack max(UNIMODULAR_TOL d, d eps hadamard); the
+    message of the first refused image, or None."""
+    dim = m.shape[-1]
+    scale = np.abs(m).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(m)
+        hadamard = np.exp(np.log(np.linalg.norm(m / scale[:, None, None],
+                                                axis=2)).sum(axis=1)
+                          + dim * np.log(scale))
+    slack = np.maximum(UNIMODULAR_TOL * dim, dim * np.finfo(float).eps * hadamard)
+    bad = ~(np.isfinite(det) & (det.real > 0)) | (np.abs(det - 1.0) > slack)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return (f"{whats[k]} is not unimodular: det = {det[k]!r} "
+            f"(allowed deviation {slack[k]:.3e})")
+
+
+@st.composite
+def _gate_stacks(draw):
+    """Stacks of k images of width d: L T with T upper triangular of
+    diagonal product a target det near 1 (within a few UNIMODULAR_TOL d),
+    or not positive, off-diagonal entries up to 1e8 so that the Hadamard
+    slack can dominate, and L unit lower triangular; some entries NaN or
+    inf; complex images with a unit phase on T's diagonal."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cplx = draw(st.booleans())
+    images = []
+    for _ in range(k):
+        target = 1.0 + draw(st.floats(-6, 6)) * UNIMODULAR_TOL * d
+        if draw(st.integers(0, 7)) == 7:
+            target = draw(st.sampled_from([0.0, -1.0, 1e-300, 2.0]))
+        diag = [draw(st.floats(0.1, 10.0)) for _ in range(d - 1)]
+        diag.append(target / math.prod(diag))
+        size = draw(st.sampled_from([1e8, 1e4, 1.0, 0.0]))
+        t = np.diag(diag).astype(complex if cplx else float)
+        if cplx:
+            phase = np.exp(1j * draw(st.floats(-3.2, 3.2)))
+            t[0, 0] *= phase
+            t[-1, -1] /= phase
+        for i in range(d):
+            for j in range(i + 1, d):
+                t[i, j] = size * draw(st.floats(-1.0, 1.0).filter(
+                    lambda u: abs(u) >= 0.5))
+        lower = np.eye(d)
+        for i in range(d):
+            for j in range(i):
+                lower[i, j] = draw(st.floats(-3.0, 3.0))
+        m = lower @ t
+        if draw(st.integers(0, 11)) == 11:
+            m[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = \
+                draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        images.append(m)
+    return np.array(images)
+
+
+class TestGateEarlyAccept:
+    @settings(max_examples=300)
+    @given(_gate_stacks())
+    def test_early_accept_never_changes_a_decision(self, m):
+        whats = [f"m{k}" for k in range(len(m))]
+        want = _gate_oracle(m, whats)
+        if want is None:
+            reps._check_unimodular(m, whats)
+        else:
+            with pytest.raises(InputError) as info:
+                reps._check_unimodular(m, whats)
+            assert str(info.value) == want
 
 
 class TestSchottky:
