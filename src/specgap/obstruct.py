@@ -24,8 +24,8 @@ from .errors import (DegenerateConfigurationError, InputError, SamplingError,
 from .linalg import (DEFAULT_TOL, ExteriorClassification, Record,
                      block_eigenvalues, classify, classify_exterior)
 from . import reps
-from .reps import (RepSpec, letter_codes, spectra, symbol_table,
-                   validate_homomorphism, word_dets)
+from .reps import (RepSpec, letter_codes, spectra, validate_homomorphism,
+                   word_dets)
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
                     in_index_two_core)
 
@@ -96,12 +96,12 @@ def _eigenframe_2x2(m: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _image_and_det(rep: RepSpec, table: np.ndarray,
-                   w: Word) -> tuple[np.ndarray, float]:
+def _image_and_det(rep: RepSpec, w: Word) -> tuple[np.ndarray, float]:
     """The 2x2 image of ``w`` and its determinant from its letters'
-    (``reps.word_dets`` over ``rep``'s symbol table)."""
+    (``reps.word_dets``), both read from ``rep.table``."""
     codes = np.array([letter_codes(rep.alphabet, w)], dtype=np.intp)
-    return rep.evaluate(w), float(word_dets(table, codes)[0])
+    return (reps.word_products(rep.table, codes[0]),
+            float(word_dets(rep.table, codes)[0]))
 
 
 def find_negative_lambda(rep: RepSpec, coset: Word, *,
@@ -121,10 +121,9 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
     if coset.alphabet.names != rep.alphabet.names:
         raise InputError("coset word uses a different alphabet")
     trace: list[dict] = []
-    table = symbol_table(rep)
-    coset_img, coset_det = _image_and_det(rep, table, coset)
+    coset_img, coset_det = _image_and_det(rep, coset)
     for u, v, w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
-        m0, det0 = _image_and_det(rep, table, w0)
+        m0, det0 = _image_and_det(rep, w0)
         tr = float(m0[0, 0] + m0[1, 1])
         entry = {"candidate": str(w0), "trace": tr}
         if tr >= -2.0 * math.sqrt(det0) - 1e-9:
@@ -206,15 +205,14 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
     """
     if rep.dim != 2:
         raise InputError("limit formulas are checked on 2x2 representations")
-    table = symbol_table(rep)
-    m0, det0 = _image_and_det(rep, table, w0)
+    m0, det0 = _image_and_det(rep, w0)
     pc = classify(block_eigenvalues(m0[None], np.array([det0]))[0])
     lam0 = pc.top_eigenvalue
     if not pc.proximal[0] or lam0 is None or abs(lam0.imag) > 1e-9 * abs(lam0):
         raise InputError("base word must have a real proximal leading eigenvalue")
     lam0 = lam0.real
     frame = _eigenframe_2x2(m0)
-    ma, det_a = _image_and_det(rep, table, a)
+    ma, det_a = _image_and_det(rep, a)
     predicted = (np.linalg.inv(frame) @ ma @ frame)[0, 0]
     if abs(predicted.imag) > 1e-9 * max(abs(predicted), 1.0):
         raise DegenerateConfigurationError("predicted limit is not real")
@@ -273,7 +271,8 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1), of
     images made and read as ``RepSpec.top_modulus`` makes and reads them:
-    per block of both sides' ``structure``, by ``reps.iter_ball_images``.
+    per block table of both sides' ``structure``, by ``reps.iter_ball_images``
+    on ``reps.products`` (``reps.word_products``, one letter a block).
     Top moduli are class functions, so only the cyclically reduced words
     are evaluated.  A padded word u w u^-1 takes the margin of its core w,
     and with two or more generators every word of length L - 2 is such a
@@ -641,9 +640,8 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
     The seeded stream draws each word's length, then its letter codes one
     at a time, redrawing a letter that would cancel its predecessor.  The
     images are made by length, in slices of at most ``reps.BLOCK_BYTES``,
-    by stacked right multiplications as ``RepSpec.evaluate`` makes them,
-    with one eigendecomposition per slice; memory stays linear in
-    ``sample_words``."""
+    from ``rep.table`` by ``reps.word_products``, with one
+    eigendecomposition per slice; memory stays linear in ``sample_words``."""
     if sample_words < 1:
         raise InputError(f"sample count must be >= 1, got {sample_words}")
     if not rep.factors:
@@ -662,9 +660,7 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
             if not (codes and code == codes[-1] ^ 1):
                 codes.append(code)
         draws.append(codes)
-    table = symbol_table(rep)
-    eye = np.eye(rep.dim)
-    per_slice = max(1, reps.BLOCK_BYTES // eye.nbytes)
+    per_slice = max(1, reps.BLOCK_BYTES // rep.table[0].nbytes)
     lengths = np.array([len(c) for c in draws])
     kept = np.zeros(sample_words, dtype=bool)
     vectors = np.empty((sample_words, rep.dim))
@@ -672,10 +668,7 @@ def sample_limit_set(rep: RepSpec, sample_words: int, seed: int = 0, *,
         members = np.flatnonzero(lengths == length)
         for lo in range(0, len(members), per_slice):
             idx = members[lo:lo + per_slice]
-            codes = np.array([draws[k] for k in idx], dtype=np.intp)
-            images = np.broadcast_to(eye, (len(idx),) + eye.shape)
-            for j in range(length):
-                images = images @ table[codes[:, j]]
+            images = reps.word_products(rep.table, [draws[k] for k in idx])
             rows, vecs = _attracting_vectors(images, tol)
             kept[idx[rows]] = True
             vectors[idx[rows]] = vecs

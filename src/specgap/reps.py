@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConstructionError, InputError, SizeError
 from .linalg import (MAX_DIM, Record, _as_numeric, _as_real, _check_square,
                      block_eigenvalues, matrix_hash, sort_eigenvalues)
-from .words import Alphabet, GeneratorMap, Presentation, Word, load_json
+from .words import (Alphabet, GeneratorMap, Presentation, Word, json_field,
+                    load_json)
 
 UNIMODULAR_TOL = 1e-8
 
@@ -93,7 +94,7 @@ def _image_table(images: Sequence, whats: Sequence[str],
 class _Images:
     """Generator labels mapped to unimodular matrices of entries ``dtype``,
     held as one read-only (k, d, d) ``stack`` in alphabet order, validated
-    once (:func:`_image_table`); ``image`` and every table read it."""
+    once (:func:`_image_table`); ``image`` and ``table`` read it."""
 
     dtype: type = float
 
@@ -107,13 +108,21 @@ class _Images:
                                   [f"image of {l!r}" for l in alphabet.names],
                                   self.dtype)
         self.dim = self.stack.shape[1]
-        self._images = dict(zip(alphabet.names, self.stack))
         self.provenance = dict(provenance or {})
 
     def image(self, label: str) -> np.ndarray:
-        if label not in self._images:
-            raise InputError(f"unknown generator label {label!r}")
-        return self._images[label]
+        return self.stack[self.alphabet.index(label)]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The read-only (2k, d, d) images of the signed letters in code
+        order (``Alphabet.symbols``), each image followed by its inverse,
+        the inverses from one batched ``inv``: the one letter table every
+        word product reads (:func:`word_products`), made on first use."""
+        table = np.stack([self.stack, np.linalg.inv(self.stack)],
+                         axis=1).reshape(-1, self.dim, self.dim)
+        table.flags.writeable = False
+        return table
 
 
 class RepSpec(_Images):
@@ -129,7 +138,6 @@ class RepSpec(_Images):
                  provenance: Optional[Mapping] = None,
                  factors: Sequence["RepSpec"] = ()):
         super().__init__(alphabet, images, provenance)
-        self._inverses = {}
         self.factors = tuple(factors)
         if self.factors:
             self._check_factors()
@@ -147,19 +155,8 @@ class RepSpec(_Images):
             raise InputError("the Kronecker product of the tensor factors is not"
                              f" the image of {self.alphabet.names[np.argmin(same)]!r}")
 
-    def inverse_image(self, label: str) -> np.ndarray:
-        if label not in self._inverses:
-            inv = np.linalg.inv(self.image(label))
-            inv.flags.writeable = False
-            self._inverses[label] = inv
-        return self._inverses[label]
-
     def evaluate(self, w: Word) -> np.ndarray:
-        out = np.eye(self.dim)
-        for idx, sign in w.letters:
-            label = w.alphabet.names[idx]
-            out = out @ (self.image(label) if sign > 0 else self.inverse_image(label))
-        return out
+        return word_products(self.table, letter_codes(self.alphabet, w))
 
     @cached_property
     def structure(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -197,17 +194,10 @@ class RepSpec(_Images):
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RepSpec":
-        try:
-            alphabet = Alphabet(tuple(doc["alphabet"]))
-            images = dict(doc["images"])
-        except (KeyError, TypeError):
-            raise InputError("a representation needs an 'alphabet' list and"
-                             " an 'images' object") from None
-        factors = doc.get("factors", [])
-        if not isinstance(factors, list):
-            raise InputError("'factors' must be a list of representations")
-        return cls(alphabet, images, doc.get("provenance"),
-                   [cls.from_json(f) for f in factors])
+        return cls(Alphabet(tuple(json_field(doc, "alphabet", list))),
+                   json_field(doc, "images", dict),
+                   json_field(doc, "provenance", dict, {}),
+                   [cls.from_json(f) for f in json_field(doc, "factors", list, [])])
 
     @classmethod
     def load(cls, path) -> "RepSpec":
@@ -223,11 +213,7 @@ class ComplexRep2(_Images):
     dtype = complex
 
     def evaluate(self, w: Word) -> np.ndarray:
-        out = np.eye(2, dtype=complex)
-        for idx, sign in w.letters:
-            m = self.image(w.alphabet.names[idx])
-            out = out @ (m if sign > 0 else np.linalg.inv(m))
-        return out
+        return word_products(self.table, letter_codes(self.alphabet, w))
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +572,12 @@ def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:
 
 
 def symbol_table(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None) -> np.ndarray:
-    """(2k, d, d) stack of the images of the signed letters of the labels
-    ``subalphabet`` (default: the representation's), indexed by letter code;
-    the inverses in one batched ``inv``, each the same as
-    ``RepSpec.inverse_image``."""
-    images = rep.stack if subalphabet is None else rep.stack[
-        [rep.alphabet.index(l) for l in Alphabet(tuple(subalphabet)).names]]
-    return np.stack([images, np.linalg.inv(images)], axis=1).reshape(
-        -1, *images.shape[1:])
+    """``rep.table``, or its rows for the signed letters of the labels
+    ``subalphabet``, indexed by letter code over ``subalphabet``."""
+    if subalphabet is None:
+        return rep.table
+    return rep.table[[2 * rep.alphabet.index(l) + sign for l in
+                      Alphabet(tuple(subalphabet)).names for sign in (0, 1)]]
 
 
 def letter_codes(alphabet: Alphabet, w: Word) -> list[int]:
@@ -633,19 +617,27 @@ def word_dets(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out.reshape((len(codes),) + table.shape[1:-2])
 
 
+def word_products(table: np.ndarray, codes) -> np.ndarray:
+    """The one walk from letters to word images: the identity multiplied
+    on the right by each letter of a table (``_Images.table``, or a stacked
+    block table of ``RepSpec.structure``) in turn.  ``codes`` is one word's
+    letter codes, or rows of them, one word each, all of one length; the
+    identity word gives a fresh identity."""
+    codes = np.asarray(codes, np.intp)
+    out = np.eye(table.shape[-1], dtype=table.dtype)
+    for letters in codes.T:  # the first product broadcasts the identity
+        out = out @ table[letters]
+    if codes.shape[-1]:
+        return out
+    return np.broadcast_to(out, codes.shape[:-1] + table.shape[1:]).copy()
+
+
 def word_images(structure, codes: np.ndarray) -> State:
     """Per table of ``structure`` (``RepSpec.structure``), the images of
-    the words of letter codes ``codes`` (rows, one length), as a ball sweep
-    of :func:`products` makes them, bit for bit."""
-    out = []
+    the words of letter codes ``codes`` (rows, one length), by
+    :func:`word_products`."""
     with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
-        for table in (t for tables in structure for t in tables):
-            m = np.broadcast_to(np.eye(table.shape[-1]),
-                                (len(codes),) + table.shape[1:])
-            for column in codes.T:
-                m = m @ table[column]
-            out.append(m)
-    return tuple(out)
+        return tuple(word_products(t, codes) for ts in structure for t in ts)
 
 
 def block_spectra(structure, codes: np.ndarray, images: State, wide=None
@@ -820,12 +812,11 @@ def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,
 
 def products(*tables: np.ndarray):
     """Root and step of a ball sweep whose state is, per table of letter
-    images, the word's product as ``RepSpec.evaluate`` makes it, bit for
-    bit."""
+    images, the word's product as :func:`word_products` makes it, bit for
+    bit: the walk taken one letter per block."""
     def step(state, parent, letter):
         return tuple(s[parent] @ t[letter] for s, t in zip(state, tables))
-    return tuple(np.broadcast_to(np.eye(t.shape[-1]), t.shape[1:])[None]
-                 for t in tables), step
+    return tuple(word_products(t, np.empty((1, 0))) for t in tables), step
 
 
 def graded_products(*tables: np.ndarray):
@@ -1024,22 +1015,20 @@ class HomomorphismReport(Record):
 def validate_homomorphism(rep: RepSpec, p: Presentation,
                           tol: float = 1e-8) -> HomomorphismReport:
     """Per-relator Frobenius distance of the image from the identity,
-    relative to the product of the spectral norms of the images along the
-    relator, which bounds the rounding of the product; for unimodular
+    relative to the product of the spectral norms of the letters along the
+    relator (one batched norm over ``rep.table``), which bounds the
+    rounding of the product; for unimodular
     images that product is at least 1.  A distance that is not finite
     counts as inf."""
     if rep.alphabet.names != p.alphabet.names:
         raise InputError("representation and presentation alphabets differ")
     if not p.relators:  # no spectral norms to take
         return HomomorphismReport((), tol, 0.0, True)
-    norms = [np.linalg.norm(rep.image(l), 2) for l in rep.alphabet.names]
-    inverse_norms = [np.linalg.norm(rep.inverse_image(l), 2)
-                     for l in rep.alphabet.names]
+    norms = np.linalg.norm(rep.table, 2, axis=(1, 2)).tolist()
     devs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for rel in p.relators:
-            scale = math.prod(norms[i] if s > 0 else inverse_norms[i]
-                              for i, s in rel.letters)
+            scale = math.prod(norms[c] for c in letter_codes(rep.alphabet, rel))
             dev = float(np.linalg.norm(rep.evaluate(rel) - np.eye(rep.dim))
                         / scale)
             devs.append((str(rel), dev if math.isfinite(dev) else math.inf))

@@ -24,8 +24,8 @@ class Alphabet:
         object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise InputError("alphabet needs at least one generator")
-        if any(not n for n in self.names):
-            raise InputError("generator labels must be nonempty")
+        if not all(isinstance(n, str) and n for n in self.names):
+            raise InputError("generator labels must be nonempty strings")
         if len(set(self.names)) != len(self.names):
             raise InputError("generator labels must be unique")
 
@@ -206,6 +206,17 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         level = nxt
 
 
+def json_field(doc, key: str, kind: type, default=None):
+    """``doc[key]`` of a JSON object ``doc``, or ``default`` when the key is
+    absent and a default is given; a value that is not a ``kind`` (``list``
+    or ``dict``) is an input error."""
+    value = doc.get(key, default) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise InputError(f"{key!r} must be a JSON "
+                         + ("list" if kind is list else "object"))
+    return value
+
+
 def load_json(path):
     """The JSON document in the file at ``path``; a file that cannot be
     read or is not JSON is an input error."""
@@ -245,14 +256,12 @@ class Presentation:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Presentation":
+        alphabet = Alphabet(tuple(json_field(doc, "generators", list)))
         try:
-            alphabet = Alphabet(tuple(doc["generators"]))
-            relators = tuple(Word.parse(alphabet, r)
-                             for r in doc.get("relators", []))
-        except (AttributeError, KeyError, TypeError):
-            raise InputError("a presentation needs a 'generators' list and a"
-                             " 'relators' list of words") from None
-        return cls(alphabet, relators)
+            return cls(alphabet, [Word.parse(alphabet, r) for r in
+                                  json_field(doc, "relators", list, [])])
+        except AttributeError:
+            raise InputError("'relators' must be a list of words") from None
 
     @classmethod
     def load(cls, path) -> "Presentation":

@@ -164,8 +164,7 @@ class TestFactoredProfiles:
         # the whole (6x6) Jacobi sweeps are within 1e-10 of the oracle
         mpmath = pytest.importorskip("mpmath")
         rep = build_named("prop42_sl6", None, seed=3).rep
-        mats = [mpmath.matrix(m.tolist()) for label in rep.alphabet.names
-                for m in (rep.image(label), rep.inverse_image(label))]
+        mats = [mpmath.matrix(m.tolist()) for m in rep.table]
         logs: dict = {}
         with mpmath.workdps(80):
             def walk(m, first, length):

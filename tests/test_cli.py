@@ -497,10 +497,18 @@ BAD_REP_FILES = {
         lambda d: d["factors"].__setitem__(1, d["factors"][0])),
     "factors not a list": _tensor_file(
         lambda d: d.__setitem__("factors", d["factors"][0])),
+    # each once a traceback (exit 1) or read as the labels "a" and "b"
+    "provenance a number": json.dumps(dict(REP, provenance=5)),
+    "provenance a string": json.dumps(dict(REP, provenance="ab")),
+    "alphabet a string": json.dumps({"alphabet": "ab", "images": {
+        "a": REP["images"]["a1"], "b": REP["images"]["a1"]}}),
+    "images a string": json.dumps({"alphabet": ["a1"], "images": "ab"}),
 }
 
 BAD_PRESENTATION_FILES = {
     "no generators": json.dumps({"relators": []}),
+    "generators a string": json.dumps({"generators": "a1", "relators": []}),
+    "relators a string": json.dumps({"generators": ["a1"], "relators": "a1"}),
     "malformed JSON": '{"generators": ["a1"]',
     "missing file": None,
 }

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgap import builders
 from specgap.builders import BuildResult, build_named
 from specgap.certify import gap_profile, qi_profile
 from specgap.cli import main
@@ -128,6 +130,17 @@ class TestRepSpec:
         for label in rep.alphabet.names:
             np.testing.assert_array_equal(back.image(label), rep.image(label))
         assert back.digest() == rep.digest()
+
+    @pytest.mark.parametrize("edit", [
+        {"provenance": 5}, {"provenance": "ab"}, {"provenance": None},
+        {"alphabet": "ab"},  # once read as the labels a and b
+        {"alphabet": [["a"]]}, {"images": "ab"}, {"factors": {}}])
+    def test_from_json_refuses_fields_of_the_wrong_kind(self, edit):
+        doc = schottky_sl2r(2, 4.0).to_json()
+        with pytest.raises(InputError):
+            RepSpec.from_json(dict(doc, **edit))
+        with pytest.raises(InputError):
+            RepSpec.from_json([doc])
 
     def test_images_are_read_only(self):
         rep = schottky_sl2r(2, 4.0)
@@ -826,17 +839,6 @@ class TestSpectra:
             assert stacked[:, k].tobytes() == alone.tobytes()
             assert dets[:, k].tobytes() == reps.word_dets(block, codes).tobytes()
 
-    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7", "thm1ii_d12"])
-    def test_symbol_table_inverses_are_inverse_image(self, name):
-        # the batched inverses are each the one inverse_image takes, so a
-        # sweep over the table makes evaluate's products bit for bit
-        rep = build_named(name, None, seed=3).rep
-        for f in rep.factors or (rep,):
-            table = symbol_table(f)
-            for k, label in enumerate(f.alphabet.names):
-                assert (table[2 * k + 1].tobytes()
-                        == f.inverse_image(label).tobytes())
-
     def test_identity_and_repeated_words(self):
         rep = schottky_sl2r(2, 4.0)
         a = word(rep.alphabet, "a")
@@ -844,6 +846,100 @@ class TestSpectra:
         got = reps.spectra(rep, [a, e, a])
         assert got[0] is got[2] and got[1] == (1.0, 1.0)
         assert got[0] == pytest.approx((4.0, 0.25))
+
+
+SEVEN_BUILDS = ("prop42_sl4", "prop42_sl6", "thm1i_d5", "thm1i_d6",
+                "thm1i_dge7", "thm1ii_d12", "thm41_pattern")
+
+
+@functools.cache
+def _walked_rep(name):
+    """A named build at seed 3, or the complex ambient family."""
+    if name == "ambient":
+        return builders._search_pair(4.0)[1]
+    return build_named(name, None, seed=3).rep
+
+
+class TestLetterTable:
+    @pytest.mark.parametrize("name", ["thm1i_d6", "thm1i_dge7", "thm1ii_d12"])
+    def test_table_inverses_are_inv_of_each_image(self, name):
+        # the batched inverses are each the one inv takes of the image alone
+        rep = build_named(name, None, seed=3).rep
+        for f in (rep, *rep.factors):
+            for k, label in enumerate(f.alphabet.names):
+                assert f.table[2 * k].tobytes() == f.image(label).tobytes()
+                assert (f.table[2 * k + 1].tobytes()
+                        == np.linalg.inv(f.image(label)).tobytes())
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(SEVEN_BUILDS + ("ambient",)),
+           picks=st.lists(st.integers(0, 1 << 20), max_size=10))
+    def test_one_walk_makes_every_word_image(self, name, picks):
+        # evaluate, the stacked walk and the ball sweep's step agree bit
+        # for bit on random reduced words, the identity word included
+        rep = _walked_rep(name)
+        codes = []
+        for pick in picks:
+            allowed = [c for c in range(len(rep.table))
+                       if not codes or c != codes[-1] ^ 1]
+            codes.append(allowed[pick % len(allowed)])
+        image = rep.evaluate(Word.from_codes(rep.alphabet, codes))
+        rows = np.array(codes, np.intp).reshape(1, -1)
+        (state,), step = products(rep.table)
+        for c in codes:
+            (state,) = step((state,), np.zeros(1, np.intp), np.array([c]))
+        assert image.dtype == np.dtype(rep.dtype) == state.dtype
+        assert image.tobytes() == state[0].tobytes()
+        assert image.tobytes() == reps.word_products(rep.table, rows)[0].tobytes()
+        if not codes:
+            assert image.flags.writeable
+            np.testing.assert_array_equal(image, np.eye(rep.dim))
+            image[0, 0] = 7.0
+            assert rep.evaluate(Word.identity(rep.alphabet))[0, 0] == 1.0
+
+    def test_table_is_made_once_on_first_use(self, monkeypatch, tmp_path):
+        # construction and loading invert nothing; the first word product
+        # inverts the letters once, in one batched call per representation
+        # (per factor for the spectra of a tensor build), and no later call
+        # inverts again
+        plain = build_named("thm1i_dge7", None, seed=3).rep.to_json()
+        tensor = build_named("prop42_sl6", None, seed=3).rep.to_json()
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(tensor))
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: calls.append(np.shape(a)) or inv(a))
+        ambient = builders._search_pair(4.0)[1]
+        RepSpec(ABC, {l: np.eye(2) for l in ABC.names})
+        RepSpec.from_json(plain)
+        RepSpec.load(path)
+        assert calls == []
+        alphabet = Alphabet(tuple(plain["alphabet"]))
+        w = word(alphabet, "a1 b1^-1 a2")
+        uses = [lambda r: r.evaluate(w), symbol_table,
+                lambda r: reps.spectra(r, [w]),
+                lambda r: validate_homomorphism(r, Presentation(alphabet, (w,)))]
+        for first in uses:
+            rep = RepSpec.from_json(plain)
+            for use in [first, first, *uses]:
+                use(rep)
+                assert len(calls) == 1
+            assert not rep.table.flags.writeable
+            with pytest.raises(ValueError):
+                rep.table[0, 0, 0] = 0.0
+            calls.clear()
+        rep = RepSpec.load(path)
+        v = word(rep.alphabet, "a1 a2^-1 a3")
+        reps.spectra(rep, [v, v.inverse()])
+        reps.spectra(rep, [v])
+        assert calls == [(4, 2, 2), (4, 3, 3)]
+        rep.evaluate(v)
+        rep.evaluate(v)
+        assert calls[2:] == [(4, 6, 6)]
+        ambient.evaluate(Word.from_codes(ambient.alphabet, [1, 3]))
+        ambient.evaluate(Word.from_codes(ambient.alphabet, [3]))
+        assert calls[3:] == [(8, 2, 2)]
 
 
 class TestPullBack:

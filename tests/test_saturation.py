@@ -24,10 +24,8 @@ def _sl2_oracle(rep, radius, mpmath):
     """Per length (length, min, max) of log(sigma_1 / sigma_2) over the
     reduced ball of a 2x2 representation, at 60 digits from its float
     images, with no unimodularity assumed."""
-    mats = []
-    for label in rep.alphabet.names:
-        for m in (rep.image(label), rep.inverse_image(label)):
-            mats.append([[mpmath.mpf(float(x)) for x in row] for row in m])
+    mats = [[[mpmath.mpf(float(x)) for x in row] for row in m]
+            for m in rep.table]
     lows: dict = {}
     highs: dict = {}
     with mpmath.workdps(60):
@@ -134,8 +132,7 @@ class TestSaturation:
         rep = build_named(name, None, seed=0).rep
         sub = ("a4", "b4") if rep.factors else ("a1", "b1")
         radius, dim = 4, rep.dim
-        mats = [mpmath.matrix(m.tolist()) for label in sub
-                for m in (rep.image(label), rep.inverse_image(label))]
+        mats = [mpmath.matrix(m.tolist()) for m in symbol_table(rep, sub)]
         logs: dict = {}
         with mpmath.workdps(80):
             def walk(m, first, length):

@@ -267,6 +267,17 @@ class TestPresentation:
         assert q.alphabet.names == p.alphabet.names
         assert [str(r) for r in q.relators] == [str(r) for r in p.relators]
 
+    @pytest.mark.parametrize("doc", [
+        {"generators": "ab", "relators": "ab"},  # once read as a, b and a, b
+        {"generators": "ab", "relators": []},
+        {"generators": ["a", "b"], "relators": "ab"},
+        {"generators": [["a"]], "relators": []},
+        {"generators": ["a", "b"], "relators": [5]},
+        ["a", "b"]])
+    def test_from_json_refuses_what_is_not_a_list_of_labels_or_words(self, doc):
+        with pytest.raises(InputError):
+            Presentation.from_json(doc)
+
     def test_standard_alphabet_layout(self):
         assert full_alphabet(1).names == \
             ("a1", "b1", "a2", "b2", "c1", "d1", "c2", "d2")
