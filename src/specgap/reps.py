@@ -194,10 +194,16 @@ class RepSpec(_Images):
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RepSpec":
-        return cls(Alphabet(tuple(json_field(doc, "alphabet", list))),
-                   json_field(doc, "images", dict),
-                   json_field(doc, "provenance", dict, {}),
-                   [cls.from_json(f) for f in json_field(doc, "factors", list, [])])
+        """The representation ``to_json`` wrote; a ``dim`` that is not an
+        integer or not the images' width is an input error, one that is
+        absent is read from the images.  Factors are read the same way."""
+        rep = cls(Alphabet(tuple(json_field(doc, "alphabet", list))),
+                  json_field(doc, "images", dict),
+                  json_field(doc, "provenance", dict, {}),
+                  [cls.from_json(f) for f in json_field(doc, "factors", list, [])])
+        if type(dim := doc.get("dim", rep.dim)) is not int or dim != rep.dim:
+            raise InputError(f"'dim' is {dim!r}, not the images' width {rep.dim}")
+        return rep
 
     @classmethod
     def load(cls, path) -> "RepSpec":
@@ -864,6 +870,14 @@ def _blocks(table: np.ndarray) -> list[np.ndarray]:
 
 
 def _jacobi_step(table: np.ndarray, closed: bool):
+    """Root and step of one block's :func:`graded_products` state, for a
+    (k, d, d) table of the block's letter images.  The step takes the
+    (column, row, word) states of the words ``parent`` to those of their
+    children, the state times ``letter`` on the right, as g^T X: one
+    ``einsum`` over the parents' and letters' stacks, which sums over k in
+    order, as d multiply-adds would, with no block-sized temporary per
+    term.  A closed block (``closed``) keeps the product, scaled to det 1;
+    any other is orthogonalised (:func:`_orthogonalise`)."""
     d = table.shape[1]
     if closed:  # the closed form takes det 1; ratios do not see the scale
         table = table / np.sqrt(np.linalg.det(table))[:, None, None]
@@ -872,10 +886,8 @@ def _jacobi_step(table: np.ndarray, closed: bool):
     def step(x, parent, letter):
         # column j of g^T X is sum_k g[k, :] X[k, j]; take keeps the word
         # axis innermost in memory, where x[:, :, parent] would not
-        xp, gl = x.take(parent, axis=2), g.take(letter, axis=2)
-        m = xp[:, 0, None] * gl[0]
-        for k in range(1, d):
-            m += xp[:, k, None] * gl[k]
+        m = np.einsum("jkn,kin->jin", x.take(parent, axis=2),
+                      g.take(letter, axis=2))
         return m if closed else _orthogonalise(m)
     return np.eye(d)[:, :, None], step
 
@@ -887,9 +899,11 @@ JACOBI_SWEEPS = 30
 
 
 @cache
-def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _round_robin(d: int) -> list[tuple[slice | np.ndarray, ...]]:
     """Rounds of disjoint column pairs (p, q) that meet every pair once: the
-    circle method, with a phantom column d padding an odd d."""
+    circle method, with a phantom column d padding an odd d.  A side whose
+    columns step evenly is a ``slice``, so that it indexes a view; any
+    other is an index array (from d = 6 on)."""
     n = d + d % 2
     seats = list(range(n))
     rounds = []
@@ -897,9 +911,17 @@ def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
         pairs = [(seats[i], seats[n - 1 - i]) for i in range(n // 2)
                  if max(seats[i], seats[n - 1 - i]) < d]
         if pairs:
-            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
+            rounds.append(tuple(_side(side) for side in zip(*pairs)))
         seats = [seats[0], seats[-1], *seats[1:-1]]
     return rounds
+
+
+def _side(cols: Sequence[int]) -> slice | np.ndarray:
+    step = cols[1] - cols[0] if len(cols) > 1 else 1
+    if any(b - a != step for a, b in zip(cols, cols[1:])):
+        return np.array(cols)
+    stop = cols[-1] + step
+    return slice(cols[0], stop if stop >= 0 else None, step)
 
 
 def log_singular_values(state: State, counts: Sequence[int]) -> np.ndarray:
@@ -952,9 +974,15 @@ def _orthogonalise(m: np.ndarray) -> np.ndarray:
     sweep only the matrices that rotated go on; one still rotating after
     ``JACOBI_SWEEPS`` sweeps is set to NaN.
 
-    Words are selected with ``take``, which keeps the word axis innermost
-    in memory; fancy indexing on the last axis would not, and every later
-    operation would run strided, at about 1.6 times the cost.
+    A round addresses its columns through :func:`_round_robin`'s sides:
+    where they step evenly, ``y[p]`` and ``y[q]`` are views, rotated in
+    place, and writing them back is a no-op; elsewhere they are gathered
+    and scattered back.  A sweep in which every live word rotated keeps
+    the state as it is; after any other, the words that stopped are
+    written out and the rest compacted.  Words are selected with ``take``,
+    which keeps the word axis innermost in memory; fancy indexing on the
+    last axis would not, and every later operation would run strided, at
+    about 1.6 times the cost.
     """
     d = len(m)
     tol2 = (d * np.finfo(float).eps) ** 2
@@ -992,6 +1020,8 @@ def _orthogonalise(m: np.ndarray) -> np.ndarray:
                 yq *= cs[:, None]
                 yq += tmp
                 y[p], y[q] = yp, yq
+            if moved.all():  # nothing to write back or drop
+                continue
             done, keep = np.flatnonzero(~moved), np.flatnonzero(moved)
             m[:, :, live[done]] = np.ldexp(y.take(done, axis=2),
                                           e.take(done, axis=1)[:, None])

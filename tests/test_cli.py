@@ -503,6 +503,11 @@ BAD_REP_FILES = {
     "alphabet a string": json.dumps({"alphabet": "ab", "images": {
         "a": REP["images"]["a1"], "b": REP["images"]["a1"]}}),
     "images a string": json.dumps({"alphabet": ["a1"], "images": "ab"}),
+    # each once read as a representation of the images' width
+    "dim disagrees": json.dumps(dict(REP, dim=7)),
+    "dim not an integer": json.dumps(dict(REP, dim="x")),
+    "factor dim disagrees": _tensor_file(
+        lambda d: d["factors"][0].__setitem__("dim", 3)),
 }
 
 BAD_PRESENTATION_FILES = {

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ class TestRepSpec:
             RepSpec.from_json(dict(doc, **edit))
         with pytest.raises(InputError):
             RepSpec.from_json([doc])
+
+    @pytest.mark.parametrize("dim", [7, 1, "x", 2.0, None, [2]])
+    def test_from_json_refuses_a_dim_that_is_not_the_width(self, dim):
+        # each once loaded as a representation of dim 2
+        doc = schottky_sl2r(2, 4.0).to_json()
+        with pytest.raises(InputError, match="'dim'"):
+            RepSpec.from_json(dict(doc, dim=dim))
+        assert RepSpec.from_json({k: v for k, v in doc.items()
+                                  if k != "dim"}).dim == 2
+
+    def test_from_json_refuses_a_bool_dim_and_a_factor_dim(self):
+        one = RepSpec(Alphabet(("a",)), {"a": [[1.0]]}).to_json()
+        assert RepSpec.from_json(one).dim == 1
+        with pytest.raises(InputError, match="'dim' is True"):
+            RepSpec.from_json(dict(one, dim=True))  # True == 1
+        doc = _tensor_pair()[2].to_json()
+        assert RepSpec.from_json(doc).dim == doc["dim"]
+        doc["factors"][1]["dim"] += 1
+        with pytest.raises(InputError, match="'dim'"):
+            RepSpec.from_json(doc)
 
     def test_images_are_read_only(self):
         rep = schottky_sl2r(2, 4.0)
@@ -1258,6 +1279,177 @@ class TestBallSweep:
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
             list(_sweep(schottky_sl2r(2, 4.0), -1))
+
+
+def _circle_rounds(d):
+    """The circle method's rounds of column pairs (p, q) as index lists, a
+    phantom column d padding an odd d."""
+    n = d + d % 2
+    seats, rounds = list(range(n)), []
+    for _ in range(n - 1):
+        pairs = [(seats[i], seats[n - 1 - i]) for i in range(n // 2)
+                 if max(seats[i], seats[n - 1 - i]) < d]
+        if pairs:
+            rounds.append([list(side) for side in zip(*pairs)])
+        seats = [seats[0], seats[-1], *seats[1:-1]]
+    return rounds
+
+
+def _oracle_orthogonalise(m):
+    """The one-sided Jacobi kernel as it stood with every round gathered,
+    scattered back and every sweep compacted: the oracle the in-place
+    kernel must match bit for bit."""
+    d = len(m)
+    tol2 = (d * np.finfo(float).eps) ** 2
+    rounds = [tuple(np.array(side) for side in sides)
+              for sides in _circle_rounds(d)]
+    if not rounds:
+        return m
+    live = np.flatnonzero(np.isfinite(m).all(axis=(0, 1)))
+    x = m if live.size == m.shape[2] else m.take(live, axis=2)
+    e = np.frexp(np.abs(x).max(axis=1))[1]
+    y = np.ldexp(x, -e[:, None])
+    r = np.ldexp(1.0, np.stack([e[q] - e[p] for p, q in rounds]).clip(-64, 64))
+    ratios = np.stack((r / 2, 0.5 / r, r, 1 / r), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(reps.JACOBI_SWEEPS):
+            moved = np.zeros(live.size, dtype=bool)
+            for (p, q), (h, h_inv, r, r_inv) in zip(rounds, ratios):
+                yp, yq = y[p], y[q]
+                a = np.einsum("kin,kin->kn", yp, yp)
+                b = np.einsum("kin,kin->kn", yq, yq)
+                c = np.einsum("kin,kin->kn", yp, yq)
+                rot = c * c > tol2 * a * b
+                if not rot.any():
+                    continue
+                moved |= rot.any(axis=0)
+                zeta = (b * h - a * h_inv) / c
+                t = np.where(rot, np.copysign(
+                    1 / (np.abs(zeta) + np.sqrt(1 + zeta * zeta)), zeta), 0.0)
+                cs = 1 / np.sqrt(1 + t * t)
+                t *= cs
+                tmp = yp * (t * r_inv)[:, None]
+                yp *= cs[:, None]
+                yp -= yq * (t * r)[:, None]
+                yq *= cs[:, None]
+                yq += tmp
+                y[p], y[q] = yp, yq
+            done, keep = np.flatnonzero(~moved), np.flatnonzero(moved)
+            m[:, :, live[done]] = np.ldexp(y.take(done, axis=2),
+                                          e.take(done, axis=1)[:, None])
+            live, y, e, ratios = (live[keep], y.take(keep, axis=2),
+                                  e.take(keep, axis=1),
+                                  ratios.take(keep, axis=-1))
+            if not live.size:
+                return m
+    m[:, :, live] = np.nan
+    return m
+
+
+def _oracle_product(table, x, parent, letter):
+    """g^T X for each word as d multiply-adds, summed over k in order."""
+    g = table.transpose(1, 2, 0)
+    xp, gl = x.take(parent, axis=2), g.take(letter, axis=2)
+    m = xp[:, 0, None] * gl[0]
+    for k in range(1, table.shape[1]):
+        m += xp[:, k, None] * gl[k]
+    return m
+
+
+@st.composite
+def _jacobi_stacks(draw):
+    """(column, row, word) stacks of width 1-9 and 1-300 words, columns
+    scaled by 2^-300 to 2^300, with non-finite words, zero columns or
+    monomial words (orthogonal from the start) mixed in."""
+    d, n = draw(st.integers(1, 9)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((d, d, n)) * np.ldexp(
+        1.0, rng.integers(-300, 301, (d, 1, n)))
+    kinds = draw(st.sets(st.sampled_from(("nonfinite", "zero", "monomial"))))
+    if "monomial" in kinds:
+        words = rng.random(n) < 0.5
+        mono = np.zeros((d, d, n))
+        mono[np.arange(d)[:, None], rng.permutation(d)[:, None],
+             np.arange(n)] = m[:, 0]
+        m[:, :, words] = mono[:, :, words]
+    if "zero" in kinds:
+        m[rng.integers(d), :, rng.random(n) < 0.3] = 0.0
+    if "nonfinite" in kinds:
+        bad = rng.random(n) < 0.2
+        m[rng.integers(d), rng.integers(d), bad] = rng.choice(
+            [np.nan, np.inf, -np.inf], int(bad.sum()))
+    return m
+
+
+class TestJacobiKernel:
+    """The in-place Jacobi rounds and the one-call product step against a
+    copy of the gather/scatter kernel and multiply-add step they replaced."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_round_robin_sides(self, d):
+        cols = np.arange(d)
+        rounds = reps._round_robin(d)
+        want = _circle_rounds(d)
+        assert [[cols[s].tolist() for s in sides] for sides in rounds] == want
+        met = sorted(tuple(sorted(pq)) for p, q in want for pq in zip(p, q))
+        assert met == [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for sides, (p, q) in zip(rounds, want):
+            assert len(set(p + q)) == len(p + q)  # disjoint
+            for side, idx in zip(sides, (p, q)):
+                even = len({b - a for a, b in zip(idx, idx[1:])}) <= 1
+                assert isinstance(side, slice) == even
+        assert all(isinstance(s, slice) for sides in rounds
+                   for s in sides) == (d <= 5)
+
+    @settings(max_examples=200)
+    @given(m=_jacobi_stacks(), sweeps=st.sampled_from((30, 1)))
+    def test_orthogonalise_matches_the_gathering_kernel(self, m, sweeps):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reps, "JACOBI_SWEEPS", sweeps)
+            want_state, got_state = m.copy(), m.copy()
+            want = _oracle_orthogonalise(want_state)
+            got = reps._orthogonalise(got_state)
+        assert np.array_equal(got_state, want_state, equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=100)
+    @given(x=_jacobi_stacks(), k=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_multiply_adds(self, x, k, seed):
+        d, n = x.shape[1], x.shape[2]
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((k, d, d))
+        table[np.linalg.det(table) < 0, 0] *= -1  # det > 0, for closed
+        parent, letter = rng.integers(0, n, 2 * n), rng.integers(0, k, 2 * n)
+        for closed in (False, True):
+            _, step = reps._jacobi_step(table, closed)
+            scaled = (table / np.sqrt(np.linalg.det(table))[:, None, None]
+                      if closed else table)
+            want = _oracle_product(scaled, x, parent, letter)
+            if not closed:
+                want = _oracle_orthogonalise(want)
+            assert np.array_equal(step(x, parent, letter), want,
+                                  equal_nan=True)
+
+    def test_closed_step_peaks_at_three_blocks(self):
+        # two takes and the result; d multiply-adds need one block more
+        n = reps.BLOCK_BYTES // (2 * 2 * 8)
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((4, 2, 2))
+        table[np.linalg.det(table) < 0, 0] *= -1
+        _, step = reps._jacobi_step(table, True)
+        x = rng.standard_normal((2, 2, n))
+        parent, letter = rng.permutation(n), rng.integers(0, 4, n)
+        step(x, parent, letter)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = step(x, parent, letter)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == reps.BLOCK_BYTES
+        assert peak <= 3.25 * out.nbytes
 
 
 class TestHelpers:
