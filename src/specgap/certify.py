@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import RepSpec, factor_tables, graded_products, iter_ball_images
+from .reps import RepSpec, graded_products, iter_ball_images, restrict_rep
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -151,20 +151,21 @@ _BOUND_SLACK = 1e-9
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
     """The profile of ratio ``index`` (None: QI) over the ball, swept by
-    ``reps.iter_ball_images`` on the ``reps.graded_products`` state of the
-    tables' direct-sum blocks.  Past dim 2 the last length sweeps one word
-    of each inverse pair; when the whole ball also fits ``MAX_WORDS`` it
-    skips, besides, the words that ``bound`` shows cannot move its
-    envelope, and counts them in ``words_evaluated`` unswept."""
+    ``reps.iter_ball_images`` on the ``reps.graded_products`` state of
+    ``rep.structure`` (``restrict_rep``'s for ``subalphabet``).  Past dim 2
+    the last length sweeps one word of each inverse pair; when the whole
+    ball also fits ``MAX_WORDS`` it skips, besides, the words ``bound``
+    shows cannot move its envelope, counted unswept in ``words_evaluated``."""
     if radius is None:
         radius = default_radius(rep.dim)
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
     count, truncated = 0, False
-    tables = factor_tables(rep, subalphabet)
-    nsym = len(tables[0])
-    root, step, logs = graded_products(*tables)
+    structure = (rep if subalphabet is None
+                 else restrict_rep(rep, subalphabet)).structure
+    nsym = len(structure[0][0])
+    root, step, logs = graded_products(structure)
     paired = rep.dim > 2  # a whole 2x2 sweep is cheaper than the regrouping
     # a sweep that cannot run out of budget also skips the last-length
     # words whose statistic is bounded inside the envelope
@@ -253,8 +254,8 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
     with a least-squares fit of the lower envelope.
 
-    Each Kronecker factor (or the whole representation) is split into its
-    direct-sum blocks, each swept on its ``reps.graded_products`` state.
+    Each block of ``RepSpec.structure`` (the Kronecker factors' direct-sum
+    blocks) is swept on its ``reps.graded_products`` state.
     When dim > 2 the last length sweeps one word of each pair {w, w^-1},
     taking w^-1's ratio as gap_{dim-i}(w); both count in ``words_evaluated``
     and against ``MAX_WORDS``.  When the whole ball fits ``MAX_WORDS``, a

@@ -270,9 +270,9 @@ class DominationReport(Record):
 def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
                      radius: int) -> DominationReport:
     """Exhaustive margin sweep over the reduced ball (length >= 1), of
-    images made and read as ``RepSpec.top_modulus`` makes and reads them:
-    per block table of both sides' ``structure``, by ``reps.iter_ball_images``
-    on ``reps.products`` (``reps.word_products``, one letter a block).
+    images per block table of both sides' ``structure``, made by
+    ``reps.iter_ball_images`` on ``reps.products`` (``reps.word_products``,
+    one letter a block) and read by ``reps.block_spectra``.
     Top moduli are class functions, so only the cyclically reduced words
     are evaluated.  A padded word u w u^-1 takes the margin of its core w,
     and with two or more generators every word of length L - 2 is such a
@@ -294,8 +294,10 @@ def check_domination(upper: RepSpec, lower: RepSpec, exponent: float,
     below 746.  ``slack`` = (64 b^2 + 2048) eps, b the widest block, covers
     them all, so no computed margin is below its bound.  T only falls, so a
     skipped word could set no minimum: the report is the full sweep's,
-    ``words_checked`` included.
+    ``words_checked`` included.  An exponent that is not finite is refused.
     """
+    if not math.isfinite(exponent):
+        raise InputError(f"domination exponent {exponent!r} is not finite")
     if upper.alphabet.names != lower.alphabet.names:
         raise InputError("domination sides use different alphabets")
     if radius < 1:
@@ -417,7 +419,7 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
     rather than covering or failing it.  Each witness's spectrum is read
     once (``reps.spectra``); one that is not finite is indeterminate at
     every index.  The indices must be distinct, and there must be at least
-    one.  A representation that fails a
+    one; ``tol`` must be finite and positive.  A representation that fails a
     relator of ``p`` (``reps.validate_homomorphism``) is refused: the
     certificate is about the presented group."""
     if not witnesses:
@@ -426,6 +428,8 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
         raise InputError("at least one exterior index is required")
     if len(set(indices)) != len(indices):
         raise InputError(f"exterior indices {list(indices)} repeat an index")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be finite and positive, not {tol!r}")
     check = validate_homomorphism(rep, p)
     if not check.passed:
         relator, dev = max(check.deviations, key=lambda d: d[1])
@@ -481,13 +485,15 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
     """Recompute every covered entry, and every recorded relator's
     deviation against the recorded tol, from the representation alone.  A
-    certificate with no entries, or with two for one index, is refused, and
-    so is an entry whose witness's image is not finite."""
+    certificate with no entries, with two for one index or with a tol that
+    is not finite and positive is refused, and so is an entry whose
+    witness's image is not finite."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     if doc["rep_digest"] != rep.digest():
         return False
     indices = [entry["index"] for entry in doc["entries"]]
-    if not indices or len(set(indices)) != len(indices):
+    if (not indices or len(set(indices)) != len(indices)
+            or not 0 < doc["tol"] < math.inf):
         return False
     relators = doc.get("relators", {"deviations": []})
     if relators["deviations"]:

@@ -160,26 +160,23 @@ class RepSpec(_Images):
 
     @cached_property
     def structure(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per Kronecker factor (:func:`factor_tables`), the letter tables
-        of its direct-sum blocks (:func:`block_tables`) stacked by width,
-        narrowest first: (2k, g, b, b) for its g blocks of width b; made on
-        first use."""
+        """The one split that every word reader takes: per Kronecker factor
+        (itself when it records none), the letter tables of its direct-sum
+        blocks (:func:`_blocks`) stacked by width, narrowest first, (2k, g,
+        b, b) for its g blocks of width b by first index; made on first use."""
         out = []
-        for blocks in map(block_tables, factor_tables(self)):
-            widths = sorted({len(b[0]) for b in blocks})
-            out.append(tuple(np.stack([b for b in blocks if len(b[0]) == w],
-                                      axis=1) for w in widths))
+        for table in (f.table for f in self.factors or (self,)):
+            blocks = _blocks(table)
+            out.append(tuple(np.stack([table[:, b[:, None], b] for b in blocks
+                                       if len(b) == w], axis=1)
+                             for w in sorted({len(b) for b in blocks})))
         return tuple(out)
 
     def top_modulus(self, w: Word) -> float:
-        """Largest eigenvalue modulus of the image, computed on the cyclic
-        reduction (a class function, far better conditioned) from its block
-        images (:func:`top_moduli`)."""
-        codes = np.array([letter_codes(self.alphabet, w.cyclic_reduction())],
-                         np.intp)
-        spectra = block_spectra(self.structure, codes,
-                                word_images(self.structure, codes))
-        return float(top_moduli(spectra)[0])
+        """Largest eigenvalue modulus of the image, read from the
+        :func:`spectra` of the cyclic reduction (a class function, far
+        better conditioned): NaN when an eigenvalue is not finite."""
+        return abs(spectra(self, [w.cyclic_reduction()])[0][0])
 
     def to_json(self) -> dict:
         doc = {
@@ -570,42 +567,19 @@ def rename_generators(rep: RepSpec | ComplexRep2,
 
 
 def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:
+    """``rep`` on the generators ``labels``, its factors restricted alike."""
     sub = Alphabet(tuple(labels))
     images = {l: rep.image(l) for l in sub.names}
     prov = dict(rep.provenance)
     prov["restricted_to"] = list(sub.names)
-    return RepSpec(sub, images, prov)
-
-
-def symbol_table(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None) -> np.ndarray:
-    """``rep.table``, or its rows for the signed letters of the labels
-    ``subalphabet``, indexed by letter code over ``subalphabet``."""
-    if subalphabet is None:
-        return rep.table
-    return rep.table[[2 * rep.alphabet.index(l) + sign for l in
-                      Alphabet(tuple(subalphabet)).names for sign in (0, 1)]]
+    return RepSpec(sub, images, prov,
+                   [restrict_rep(f, sub.names) for f in rep.factors])
 
 
 def letter_codes(alphabet: Alphabet, w: Word) -> list[int]:
     """Codes over ``alphabet`` of the letters of ``w``, matched by label."""
     return [2 * alphabet.index(w.alphabet.names[i]) + (sign < 0)
             for i, sign in w.letters]
-
-
-def factor_tables(rep: RepSpec, subalphabet: Optional[Sequence[str]] = None
-                  ) -> list[np.ndarray]:
-    """The symbol tables of the representation's Kronecker factors (itself
-    when it records none), from which words' statistics are read."""
-    return [symbol_table(f, subalphabet) for f in rep.factors or (rep,)]
-
-
-def block_tables(table: np.ndarray) -> list[np.ndarray]:
-    """The letter tables of a table's direct-sum blocks (:func:`_blocks`);
-    the table itself when it is one block."""
-    blocks = _blocks(table)
-    if len(blocks) == 1:
-        return [table]
-    return [table[:, b[:, None], b] for b in blocks]
 
 
 def word_dets(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -638,21 +612,13 @@ def word_products(table: np.ndarray, codes) -> np.ndarray:
     return np.broadcast_to(out, codes.shape[:-1] + table.shape[1:]).copy()
 
 
-def word_images(structure, codes: np.ndarray) -> State:
-    """Per table of ``structure`` (``RepSpec.structure``), the images of
-    the words of letter codes ``codes`` (rows, one length), by
-    :func:`word_products`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
-        return tuple(word_products(t, codes) for ts in structure for t in ts)
-
-
 def block_spectra(structure, codes: np.ndarray, images: State, wide=None
                   ) -> list[list[np.ndarray]]:
     """Per factor and table of ``structure``, the (n, g b) eigenvalues of
-    the words' ``images`` (:func:`word_images`; ``codes`` their letters) in
-    the table's g blocks of width b: :func:`block_eigenvalues` on 2x2
-    determinants from the letters, or ``wide`` of the images when it is
-    given and b > 2."""
+    the words' ``images`` (rows of letter codes ``codes``, one length, by
+    :func:`word_products`) in the table's g blocks of width b:
+    :func:`block_eigenvalues` on 2x2 determinants from the letters, or
+    ``wide`` of the images when it is given and b > 2."""
     images = iter(images)
     return [[wide(m) if wide and t.shape[-1] > 2 else block_eigenvalues(
                 m.reshape(-1, *t.shape[-2:]),
@@ -681,9 +647,9 @@ def spectra(rep: RepSpec, words: Sequence[Word]) -> list[tuple[complex, ...]]:
     for length in set(map(len, codes)):
         at = list(dict.fromkeys(c for c in codes if len(c) == length))
         rows = np.array(at, np.intp).reshape(len(at), length)
-        blocks = block_spectra(rep.structure, rows,
-                               word_images(rep.structure, rows))
-        with np.errstate(invalid="ignore"):  # inf * 0 in a product
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 too
+            blocks = block_spectra(rep.structure, rows, [
+                word_products(t, rows) for ts in rep.structure for t in ts])
             eigs = reduce(lambda x, y: (x[:, :, None] * y[:, None]).reshape(
                 len(at), -1), [np.concatenate(b, axis=1) for b in blocks])
         eigs[~np.isfinite(eigs).all(axis=1)] = np.nan
@@ -825,26 +791,26 @@ def products(*tables: np.ndarray):
     return tuple(word_products(t, np.empty((1, 0))) for t in tables), step
 
 
-def graded_products(*tables: np.ndarray):
+def graded_products(structure):
     """Root, step and reader of a ball sweep whose state holds one entry
-    per direct-sum block (:func:`_blocks`) of each table of letter images,
-    from which the singular values of the block's product W are read
-    without drowning the small ones in the rounding of a raw product.
+    per direct-sum block of ``structure`` (``RepSpec.structure``), in its
+    order, from which the singular values of the block's product W are
+    read without drowning the small ones in the rounding of a raw product.
 
     A block keeps X = W^T V with V orthogonal, a (d, d, n) stack laid out
     (column, row, word), whose columns are orthogonal with the singular
     values of W as norms.  Appending g orthogonalises the columns of g^T X
     by one-sided Jacobi (:func:`_orthogonalise`), accurate on graded
     matrices at any width (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
-    1992).  A table that is one 2x2 block keeps X = W^T / sqrt(det W), not
+    1992).  A factor that is one 2x2 block keeps X = W^T / sqrt(det W), not
     rotated; a 2x2 block of a larger sum keeps its scale on the Jacobi
     step.  The reader, ``logs(state)``, is :func:`log_singular_values` on
-    the tables' block counts."""
+    the factors' block counts."""
     counts, sweeps = [], []
-    for table in tables:
-        blocks = block_tables(table)
+    for tables in structure:
+        blocks = [t[:, j] for t in tables for j in range(t.shape[1])]
         counts.append(len(blocks))
-        closed = len(blocks) == 1 and table.shape[1] == 2
+        closed = len(blocks) == 1 and blocks[0].shape[1] == 2
         sweeps += [_jacobi_step(b, closed) for b in blocks]
 
     def step(state, parent, letter):
@@ -926,10 +892,10 @@ def _side(cols: Sequence[int]) -> slice | np.ndarray:
 
 def log_singular_values(state: State, counts: Sequence[int]) -> np.ndarray:
     """(n, D) logs of the singular values of each word's product, descending,
-    from a :func:`graded_products` state whose tables hold ``counts``
-    blocks each, in order: per table the union of its blocks' logs, past
-    one table the sums over all index tuples (Kronecker product); a row is
-    NaN where an entry is not finite.  A table that is one 2x2 block gives
+    from a :func:`graded_products` state whose factors hold ``counts``
+    blocks each, in order: per factor the union of its blocks' logs, past
+    one factor the sums over all index tuples (Kronecker product); a row is
+    NaN where an entry is not finite.  A factor that is one 2x2 block gives
     log sigma_1 = |log((s + t) / 2)|, s = |(a+d, b-c)| and t = |(a-d, b+c)|
     (>= 0 but for rounding), and log sigma_2 = -log sigma_1, those of
     W / sqrt(det W), unsorted; every other block its log column norms,

@@ -94,7 +94,8 @@ class Word:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
-        """Parse whitespace-separated tokens like ``a1 b1^-1 a1^2``."""
+        """Parse whitespace-separated tokens like ``a1 b1^-1 a1^2``; ``e``
+        is the identity (as ``str`` writes it) unless it labels a generator."""
         letters: list[tuple[int, int]] = []
         for token in text.split():
             label, _, exp = token.partition("^")
@@ -104,6 +105,8 @@ class Word:
                     power = int(exp)
                 except ValueError:
                     raise InputError(f"bad exponent in token {token!r}") from None
+            if label == "e" and "e" not in alphabet.names:
+                continue
             idx = alphabet.index(label)
             sign = 1 if power > 0 else -1
             letters.extend([(idx, sign)] * abs(power))

@@ -11,10 +11,10 @@ from specgap.certify import (default_radius, gap_profile, qi_profile,
 from specgap.errors import InputError
 from specgap.linalg import exterior_power
 from specgap.reps import (Character, RepSpec, graded_products,
-                          iter_ball_images, rename_generators,
+                          iter_ball_images, rename_generators, restrict_rep,
                           scale_by_character,
                           scaled_rotation_rep, schottky_sl2c, schottky_sl2r,
-                          spin_lift, symbol_table, tensor_rep)
+                          spin_lift, tensor_rep)
 from specgap.words import Alphabet
 
 PAIR = Alphabet(("a1", "b1"))
@@ -224,10 +224,10 @@ class TestBlockLayout:
     named build may sweep a block wider than 6 unnoticed."""
 
     @pytest.mark.parametrize("name,params,layout", [
-        ("thm1i_d5", None, [[4, 1]]),
-        ("thm1i_d6", None, [[4, 2]]),
-        ("thm1i_dge7", None, [[4, 2, 1]]),
-        ("thm1i_dge7", {"d": 10}, [[4, 2, 1, 1, 1, 1]]),
+        ("thm1i_d5", None, [[1, 4]]),
+        ("thm1i_d6", None, [[2, 4]]),
+        ("thm1i_dge7", None, [[1, 2, 4]]),
+        ("thm1i_dge7", {"d": 10}, [[1, 1, 1, 1, 2, 4]]),
         ("prop42_sl4", None, [[2, 2]]),
         ("thm41_pattern", None, [[1] * 5, [3]]),
         ("thm41_pattern", {"n": 13}, [[1] * 13, [3]]),
@@ -239,9 +239,10 @@ class TestBlockLayout:
         real = certify.graded_products
         seen = []
 
-        def spy(*tables):
-            root, step, logs = real(*tables)
-            seen.append(([[len(b) for b in reps._blocks(t)] for t in tables],
+        def spy(structure):
+            root, step, logs = real(structure)
+            seen.append(([[t.shape[-1] for t in ts for _ in range(t.shape[1])]
+                          for ts in structure],
                          [len(entry) for entry in root]))
             return root, step, logs
         monkeypatch.setattr(certify, "graded_products", spy)
@@ -259,14 +260,13 @@ class TestInversePairs:
     def _unpaired(rep, radius, sub=None):
         """Per index (None: QI), per length, the (min, max) of every word's
         own ratio, and the number of words."""
-        parts = rep.factors or (rep,)
-        tables = [symbol_table(f, sub) for f in parts]
+        structure = (rep if sub is None else restrict_rep(rep, sub)).structure
         indices = [*range(1, rep.dim), None]
         extrema = {i: {} for i in indices}
         count = 0
-        root, step, logs = graded_products(*tables)
-        for length, codes, state in iter_ball_images(len(tables[0]), radius,
-                                                     root, step):
+        root, step, logs = graded_products(structure)
+        for length, codes, state in iter_ball_images(len(structure[0][0]),
+                                                     radius, root, step):
             if not length:
                 continue
             count += len(codes)
@@ -311,9 +311,9 @@ class TestInversePairs:
 
     def test_budget_counts_both_words_of_a_pair(self, monkeypatch):
         rep = build_named("thm1i_d6", None, seed=0).rep
-        table = symbol_table(rep)
         sizes = [(length, len(codes)) for length, codes, _ in iter_ball_images(
-            len(table), 3, *graded_products(table)[:2], inverse_pairs=True)]
+            len(rep.table), 3, *graded_products(rep.structure)[:2],
+            inverse_pairs=True)]
         below = sum(n for length, n in sizes if 0 < length < 3)
         kept = [n for length, n in sizes if length == 3]
         assert len(kept) > 1
@@ -449,8 +449,8 @@ class TestBoundedLastLength:
         swept = [0]
         real = certify.graded_products
 
-        def counted(*tables):
-            root, step, logs = real(*tables)
+        def counted(structure):
+            root, step, logs = real(structure)
 
             def spy(state, parent, letter):
                 swept[0] += len(parent)
@@ -472,7 +472,7 @@ class TestBoundedLastLength:
         rep = tensor_rep(wide, RepSpec(ab, {"a": np.eye(2),
                                             "b": np.diag([2.0, 0.5])}))
         real = certify.iter_ball_images
-        reader = graded_products(*map(symbol_table, rep.factors))[2]
+        reader = graded_products(rep.structure)[2]
         calls = []
 
         def sweep(*args, inverse_pairs=False):

@@ -153,6 +153,19 @@ class TestObstruct:
         cert = read_json(out / "certificate.json")
         assert not cert["covered_all"]
 
+    def test_identity_witness_as_build_json_writes_it(self, tmp_path):
+        # thm1i_d6 records its trivial coset as "e", which reads back as
+        # the identity word: an even witness that covers no index (exit 1)
+        out = tmp_path / "build"
+        main(["build", "--name", "thm1i_d6", "--out", str(out)])
+        coset = read_json(out / "build.json")["search"]["coset"]
+        assert coset == "e"
+        code = main(["obstruct", "--rep", str(out / "rep.json"),
+                     "--witness", coset, "--out", str(tmp_path / "cert")])
+        assert code == 1
+        cert = read_json(tmp_path / "cert" / "certificate.json")
+        assert cert["witnesses"] == ["e"] and not cert["covered_all"]
+
     def test_odd_witness_exits_2(self, tmp_path):
         rep = self._build(tmp_path)
         code = main(["obstruct", "--rep", str(rep), "--witness", "a1",

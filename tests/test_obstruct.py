@@ -182,6 +182,13 @@ class TestDomination:
         with pytest.raises(InputError):
             check_domination(schottky_sl2r(2, 4.0), j_spread(4.0), 1.0, 2)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_exponent_that_is_not_finite_is_refused(self, exponent):
+        # a NaN exponent once read as margin inf, argmin "e" and a pass
+        with pytest.raises(InputError, match="not finite"):
+            check_domination(schottky_sl2r(2, 4.0), schottky_sl2r(2, 16.0),
+                             exponent, 3)
+
     @staticmethod
     def _per_word(upper, lower, exponent, radius):
         """The definition, word by word: every word of the ball in shortlex
@@ -273,7 +280,7 @@ class TestDomination:
             images = {"a": np.array([[1.0 + 4e-9, 1e-9], [1e-9, 1.0]]),
                       "b": np.array([[c, -s], [s, c]])}
         rep = RepSpec(ab, images)
-        table = reps.symbol_table(rep)
+        table = rep.table
         eps = np.finfo(float).eps
         entry_form = separated = 0
         with mpmath.workdps(50):
@@ -498,6 +505,28 @@ class TestCertificates:
         with pytest.raises(InputError):
             certify_not_limit(self._identity_rep(), [word(PAIR, "a1^2")],
                               indices, Presentation.free(PAIR))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_tol_that_is_not_finite_and_positive_is_refused(self, tol):
+        with pytest.raises(InputError, match="finite and positive"):
+            certify_not_limit(self._signed_rep(),
+                              [word(PAIR, "a1 b1 a1 b1^-1")], [1],
+                              Presentation.free(PAIR), tol=tol)
+
+    def test_forged_certificate_with_a_nan_tol_is_refused(self):
+        # a1 a1 covers none of indices 1-3 of thm1ii_d12; the record
+        # edited to claim all three, with a NaN tol (which json.load
+        # accepts), once verified: every comparison with NaN is false
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        cert = certify_not_limit(rep, [word(rep.alphabet, "a1 a1")],
+                                 [1, 2, 3], Presentation.free(rep.alphabet))
+        assert not any(e.covered for e in cert.entries)
+        doc = cert.to_json()
+        for entry in doc["entries"]:
+            entry.update(covered=True, witness="a1 a1")
+        for tol in (math.nan, math.inf, 0.0, -1e-6, 1e-6):
+            forged = json.loads(json.dumps({**doc, "tol": tol}))
+            assert verify_certificate(forged, rep) is False
 
     def test_revalidation_refuses_empty_or_repeated_entries(self):
         rep = self._signed_rep()

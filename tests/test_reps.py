@@ -27,7 +27,7 @@ from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
                           rename_generators, restrict_rep, rotation_block_rep,
                           scale_by_character, scaled_rotation_rep,
                           schottky_sl2c, schottky_sl2r, spin_lift, spin_so31,
-                          symbol_table, tensor_rep, validate_homomorphism,
+                          tensor_rep, validate_homomorphism,
                           UNIMODULAR_TOL)
 from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
                            ball_count, enumerate_ball,
@@ -742,10 +742,25 @@ class TestFactors:
             pull_back(t, GeneratorMap.identity(PAIR)),
             block_sum([t, t]),
             scale_by_character(t, Character.trivial(PAIR), -0.25),
-            restrict_rep(t, ("a1",)),
             rename_generators(t, Alphabet(("x", "y"))),
         ]
         assert all(d.factors == () for d in derived)
+
+    def test_restrict_rep_keeps_the_restricted_factors(self):
+        # each factor of the restriction is that factor's images of the
+        # kept generators, and the restriction's spectra match its whole
+        # images' dense spectra
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        labels = ("a4", "b4")
+        sub = restrict_rep(rep, labels)
+        assert [f.digest() for f in sub.factors] == [
+            RepSpec(Alphabet(labels), {l: f.image(l) for l in labels}).digest()
+            for f in rep.factors]
+        assert [f.dim for f in sub.factors] == [4, 3]
+        words = [w for w in enumerate_ball(sub.alphabet, 3) if w.letters]
+        for w, got in zip(words, reps.spectra(sub, words)):
+            whole = spectrum(sub.evaluate(w)).eigenvalues
+            assert _nearest_match(got, whole, abs(got[0])) <= 1e-9, str(w)
 
     def test_json_round_trip_keeps_the_factors(self):
         left, right, t = _tensor_pair()
@@ -810,7 +825,7 @@ class TestSpectra:
                 image = f.evaluate(w)
                 factors.append(("union",) + tuple(
                     ("lit", spectrum(image[np.ix_(b, b)]).eigenvalues)
-                    for b in reps._blocks(symbol_table(f))))
+                    for b in reps._blocks(f.table)))
             expr = factors[0]
             for factor in factors[1:]:
                 expr = ("tensor", expr, factor)
@@ -852,13 +867,41 @@ class TestSpectra:
         ((table,),) = rep.structure
         assert table.shape == (8, 2, 2, 2)
         codes = np.array([[0, 3, 5, 2, 6], [7, 7, 1, 4, 4]])
-        (stacked,) = reps.word_images(rep.structure, codes)
+        stacked = reps.word_products(table, codes)
         dets = reps.word_dets(table, codes)
         for k in range(2):
             block = np.ascontiguousarray(table[:, k])
-            (alone,) = reps.word_images(((block,),), codes)
+            alone = reps.word_products(block, codes)
             assert stacked[:, k].tobytes() == alone.tobytes()
             assert dets[:, k].tobytes() == reps.word_dets(block, codes).tobytes()
+
+    def test_each_factor_is_split_into_blocks_once(self, monkeypatch):
+        # profiles, spectra and top moduli all read the one cached split;
+        # a restricted profile splits the factors of its restriction
+        calls = []
+        real = reps._blocks
+        monkeypatch.setattr(reps, "_blocks",
+                            lambda table: calls.append(table.shape) or real(table))
+        rep = RepSpec.from_json(
+            build_named("thm1ii_d12", None, seed=0).rep.to_json())
+        w = word(rep.alphabet, "a1 b1 a2^-1")
+        for _ in range(2):
+            qi_profile(rep, radius=2)
+            gap_profile(rep, 3, radius=2)
+            reps.spectra(rep, [w, w.inverse()])
+            rep.top_modulus(w)
+        assert calls == [(16, 4, 4), (16, 3, 3)]
+        calls.clear()
+        qi_profile(rep, radius=2, subalphabet=("a1", "b1"))
+        assert calls == [(4, 4, 4), (4, 3, 3)]
+
+    def test_top_modulus_of_an_image_that_is_not_finite_is_nan(self):
+        # as spectra reads it: a^2 overflows to inf in its first entry
+        rep = RepSpec(PAIR, {"a1": np.diag([1e200, 1e-200]), "b1": np.eye(2)})
+        assert rep.top_modulus(word(PAIR, "a1")) == 1e200
+        assert math.isnan(rep.top_modulus(word(PAIR, "a1 a1")))
+        assert all(map(math.isnan, map(abs, reps.spectra(
+            rep, [word(PAIR, "a1 a1")])[0])))
 
     def test_identity_and_repeated_words(self):
         rep = schottky_sl2r(2, 4.0)
@@ -938,7 +981,7 @@ class TestLetterTable:
         assert calls == []
         alphabet = Alphabet(tuple(plain["alphabet"]))
         w = word(alphabet, "a1 b1^-1 a2")
-        uses = [lambda r: r.evaluate(w), symbol_table,
+        uses = [lambda r: r.evaluate(w), lambda r: r.table,
                 lambda r: reps.spectra(r, [w]),
                 lambda r: validate_homomorphism(r, Presentation(alphabet, (w,)))]
         for first in uses:
@@ -1066,22 +1109,24 @@ def _sweep_reps():
 
 def _sweep(rep, radius, sub=None, inverse_pairs=False):
     """The ball sweep of a profile: the graded state of one table."""
-    table = symbol_table(rep, sub)
-    return iter_ball_images(len(table), radius, *graded_products(table)[:2],
+    rep = rep if sub is None else restrict_rep(rep, sub)
+    return iter_ball_images(len(rep.table), radius,
+                            *graded_products(rep.structure)[:2],
                             inverse_pairs=inverse_pairs)
 
 
 def _check_graded_state(state, codes, rep, alphabet):
     """One table's graded state against each word's evaluated product W,
-    one entry per direct-sum block B of the table (W is 0 off the blocks):
+    one entry per direct-sum block B of the table, in ``RepSpec.structure``
+    order, narrowest first (W is 0 off the blocks):
     for a table that is one 2x2 block, X = W^T / sqrt(det W) with
     X X^T = W^T W / det W, det W taken as the product of the letters' (the
     det of W itself loses about |W|^2 eps to cancellation); otherwise
     X = W_B^T V with X X^T = W_B^T W_B and pairwise orthogonal columns (to
     d eps, the sweep's criterion, plus d eps for the rounding of the
     recomputed products)."""
-    table = symbol_table(rep, alphabet.names)
-    blocks = reps._blocks(table)
+    table = restrict_rep(rep, alphabet.names).table
+    blocks = sorted(reps._blocks(table), key=len)
     closed = rep.dim == 2 and len(blocks) == 1
     off = np.ones((rep.dim, rep.dim), dtype=bool)
     for b in blocks:
@@ -1142,7 +1187,7 @@ class TestBallSweep:
         if cap is not None:
             monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
         alphabet = rep.alphabet if sub is None else Alphabet(sub)
-        table = symbol_table(rep, sub)
+        table = (rep if sub is None else restrict_rep(rep, sub)).table
         for _, codes, (prods,) in iter_ball_images(len(table), 5,
                                                    *products(table)):
             for row, m in zip(codes, prods):
@@ -1203,15 +1248,16 @@ class TestBallSweep:
 
     @pytest.mark.parametrize("cap", [None, 700])
     def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
-        # one entry per block of each table, in order: the 4x4 factor is
-        # one block, the 3x3 one a 2x2 block (on the Jacobi step) and a 1x1
+        # one entry per block of each factor, in structure order: the 4x4
+        # factor is one block, the 3x3 one a 1x1 and a 2x2 block (on the
+        # Jacobi step), narrowest first
         if cap is not None:
             monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
         _, _, t = _tensor_pair()
-        root, step, _ = graded_products(*(symbol_table(f) for f in t.factors))
+        root, step, _ = graded_products(t.structure)
         count = 0
         for length, codes, state in iter_ball_images(4, 4, root, step):
-            assert [len(e) for e in state] == [4, 2, 1]
+            assert [len(e) for e in state] == [4, 1, 2]
             count += len(codes)
             _check_graded_state(state[:1], codes, t.factors[0], PAIR)
             _check_graded_state(state[1:], codes, t.factors[1], PAIR)
@@ -1458,6 +1504,7 @@ class TestHelpers:
         sub = restrict_rep(rep, ("a", "b"))
         assert sub.alphabet.names == ("a", "b")
         np.testing.assert_array_equal(sub.image("a"), rep.image("a"))
+        assert sub.factors == ()
 
     def test_character_multiplicative(self):
         eps = Character(PAIR, {"a1": 2.0, "b1": 5.0})

@@ -15,7 +15,7 @@ from specgap.certify import (MONOTONE_SLACK, SLOPE_THRESHOLD,
                              gap_profile, qi_profile)
 from specgap import reps
 from specgap.reps import (RepSpec, graded_products, iter_ball_images,
-                          random_unimodular, schottky_sl2r, symbol_table,
+                          random_unimodular, restrict_rep, schottky_sl2r,
                           tensor_rep)
 from specgap.words import Alphabet
 
@@ -98,11 +98,10 @@ class TestSaturation:
         factors = [RepSpec(ab, {l: random_unimodular(d, rng) for l in "ab"})
                    for d in dims]
         rep = factors[0] if len(dims) == 1 else tensor_rep(*factors)
-        tables = [symbol_table(f) for f in factors]
-        mats = [mpmath.matrix(m.tolist()) for m in symbol_table(rep)]
+        mats = [mpmath.matrix(m.tolist()) for m in rep.table]
         count = 0
-        root, step, reader = graded_products(*tables)
-        for _, codes, state in iter_ball_images(len(tables[0]), 3, root,
+        root, step, reader = graded_products(rep.structure)
+        for _, codes, state in iter_ball_images(len(rep.table), 3, root,
                                                 step):
             logs = reader(state)
             assert logs.shape == (len(codes), rep.dim)
@@ -132,7 +131,8 @@ class TestSaturation:
         rep = build_named(name, None, seed=0).rep
         sub = ("a4", "b4") if rep.factors else ("a1", "b1")
         radius, dim = 4, rep.dim
-        mats = [mpmath.matrix(m.tolist()) for m in symbol_table(rep, sub)]
+        mats = [mpmath.matrix(m.tolist())
+                for m in restrict_rep(rep, sub).table]
         logs: dict = {}
         with mpmath.workdps(80):
             def walk(m, first, length):
@@ -159,11 +159,13 @@ class TestSaturation:
                     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     @staticmethod
-    def _word_sample(table, radius, every, mpmath):
+    def _word_sample(rep, radius, every, mpmath):
         """(got, want) log singular values of every ``every``-th word of
-        the reduced ball of a table, lengths >= 1: the graded sweep's and
-        those of a 50-digit SVD of the same float images' product."""
-        root, step, reader = graded_products(table)
+        the reduced ball of a representation, lengths >= 1: the graded
+        sweep's and those of a 50-digit SVD of the same float images'
+        product."""
+        table = rep.table
+        root, step, reader = graded_products(rep.structure)
         codes, logs = [], []
         for length, block, state in iter_ball_images(len(table), radius,
                                                      root, step):
@@ -190,9 +192,8 @@ class TestSaturation:
         # these gaps by up to 8.7e-7
         mpmath = pytest.importorskip("mpmath")
         rep = build_named("thm1i_dge7", None, seed=3).rep
-        table = symbol_table(rep)
-        assert [len(b) for b in reps._blocks(table)] == [4, 2, 1]
-        got, want = self._word_sample(table, 3, 19, mpmath)
+        assert [len(b) for b in reps._blocks(rep.table)] == [4, 2, 1]
+        got, want = self._word_sample(rep, 3, 19, mpmath)
         assert len(got) == 203
         gaps = np.diff(got), np.diff(want)
         assert np.all(np.abs(gaps[0] - gaps[1])
@@ -206,9 +207,8 @@ class TestSaturation:
         rng = np.random.default_rng(12)
         rep = RepSpec(Alphabet(("a", "b")),
                       {l: random_unimodular(12, rng) for l in "ab"})
-        table = symbol_table(rep)
-        assert [len(b) for b in reps._blocks(table)] == [12]
-        got, want = self._word_sample(table, 4, 4, mpmath)
+        assert [len(b) for b in reps._blocks(rep.table)] == [12]
+        got, want = self._word_sample(rep, 4, 4, mpmath)
         assert len(got) == 40
         assert np.all(np.abs(got - want)
                       <= 1e-10 * np.maximum(1.0, np.abs(want)))

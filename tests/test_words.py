@@ -243,6 +243,18 @@ class TestWordBasics:
         w = word(AB, "a1 b1^-1 a1 a1")
         assert Word.parse(AB, str(w)) == w
 
+    def test_every_word_of_a_ball_round_trips_identity_included(self):
+        # the identity is written "e", which parses back to it
+        words = list(enumerate_ball(ABC, 3))
+        assert str(words[0]) == "e"
+        for w in words:
+            assert Word.parse(ABC, str(w)) == w
+
+    def test_a_generator_named_e_keeps_its_label(self):
+        ea = Alphabet(("e", "a"))
+        assert Word.parse(ea, "e").letters == ((0, 1),)
+        assert Word.parse(ea, "a e^-1").letters == ((1, 1), (0, -1))
+
     def test_power(self):
         w = word(AB, "a1 b1")
         assert (w ** 3).letters == reduce(AB, list(w.letters) * 3).letters
