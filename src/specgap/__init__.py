@@ -8,14 +8,12 @@ __version__ = "0.1.0"
 from .errors import (ConstructionError, DegenerateConfigurationError,
                      InputError, NumericalError, SamplingError, SearchError,
                      SizeError, SpecgapError)
-from .words import (Alphabet, GeneratorMap, Presentation, Word, ball_count,
-                    commutator, enumerate_ball, free_part_alphabet,
-                    full_alphabet, in_index_two_core, reduce,
-                    retraction_to_free_part, sandwich_map, standard_presentation,
-                    surface_alphabet, transport, word)
+from .words import (Alphabet, GeneratorMap, Presentation, Word, commutator,
+                    enumerate_ball, free_part_alphabet, full_alphabet,
+                    in_index_two_core, reduce, retraction_to_free_part,
+                    standard_presentation, transport, word)
 from .linalg import (ProximalityClass, Spectrum, classify, classify_exterior,
-                     exterior_power, kronecker, predicted_spectrum, spectrum,
-                     spectrum_tensor, spectrum_union, spectrum_wedge)
+                     exterior_power, spectrum)
 from .reps import (Character, ComplexRep2, RepSpec, block_sum, pull_back,
                    realify_lift, realify_sl2c, rotation_block_rep,
                    scale_by_character, scaled_rotation_rep, schottky_sl2c,

@@ -11,9 +11,6 @@ Conventions used throughout:
 The classifiers take a spectrum, a sequence of eigenvalues: a word's from
 ``reps.spectra``, which reads it from the representation's structure
 through :func:`block_eigenvalues`, a bare matrix's from :func:`spectrum`.
-The symbolic spectrum algebra (union / tensor / wedge on literal value
-multisets) is the independent oracle the numerical kernels are tested
-against.
 """
 
 from __future__ import annotations
@@ -41,13 +38,16 @@ def matrix_hash(m: np.ndarray) -> str:
 
 def to_plain(value):
     """JSON form of a result value: a record's ``to_json()``, a complex
-    number as ``[re, im]``, a tuple or list as a list; anything else as is."""
+    number as ``[re, im]``, a tuple or list as a list, a dict with its
+    values so; anything else as is."""
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (tuple, list)):
         return [to_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_plain(v) for k, v in value.items()}
     return value
 
 
@@ -178,14 +178,6 @@ def block_eigenvalues(images: np.ndarray, dets: np.ndarray) -> np.ndarray:
             ok = np.isfinite(images).all(axis=(1, 2))
             out[ok] = _solve(np.linalg.eigvals, images[ok])
     return out
-
-
-def kronecker(a, b) -> np.ndarray:
-    ma, mb = _as_square(a), _as_square(b)
-    if ma.shape[0] * mb.shape[0] > MAX_DIM:
-        raise SizeError(
-            f"Kronecker product dimension {ma.shape[0] * mb.shape[0]} exceeds {MAX_DIM}")
-    return np.kron(ma, mb)
 
 
 def exterior_power(m, i: int) -> np.ndarray:
@@ -396,58 +388,3 @@ def classify_exterior(eigenvalues: Iterable[complex], i: int,
         indeterminate=gray_modulus or gray_real or undecided,
         tol=tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# Symbolic spectrum algebra (exact oracle)
-
-def spectrum_union(*parts: Sequence[complex]) -> tuple[complex, ...]:
-    """Spectrum of a block sum: multiset union."""
-    out: list[complex] = []
-    for p in parts:
-        out.extend(complex(z) for z in p)
-    return sort_eigenvalues(out)
-
-
-def spectrum_tensor(s1: Sequence[complex], s2: Sequence[complex]
-                    ) -> tuple[complex, ...]:
-    """Spectrum of a Kronecker product: all pairwise products."""
-    return sort_eigenvalues(complex(a) * complex(b) for a in s1 for b in s2)
-
-
-def spectrum_wedge(s: Sequence[complex], i: int) -> tuple[complex, ...]:
-    """Spectrum of the i-th exterior power: all i-subset products."""
-    vals = [complex(z) for z in s]
-    if not 1 <= i <= len(vals):
-        raise InputError(f"subset size {i} out of range 1..{len(vals)}")
-    prods = []
-    for subset in itertools.combinations(vals, i):
-        p = complex(1.0)
-        for z in subset:
-            p *= z
-        prods.append(p)
-    return sort_eigenvalues(prods)
-
-
-def predicted_spectrum(expr) -> tuple[complex, ...]:
-    """Evaluate a spectrum expression tree.
-
-    Nodes are tuples: ``("lit", values)``, ``("union", e1, e2)``,
-    ``("tensor", e1, e2)``, ``("wedge", e, i)``.
-    """
-    if not isinstance(expr, tuple) or not expr:
-        raise InputError("spectrum expression must be a nonempty tuple")
-    op = expr[0]
-    if op == "lit":
-        return sort_eigenvalues(expr[1])
-    if op == "union":
-        return spectrum_union(*(predicted_spectrum(e) for e in expr[1:]))
-    if op == "tensor":
-        if len(expr) != 3:
-            raise InputError("tensor node needs exactly two operands")
-        return spectrum_tensor(predicted_spectrum(expr[1]), predicted_spectrum(expr[2]))
-    if op == "wedge":
-        if len(expr) != 3:
-            raise InputError("wedge node needs an operand and an index")
-        return spectrum_wedge(predicted_spectrum(expr[1]), int(expr[2]))
-    raise InputError(f"unknown spectrum operator {op!r}")

@@ -27,7 +27,7 @@ from . import reps
 from .reps import (RepSpec, letter_codes, spectra, validate_homomorphism,
                    word_dets)
 from .words import (Alphabet, Presentation, Word, commutator, enumerate_ball,
-                    in_index_two_core)
+                    in_index_two_core, json_field)
 
 SCHEMA_VERSION = 1
 TRANSVERSALITY_TOL = 1e-8
@@ -487,33 +487,42 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
     deviation against the recorded tol, from the representation alone.  A
     certificate with no entries, with two for one index or with a tol that
     is not finite and positive is refused, and so is an entry whose
-    witness's image is not finite."""
+    witness's image is not finite.  A field that is missing or not of its
+    JSON type is an input error naming it."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
-    if doc["rep_digest"] != rep.digest():
+    digest, tol = json_field(doc, "rep_digest", str), json_field(doc, "tol", float)
+    entries = json_field(doc, "entries", list)
+    indices = [json_field(entry, "index", int) for entry in entries]
+    covered = [entry for entry in entries if json_field(entry, "covered", bool)]
+    witnesses = [json_field(entry, "witness", str) for entry in covered]
+    recorded = [json_field(entry, "classification", (dict, type(None)))
+                for entry in covered]
+    tops = [json_field(r, "top_modulus", float) if r is not None else 0.0
+            for r in recorded]
+    relators = json_field(doc, "relators", dict, {"deviations": []})
+    deviations = json_field(relators, "deviations", list)
+    if not all(isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
+               for d in deviations):
+        raise InputError("'deviations' must be a JSON list of [relator,"
+                         " deviation] pairs")
+    relator_tol = json_field(relators, "tol", float) if deviations else None
+    if (digest != rep.digest() or not indices
+            or len(set(indices)) != len(indices) or not 0 < tol < math.inf):
         return False
-    indices = [entry["index"] for entry in doc["entries"]]
-    if (not indices or len(set(indices)) != len(indices)
-            or not 0 < doc["tol"] < math.inf):
-        return False
-    relators = doc.get("relators", {"deviations": []})
-    if relators["deviations"]:
+    if deviations:
         p = Presentation(rep.alphabet, [Word.parse(rep.alphabet, r)
-                                        for r, _ in relators["deviations"]])
-        if not validate_homomorphism(rep, p, relators["tol"]).passed:
+                                        for r, _ in deviations])
+        if not validate_homomorphism(rep, p, relator_tol).passed:
             return False
-    covered = [entry for entry in doc["entries"] if entry["covered"]]
-    words = [Word.parse(rep.alphabet, entry["witness"]) for entry in covered]
-    for entry, spec in zip(covered, spectra(rep, words)):
+    words = [Word.parse(rep.alphabet, w) for w in witnesses]
+    for entry, top, spec in zip(covered, tops, spectra(rep, words)):
         if not _finite(spec):
             return False
-        cls = classify_exterior(spec, entry["index"], doc["tol"])
+        cls = classify_exterior(spec, entry["index"], tol)
         if cls.positively_semiproximal or cls.indeterminate:
             return False
-        recorded = entry["classification"]
-        if recorded is not None:
-            top = recorded["top_modulus"]
-            if top > 0 and abs(top - cls.top_modulus) > 1e-6 * top:
-                return False
+        if top > 0 and abs(top - cls.top_modulus) > 1e-6 * top:
+            return False
     return True
 
 

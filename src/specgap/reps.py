@@ -173,10 +173,17 @@ class RepSpec(_Images):
         return tuple(out)
 
     def top_modulus(self, w: Word) -> float:
-        """Largest eigenvalue modulus of the image, read from the
-        :func:`spectra` of the cyclic reduction (a class function, far
-        better conditioned): NaN when an eigenvalue is not finite."""
-        return abs(spectra(self, [w.cyclic_reduction()])[0][0])
+        """Largest eigenvalue modulus of the image, read as
+        ``check_domination`` reads it, :func:`top_moduli` of the
+        :func:`block_spectra` of the cyclic reduction (a class function,
+        far better conditioned): NaN when it is not finite."""
+        codes = np.array([letter_codes(self.alphabet, w.cyclic_reduction())],
+                         np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(top_moduli(block_spectra(self.structure, codes, [
+                word_products(t, codes) for ts in self.structure for t in ts
+            ]))[0])
+        return top if math.isfinite(top) else math.nan
 
     def to_json(self) -> dict:
         doc = {
@@ -559,11 +566,14 @@ def scaled_rotation_rep(alphabet: Alphabet, s: float, t: float, theta: float,
 
 def rename_generators(rep: RepSpec | ComplexRep2,
                       alphabet: Alphabet) -> RepSpec | ComplexRep2:
-    """Same images, new labels (positional)."""
+    """Same images, new labels (positional); factors renamed alike."""
     if alphabet.size != rep.alphabet.size:
         raise InputError("alphabet sizes differ")
-    return type(rep)(alphabet, dict(zip(alphabet.names, rep.stack)),
-                     rep.provenance)
+    images = dict(zip(alphabet.names, rep.stack))
+    if isinstance(rep, ComplexRep2):
+        return ComplexRep2(alphabet, images, rep.provenance)
+    return RepSpec(alphabet, images, rep.provenance,
+                   [rename_generators(f, alphabet) for f in rep.factors])
 
 
 def restrict_rep(rep: RepSpec, labels: Sequence[str]) -> RepSpec:

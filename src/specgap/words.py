@@ -94,13 +94,14 @@ class Word:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "Word":
-        """Parse whitespace-separated tokens like ``a1 b1^-1 a1^2``; ``e``
-        is the identity (as ``str`` writes it) unless it labels a generator."""
+        """Parse whitespace-separated tokens like ``a1 b1^-1 a1^2``, a ``^``
+        always followed by an integer; ``e`` is the identity (as ``str``
+        writes it) unless it labels a generator."""
         letters: list[tuple[int, int]] = []
         for token in text.split():
-            label, _, exp = token.partition("^")
+            label, caret, exp = token.partition("^")
             power = 1
-            if exp:
+            if caret:
                 try:
                     power = int(exp)
                 except ValueError:
@@ -180,16 +181,6 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-def ball_count(rank: int, radius: int) -> int:
-    """Number of reduced words of length <= radius in the rank-k free group."""
-    if rank < 1 or radius < 0:
-        raise InputError("rank >= 1 and radius >= 0 required")
-    if rank == 1:
-        return 2 * radius + 1
-    k2 = 2 * rank
-    return 1 + k2 * ((k2 - 1) ** radius - 1) // (k2 - 2)
-
-
 def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """Yield every reduced word of length <= radius once, in shortlex order."""
     if radius < 0:
@@ -209,14 +200,21 @@ def enumerate_ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
         level = nxt
 
 
-def json_field(doc, key: str, kind: type, default=None):
+_JSON_NAMES = {list: "list", dict: "object", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def json_field(doc, key: str, kind: type | tuple[type, ...], default=None):
     """``doc[key]`` of a JSON object ``doc``, or ``default`` when the key is
-    absent and a default is given; a value that is not a ``kind`` (``list``
-    or ``dict``) is an input error."""
+    absent and a default is given; a value that is not of ``kind``, one of
+    the types of ``_JSON_NAMES`` or a tuple of them, is an input error.  A
+    ``float`` is any JSON number; ``true`` and ``false`` are booleans only."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     value = doc.get(key, default) if isinstance(doc, dict) else None
-    if not isinstance(value, kind):
+    if (not isinstance(value, kinds + ((int,) if float in kinds else ()))
+            or isinstance(value, bool) and bool not in kinds):
         raise InputError(f"{key!r} must be a JSON "
-                         + ("list" if kind is list else "object"))
+                         + " or ".join(_JSON_NAMES[k] for k in kinds))
     return value
 
 
@@ -366,8 +364,7 @@ class GeneratorMap:
 
 
 # ---------------------------------------------------------------------------
-# Standard alphabets, the retraction onto the free part, and the k-fold
-# sandwich substitution.
+# Standard alphabets and the retraction onto the free part.
 
 def full_alphabet(g: int) -> Alphabet:
     """a1,b1,...,a_{2g},b_{2g},c1,d1,...,c_{2g},d_{2g}."""
@@ -376,13 +373,6 @@ def full_alphabet(g: int) -> Alphabet:
         names += [f"a{i}", f"b{i}"]
     for i in range(1, 2 * g + 1):
         names += [f"c{i}", f"d{i}"]
-    return Alphabet(tuple(names))
-
-
-def surface_alphabet(g: int) -> Alphabet:
-    names = []
-    for i in range(1, 2 * g + 1):
-        names += [f"a{i}", f"b{i}"]
     return Alphabet(tuple(names))
 
 
@@ -410,7 +400,7 @@ def standard_presentation(g: int) -> Presentation:
     return Presentation(alphabet, (r1, r2, r3))
 
 
-def retraction_to_free_part(g: int, source: str = "full") -> GeneratorMap:
+def retraction_to_free_part(g: int) -> GeneratorMap:
     """Retraction onto <a1,b1,...,ag,bg>, restricting to the identity there.
 
     On the surface letters: a_{g+i} -> b_{g-i+1}, b_{g+i} -> a_{g-i+1}.
@@ -418,36 +408,15 @@ def retraction_to_free_part(g: int, source: str = "full") -> GeneratorMap:
     c_{g+i} -> a_i, d_{g+i} -> b_i) kills all standard relators already in
     the free group on the target letters.
     """
-    if source == "full":
-        src = full_alphabet(g)
-    elif source == "surface":
-        src = surface_alphabet(g)
-    else:
-        raise InputError("source must be 'full' or 'surface'")
-    tgt = free_part_alphabet(g)
     images: dict[str, str] = {}
     for i in range(1, g + 1):
         images[f"a{i}"] = f"a{i}"
         images[f"b{i}"] = f"b{i}"
         images[f"a{g + i}"] = f"b{g - i + 1}"
         images[f"b{g + i}"] = f"a{g - i + 1}"
-    if source == "full":
-        for i in range(1, g + 1):
-            images[f"c{i}"] = f"b{g - i + 1}"
-            images[f"d{i}"] = f"a{g - i + 1}"
-            images[f"c{g + i}"] = f"a{i}"
-            images[f"d{g + i}"] = f"b{i}"
-    return GeneratorMap.from_dict(src, tgt, images)
+        images[f"c{i}"] = f"b{g - i + 1}"
+        images[f"d{i}"] = f"a{g - i + 1}"
+        images[f"c{g + i}"] = f"a{i}"
+        images[f"d{g + i}"] = f"b{i}"
+    return GeneratorMap.from_dict(full_alphabet(g), free_part_alphabet(g), images)
 
-
-def sandwich_map(alphabet: Alphabet, k: int) -> GeneratorMap:
-    """On a rank-2 alphabet (x, y): x -> y^k x y^k and y -> x^k y x^k."""
-    if alphabet.size != 2:
-        raise InputError("sandwich substitution is defined on rank-2 alphabets")
-    if k < 1:
-        raise InputError("k must be >= 1")
-    x, y = alphabet.names
-    return GeneratorMap.from_dict(alphabet, alphabet, {
-        x: f"{y}^{k} {x} {y}^{k}",
-        y: f"{x}^{k} {y} {x}^{k}",
-    })

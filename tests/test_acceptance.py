@@ -14,12 +14,13 @@ from specgap.builders import build_named
 from specgap.certify import gap_profile
 from specgap.cli import main as cli_main
 from specgap.errors import DegenerateConfigurationError
-from specgap.linalg import (classify_exterior, exterior_power, spectrum,
-                            spectrum_tensor, spectrum_wedge)
+from specgap.linalg import classify_exterior, exterior_power, spectrum
 from specgap.obstruct import (certify_not_limit, limit_formula_check,
                               sample_limit_set)
 from specgap.reps import RepSpec, rename_generators, schottky_sl2r
 from specgap.words import Alphabet, Presentation, Word, commutator, word
+
+from oracles import spectrum_tensor, spectrum_wedge
 
 PAIR = Alphabet(("a1", "b1"))
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,15 @@ class TestObstruct:
         code = main(["obstruct", "--rep", str(rep), "--witness", "a1",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("witness", ["a1^", "a1 a1^"])
+    def test_truncated_witness_exits_2(self, tmp_path, capsys, witness):
+        # "a1 a1^" once read as the even word a1 a1 and was certified
+        rep = self._build(tmp_path)
+        code = main(["obstruct", "--rep", str(rep), "--witness", witness,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "bad exponent in token 'a1^'" in capsys.readouterr().err
 
     def test_presentation_file_changes_the_parity_core(self, tmp_path):
         rep = self._build(tmp_path)
@@ -583,3 +595,19 @@ class TestInputErrors:
                                "--indices", indices,
                                "--out", str(tmp_path / "x")])
         assert not (tmp_path / "x" / "certificate.json").exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_tour_runs():
+    # the documented library example, run as a user would, in a fresh
+    # interpreter that imports specgap from src/
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

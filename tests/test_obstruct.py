@@ -20,7 +20,9 @@ from specgap.reps import (ComplexRep2, RepSpec, axis_dilation, block_sum,
                           rename_generators, rotation_block_rep, schottky_sl2c,
                           schottky_sl2r, spin_lift, tensor_rep)
 from specgap.words import (Alphabet, Presentation, Word, commutator,
-                           enumerate_ball, sandwich_map, word)
+                           enumerate_ball, word)
+
+from oracles import sandwich_map
 
 PAIR = Alphabet(("a1", "b1"))
 
@@ -627,6 +629,36 @@ class TestCertificates:
         doc = cert.to_json()
         tamper(doc["entries"])
         assert not verify_certificate(doc, rep)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("rep_digest", lambda d: d.pop("rep_digest")),
+        ("tol", lambda d: d.update(tol=None)),
+        ("tol", lambda d: d.update(tol="1e-6")),
+        ("entries", lambda d: d.pop("entries")),
+        ("entries", lambda d: d.update(entries="[]")),
+        ("index", lambda d: d["entries"][0].update(index="1")),
+        ("covered", lambda d: d["entries"][0].update(covered=1)),
+        ("witness", lambda d: d["entries"][0].update(witness=7)),
+        ("classification", lambda d: d["entries"][0].update(classification=[])),
+        ("top_modulus", lambda d: d["entries"][0]["classification"].update(
+            top_modulus="6.0")),
+        ("relators", lambda d: d.update(relators="a c^-2 b^-2")),
+        ("deviations", lambda d: d["relators"].update(
+            deviations=["a c^-2 b^-2"])),
+        ("tol", lambda d: d["relators"].update(tol=None)),
+    ], ids=["rep_digest missing", "tol null", "tol string", "entries missing",
+            "entries string", "index string", "covered integer",
+            "witness integer", "classification list", "top_modulus string",
+            "relators string", "deviations of strings", "relators tol null"])
+    def test_malformed_document_is_an_input_error_naming_the_field(
+            self, field, edit):
+        # each once raised TypeError, KeyError or AttributeError
+        rep, cert = self._rotation_rep()
+        doc = json.loads(json.dumps(cert.to_json()))
+        assert verify_certificate(doc, rep)
+        edit(doc)
+        with pytest.raises(InputError, match=f"'{field}' must be a JSON"):
+            verify_certificate(doc, rep)
 
     def test_certificate_json_fields(self, strict_json):
         rep = self._signed_rep()

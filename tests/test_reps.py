@@ -14,8 +14,8 @@ from specgap.builders import BuildResult, build_named
 from specgap.certify import gap_profile, qi_profile
 from specgap.cli import main
 from specgap.errors import ConstructionError, InputError, SizeError
-from specgap.linalg import (MAX_DIM, predicted_spectrum, spectrum, spectrum_tensor,
-                            spectrum_union)
+from specgap.linalg import MAX_DIM, spectrum
+from specgap.obstruct import sample_limit_set
 from specgap.reproduce import verify_golden
 from specgap import reps
 from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
@@ -30,9 +30,11 @@ from specgap.reps import (Character, ComplexRep2, RepSpec, axis_dilation,
                           tensor_rep, validate_homomorphism,
                           UNIMODULAR_TOL)
 from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
-                           ball_count, enumerate_ball,
-                           retraction_to_free_part, standard_presentation,
-                           word)
+                           enumerate_ball, retraction_to_free_part,
+                           standard_presentation, word)
+
+from oracles import (ball_count, predicted_spectrum, spectrum_tensor,
+                     spectrum_union)
 
 RNG = np.random.default_rng(11)
 PAIR = Alphabet(("a1", "b1"))
@@ -742,9 +744,21 @@ class TestFactors:
             pull_back(t, GeneratorMap.identity(PAIR)),
             block_sum([t, t]),
             scale_by_character(t, Character.trivial(PAIR), -0.25),
-            rename_generators(t, Alphabet(("x", "y"))),
         ]
         assert all(d.factors == () for d in derived)
+
+    def test_rename_generators_keeps_the_renamed_factors(self):
+        # the renamed build keeps each factor, so the limit-set sampler
+        # reads the same lines from it
+        rep = build_named("thm1ii_d12", None, seed=0).rep
+        alphabet = Alphabet(tuple(f"g{k}" for k in range(rep.alphabet.size)))
+        renamed = rename_generators(rep, alphabet)
+        assert [f.digest() for f in renamed.factors] == [
+            f.digest() for f in rep.factors]
+        assert all(f.alphabet == alphabet for f in renamed.factors)
+        got, want = (sample_limit_set(r, 200, seed=3) for r in (renamed, rep))
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+        assert got.defects == want.defects
 
     def test_restrict_rep_keeps_the_restricted_factors(self):
         # each factor of the restriction is that factor's images of the
@@ -902,6 +916,28 @@ class TestSpectra:
         assert math.isnan(rep.top_modulus(word(PAIR, "a1 a1")))
         assert all(map(math.isnan, map(abs, reps.spectra(
             rep, [word(PAIR, "a1 a1")])[0])))
+
+    def test_top_modulus_is_the_domination_reading(self):
+        # on a factored representation: top_modulus once took abs of the
+        # largest product of the factors' eigenvalues, and differed from
+        # check_domination's product of the factors' top block moduli in
+        # the last bit on 30 of the 160 words of this ball
+        sub = restrict_rep(build_named("thm1ii_d12", None, seed=0).rep,
+                           ("a1", "b1"))
+        tables = [t for ts in sub.structure for t in ts]
+        sweep = iter_ball_images(len(tables[0]), 4, *products(*tables))
+        next(sweep)  # the identity
+        want = {}  # check_domination's reading of each cyclically reduced word
+        for _, codes, state in sweep:
+            keep = codes[:, 0] != codes[:, -1] ^ 1
+            tops = reps.top_moduli(reps.block_spectra(
+                sub.structure, codes[keep], [s[keep] for s in state]))
+            want.update(zip(map(tuple, codes[keep].tolist()), tops.tolist()))
+        words = [w for w in enumerate_ball(sub.alphabet, 4) if w.letters]
+        assert len(words) == 160
+        for w in words:
+            core = tuple(reps.letter_codes(sub.alphabet, w.cyclic_reduction()))
+            assert sub.top_modulus(w) == want[core], str(w)
 
     def test_identity_and_repeated_words(self):
         rep = schottky_sl2r(2, 4.0)

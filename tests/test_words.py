@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from specgap.errors import InputError
 from specgap.words import (Alphabet, GeneratorMap, Presentation, Word,
-                           ball_count, commutator, enumerate_ball,
-                           free_part_alphabet, full_alphabet,
-                           in_index_two_core, reduce, retraction_to_free_part,
-                           sandwich_map, standard_presentation,
-                           surface_alphabet, transport, word)
+                           commutator, enumerate_ball, free_part_alphabet,
+                           full_alphabet, in_index_two_core, reduce,
+                           retraction_to_free_part, standard_presentation,
+                           transport, word)
+
+from oracles import ball_count, sandwich_map
 
 AB = Alphabet(("a1", "b1"))
 ABC = Alphabet(("a1", "b1", "c1"))
@@ -198,9 +199,15 @@ class TestGeneratorMap:
             for name in free.names:
                 assert str(r.image(name)) == name
 
+    @staticmethod
+    def _surface_letters(g):
+        """The surface letters a1, b1, ..., a_{2g}, b_{2g}: the first 4g
+        labels of the full alphabet."""
+        return Alphabet(full_alphabet(g).names[:4 * g])
+
     def test_retraction_is_idempotent_exhaustive(self):
-        r = retraction_to_free_part(1, source="surface")
-        delta = surface_alphabet(1)
+        r = retraction_to_free_part(1)
+        delta = self._surface_letters(1)
         for w in enumerate_ball(delta, 4):
             once = r.apply(w)
             assert r.apply(transport(once, delta)) == once
@@ -208,8 +215,8 @@ class TestGeneratorMap:
     def test_retraction_is_idempotent_sampled_g2(self):
         import random
         rng = random.Random(11)
-        r = retraction_to_free_part(2, source="surface")
-        delta = surface_alphabet(2)
+        r = retraction_to_free_part(2)
+        delta = self._surface_letters(2)
         symbols = delta.symbols()
         for _ in range(500):
             raw = []
@@ -238,6 +245,12 @@ class TestWordBasics:
 
     def test_parse_exponents(self):
         assert str(word(AB, "a1^3 b1^-2")) == "a1 a1 a1 b1^-1 b1^-1"
+
+    @pytest.mark.parametrize("text", ["a1^", "a1^ b1", "b1 a1^"])
+    def test_an_empty_exponent_is_refused(self, text):
+        # a truncated token once read as its bare label
+        with pytest.raises(InputError, match="bad exponent"):
+            Word.parse(AB, text)
 
     def test_str_parse_roundtrip(self):
         w = word(AB, "a1 b1^-1 a1 a1")
