@@ -13,6 +13,7 @@ Exit codes: 0 success/pass, 1 verified failure (e.g. an uncovered index),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -40,16 +41,27 @@ class _Run:
 
     def __init__(self, out_dir: str, argv, subcommand: str):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        with self._writing():
+            self.dir.mkdir(parents=True, exist_ok=True)
         self.argv = list(argv)
         self.subcommand = subcommand
         self.digests: dict[str, str] = {}
         self.extra: dict = {}
 
+    @contextlib.contextmanager
+    def _writing(self):
+        """An output directory that cannot be made or written is an input
+        error (exit 2), not a traceback."""
+        try:
+            yield
+        except OSError as exc:
+            raise InputError(f"cannot write to --out {self.dir}: {exc}") from None
+
     def write(self, name: str, text: str):
         """Write ``text`` as UTF-8 and keep the sha256 of the bytes written."""
         data = text.encode()
-        (self.dir / name).write_bytes(data)
+        with self._writing():
+            (self.dir / name).write_bytes(data)
         self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def finish(self) -> Path:
@@ -62,7 +74,8 @@ class _Run:
         }
         manifest.update(self.extra)
         path = self.dir / "manifest.json"
-        path.write_text(_canonical_json(manifest))
+        with self._writing():
+            path.write_text(_canonical_json(manifest))
         return path
 
 
@@ -71,6 +84,14 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol := float(text)) and tol > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
     return tol
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take, else
+    argparse exits 2."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+    return seed
 
 
 def _parse_params(pairs) -> dict:
@@ -100,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True, tol=True):
         p.add_argument("--out", default=".", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if tol:
             p.add_argument("--tol", type=_tolerance, default=1e-6,
                            help="relative classification tolerance")

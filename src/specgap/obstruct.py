@@ -205,6 +205,8 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
     """
     if rep.dim != 2:
         raise InputError("limit formulas are checked on 2x2 representations")
+    if n_max < 2:  # the consecutive ratio needs two powers
+        raise InputError(f"n_max must be >= 2, got {n_max}")
     m0, det0 = _image_and_det(rep, w0)
     pc = classify(block_eigenvalues(m0[None], np.array([det0]))[0])
     lam0 = pc.top_eigenvalue

@@ -684,28 +684,26 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     first, with state ``root``; ``codes`` holds one row of letter codes per
     word, and ``state`` one stack per entry of ``root``.
 
-    Words grow on the right: a block holds w*s for the words w of a slice
-    of one parent block and each letter s that keeps w*s reduced, and its
-    state is ``step(state, parent, letter)`` of the parent block's state,
-    each word's parent position in it and its appended code.  Blocks are
-    visited depth first, so about ``radius`` of them are live, each of at
-    most ``BLOCK_BYTES``.  Without ``inverse_pairs`` the blocks cover the
-    ball and each length's words come out in shortlex order across blocks.
+    Words grow on the right: a block holds w*s for some words w of one
+    parent block and letters s that keep w*s reduced, and its state is
+    ``step(state, parent, letter)`` of the parent block's state, each
+    word's parent position in it and its appended code.  Each block's
+    children come from one generator of such ``(parent, letter)`` runs,
+    one per slice of its words, taken up depth first, so about ``radius``
+    blocks of at most ``BLOCK_BYTES`` are live.  Without ``inverse_pairs``
+    the blocks cover the ball and each length's words come out in shortlex
+    order across blocks.
 
     With ``inverse_pairs`` the last length holds one word of each pair
     {w, w^-1}, the one whose codes come first lexicographically (w^-1 has
     w's codes reversed, each ``^ 1``), for a caller that reads w^-1's
-    statistic from w's state.  When it is a callable, it is called as
-    ``inverse_pairs(parent_block, parent, letter)`` on those kept children
-    of a slice when the slice is taken off the stack, after every earlier
-    block has been yielded, and only the children where the boolean mask
-    it returns is true are swept; it sees each child at least once, and
-    again if it was kept but left over from a full block.  How many
-    children of a word are kept depends on its first code (and on the
-    callable), so the kept children of a parent block are regrouped into
-    blocks of at most ``BLOCK_BYTES``, refilled from the slices that
-    follow; the last length's kept words then come out in shortlex order
-    within each parent block.
+    statistic from w's state.  A word's kept children depend on its first
+    code, so those of successive slices are carried forward and cut into
+    full blocks, in shortlex order within each parent block.  A callable
+    is called as ``inverse_pairs(parent_block, parent, letter)`` on each
+    slice's kept children, and again on those still carried after a block
+    is yielded, always after every earlier block has been yielded; only
+    the children where the boolean mask it returns is true are carried.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -714,50 +712,42 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
     size = max(1, BLOCK_BYTES // word_bytes)  # words per last-length block
-    stack: list = []
 
-    def children(block: Block, part) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, letter) of the children a stack entry sweeps: the
-        reduced children of a slice of the block's words, or a leftover
-        (parent, letter) pair; at the last length, only the kept ones."""
-        if isinstance(part, slice):
-            parent, letter = _reduced_children(block[1][part], nsym)
-            parent += part.start
-            if pairing(block):
-                keep = _first_of_pairs(block[1], parent, letter)
+    def children(block: Block) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(parent, letter) runs of the block's child blocks."""
+        length, codes, _ = block
+        runs = (_reduced_children(codes, nsym, i, i + fan)
+                for i in range(0, len(codes), fan))
+        if not (inverse_pairs and length + 1 == radius):
+            yield from runs  # holds no run while its subtree is swept
+            return
+
+        def bounded(parent, letter):
+            if len(parent) and callable(inverse_pairs):
+                keep = inverse_pairs(block, parent, letter)
                 parent, letter = parent[keep], letter[keep]
-        else:
-            parent, letter = part
-        if callable(inverse_pairs) and pairing(block):
-            keep = inverse_pairs(block, parent, letter)
-            parent, letter = parent[keep], letter[keep]
-        return parent, letter
+            return parent, letter
 
-    def pairing(block: Block) -> bool:
-        return bool(inverse_pairs) and block[0] + 1 == radius
+        parent = letter = np.empty(0, dtype=np.intp)  # carried children
+        for p, s in runs:
+            keep = _first_of_pairs(codes, p, s)
+            p, s = bounded(p[keep], s[keep])
+            parent = np.concatenate((parent, p))
+            letter = np.concatenate((letter, s))
+            while len(parent) >= size:
+                yield parent[:size], letter[:size]
+                parent, letter = bounded(parent[size:], letter[size:])
+        if len(parent):
+            yield parent, letter
 
-    def push(block: Block):
-        """Queue the slices of the block's words, the first on top."""
-        stack.extend((block, slice(i, i + fan))
-                     for i in reversed(range(0, len(block[1]), fan)))
-
-    if radius:
-        push(first)
+    stack = [(first, children(first))] if radius else []
     while stack:
-        parent_block, part = stack.pop()
-        parent, letter = children(parent_block, part)
-        if pairing(parent_block):
-            # refill from the block's next slices, then leave the rest over
-            while (len(parent) < size and stack
-                   and stack[-1][0] is parent_block):
-                more = children(*stack.pop())
-                parent, letter = (np.concatenate((parent, more[0])),
-                                  np.concatenate((letter, more[1])))
-            if len(parent) > size:
-                stack.append((parent_block, (parent[size:], letter[size:])))
-                parent, letter = parent[:size], letter[:size]
-            if not len(parent):
-                continue
+        parent_block, runs = stack[-1]
+        run = next(runs, None)
+        if run is None:
+            stack.pop()
+            continue
+        parent, letter = run
         length, codes, state = parent_block
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
             state = step(state, parent, letter)
@@ -767,15 +757,17 @@ def iter_ball_images(nsym: int, radius: int, root: State,
                  state)
         yield block
         if length + 1 < radius:
-            push(block)
+            stack.append((block, children(block)))
 
 
-def _reduced_children(codes: np.ndarray, nsym: int):
+def _reduced_children(codes: np.ndarray, nsym: int, start: int, stop: int):
     """(parent, letter) of each reduced child w*s of the words w in
-    ``codes``, parent-major and codes ascending, so that a shortlex slice
-    gives shortlex words."""
+    ``codes[start:stop]``, parent-major and codes ascending, so that a
+    shortlex slice gives shortlex words; ``parent`` indexes ``codes``."""
+    codes = codes[start:stop]
     ends = codes[:, -1] if codes.shape[1] else np.full(len(codes), -1)
-    return np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
+    parent, letter = np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
+    return parent + start, letter
 
 
 def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,

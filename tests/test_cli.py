@@ -393,6 +393,21 @@ class TestOptions:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--name", "prop42_sl6"],
+        ["build", "--name", "thm1ii_d12"],
+        ["build", "--name", "thm1i_d5"],
+        ["reproduce", "prop42_sl6"],
+        ["limitset", "--rep", "rep.json"],
+    ])
+    def test_negative_seed_is_rejected(self, tmp_path, argv):
+        # numpy refused it with a traceback (exit 1), or thm1i_d5, which
+        # draws nothing, recorded it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_one_parser_keeps_no_state_between_calls(self, tmp_path):
         # the parser is built once per process; each call parses afresh
         assert _build_parser() is _build_parser()
@@ -585,6 +600,18 @@ class TestInputErrors:
         rep = self._write(tmp_path / "rep.json", json.dumps(REP))
         self._exits_2(capsys, ["obstruct", "--rep", rep, "--witness", "a1^2",
                                "--indices", "1,x", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--name", "thm1i_d5"],
+        ["diagnose", "--rep", "rep.json", "--qi", "--radius", "2"],
+    ])
+    def test_out_that_is_a_file(self, tmp_path, capsys, argv):
+        # making the directory raised FileExistsError: a traceback, exit 1
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        out = self._write(tmp_path / "out", "kept")
+        argv = [rep if a == "rep.json" else a for a in argv]
+        self._exits_2(capsys, [*argv, "--out", out])
+        assert (tmp_path / "out").read_text() == "kept"
 
     @pytest.mark.parametrize("indices", [",", "1,1", "1,,1"])
     def test_empty_or_repeated_indices(self, tmp_path, capsys, indices):

@@ -135,6 +135,14 @@ class TestLimitFormula:
         with pytest.raises(DegenerateConfigurationError):
             limit_formula_check(rep, word(PAIR, "a1"), word(PAIR, "b1"))
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_fewer_than_two_powers_rejected(self, n_max):
+        # the last ratio and the last consecutive ratio raised IndexError
+        w0 = commutator(word(PAIR, "a1"), word(PAIR, "b1"))
+        with pytest.raises(InputError, match="n_max"):
+            limit_formula_check(j_spread(4.0), w0, word(PAIR, "a1^2"),
+                                n_max=n_max)
+
     def test_nonproximal_base_rejected(self):
         rot = rotation_block_rep(PAIR, 1.0, ("a1",))
         with pytest.raises(InputError):
