@@ -148,6 +148,74 @@ def _verdict(boxes: Sequence[tuple[int, float, float]],
 _BOUND_SLACK = 1e-9
 
 
+def _last_length_bounds(parents: np.ndarray, letters: np.ndarray,
+                        ratios) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) tables, (letters, parents), that bound each log ratio
+    X_a - X_b, a < b, of ``ratios`` for every child x = w*s of a parent w
+    and a letter s, read from their descending logs.
+
+    0-based, with W_i = log sigma_{i+1}(w), S_j that of s and X that of x,
+    Horn's product inequalities (Horn & Johnson, *Topics in Matrix
+    Analysis*, Thm 3.3.16) read X_{i+j} <= W_i + S_j and, applied to the
+    inverses, X_{i+j+1-d} >= W_i + S_j.  So, with T_k the terms
+    W_i + S_{k-i}, X_a - X_b lies in
+    [max(0, max T_{a+d-1} - min T_b), min T_a - max T_{b+d-1}].  Their
+    j = 0 and j = d - 1 terms are the multiplicative Weyl inequalities:
+    X_a - X_b lies within kappa(s) of W_a - W_b, kappa the log condition
+    number.
+
+    The logs are computed, not exact.  Say each difference of two logs of
+    w, of s or of x is computed within 1e-12 (1 + its size), the accuracy
+    at which the graded states meet their high-precision oracles.  An end
+    is a min or max of such a difference of w's plus one of s's, so it is
+    off by at most 2e-12 (1 + kappa(w) + kappa(s)); x's ratio, at most
+    kappa(x) <= kappa(w) + kappa(s), is off by at most half that.  The
+    Horn interval is widened by ``_BOUND_SLACK`` (1 + kappa(w) + kappa(s)),
+    over 300 times the sum; the Weyl interval by ``_BOUND_SLACK``
+    (1 + |W_a - W_b| + kappa(s)), by the same count over 300 times its
+    own.  Each ratio's interval is the intersection of the two, and
+    the tables hold the loosest over ``ratios``.  A parent or letter with
+    a log that is not finite bounds nothing: its entries are NaN, which
+    fails every comparison."""
+    d = parents.shape[1]
+    cols = np.ascontiguousarray(parents.T)  # W_i of every parent, per i
+    kappa_w = cols[0] - cols[-1]
+    kappa_s = letters[:, :1] - letters[:, -1:]
+    pad = _BOUND_SLACK * (1.0 + kappa_w + kappa_s)
+    reach = kappa_s + _BOUND_SLACK * (1.0 + kappa_s)
+    # the tables are filled in place: a fresh array of a block's size per
+    # term costs more than the term itself; a parent row is contiguous
+    low, high = np.full_like(pad, np.inf), np.full_like(pad, -np.inf)
+    term = np.empty_like(pad)
+
+    def horn(k, extreme):
+        """extreme over i + j = k of W_i + S_j, per letter and parent."""
+        at = range(max(0, k + 1 - d), min(k, d - 1) + 1)
+        out = letters[:, k - at[0], None] + cols[at[0]]
+        for i in at[1:]:
+            extreme(out, np.add(letters[:, k - i, None], cols[i], out=term),
+                    out=out)
+        return out
+
+    with np.errstate(invalid="ignore"):  # inf - inf, where nothing is bound
+        for a, b in ratios:
+            v = cols[a] - cols[b]
+            v_pad = _BOUND_SLACK * np.abs(v)
+            lo = horn(a + d - 1, np.maximum) - horn(b, np.minimum)
+            lo -= pad
+            np.maximum(lo, (v - v_pad) - reach, out=lo)
+            np.minimum(low, np.maximum(lo, 0.0, out=lo), out=low)
+            hi = horn(a, np.minimum) - horn(b + d - 1, np.maximum)
+            hi += pad
+            np.maximum(high, np.minimum(hi, (v + v_pad) + reach, out=hi),
+                       out=high)
+    finite = (np.isfinite(letters).all(axis=1)[:, None]
+              & np.isfinite(parents).all(axis=1))
+    for table in (low, high):
+        np.copyto(table, np.nan, where=~finite)
+    return low, high
+
+
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
     """The profile of ratio ``index`` (None: QI) over the ball, swept by
@@ -171,44 +239,34 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
     # words whose statistic is bounded inside the envelope
     if paired and sum(nsym * (nsym - 1) ** (l - 1)
                       for l in range(1, radius + 1)) <= MAX_WORDS:
-        # log(sigma_max / sigma_min) of each letter, from its own state
+        # the letters' sorted logs, each from its own state; words that
+        # start with the widest letters are swept first, so that the
+        # envelope is wide early
         letters = logs(step(root, np.zeros(nsym, dtype=int), np.arange(nsym)))
         kappa = letters[:, 0] - letters[:, -1]
-        reach = kappa + _BOUND_SLACK * (1.0 + kappa)
+        order = np.argsort(-kappa, kind="stable")
         ratios = {(hi, lo), ((-1 - lo) % rep.dim, (-1 - hi) % rep.dim)}
-        memo: list = [None]  # the last parent block seen, its words' bounds
+        memo: list = [None]  # the last parent block seen, and its tables
 
         def bound(block, parent, letter):
-            """Mask of the children x = w*s to sweep.  By the multiplicative
-            Weyl inequalities sigma_k(w) sigma_min(s) <= sigma_k(x) <=
-            sigma_k(w) sigma_max(s), so each ratio of x, and of x^-1, lies
-            within kappa(s) of w's, and it is >= 0 (sorted logs); the
-            interval is widened by the slack.  A child whose intervals all
-            lie inside the last length's running envelope cannot move it,
-            and is counted without being swept.  A parent whose ratio is not
-            finite bounds nothing (NaN fails every comparison)."""
+            """Mask of the children x = w*s to sweep: those whose
+            :func:`_last_length_bounds` do not lie inside the last length's
+            running envelope, which they therefore cannot move; the others
+            are counted without being swept."""
             nonlocal count
             if radius not in mins:
                 return np.ones(len(parent), dtype=bool)
             if memo[0] is not block:
-                lg, memo[:] = logs(block[2]), [block]
-                with np.errstate(invalid="ignore"):
-                    for a, b in ratios:
-                        v = lg[:, a] - lg[:, b]
-                        v = np.where(np.isfinite(v), v, np.nan)
-                        pad = _BOUND_SLACK * np.abs(v)
-                        memo.append((v - pad, v + pad))
-            r = reach[letter]
-            inside = np.ones(len(parent), dtype=bool)
-            for low, high in memo[1:]:
-                inside &= np.maximum(low[parent] - r, 0.0) >= mins[radius]
-                inside &= high[parent] + r <= maxs[radius]
+                memo[:] = [block]  # the last block's tables go first
+                memo[1:] = _last_length_bounds(logs(block[2]), letters, ratios)
+            inside = ((memo[1][letter, parent] >= mins[radius])
+                      & (memo[2][letter, parent] <= maxs[radius]))
             count += 2 * int(inside.sum())
             return ~inside
     else:
-        bound = paired
-    for length, codes, state in iter_ball_images(nsym, radius, root, step,
-                                                 inverse_pairs=bound):
+        bound, order = paired, None  # shortlex
+    for length, codes, state in iter_ball_images(
+            nsym, radius, root, step, inverse_pairs=bound, order=order):
         if not length:
             continue
         inverses = paired and length == radius
@@ -259,10 +317,12 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     When dim > 2 the last length sweeps one word of each pair {w, w^-1},
     taking w^-1's ratio as gap_{dim-i}(w); both count in ``words_evaluated``
     and against ``MAX_WORDS``.  When the whole ball fits ``MAX_WORDS``, a
-    last-length word x = w*s is not swept when gap_i and gap_{dim-i} of w,
-    each within the log condition number of x's letter s (Weyl), lie inside
-    the envelope so far: the samples are those of the full sweep, and
-    ``words_evaluated`` counts every word of the ball.  Otherwise the sweep
+    last-length word x = w*s is not swept when its gap_i and gap_{dim-i},
+    bounded from the singular values of w and of its letter s (Horn's
+    product inequalities), lie inside the envelope so far, and words that
+    start with the letters of largest condition number are swept first:
+    the samples are those of the full sweep, and ``words_evaluated``
+    counts every word of the ball.  Otherwise the sweep
     stops before the block (``reps.iter_ball_images``) that would pass
     ``MAX_WORDS``, the verdict is "inconclusive", and ``words_evaluated``
     counts the words evaluated; a block's size follows from the bytes of a

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -598,13 +598,26 @@ def word_dets(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     as products in word order of their letters' a d - b c (an inverse
     letter's: its reciprocal); the det of a long product would lose about
     |w|^2 eps to cancellation."""
-    letters = table[0::2].reshape(len(table) // 2, -1, 2, 2).tolist()
-    dets = np.array([[(p * s - q * r) ** sign for (p, q), (r, s) in blocks]
-                     for blocks in letters for sign in (1, -1)])
+    dets = _letter_dets(table.tobytes(), table.shape, table.dtype.str)
     out = np.ones((len(codes),) + dets.shape[1:])
     for column in codes.T:
         out = out * dets[column]
     return out.reshape((len(codes),) + table.shape[1:-2])
+
+
+@lru_cache(maxsize=64)
+def _letter_dets(data: bytes, shape: tuple[int, ...], dtype: str
+                 ) -> np.ndarray:
+    """Read-only (2k, g) determinants of the signed letters of the 2x2
+    letter table of ``shape`` and ``dtype`` whose bytes are ``data``, made
+    once per table: a d - b c in Python numbers, raised to -1 for an
+    inverse letter (numpy's reciprocal rounds differently on a few)."""
+    table = np.frombuffer(data, dtype).reshape(shape)
+    letters = table[0::2].reshape(len(table) // 2, -1, 2, 2).tolist()
+    dets = np.array([[(p * s - q * r) ** sign for (p, q), (r, s) in blocks]
+                     for blocks in letters for sign in (1, -1)])
+    dets.flags.writeable = False
+    return dets
 
 
 def word_products(table: np.ndarray, codes) -> np.ndarray:
@@ -678,7 +691,9 @@ Bound = Callable[[Block, np.ndarray, np.ndarray], np.ndarray]
 
 def iter_ball_images(nsym: int, radius: int, root: State,
                      step: Callable[[State, np.ndarray, np.ndarray], State],
-                     inverse_pairs: bool | Bound = False) -> Iterator[Block]:
+                     inverse_pairs: bool | Bound = False,
+                     order: Optional[Sequence[int]] = None
+                     ) -> Iterator[Block]:
     """Sweep of the reduced ball over ``nsym`` letter codes (see
     ``Alphabet.symbols``) in blocks ``(length, codes, state)``, the identity
     first, with state ``root``; ``codes`` holds one row of letter codes per
@@ -690,16 +705,20 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     word's parent position in it and its appended code.  Each block's
     children come from one generator of such ``(parent, letter)`` runs,
     one per slice of its words, taken up depth first, so about ``radius``
-    blocks of at most ``BLOCK_BYTES`` are live.  Without ``inverse_pairs``
-    the blocks cover the ball and each length's words come out in shortlex
-    order across blocks.
+    blocks of at most ``BLOCK_BYTES`` are live; below a paired last length
+    a block is released once its last run is handed out.  ``order`` ranks
+    the letter codes (ascending when None): each word's children come in
+    that order, so words are shortlex with respect to it.  Without
+    ``inverse_pairs`` the blocks cover the ball and each length's words
+    come out in that shortlex order across blocks.
 
     With ``inverse_pairs`` the last length holds one word of each pair
     {w, w^-1}, the one whose codes come first lexicographically (w^-1 has
-    w's codes reversed, each ``^ 1``), for a caller that reads w^-1's
-    statistic from w's state.  A word's kept children depend on its first
-    code, so those of successive slices are carried forward and cut into
-    full blocks, in shortlex order within each parent block.  A callable
+    w's codes reversed, each ``^ 1``; ``order`` does not change which),
+    for a caller that reads w^-1's statistic from w's state.  A word's
+    kept children depend on its first code, so those of successive slices
+    are carried forward and cut into full blocks, in shortlex order within
+    each parent block.  A callable
     is called as ``inverse_pairs(parent_block, parent, letter)`` on each
     slice's kept children, and again on those still carried after a block
     is yielded, always after every earlier block has been yielded; only
@@ -712,13 +731,18 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
     size = max(1, BLOCK_BYTES // word_bytes)  # words per last-length block
+    letters = np.arange(nsym) if order is None else np.asarray(order, np.intp)
+
+    def paired(length: int) -> bool:
+        """Whether the children of a block of ``length`` are paired."""
+        return bool(inverse_pairs) and length + 1 == radius
 
     def children(block: Block) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(parent, letter) runs of the block's child blocks."""
         length, codes, _ = block
-        runs = (_reduced_children(codes, nsym, i, i + fan)
+        runs = (_reduced_children(codes, letters, i, i + fan)
                 for i in range(0, len(codes), fan))
-        if not (inverse_pairs and length + 1 == radius):
+        if not paired(length):
             yield from runs  # holds no run while its subtree is swept
             return
 
@@ -749,6 +773,8 @@ def iter_ball_images(nsym: int, radius: int, root: State,
             continue
         parent, letter = run
         length, codes, state = parent_block
+        if parent[-1] == len(codes) - 1 and not paired(length):
+            stack.pop()  # the block's last run: its state is not read again
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
             state = step(state, parent, letter)
         block = (length + 1,
@@ -760,14 +786,16 @@ def iter_ball_images(nsym: int, radius: int, root: State,
             stack.append((block, children(block)))
 
 
-def _reduced_children(codes: np.ndarray, nsym: int, start: int, stop: int):
+def _reduced_children(codes: np.ndarray, letters: np.ndarray, start: int,
+                      stop: int):
     """(parent, letter) of each reduced child w*s of the words w in
-    ``codes[start:stop]``, parent-major and codes ascending, so that a
-    shortlex slice gives shortlex words; ``parent`` indexes ``codes``."""
+    ``codes[start:stop]``, parent-major and in the order of ``letters``
+    (every code once), so that a shortlex slice gives shortlex words;
+    ``parent`` indexes ``codes``."""
     codes = codes[start:stop]
     ends = codes[:, -1] if codes.shape[1] else np.full(len(codes), -1)
-    parent, letter = np.nonzero(np.arange(nsym) != (ends[:, None] ^ 1))
-    return parent + start, letter
+    parent, at = np.nonzero(letters != (ends[:, None] ^ 1))
+    return parent + start, letters[at]
 
 
 def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -337,10 +338,11 @@ class TestInversePairs:
                 rep = self._whole(rep)  # one 12x12 Jacobi state
         seen = []
 
-        def spy(*args, inverse_pairs=False):
+        def spy(*args, inverse_pairs=False, **kwargs):
             # a paired sweep that fits the budget passes its bound instead
             seen.append(bool(inverse_pairs))
-            return iter_ball_images(*args, inverse_pairs=inverse_pairs)
+            return iter_ball_images(*args, inverse_pairs=inverse_pairs,
+                                    **kwargs)
         monkeypatch.setattr(certify, "iter_ball_images", spy)
         qi_profile(rep, radius=2)
         assert seen == [paired]
@@ -348,10 +350,10 @@ class TestInversePairs:
 
 def _unbounded(monkeypatch):
     """Make profiles sweep the last length as they would unbounded: one
-    word of each inverse pair, every pair swept."""
+    word of each inverse pair, every pair swept, in shortlex order."""
     real = certify.iter_ball_images
 
-    def sweep(*args, inverse_pairs=False):
+    def sweep(*args, inverse_pairs=False, order=None):
         return real(*args, inverse_pairs=bool(inverse_pairs))
     monkeypatch.setattr(certify, "iter_ball_images", sweep)
 
@@ -380,6 +382,17 @@ class TestBoundedLastLength:
         got = [_outputs(rep, i) for i in indices]
         _unbounded(monkeypatch)
         assert got == [_outputs(rep, i) for i in indices]
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_radius_4_d12_profiles_match_an_unbounded_sweep(self, monkeypatch,
+                                                            seed):
+        # the benchmark's build at the benchmark's radius, where the bound
+        # skips the most words; gap 3 is the benchmark's profile
+        rep = build_named("thm1ii_d12", None, seed=seed).rep
+        indices = [1, 3, 6, None]
+        got = [_outputs(rep, i, 4) for i in indices]
+        _unbounded(monkeypatch)
+        assert got == [_outputs(rep, i, 4) for i in indices]
 
     @pytest.mark.parametrize("name,d", [("thm1i_d6", None), ("thm1i_dge7", 7),
                                         ("thm1i_dge7", 10)])
@@ -417,7 +430,7 @@ class TestBoundedLastLength:
             rep = TestInversePairs._whole(rep)  # one 12x12 Jacobi state
         seen = []
 
-        def spy(*args, inverse_pairs=False):
+        def spy(*args, inverse_pairs=False, **kwargs):
             seen.append("bound" if callable(inverse_pairs) else inverse_pairs)
             return iter(())
         monkeypatch.setattr(certify, "iter_ball_images", spy)
@@ -428,14 +441,25 @@ class TestBoundedLastLength:
             self, monkeypatch):
         # thm1ii_d12, seed 0, gap 3 at radius 4 over 16 letters: lengths
         # 1-3 hold 3,856 words, and 27,000 pairs stand for the 54,000 words
-        # of length 4; 16,785 of them are swept, besides the 16 letters
-        # stepped once for the bound's kappa.  A sweep that does not offer
-        # the carried children to the bound again sweeps 17,390
+        # of length 4; 2,070 of them are swept, besides the 16 letters
+        # stepped once for their logs.  The Weyl bound alone sweeps 16,785
+        # in shortlex order and 7,345 widest letters first; Horn's bound in
+        # shortlex order sweeps 9,935
         rep = build_named("thm1ii_d12", None, seed=0).rep
         swept = self._swept(monkeypatch)
         prof = gap_profile(rep, 3, radius=4)
         assert prof.words_evaluated == 57_856
-        assert swept[0] - 3_856 - 16 == 16_785
+        assert swept[0] - 3_856 - 16 == 2_070
+
+    @pytest.mark.parametrize("seed,steps", [(7, 8_543), (23, 16_271)])
+    def test_benchmark_profile_steps(self, monkeypatch, seed, steps):
+        # the benchmark's gap-3 profile of thm1ii_d12 at radius 4: every
+        # word the Jacobi step sees, letters and lengths 1-3 included; the
+        # Weyl bound in shortlex order stepped 19,580 and 22,253
+        rep = build_named("thm1ii_d12", None, seed=seed).rep
+        swept = self._swept(monkeypatch)
+        assert gap_profile(rep, 3, radius=4).words_evaluated == 57_856
+        assert swept[0] == steps
 
     @pytest.mark.parametrize("case", ["2x2"])
     def test_other_routes_sweep_every_word(self, monkeypatch, case):
@@ -477,7 +501,7 @@ class TestBoundedLastLength:
         reader = graded_products(rep.structure)[2]
         calls = []
 
-        def sweep(*args, inverse_pairs=False):
+        def sweep(*args, inverse_pairs=False, **kwargs):
             def spy(block, parent, letter):
                 keep = inverse_pairs(block, parent, letter)
                 with np.errstate(all="ignore"):
@@ -485,7 +509,7 @@ class TestBoundedLastLength:
                 calls.append((np.isfinite(logs).all(axis=1), keep))
                 return keep
             assert callable(inverse_pairs)
-            return real(*args, inverse_pairs=spy)
+            return real(*args, inverse_pairs=spy, **kwargs)
         monkeypatch.setattr(certify, "iter_ball_images", sweep)
         prof = gap_profile(rep, 1, radius=4)
         finite = np.concatenate([f for f, _ in calls])
@@ -496,6 +520,58 @@ class TestBoundedLastLength:
         monkeypatch.setattr(certify, "iter_ball_images", real)
         _unbounded(monkeypatch)
         assert gap_profile(rep, 1, radius=4) == prof
+
+
+class TestHornBound:
+    """The last-length bound of each ratio against the 50-digit singular
+    values of the children x = w*s of parents w at lengths 1-3, with every
+    letter s: three parents of each sweep block (first, middle, last)."""
+
+    @pytest.mark.parametrize("name", ["thm1ii_d12", "thm1i_d5", "thm1i_d6",
+                                      "prop42_sl6"])
+    def test_children_lie_inside_their_bounds(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        rep = build_named(name, None, seed=0).rep
+        d, nsym = rep.dim, len(rep.table)
+        root, step, logs = graded_products(rep.structure)
+        letters = logs(step(root, np.zeros(nsym, dtype=int), np.arange(nsym)))
+        picked = [(codes[k].tolist(), logs(state)[k])
+                  for length, codes, state in iter_ball_images(nsym, 3, root,
+                                                               step)
+                  if length for k in {0, len(codes) // 2, len(codes) - 1}]
+        parents = np.array([lg for _, lg in picked])
+        with mpmath.workdps(50):
+            # per factor (Kronecker: singular values multiply) the letters
+            tables = [[mpmath.matrix(m.tolist()) for m in f.table]
+                      for f in rep.factors or (rep,)]
+
+            def exact_logs(codes):
+                per_factor = []
+                for table in tables:
+                    m = mpmath.eye(table[0].rows)
+                    for c in codes:
+                        m = m * table[c]
+                    per_factor.append([mpmath.log(v) for v in
+                                       mpmath.svd_r(m, compute_uv=False)])
+                return sorted(map(sum, itertools.product(*per_factor)),
+                              reverse=True)
+
+            children = [[exact_logs(codes + [s]) for s in range(nsym)]
+                        for codes, _ in picked]
+        tighter = 0
+        for a, b in [(i - 1, i) for i in range(1, d)] + [(0, d - 1)]:
+            low, high = certify._last_length_bounds(parents, letters, {(a, b)})
+            low, high = low.T, high.T  # (parents, letters)
+            assert np.isfinite(low).all() and np.isfinite(high).all()
+            for p, row in enumerate(children):
+                for s, x in enumerate(row):
+                    assert low[p, s] <= float(x[a] - x[b]) <= high[p, s]
+            # the Weyl interval, from the parent's ratio and kappa(s)
+            v = parents[:, a, None] - parents[:, b, None]
+            reach = letters[:, 0] - letters[:, -1]
+            tighter += int((high < v + reach - 1e-6).sum()
+                           + (low > np.maximum(v - reach, 0.0) + 1e-6).sum())
+        assert tighter > 0
 
 
 class TestTooFewLengths:

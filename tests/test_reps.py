@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1143,12 +1144,12 @@ def _sweep_reps():
             (d6, None), (d6, ("b1",)), (d8, None)]
 
 
-def _sweep(rep, radius, sub=None, inverse_pairs=False):
+def _sweep(rep, radius, sub=None, inverse_pairs=False, order=None):
     """The ball sweep of a profile: the graded state of one table."""
     rep = rep if sub is None else restrict_rep(rep, sub)
     return iter_ball_images(len(rep.table), radius,
                             *graded_products(rep.structure)[:2],
-                            inverse_pairs=inverse_pairs)
+                            inverse_pairs=inverse_pairs, order=order)
 
 
 def _check_graded_state(state, codes, rep, alphabet):
@@ -1361,6 +1362,103 @@ class TestBallSweep:
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
             list(_sweep(schottky_sl2r(2, 4.0), -1))
+
+    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_an_order_sweeps_the_same_words_shortlex_in_it(self, monkeypatch,
+                                                           case, pairs):
+        # a ranking of the letter codes (a profile's is widest first):
+        # each block's words come out shortlex in the ranking, every length
+        # but a paired last one across blocks too, and the sweep holds the
+        # same words, of each inverse pair the same one.  Blocks of the same
+        # words give bit for bit the same states; a paired last length cuts
+        # its blocks elsewhere, and a word stepped alone rounds differently
+        rep, sub = _sweep_reps()[case]
+        monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
+        radius = 4 if rep.dim < 6 else 3
+        nsym = 2 * (rep.alphabet.size if sub is None else len(sub))
+        order = np.roll(np.arange(nsym)[::-1], 1)
+
+        def words(order, passed):
+            """Per length, the rank keys and, by codes, the states."""
+            rank = np.argsort(order)  # each code's place in the order
+            keys: dict = {}
+            states: dict = {}
+            for length, codes, state in _sweep(rep, radius, sub, pairs,
+                                               passed):
+                block = rank[codes].tolist()
+                assert block == sorted(block)
+                keys.setdefault(length, []).extend(block)
+                states.update((tuple(row), [s[..., k] for s in state])
+                              for k, row in enumerate(codes.tolist()))
+            return keys, states
+
+        (plain, want), (ranked, got) = (words(np.arange(nsym), None),
+                                        words(order, order))
+        assert ranked.keys() == plain.keys() and got.keys() == want.keys()
+        for length, keys in ranked.items():
+            if not (pairs and length == radius):
+                assert keys == sorted(keys)
+        for row, state in got.items():
+            for a, b in zip(state, want[row]):
+                if pairs and len(row) == radius:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12
+                                               * np.abs(b).max())
+                else:
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_a_block_is_freed_once_its_last_run_is_handed_out(
+            self, monkeypatch, pairs):
+        # below a paired last length, the sweep drops a block's state when
+        # it hands out the child block that holds its last word's
+        # children: it is gone by the next block, not only after that
+        # child's subtree
+        monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
+        rep, _ = _sweep_reps()[2]
+        radius, blocks, due, freed = 5, [], [], 0
+        for length, codes, state in _sweep(rep, radius, inverse_pairs=pairs):
+            assert all(ref() is None for ref in due)
+            freed += len(due)
+            parent = codes[-1, :-1].tolist()
+            due = [ref for ref, l, last in blocks if l == length - 1 and
+                   last == parent and not (pairs and length == radius)]
+            if length:  # the caller holds the identity's state
+                blocks.append((weakref.ref(state[0]), length,
+                               codes[-1].tolist()))
+        assert freed > 10
+
+    def test_the_radius_10_2x2_profile_peak(self):
+        # the benchmark's radius-10 QI profile of a 2x2 pair, 2.12 MB; kept
+        # until its children generator ran dry, each block held on through
+        # its last child's subtree, and the peak read 2.18 to 2.24 MB
+        rep = schottky_sl2r(2, 2.5)
+        qi_profile(rep, radius=10)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qi_profile(rep, radius=10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_150_000
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_word_dets_are_python_products_bit_for_bit(self, shape):
+        # each letter's a d - b c, and its reciprocal as Python's x ** -1,
+        # multiplied in word order; numpy's reciprocal rounds a few of
+        # 4,000 random determinants differently
+        rng = np.random.default_rng(29)
+        table = rng.standard_normal((4000, *shape))
+        codes = np.concatenate([np.arange(4000)[:, None].repeat(3, axis=1),
+                                rng.integers(0, 4000, (500, 3))])
+        letters = table[0::2].reshape(2000, -1, 2, 2).tolist()
+        dets = np.array([[(p * s - q * r) ** sign for (p, q), (r, s) in blocks]
+                         for blocks in letters for sign in (1, -1)])
+        want = dets[codes[:, 0]] * dets[codes[:, 1]] * dets[codes[:, 2]]
+        want = want.reshape((len(codes),) + shape[:-2])
+        for _ in range(2):  # made, then read again
+            assert reps.word_dets(table, codes).tobytes() == want.tobytes()
 
 
 def _circle_rounds(d):
