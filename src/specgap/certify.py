@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Record
-from .reps import RepSpec, graded_products, iter_ball_images, restrict_rep
+from . import reps
+from .reps import (RepSpec, _reduced_children, graded_products,
+                   iter_ball_images, restrict_rep)
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
@@ -160,8 +162,8 @@ def _last_length_bounds(parents: np.ndarray, letters: np.ndarray,
     inverses, X_{i+j+1-d} >= W_i + S_j.  So, with T_k the terms
     W_i + S_{k-i}, X_a - X_b lies in
     [max(0, max T_{a+d-1} - min T_b), min T_a - max T_{b+d-1}].  Their
-    j = 0 and j = d - 1 terms are the multiplicative Weyl inequalities:
-    X_a - X_b lies within kappa(s) of W_a - W_b, kappa the log condition
+    j = 0 and j = d - 1 terms are the multiplicative Weyl inequalities, so
+    the interval lies within kappa(s) of W_a - W_b, kappa the log condition
     number.
 
     The logs are computed, not exact.  Say each difference of two logs of
@@ -169,20 +171,18 @@ def _last_length_bounds(parents: np.ndarray, letters: np.ndarray,
     at which the graded states meet their high-precision oracles.  An end
     is a min or max of such a difference of w's plus one of s's, so it is
     off by at most 2e-12 (1 + kappa(w) + kappa(s)); x's ratio, at most
-    kappa(x) <= kappa(w) + kappa(s), is off by at most half that.  The
-    Horn interval is widened by ``_BOUND_SLACK`` (1 + kappa(w) + kappa(s)),
-    over 300 times the sum; the Weyl interval by ``_BOUND_SLACK``
-    (1 + |W_a - W_b| + kappa(s)), by the same count over 300 times its
-    own.  Each ratio's interval is the intersection of the two, and
-    the tables hold the loosest over ``ratios``.  A parent or letter with
-    a log that is not finite bounds nothing: its entries are NaN, which
-    fails every comparison."""
+    kappa(x) <= kappa(w) + kappa(s), is off by at most half that.  So each
+    interval is widened by ``_BOUND_SLACK`` (1 + kappa(w) + kappa(s)), over
+    300 times the sum, and the tables hold the loosest over ``ratios``.
+    Widening only loosens an interval, so no Weyl interval is intersected
+    in: the Horn one already lies within it.  A parent or letter with a log
+    that is not finite bounds nothing: its entries are NaN, which fails
+    every comparison."""
     d = parents.shape[1]
     cols = np.ascontiguousarray(parents.T)  # W_i of every parent, per i
     kappa_w = cols[0] - cols[-1]
     kappa_s = letters[:, :1] - letters[:, -1:]
     pad = _BOUND_SLACK * (1.0 + kappa_w + kappa_s)
-    reach = kappa_s + _BOUND_SLACK * (1.0 + kappa_s)
     # the tables are filled in place: a fresh array of a block's size per
     # term costs more than the term itself; a parent row is contiguous
     low, high = np.full_like(pad, np.inf), np.full_like(pad, -np.inf)
@@ -199,16 +199,12 @@ def _last_length_bounds(parents: np.ndarray, letters: np.ndarray,
 
     with np.errstate(invalid="ignore"):  # inf - inf, where nothing is bound
         for a, b in ratios:
-            v = cols[a] - cols[b]
-            v_pad = _BOUND_SLACK * np.abs(v)
             lo = horn(a + d - 1, np.maximum) - horn(b, np.minimum)
             lo -= pad
-            np.maximum(lo, (v - v_pad) - reach, out=lo)
             np.minimum(low, np.maximum(lo, 0.0, out=lo), out=low)
             hi = horn(a, np.minimum) - horn(b + d - 1, np.maximum)
             hi += pad
-            np.maximum(high, np.minimum(hi, (v + v_pad) + reach, out=hi),
-                       out=high)
+            np.maximum(high, hi, out=high)
     finite = (np.isfinite(letters).all(axis=1)[:, None]
               & np.isfinite(parents).all(axis=1))
     for table in (low, high):
@@ -216,14 +212,33 @@ def _last_length_bounds(parents: np.ndarray, letters: np.ndarray,
     return low, high
 
 
+def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,
+                    letter: np.ndarray) -> np.ndarray:
+    """Mask of the reduced children x = w*s (w the row ``parent`` of
+    ``codes``, s ``letter``) whose codes come before those of x^-1 (x's
+    reversed, each ``^ 1``) lexicographically; no reduced word is its own
+    inverse."""
+    x = np.concatenate([codes[parent], letter[:, None].astype(np.int8)],
+                       axis=1)
+    mirror = x[:, ::-1] ^ 1
+    at = (x != mirror).argmax(axis=1)[:, None]
+    return (np.take_along_axis(x, at, axis=1)
+            < np.take_along_axis(mirror, at, axis=1))[:, 0]
+
+
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
     """The profile of ratio ``index`` (None: QI) over the ball, swept by
     ``reps.iter_ball_images`` on the ``reps.graded_products`` state of
     ``rep.structure`` (``restrict_rep``'s for ``subalphabet``).  Past dim 2
-    the last length sweeps one word of each inverse pair; when the whole
-    ball also fits ``MAX_WORDS`` it skips, besides, the words ``bound``
-    shows cannot move its envelope, counted unswept in ``words_evaluated``."""
+    the engine sweeps to ``radius - 1``, and the profile steps the last
+    length itself: of each parent block's children, one word of each
+    inverse pair (:func:`_first_of_pairs`), parent-major, in runs of at most
+    ``reps.BLOCK_BYTES`` of state.  When the whole ball also fits
+    ``MAX_WORDS``, each run skips, besides, the children whose
+    :func:`_last_length_bounds` lie inside the last length's running
+    envelope, which they therefore cannot move; they are counted unswept in
+    ``words_evaluated``."""
     if radius is None:
         radius = default_radius(rep.dim)
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
@@ -234,50 +249,64 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
                  else restrict_rep(rep, subalphabet)).structure
     nsym = len(structure[0][0])
     root, step, logs = graded_products(structure)
-    paired = rep.dim > 2  # a whole 2x2 sweep is cheaper than the regrouping
+    # a whole 2x2 sweep is cheaper than the regrouping
+    paired = rep.dim > 2 and radius > 0
     # a sweep that cannot run out of budget also skips the last-length
     # words whose statistic is bounded inside the envelope
-    if paired and sum(nsym * (nsym - 1) ** (l - 1)
-                      for l in range(1, radius + 1)) <= MAX_WORDS:
+    bounded = paired and sum(nsym * (nsym - 1) ** (l - 1)
+                             for l in range(1, radius + 1)) <= MAX_WORDS
+    order = np.arange(nsym)  # shortlex
+    if bounded:
         # the letters' sorted logs, each from its own state; words that
         # start with the widest letters are swept first, so that the
         # envelope is wide early
-        letters = logs(step(root, np.zeros(nsym, dtype=int), np.arange(nsym)))
+        letters = logs(step(root, np.zeros(nsym, dtype=int), order))
         kappa = letters[:, 0] - letters[:, -1]
         order = np.argsort(-kappa, kind="stable")
         ratios = {(hi, lo), ((-1 - lo) % rep.dim, (-1 - hi) % rep.dim)}
-        memo: list = [None]  # the last parent block seen, and its tables
+    size = max(1, reps.BLOCK_BYTES // sum(s.nbytes for s in root))
 
-        def bound(block, parent, letter):
-            """Mask of the children x = w*s to sweep: those whose
-            :func:`_last_length_bounds` do not lie inside the last length's
-            running envelope, which they therefore cannot move; the others
-            are counted without being swept."""
-            nonlocal count
-            if radius not in mins:
-                return np.ones(len(parent), dtype=bool)
-            if memo[0] is not block:
-                memo[:] = [block]  # the last block's tables go first
-                memo[1:] = _last_length_bounds(logs(block[2]), letters, ratios)
-            inside = ((memo[1][letter, parent] >= mins[radius])
-                      & (memo[2][letter, parent] <= maxs[radius]))
-            count += 2 * int(inside.sum())
-            return ~inside
-    else:
-        bound, order = paired, None  # shortlex
-    for length, codes, state in iter_ball_images(
-            nsym, radius, root, step, inverse_pairs=bound, order=order):
-        if not length:
-            continue
-        inverses = paired and length == radius
-        words = len(codes) * (1 + inverses)
-        if count + words > MAX_WORDS:
-            truncated = True
-            break
-        count += words
-        v = _log_ratios(logs(state), hi, lo, inverses)
+    def tally(length, found, inverses=False):
+        """Widen the envelope of ``length`` by a swept block's ratios."""
+        v = _log_ratios(found, hi, lo, inverses)
         mins[length] = min(mins.get(length, math.inf), float(v.min()))
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
+
+    for length, codes, state in iter_ball_images(
+            nsym, radius - paired, root, step, order):
+        if length and count + len(codes) > MAX_WORDS:
+            truncated = True
+            break
+        found = logs(state) if length else np.zeros((1, rep.dim))
+        if length:
+            count += len(codes)
+            tally(length, found)
+        if not paired or length < radius - 1:
+            del found  # not held while the next block is stepped
+            continue
+        parent, letter = _reduced_children(codes, order, 0, len(codes))
+        keep = _first_of_pairs(codes, parent, letter)
+        parent, letter = parent[keep], letter[keep]
+        if bounded:
+            low, high = _last_length_bounds(found, letters, ratios)
+        while True:
+            if bounded and radius in mins:
+                inside = ((low[letter, parent] >= mins[radius])
+                          & (high[letter, parent] <= maxs[radius]))
+                count += 2 * int(inside.sum())
+                parent, letter = parent[~inside], letter[~inside]
+            if not len(parent):
+                break
+            n = min(size, len(parent))
+            if count + 2 * n > MAX_WORDS:
+                truncated = True
+                break
+            count += 2 * n
+            with np.errstate(over="ignore", invalid="ignore"):  # read as inf
+                tally(radius, logs(step(state, parent[:n], letter[:n])), True)
+            parent, letter = parent[n:], letter[n:]
+        if truncated:
+            break
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
 
     lower = _fit_line([(l, v) for l, v, _ in samples])
@@ -313,19 +342,19 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     with a least-squares fit of the lower envelope.
 
     Each block of ``RepSpec.structure`` (the Kronecker factors' direct-sum
-    blocks) is swept on its ``reps.graded_products`` state.
-    When dim > 2 the last length sweeps one word of each pair {w, w^-1},
-    taking w^-1's ratio as gap_{dim-i}(w); both count in ``words_evaluated``
-    and against ``MAX_WORDS``.  When the whole ball fits ``MAX_WORDS``, a
-    last-length word x = w*s is not swept when its gap_i and gap_{dim-i},
-    bounded from the singular values of w and of its letter s (Horn's
-    product inequalities), lie inside the envelope so far, and words that
-    start with the letters of largest condition number are swept first:
-    the samples are those of the full sweep, and ``words_evaluated``
-    counts every word of the ball.  Otherwise the sweep
-    stops before the block (``reps.iter_ball_images``) that would pass
+    blocks) is swept on its ``reps.graded_products`` state.  When dim > 2
+    the profile steps the last length itself, one word of each pair
+    {w, w^-1}, taking w^-1's ratio as gap_{dim-i}(w); both count in
+    ``words_evaluated`` and against ``MAX_WORDS``.  When the whole ball fits
+    ``MAX_WORDS``, a last-length word x = w*s is not swept when its gap_i
+    and gap_{dim-i}, bounded from the singular values of w and of its
+    letter s (Horn's product inequalities), lie inside the envelope so far,
+    and words that start with the letters of largest condition number are
+    swept first: the samples are those of the full sweep, and
+    ``words_evaluated`` counts every word of the ball.  Otherwise the sweep
+    stops before the block or last-length run that would pass
     ``MAX_WORDS``, the verdict is "inconclusive", and ``words_evaluated``
-    counts the words evaluated; a block's size follows from the bytes of a
+    counts the words evaluated; blocks and runs are sized by the bytes of a
     word's state, so where the sweep stops depends on the block layout.  A
     ratio that is not finite is recorded as inf and makes the verdict
     "inconclusive".

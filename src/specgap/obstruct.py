@@ -487,20 +487,28 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
     """Recompute every covered entry, and every recorded relator's
     deviation against the recorded tol, from the representation alone.  A
-    certificate with no entries, with two for one index or with a tol that
-    is not finite and positive is refused, and so is an entry whose
-    witness's image is not finite.  A field that is missing or not of its
-    JSON type is an input error naming it."""
+    certificate with no entries, with two for one index, with a tol that
+    is not finite and positive or with a ``covered_all`` the entries do not
+    bear out is refused, and so is a covered entry whose witness's image is
+    not finite, or whose classification is missing, has a top modulus that
+    is not positive and within 1e-6 of the recomputed one, or a
+    multiplicity or flag other than the recomputed one.  A field that is
+    missing or not of its JSON type is an input error naming it."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     digest, tol = json_field(doc, "rep_digest", str), json_field(doc, "tol", float)
     entries = json_field(doc, "entries", list)
+    covered_all = json_field(doc, "covered_all", bool)
     indices = [json_field(entry, "index", int) for entry in entries]
     covered = [entry for entry in entries if json_field(entry, "covered", bool)]
     witnesses = [json_field(entry, "witness", str) for entry in covered]
     recorded = [json_field(entry, "classification", (dict, type(None)))
                 for entry in covered]
-    tops = [json_field(r, "top_modulus", float) if r is not None else 0.0
-            for r in recorded]
+    flags = ("p1_proximal", "semiproximal", "positively_semiproximal",
+             "indeterminate")
+    claims = [(json_field(r, "top_modulus", float),
+               [json_field(r, "top_multiplicity", int)]
+               + [json_field(r, f, bool) for f in flags])
+              for r in recorded if r is not None]
     relators = json_field(doc, "relators", dict, {"deviations": []})
     deviations = json_field(relators, "deviations", list)
     if not all(isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
@@ -508,8 +516,9 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
         raise InputError("'deviations' must be a JSON list of [relator,"
                          " deviation] pairs")
     relator_tol = json_field(relators, "tol", float) if deviations else None
-    if (digest != rep.digest() or not indices
-            or len(set(indices)) != len(indices) or not 0 < tol < math.inf):
+    if (digest != rep.digest() or not indices or len(claims) < len(covered)
+            or len(set(indices)) != len(indices) or not 0 < tol < math.inf
+            or covered_all != (len(covered) == len(entries))):
         return False
     if deviations:
         p = Presentation(rep.alphabet, [Word.parse(rep.alphabet, r)
@@ -517,13 +526,14 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
         if not validate_homomorphism(rep, p, relator_tol).passed:
             return False
     words = [Word.parse(rep.alphabet, w) for w in witnesses]
-    for entry, top, spec in zip(covered, tops, spectra(rep, words)):
+    for entry, (top, claim), spec in zip(covered, claims, spectra(rep, words)):
         if not _finite(spec):
             return False
         cls = classify_exterior(spec, entry["index"], tol)
-        if cls.positively_semiproximal or cls.indeterminate:
-            return False
-        if top > 0 and abs(top - cls.top_modulus) > 1e-6 * top:
+        if (cls.positively_semiproximal or cls.indeterminate or not 0 < top
+                or not abs(top - cls.top_modulus) <= 1e-6 * cls.top_modulus
+                or claim != [cls.top_multiplicity]
+                + [getattr(cls, f) for f in flags]):
             return False
     return True
 

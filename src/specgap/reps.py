@@ -686,12 +686,10 @@ BLOCK_BYTES = 1 << 18
 
 State = tuple[np.ndarray, ...]  # stacks with one entry per word
 Block = tuple[int, np.ndarray, State]
-Bound = Callable[[Block, np.ndarray, np.ndarray], np.ndarray]
 
 
 def iter_ball_images(nsym: int, radius: int, root: State,
                      step: Callable[[State, np.ndarray, np.ndarray], State],
-                     inverse_pairs: bool | Bound = False,
                      order: Optional[Sequence[int]] = None
                      ) -> Iterator[Block]:
     """Sweep of the reduced ball over ``nsym`` letter codes (see
@@ -705,24 +703,11 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     word's parent position in it and its appended code.  Each block's
     children come from one generator of such ``(parent, letter)`` runs,
     one per slice of its words, taken up depth first, so about ``radius``
-    blocks of at most ``BLOCK_BYTES`` are live; below a paired last length
-    a block is released once its last run is handed out.  ``order`` ranks
-    the letter codes (ascending when None): each word's children come in
-    that order, so words are shortlex with respect to it.  Without
-    ``inverse_pairs`` the blocks cover the ball and each length's words
-    come out in that shortlex order across blocks.
-
-    With ``inverse_pairs`` the last length holds one word of each pair
-    {w, w^-1}, the one whose codes come first lexicographically (w^-1 has
-    w's codes reversed, each ``^ 1``; ``order`` does not change which),
-    for a caller that reads w^-1's statistic from w's state.  A word's
-    kept children depend on its first code, so those of successive slices
-    are carried forward and cut into full blocks, in shortlex order within
-    each parent block.  A callable
-    is called as ``inverse_pairs(parent_block, parent, letter)`` on each
-    slice's kept children, and again on those still carried after a block
-    is yielded, always after every earlier block has been yielded; only
-    the children where the boolean mask it returns is true are carried.
+    blocks of at most ``BLOCK_BYTES`` are live; a block is released once
+    its last run is handed out.  ``order`` ranks the letter codes
+    (ascending when None): each word's children come in that order, so the
+    blocks cover the ball and each length's words come out shortlex with
+    respect to it across blocks.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -730,50 +715,18 @@ def iter_ball_images(nsym: int, radius: int, root: State,
     yield first
     word_bytes = sum(s.nbytes for s in root)
     fan = max(1, BLOCK_BYTES // (word_bytes * (nsym - 1)))  # parents per block
-    size = max(1, BLOCK_BYTES // word_bytes)  # words per last-length block
     letters = np.arange(nsym) if order is None else np.asarray(order, np.intp)
 
-    def paired(length: int) -> bool:
-        """Whether the children of a block of ``length`` are paired."""
-        return bool(inverse_pairs) and length + 1 == radius
-
-    def children(block: Block) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(parent, letter) runs of the block's child blocks."""
-        length, codes, _ = block
-        runs = (_reduced_children(codes, letters, i, i + fan)
+    def children(codes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(parent, letter) runs of the child blocks of a block's words."""
+        return (_reduced_children(codes, letters, i, i + fan)
                 for i in range(0, len(codes), fan))
-        if not paired(length):
-            yield from runs  # holds no run while its subtree is swept
-            return
 
-        def bounded(parent, letter):
-            if len(parent) and callable(inverse_pairs):
-                keep = inverse_pairs(block, parent, letter)
-                parent, letter = parent[keep], letter[keep]
-            return parent, letter
-
-        parent = letter = np.empty(0, dtype=np.intp)  # carried children
-        for p, s in runs:
-            keep = _first_of_pairs(codes, p, s)
-            p, s = bounded(p[keep], s[keep])
-            parent = np.concatenate((parent, p))
-            letter = np.concatenate((letter, s))
-            while len(parent) >= size:
-                yield parent[:size], letter[:size]
-                parent, letter = bounded(parent[size:], letter[size:])
-        if len(parent):
-            yield parent, letter
-
-    stack = [(first, children(first))] if radius else []
+    stack = [(first, children(first[1]))] if radius else []
     while stack:
-        parent_block, runs = stack[-1]
-        run = next(runs, None)
-        if run is None:
-            stack.pop()
-            continue
-        parent, letter = run
-        length, codes, state = parent_block
-        if parent[-1] == len(codes) - 1 and not paired(length):
+        (length, codes, state), runs = stack[-1]
+        parent, letter = next(runs)  # every word has a child
+        if parent[-1] == len(codes) - 1:
             stack.pop()  # the block's last run: its state is not read again
         with np.errstate(over="ignore", invalid="ignore"):  # seen downstream
             state = step(state, parent, letter)
@@ -783,7 +736,7 @@ def iter_ball_images(nsym: int, radius: int, root: State,
                  state)
         yield block
         if length + 1 < radius:
-            stack.append((block, children(block)))
+            stack.append((block, children(block[1])))
 
 
 def _reduced_children(codes: np.ndarray, letters: np.ndarray, start: int,
@@ -796,20 +749,6 @@ def _reduced_children(codes: np.ndarray, letters: np.ndarray, start: int,
     ends = codes[:, -1] if codes.shape[1] else np.full(len(codes), -1)
     parent, at = np.nonzero(letters != (ends[:, None] ^ 1))
     return parent + start, letters[at]
-
-
-def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,
-                    letter: np.ndarray) -> np.ndarray:
-    """Mask of the reduced children x = w*s (w the row ``parent`` of
-    ``codes``, s ``letter``) whose codes come before those of x^-1 (x's
-    reversed, each ``^ 1``) lexicographically; no reduced word is its own
-    inverse."""
-    x = np.concatenate([codes[parent], letter[:, None].astype(np.int8)],
-                       axis=1)
-    mirror = x[:, ::-1] ^ 1
-    at = (x != mirror).argmax(axis=1)[:, None]
-    return (np.take_along_axis(x, at, axis=1)
-            < np.take_along_axis(mirror, at, axis=1))[:, 0]
 
 
 def products(*tables: np.ndarray):

@@ -310,15 +310,19 @@ class TestInversePairs:
                 for a, b in zip((lo, hi), want[length]):
                     assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
-    def test_budget_counts_both_words_of_a_pair(self, monkeypatch):
+    def test_budget_counts_both_words_of_a_pair(self, monkeypatch,
+                                                profile_steps):
+        # a budget short of the ball's 3,856 words switches the bound off,
+        # so the runs are those of the plain paired sweep; it stops before
+        # the second run, which would pass the budget
         rep = build_named("thm1i_d6", None, seed=0).rep
-        sizes = [(length, len(codes)) for length, codes, _ in iter_ball_images(
-            len(rep.table), 3, *graded_products(rep.structure)[:2],
-            inverse_pairs=True)]
-        below = sum(n for length, n in sizes if 0 < length < 3)
+        monkeypatch.setattr(certify, "MAX_WORDS", 3_855)
+        assert qi_profile(rep, radius=3).verdict == "inconclusive"
+        sizes = [codes.shape[::-1] for codes, _ in profile_steps]
+        below = sum(n for length, n in sizes if length < 3)
         kept = [n for length, n in sizes if length == 3]
-        assert len(kept) > 1
-        # the budget runs out inside the second block of the paired length
+        assert len(kept) == 1
+        # the budget runs out inside the second run of the paired length
         monkeypatch.setattr(certify, "MAX_WORDS", below + 2 * kept[0] + 1)
         for prof in (gap_profile(rep, 2, radius=3), qi_profile(rep, radius=3)):
             assert prof.verdict == "inconclusive"
@@ -329,7 +333,9 @@ class TestInversePairs:
         ("thm1ii_d12 whole", True)])
     def test_only_jacobi_states_pair(self, monkeypatch, case, paired):
         # every state past dim 2 is a Jacobi state, a whole 12x12 table
-        # too; the 2x2 closed form of a whole 2x2 table is cheaper unpaired
+        # too; the 2x2 closed form of a whole 2x2 table is cheaper unpaired.
+        # A paired profile sweeps the ball to the length before the last
+        # and steps the last length itself
         if case == "schottky":
             rep = schottky_pair()
         else:
@@ -338,24 +344,12 @@ class TestInversePairs:
                 rep = self._whole(rep)  # one 12x12 Jacobi state
         seen = []
 
-        def spy(*args, inverse_pairs=False, **kwargs):
-            # a paired sweep that fits the budget passes its bound instead
-            seen.append(bool(inverse_pairs))
-            return iter_ball_images(*args, inverse_pairs=inverse_pairs,
-                                    **kwargs)
+        def spy(nsym, radius, *args):
+            seen.append(radius)
+            return iter_ball_images(nsym, radius, *args)
         monkeypatch.setattr(certify, "iter_ball_images", spy)
         qi_profile(rep, radius=2)
-        assert seen == [paired]
-
-
-def _unbounded(monkeypatch):
-    """Make profiles sweep the last length as they would unbounded: one
-    word of each inverse pair, every pair swept, in shortlex order."""
-    real = certify.iter_ball_images
-
-    def sweep(*args, inverse_pairs=False, order=None):
-        return real(*args, inverse_pairs=bool(inverse_pairs))
-    monkeypatch.setattr(certify, "iter_ball_images", sweep)
+        assert seen == [2 - paired]
 
 
 def _outputs(rep, index, radius=None, sub=None):
@@ -373,30 +367,29 @@ class TestBoundedLastLength:
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("name", ["prop42_sl4", "prop42_sl6",
                                       "thm1ii_d12", "thm41_pattern"])
-    def test_profiles_match_an_unbounded_sweep(self, monkeypatch, name,
-                                               seed):
+    def test_profiles_match_an_unbounded_sweep(self, unbounded, name, seed):
         # every gap index and the QI profile at the default radius; the
         # thm1ii_d12 gap-3 profile is the benchmark's
         rep = build_named(name, None, seed=seed).rep
         indices = [*range(1, rep.dim), None]
         got = [_outputs(rep, i) for i in indices]
-        _unbounded(monkeypatch)
+        unbounded()
         assert got == [_outputs(rep, i) for i in indices]
 
     @pytest.mark.parametrize("seed", [7, 23])
-    def test_radius_4_d12_profiles_match_an_unbounded_sweep(self, monkeypatch,
+    def test_radius_4_d12_profiles_match_an_unbounded_sweep(self, unbounded,
                                                             seed):
         # the benchmark's build at the benchmark's radius, where the bound
         # skips the most words; gap 3 is the benchmark's profile
         rep = build_named("thm1ii_d12", None, seed=seed).rep
         indices = [1, 3, 6, None]
         got = [_outputs(rep, i, 4) for i in indices]
-        _unbounded(monkeypatch)
+        unbounded()
         assert got == [_outputs(rep, i, 4) for i in indices]
 
     @pytest.mark.parametrize("name,d", [("thm1i_d6", None), ("thm1i_dge7", 7),
                                         ("thm1i_dge7", 10)])
-    def test_block_sum_profiles_match_an_unbounded_sweep(self, monkeypatch,
+    def test_block_sum_profiles_match_an_unbounded_sweep(self, unbounded,
                                                          name, d):
         # every gap index and the QI profile at radius 4, where the ball
         # fits the budget (the default radius 5 does not); these builds
@@ -404,16 +397,16 @@ class TestBoundedLastLength:
         rep = build_named(name, None if d is None else {"d": d}).rep
         indices = [*range(1, rep.dim), None]
         got = [_outputs(rep, i, 4) for i in indices]
-        _unbounded(monkeypatch)
+        unbounded()
         assert got == [_outputs(rep, i, 4) for i in indices]
 
     @pytest.mark.parametrize("spread,radius", [(2.5, 10), (4.0, 8)])
-    def test_2x2_profiles_are_unchanged(self, monkeypatch, spread, radius):
+    def test_2x2_profiles_are_unchanged(self, unbounded, spread, radius):
         # the benchmark's Schottky QI profiles: a whole 2x2 sweep is not
         # paired, so it is not bounded either
         rep = schottky_sl2r(2, spread)
         got = _outputs(rep, None, radius)
-        _unbounded(monkeypatch)
+        unbounded()
         assert got == _outputs(rep, None, radius)
 
     @pytest.mark.parametrize("case,kind", [
@@ -422,20 +415,31 @@ class TestBoundedLastLength:
     def test_only_paired_sweeps_within_budget_are_bounded(self, monkeypatch,
                                                           case, kind):
         # thm1i_d6's radius-5 ball passes MAX_WORDS: its sweep stops, so
-        # it keeps the words and blocks of the plain paired sweep
+        # it keeps the words and runs of the plain paired sweep.  A bounded
+        # profile steps the letters for their logs before its sweep, and a
+        # paired one sweeps the ball to the length before the last
         name, radius = case.split()[0], int(case.split()[-1][1:])
         rep = (schottky_pair() if name == "schottky"
                else build_named(name, None, seed=0).rep)
         if "whole" in case:
             rep = TestInversePairs._whole(rep)  # one 12x12 Jacobi state
-        seen = []
+        calls = []
 
-        def spy(*args, inverse_pairs=False, **kwargs):
-            seen.append("bound" if callable(inverse_pairs) else inverse_pairs)
+        def products(structure):
+            root, step, logs = graded_products(structure)
+
+            def spy(*args):
+                calls.append("step")
+                return step(*args)
+            return root, spy, logs
+
+        def sweep(nsym, top, *args):
+            calls.append(top)
             return iter(())
-        monkeypatch.setattr(certify, "iter_ball_images", spy)
+        monkeypatch.setattr(certify, "graded_products", products)
+        monkeypatch.setattr(certify, "iter_ball_images", sweep)
         qi_profile(rep, radius=radius)
-        assert seen == [kind]
+        assert calls == ["step"] * (kind == "bound") + [radius - bool(kind)]
 
     def test_jacobi_step_sees_at_most_65_percent_of_the_last_length(
             self, monkeypatch):
@@ -469,10 +473,22 @@ class TestBoundedLastLength:
         prof = qi_profile(rep, radius=radius)
         assert swept[0] == prof.words_evaluated == words
 
+    @pytest.mark.parametrize("index", [3, None])
+    def test_each_word_stepped_is_read_once(self, monkeypatch, index):
+        # the benchmark's build at radius 4: a parent block's logs bound
+        # its children from the same read that widened its envelope, so
+        # the reader sees each word stepped once, the 16 letters included
+        rep = build_named("thm1ii_d12", None, seed=7).rep
+        swept = self._swept(monkeypatch)
+        (qi_profile(rep, radius=4) if index is None
+         else gap_profile(rep, index, radius=4))
+        assert swept[0] < 57_856 and swept[1] == swept[0]
+
     @staticmethod
     def _swept(monkeypatch):
-        """Count of the words handed to the sweep's step, from now on."""
-        swept = [0]
+        """Counts of the words handed to the sweep's step and of the rows
+        its reader reads, from now on."""
+        swept = [0, 0]
         real = certify.graded_products
 
         def counted(structure):
@@ -481,15 +497,21 @@ class TestBoundedLastLength:
             def spy(state, parent, letter):
                 swept[0] += len(parent)
                 return step(state, parent, letter)
-            return root, spy, logs
+
+            def read(state):
+                swept[1] += state[0].shape[-1]
+                return logs(state)
+            return root, spy, read
         monkeypatch.setattr(certify, "graded_products", counted)
         return swept
 
-    def test_parents_that_are_not_finite_bound_nothing(self, monkeypatch):
+    def test_parents_that_are_not_finite_bound_nothing(
+            self, monkeypatch, profile_steps, unbounded):
         # a^2 overflows in the 3x3 factor, so the parents of the radius-4
         # words that hold a^2 or a^-2 have no finite ratio; every child of
-        # such a parent is swept, while finite parents bound some children
-        # (small blocks give the bound many slices to act on)
+        # such a parent is stepped (the first of its inverse pair), while
+        # finite parents bound some children (small blocks give the bound
+        # many runs to act on)
         monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
         ab = Alphabet(("a", "b"))
         cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -497,28 +519,25 @@ class TestBoundedLastLength:
                             "b": cycle @ np.diag([1.5, 1.0, 1 / 1.5])})
         rep = tensor_rep(wide, RepSpec(ab, {"a": np.eye(2),
                                             "b": np.diag([2.0, 0.5])}))
-        real = certify.iter_ball_images
         reader = graded_products(rep.structure)[2]
-        calls = []
-
-        def sweep(*args, inverse_pairs=False, **kwargs):
-            def spy(block, parent, letter):
-                keep = inverse_pairs(block, parent, letter)
-                with np.errstate(all="ignore"):
-                    logs = reader(block[2])[parent]
-                calls.append((np.isfinite(logs).all(axis=1), keep))
-                return keep
-            assert callable(inverse_pairs)
-            return real(*args, inverse_pairs=spy, **kwargs)
-        monkeypatch.setattr(certify, "iter_ball_images", sweep)
         prof = gap_profile(rep, 1, radius=4)
-        finite = np.concatenate([f for f, _ in calls])
-        keep = np.concatenate([k for _, k in calls])
-        assert (~finite).any() and keep[~finite].all()
-        assert not keep[finite].all()
+        finite, stepped = {}, set()
+        for codes, state in profile_steps:
+            words = map(tuple, codes.tolist())
+            if codes.shape[1] == 3:
+                finite.update(zip(words, np.isfinite(reader(state)).all(
+                    axis=1)))
+            elif codes.shape[1] == 4:
+                stepped.update(words)
+        swept = {False: [], True: []}
+        for w, ok in finite.items():
+            children = [w + (s,) for s in range(4) if s != w[-1] ^ 1]
+            swept[bool(ok)] += [x in stepped for x in children
+                                if x < tuple(c ^ 1 for c in reversed(x))]
+        assert swept[False] and all(swept[False])
+        assert not all(swept[True])
         assert prof.samples[-1][2] == math.inf
-        monkeypatch.setattr(certify, "iter_ball_images", real)
-        _unbounded(monkeypatch)
+        unbounded()
         assert gap_profile(rep, 1, radius=4) == prof
 
 

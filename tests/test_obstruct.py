@@ -538,6 +538,30 @@ class TestCertificates:
             forged = json.loads(json.dumps({**doc, "tol": tol}))
             assert verify_certificate(forged, rep) is False
 
+    @pytest.mark.parametrize("forge", [
+        lambda doc: doc["entries"][0].update(classification=None),
+        lambda doc: doc["entries"][0]["classification"].update(
+            top_modulus=0.0),
+        lambda doc: doc["entries"][0]["classification"].update(
+            top_modulus=-5.0),
+        lambda doc: doc["entries"][0]["classification"].update(
+            top_multiplicity=7),
+        lambda doc: doc["entries"][0]["classification"].update(
+            positively_semiproximal=True),
+        lambda doc: doc.update(covered_all=False),
+    ], ids=["classification null", "top modulus 0", "top modulus -5",
+            "multiplicity 7", "positively semiproximal", "covered_all false"])
+    def test_forged_fields_of_a_covering_certificate_are_refuted(self, forge):
+        # thm1i_d6's witness covers indices 1-3; each forgery once verified
+        result = build_named("thm1i_d6", None, seed=0)
+        rep = result.rep
+        cert = certify_not_limit(rep, [result.witness("main")], [1, 2, 3],
+                                 Presentation.free(rep.alphabet))
+        doc = json.loads(json.dumps(cert.to_json()))
+        assert cert.covered_all and verify_certificate(doc, rep)
+        forge(doc)
+        assert verify_certificate(doc, rep) is False
+
     def test_revalidation_refuses_empty_or_repeated_entries(self):
         rep = self._signed_rep()
         cert = certify_not_limit(rep, [word(PAIR, "a1 b1 a1 b1^-1")], [1],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap import builders
+from specgap import builders, certify
 from specgap.builders import BuildResult, build_named
 from specgap.certify import gap_profile, qi_profile
 from specgap.cli import main
@@ -1144,12 +1144,11 @@ def _sweep_reps():
             (d6, None), (d6, ("b1",)), (d8, None)]
 
 
-def _sweep(rep, radius, sub=None, inverse_pairs=False, order=None):
+def _sweep(rep, radius, sub=None, order=None):
     """The ball sweep of a profile: the graded state of one table."""
     rep = rep if sub is None else restrict_rep(rep, sub)
     return iter_ball_images(len(rep.table), radius,
-                            *graded_products(rep.structure)[:2],
-                            inverse_pairs=inverse_pairs, order=order)
+                            *graded_products(rep.structure)[:2], order)
 
 
 def _check_graded_state(state, codes, rep, alphabet):
@@ -1247,41 +1246,54 @@ class TestBallSweep:
 
     @pytest.mark.parametrize("case", range(7))
     @pytest.mark.parametrize("cap", [None, 700])
-    def test_inverse_pairs_keep_one_word_of_each_pair(self, monkeypatch,
-                                                      case, cap):
+    def test_inverse_pairs_keep_one_word_of_each_pair(
+            self, monkeypatch, profile_steps, unbounded, case, cap):
+        # past dim 2 a profile steps one word of each pair {w, w^-1} at its
+        # last length, the one whose codes come first, parent-major; a
+        # whole 2x2 representation steps every word
         rep, sub = _sweep_reps()[case]
         if cap is None:
             cap = reps.BLOCK_BYTES
         monkeypatch.setattr(reps, "BLOCK_BYTES", cap)
+        unbounded()
         alphabet = rep.alphabet if sub is None else Alphabet(sub)
         radius = 4 if rep.dim < 6 else 3
+        qi_profile(rep, radius, sub)
+        rank = np.argsort(profile_steps[0][0][:, 0])  # the profile's order
         swept: dict = {}
-        for length, codes, _ in _sweep(rep, radius, sub):
-            swept.setdefault(length, []).extend(map(tuple, codes.tolist()))
-        paired: dict = {}
-        for length, codes, state in _sweep(rep, radius, sub, True):
-            # a block over the cap holds the children of a single word
+        for codes, state in profile_steps:
+            # a run over the cap holds the children of a single word
             if sum(s.nbytes for s in state) > cap:
                 assert len({row[:-1].tobytes() for row in codes}) == 1
-            if length == radius:
+            if codes.shape[1] == radius:
                 _check_graded_state(state, codes, rep, alphabet)
-            paired.setdefault(length, []).extend(map(tuple, codes.tolist()))
-        kept, last = paired.pop(radius), swept.pop(radius)
-        # lengths below the last are unchanged
-        assert paired == swept
-        # shortlex order within one length is the order of the codes
-        assert kept == sorted(kept)
+            swept.setdefault(codes.shape[1], []).extend(
+                map(tuple, codes.tolist()))
+        ball: dict = {}
+        for w in enumerate_ball(alphabet, radius):
+            ball.setdefault(len(w), []).append(w.shortlex_key()[1])
+        kept, last = swept.pop(radius), ball.pop(radius)
+        # lengths below the last are stepped whole, each word once
+        assert {l: sorted(w) for l, w in swept.items()} == {
+            l: w for l, w in ball.items() if l}
+        # shortlex order, in the profile's ranking of the letters
+        keys = [rank[list(w)].tolist() for w in kept]
+        assert keys == sorted(keys)
+        if rep.dim == 2:
+            assert sorted(kept) == last
+            return
         inverses = [tuple(c ^ 1 for c in reversed(w)) for w in kept]
         assert all(w < v for w, v in zip(kept, inverses))
         # the kept words and their inverses cover the last length once
         assert sorted(kept + inverses) == last
 
-    def test_inverse_pairs_at_radius_one(self):
-        # each letter s is paired with s ^ 1: the kept codes are the even ones
+    def test_inverse_pairs_at_radius_one(self, profile_steps):
+        # each letter s is paired with s ^ 1: the kept codes are the even
+        # ones, stepped by the profile from the identity in one run
         rep, _ = _sweep_reps()[2]
-        blocks = list(_sweep(rep, 1, inverse_pairs=True))
-        assert [b[0] for b in blocks] == [0, 1]
-        assert blocks[1][1].tolist() == [[0], [2], [4]]
+        qi_profile(rep, radius=1)
+        [(codes, _)] = profile_steps
+        assert sorted(codes.tolist()) == [[0], [2], [4]]
 
     @pytest.mark.parametrize("cap", [None, 700])
     def test_two_tables_sweep_each_factor(self, monkeypatch, cap):
@@ -1365,27 +1377,28 @@ class TestBallSweep:
 
     @pytest.mark.parametrize("case", range(7))
     @pytest.mark.parametrize("pairs", [False, True])
-    def test_an_order_sweeps_the_same_words_shortlex_in_it(self, monkeypatch,
-                                                           case, pairs):
-        # a ranking of the letter codes (a profile's is widest first):
-        # each block's words come out shortlex in the ranking, every length
-        # but a paired last one across blocks too, and the sweep holds the
-        # same words, of each inverse pair the same one.  Blocks of the same
-        # words give bit for bit the same states; a paired last length cuts
-        # its blocks elsewhere, and a word stepped alone rounds differently
+    def test_an_order_sweeps_the_same_words_shortlex_in_it(
+            self, monkeypatch, profile_steps, unbounded, case, pairs):
+        # a ranking of the letter codes: each block's words come out
+        # shortlex in the ranking, every length across blocks too, and the
+        # sweep holds the same words.  Blocks of the same words give bit
+        # for bit the same states.  With ``pairs`` the ranking is a
+        # profile's (widest first), and past dim 2 its last length holds
+        # one word of each inverse pair, the same one as in shortlex order,
+        # stepped in runs cut elsewhere: a word stepped alone rounds
+        # differently
         rep, sub = _sweep_reps()[case]
         monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
         radius = 4 if rep.dim < 6 else 3
         nsym = 2 * (rep.alphabet.size if sub is None else len(sub))
-        order = np.roll(np.arange(nsym)[::-1], 1)
+        paired = pairs and rep.dim > 2
 
-        def words(order, passed):
+        def words(blocks, order):
             """Per length, the rank keys and, by codes, the states."""
             rank = np.argsort(order)  # each code's place in the order
             keys: dict = {}
             states: dict = {}
-            for length, codes, state in _sweep(rep, radius, sub, pairs,
-                                               passed):
+            for length, codes, state in blocks:
                 block = rank[codes].tolist()
                 assert block == sorted(block)
                 keys.setdefault(length, []).extend(block)
@@ -1393,15 +1406,30 @@ class TestBallSweep:
                               for k, row in enumerate(codes.tolist()))
             return keys, states
 
-        (plain, want), (ranked, got) = (words(np.arange(nsym), None),
-                                        words(order, order))
-        assert ranked.keys() == plain.keys() and got.keys() == want.keys()
+        plain, want = words(_sweep(rep, radius, sub), np.arange(nsym))
+        if pairs:
+            unbounded()
+            qi_profile(rep, radius, sub)
+            order = profile_steps[0][0][:, 0]
+            blocks = [(codes.shape[1], codes, state)
+                      for codes, state in profile_steps]
+        else:
+            order = np.roll(np.arange(nsym)[::-1], 1)
+            blocks = _sweep(rep, radius, sub, order)
+        ranked, got = words(blocks, order)
+        # a profile steps no identity
+        assert ranked.keys() - {0} == plain.keys() - {0}
         for length, keys in ranked.items():
-            if not (pairs and length == radius):
-                assert keys == sorted(keys)
+            assert keys == sorted(keys)
+        if paired:
+            last = [w for w in want if len(w) == radius]
+            assert sorted(w for w in got if len(w) == radius) == [
+                w for w in last if w < tuple(c ^ 1 for c in reversed(w))]
+        else:
+            assert got.keys() - {()} == want.keys() - {()}
         for row, state in got.items():
             for a, b in zip(state, want[row]):
-                if pairs and len(row) == radius:
+                if paired and len(row) == radius:
                     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12
                                                * np.abs(b).max())
                 else:
@@ -1410,19 +1438,46 @@ class TestBallSweep:
     @pytest.mark.parametrize("pairs", [False, True])
     def test_a_block_is_freed_once_its_last_run_is_handed_out(
             self, monkeypatch, pairs):
-        # below a paired last length, the sweep drops a block's state when
-        # it hands out the child block that holds its last word's
-        # children: it is gone by the next block, not only after that
-        # child's subtree
+        # the sweep drops a block's state when it hands out the child block
+        # that holds its last word's children: it is gone by the next
+        # block, not only after that child's subtree.  With ``pairs`` a QI
+        # profile steps the last length from the blocks of the length
+        # before, and holds none of them past the runs of its children
         monkeypatch.setattr(reps, "BLOCK_BYTES", 700)
         rep, _ = _sweep_reps()[2]
         radius, blocks, due, freed = 5, [], [], 0
-        for length, codes, state in _sweep(rep, radius, inverse_pairs=pairs):
+        if pairs:
+            real_sweep, real_products = (certify.iter_ball_images,
+                                         certify.graded_products)
+            parents = []
+
+            def sweep(*args):
+                for length, codes, state in real_sweep(*args):
+                    if length == radius - 1:
+                        parents.append(weakref.ref(state[0]))
+                    yield length, codes, state
+
+            def products(structure):
+                root, step, logs = real_products(structure)
+
+                def spy(state, parent, letter):
+                    nonlocal freed
+                    if parents and parents[-1]() is state[0]:
+                        assert all(ref() is None for ref in parents[:-1])
+                        freed += len(parents) > 1
+                    return step(state, parent, letter)
+                return root, spy, logs
+            monkeypatch.setattr(certify, "iter_ball_images", sweep)
+            monkeypatch.setattr(certify, "graded_products", products)
+            qi_profile(rep, radius=radius)
+            assert freed > 10
+            return
+        for length, codes, state in _sweep(rep, radius):
             assert all(ref() is None for ref in due)
             freed += len(due)
             parent = codes[-1, :-1].tolist()
-            due = [ref for ref, l, last in blocks if l == length - 1 and
-                   last == parent and not (pairs and length == radius)]
+            due = [ref for ref, l, last in blocks
+                   if l == length - 1 and last == parent]
             if length:  # the caller holds the identity's state
                 blocks.append((weakref.ref(state[0]), length,
                                codes[-1].tolist()))
