@@ -21,7 +21,7 @@ from .reps import (RepSpec, _reduced_children, graded_products,
 
 DISCLAIMER = "finite-scale diagnostic, not a proof"
 SLOPE_THRESHOLD = 0.05
-MAX_WORDS = 200_000  # words a profile evaluates before it stops, inconclusive
+MAX_WORDS = 200_000  # words in the largest ball a profile sweeps
 # ties between verdict routes must not flip on rounding noise
 MONOTONE_SLACK = 1e-9
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -228,41 +228,40 @@ def _first_of_pairs(codes: np.ndarray, parent: np.ndarray,
 
 def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              subalphabet: Optional[Sequence[str]]) -> Profile:
-    """The profile of ratio ``index`` (None: QI) over the ball, swept by
-    ``reps.iter_ball_images`` on the ``reps.graded_products`` state of
-    ``rep.structure`` (``restrict_rep``'s for ``subalphabet``).  Past dim 2
-    the engine sweeps to ``radius - 1``, and the profile steps the last
-    length itself: of each parent block's children, one word of each
-    inverse pair (:func:`_first_of_pairs`), parent-major, in runs of at most
-    ``reps.BLOCK_BYTES`` of state.  When the whole ball also fits
-    ``MAX_WORDS``, each run skips, besides, the children whose
+    """The profile of ratio ``index`` (None: QI) over the ball of the
+    reach, the largest radius up to ``radius`` whose words fit
+    ``MAX_WORDS``, swept whole by ``reps.iter_ball_images`` on the
+    ``reps.graded_products`` state of ``rep.structure`` (``restrict_rep``'s
+    for ``subalphabet``).  Past dim 2 the engine sweeps to the reach's
+    length before the last, widest letters first, and the profile steps the
+    last length itself: of each parent block's children, one word of each
+    inverse pair (:func:`_first_of_pairs`), parent-major, in runs of at
+    most ``reps.BLOCK_BYTES`` of state, save those whose
     :func:`_last_length_bounds` lie inside the last length's running
-    envelope, which they therefore cannot move; they are counted unswept in
-    ``words_evaluated``."""
+    envelope, which they therefore cannot move."""
     if radius is None:
         radius = default_radius(rep.dim)
+    if radius < 0:
+        raise InputError("radius must be >= 0")
     hi, lo = (0, rep.dim - 1) if index is None else (index - 1, index)
     mins: dict[int, float] = {}
     maxs: dict[int, float] = {}
-    count, truncated = 0, False
     structure = (rep if subalphabet is None
                  else restrict_rep(rep, subalphabet)).structure
     nsym = len(structure[0][0])
+    reach = words = 0
+    while reach < radius and words + nsym * (nsym - 1) ** reach <= MAX_WORDS:
+        words += nsym * (nsym - 1) ** reach
+        reach += 1
     root, step, logs = graded_products(structure)
     # a whole 2x2 sweep is cheaper than the regrouping
-    paired = rep.dim > 2 and radius > 0
-    # a sweep that cannot run out of budget also skips the last-length
-    # words whose statistic is bounded inside the envelope
-    bounded = paired and sum(nsym * (nsym - 1) ** (l - 1)
-                             for l in range(1, radius + 1)) <= MAX_WORDS
-    order = np.arange(nsym)  # shortlex
-    if bounded:
+    paired = rep.dim > 2 and reach > 0
+    order = None  # shortlex
+    if paired:
         # the letters' sorted logs, each from its own state; words that
-        # start with the widest letters are swept first, so that the
-        # envelope is wide early
-        letters = logs(step(root, np.zeros(nsym, dtype=int), order))
-        kappa = letters[:, 0] - letters[:, -1]
-        order = np.argsort(-kappa, kind="stable")
+        # start with the widest letters go first, to widen the envelope early
+        letters = logs(step(root, np.zeros(nsym, dtype=int), np.arange(nsym)))
+        order = np.argsort(letters[:, -1] - letters[:, 0], kind="stable")
         ratios = {(hi, lo), ((-1 - lo) % rep.dim, (-1 - hi) % rep.dim)}
     size = max(1, reps.BLOCK_BYTES // sum(s.nbytes for s in root))
 
@@ -273,40 +272,28 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
         maxs[length] = max(maxs.get(length, -math.inf), float(v.max()))
 
     for length, codes, state in iter_ball_images(
-            nsym, radius - paired, root, step, order):
-        if length and count + len(codes) > MAX_WORDS:
-            truncated = True
-            break
+            nsym, reach - paired, root, step, order):
         found = logs(state) if length else np.zeros((1, rep.dim))
         if length:
-            count += len(codes)
             tally(length, found)
-        if not paired or length < radius - 1:
+        if not paired or length < reach - 1:
             del found  # not held while the next block is stepped
             continue
         parent, letter = _reduced_children(codes, order, 0, len(codes))
         keep = _first_of_pairs(codes, parent, letter)
         parent, letter = parent[keep], letter[keep]
-        if bounded:
-            low, high = _last_length_bounds(found, letters, ratios)
+        low, high = _last_length_bounds(found, letters, ratios)
         while True:
-            if bounded and radius in mins:
-                inside = ((low[letter, parent] >= mins[radius])
-                          & (high[letter, parent] <= maxs[radius]))
-                count += 2 * int(inside.sum())
+            if reach in mins:
+                inside = ((low[letter, parent] >= mins[reach])
+                          & (high[letter, parent] <= maxs[reach]))
                 parent, letter = parent[~inside], letter[~inside]
             if not len(parent):
                 break
             n = min(size, len(parent))
-            if count + 2 * n > MAX_WORDS:
-                truncated = True
-                break
-            count += 2 * n
             with np.errstate(over="ignore", invalid="ignore"):  # read as inf
-                tally(radius, logs(step(state, parent[:n], letter[:n])), True)
+                tally(reach, logs(step(state, parent[:n], letter[:n])), True)
             parent, letter = parent[n:], letter[n:]
-        if truncated:
-            break
     samples = tuple((l, mins[l], maxs[l]) for l in sorted(mins))
 
     lower = _fit_line([(l, v) for l, v, _ in samples])
@@ -318,7 +305,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
              for l, v, _ in samples if l >= 2 and math.isfinite(v)]
     log_k = max(upper[0], -lower[0], 0.0)
     # a slope needs two lengths >= 2; on fewer the fit reads 0
-    if (truncated or any(math.isinf(v) for _, _, v in samples)
+    if (reach < radius or any(math.isinf(v) for _, _, v in samples)
             or len(boxes) < 2):
         verdict = "inconclusive"
     else:
@@ -332,7 +319,7 @@ def _profile(rep: RepSpec, index: Optional[int], radius: Optional[int],
         J=max(upper[1], 1.0 / lower[1]) if _slope_range(boxes)[0] > 0 else None,
         K=math.exp(log_k) if log_k <= _LOG_MAX else math.inf,
         slope_threshold=SLOPE_THRESHOLD, monotone=monotone, verdict=verdict,
-        words_evaluated=count,
+        words_evaluated=words,
     )
 
 
@@ -341,23 +328,15 @@ def gap_profile(rep: RepSpec, i: int, radius: Optional[int] = None,
     """Per-length extrema of log(sigma_i / sigma_{i+1}) over the ball,
     with a least-squares fit of the lower envelope.
 
-    Each block of ``RepSpec.structure`` (the Kronecker factors' direct-sum
-    blocks) is swept on its ``reps.graded_products`` state.  When dim > 2
-    the profile steps the last length itself, one word of each pair
-    {w, w^-1}, taking w^-1's ratio as gap_{dim-i}(w); both count in
-    ``words_evaluated`` and against ``MAX_WORDS``.  When the whole ball fits
-    ``MAX_WORDS``, a last-length word x = w*s is not swept when its gap_i
-    and gap_{dim-i}, bounded from the singular values of w and of its
-    letter s (Horn's product inequalities), lie inside the envelope so far,
-    and words that start with the letters of largest condition number are
-    swept first: the samples are those of the full sweep, and
-    ``words_evaluated`` counts every word of the ball.  Otherwise the sweep
-    stops before the block or last-length run that would pass
-    ``MAX_WORDS``, the verdict is "inconclusive", and ``words_evaluated``
-    counts the words evaluated; blocks and runs are sized by the bytes of a
-    word's state, so where the sweep stops depends on the block layout.  A
-    ratio that is not finite is recorded as inf and makes the verdict
-    "inconclusive".
+    The ball is the largest, up to ``radius``, whose words (identity
+    excluded) fit ``MAX_WORDS``; ``words_evaluated`` counts them, and a
+    ball short of ``radius`` makes the verdict "inconclusive".  When
+    dim > 2 the last length is swept one word of each pair {w, w^-1},
+    w^-1's ratio read as gap_{dim-i}(w), and a word x = w*s is skipped when
+    Horn's product inequalities on the singular values of w and of s put
+    its gap_i and gap_{dim-i} inside the envelope so far: the samples are
+    those of the full sweep.  A ratio that is not finite is recorded as inf
+    and makes the verdict "inconclusive".
     """
     if not 1 <= i <= rep.dim - 1:
         raise InputError(f"gap index {i} out of range 1..{rep.dim - 1}")
@@ -371,8 +350,8 @@ def qi_profile(rep: RepSpec, radius: Optional[int] = None,
     The fitted slopes give finite-scale versions of the two-sided
     exponential comparison constants (J, K); the verdict keys on the lower
     envelope growing, which is the quasi-isometric-embedding content.
-    The sweep and its budget are those of :func:`gap_profile`, inverse
-    pairs and bounded last-length words included: log(sigma_1 / sigma_dim)
-    is the same for w and w^-1.
+    The ball, its budget and its sweep are those of :func:`gap_profile`,
+    inverse pairs and bounded last-length words included:
+    log(sigma_1 / sigma_dim) is the same for w and w^-1.
     """
     return _profile(rep, None, radius, subalphabet)

@@ -484,30 +484,44 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
     )
 
 
+def _json_complex(doc, key: str) -> Optional[complex]:
+    """``doc[key]``, null or a complex number written ``[re, im]``."""
+    z = json_field(doc, key, (list, type(None)))
+    if z is None or len(z) == 2 and all(type(x) in (int, float) for x in z):
+        return None if z is None else complex(*z)
+    raise InputError(f"{key!r} must be a JSON null or [re, im] pair")
+
+
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
     """Recompute every covered entry, and every recorded relator's
     deviation against the recorded tol, from the representation alone.  A
-    certificate with no entries, with two for one index, with a tol that
-    is not finite and positive or with a ``covered_all`` the entries do not
-    bear out is refused, and so is a covered entry whose witness's image is
-    not finite, or whose classification is missing, has a top modulus that
-    is not positive and within 1e-6 of the recomputed one, or a
-    multiplicity or flag other than the recomputed one.  A field that is
-    missing or not of its JSON type is an input error naming it."""
+    certificate is refused that has no entries, two for one index, a tol
+    that is not finite and positive, a ``dim`` not the representation's, a
+    covered witness not in ``witnesses`` or a ``covered_all`` the entries
+    do not bear out; so is a covered entry whose witness's image is not
+    finite or whose classification is missing or, against the recomputed
+    one, has another index, method, tol, multiplicity or flag, a top
+    modulus not positive and within 1e-6 of it, or a top eigenvalue not
+    null exactly when it is and else within 1e-6 of it, relative to the
+    modulus.  ``top_moduli``, rounding noise below the top cluster, is not
+    read.  A field that is missing or not of its JSON type is an input
+    error naming it."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
     digest, tol = json_field(doc, "rep_digest", str), json_field(doc, "tol", float)
     entries = json_field(doc, "entries", list)
     covered_all = json_field(doc, "covered_all", bool)
+    dim, listed = json_field(doc, "dim", int), json_field(doc, "witnesses", list)
     indices = [json_field(entry, "index", int) for entry in entries]
     covered = [entry for entry in entries if json_field(entry, "covered", bool)]
     witnesses = [json_field(entry, "witness", str) for entry in covered]
     recorded = [json_field(entry, "classification", (dict, type(None)))
                 for entry in covered]
-    flags = ("p1_proximal", "semiproximal", "positively_semiproximal",
-             "indeterminate")
+    fields = dict(index=int, method=str, tol=float, top_multiplicity=int,
+                  p1_proximal=bool, semiproximal=bool,
+                  positively_semiproximal=bool, indeterminate=bool)
     claims = [(json_field(r, "top_modulus", float),
-               [json_field(r, "top_multiplicity", int)]
-               + [json_field(r, f, bool) for f in flags])
+               _json_complex(r, "top_eigenvalue"),
+               [json_field(r, f, kind) for f, kind in fields.items()])
               for r in recorded if r is not None]
     relators = json_field(doc, "relators", dict, {"deviations": []})
     deviations = json_field(relators, "deviations", list)
@@ -516,8 +530,10 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
         raise InputError("'deviations' must be a JSON list of [relator,"
                          " deviation] pairs")
     relator_tol = json_field(relators, "tol", float) if deviations else None
-    if (digest != rep.digest() or not indices or len(claims) < len(covered)
-            or len(set(indices)) != len(indices) or not 0 < tol < math.inf
+    if (digest != rep.digest() or dim != rep.dim
+            or not indices or not all(w in listed for w in witnesses)
+            or len(set(indices)) != len(indices) or len(claims) < len(covered)
+            or not 0 < tol < math.inf
             or covered_all != (len(covered) == len(entries))):
         return False
     if deviations:
@@ -525,15 +541,17 @@ def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> boo
                                         for r, _ in deviations])
         if not validate_homomorphism(rep, p, relator_tol).passed:
             return False
-    words = [Word.parse(rep.alphabet, w) for w in witnesses]
-    for entry, (top, claim), spec in zip(covered, claims, spectra(rep, words)):
+    specs = spectra(rep, [Word.parse(rep.alphabet, w) for w in witnesses])
+    for entry, (top, eig, claim), spec in zip(covered, claims, specs):
         if not _finite(spec):
             return False
         cls = classify_exterior(spec, entry["index"], tol)
+        want = cls.top_eigenvalue
         if (cls.positively_semiproximal or cls.indeterminate or not 0 < top
                 or not abs(top - cls.top_modulus) <= 1e-6 * cls.top_modulus
-                or claim != [cls.top_multiplicity]
-                + [getattr(cls, f) for f in flags]):
+                or (eig is None) != (want is None)
+                or not abs((eig or 0) - (want or 0)) <= 1e-6 * cls.top_modulus
+                or claim != [getattr(cls, f) for f in fields]):
             return False
     return True
 

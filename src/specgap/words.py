@@ -220,10 +220,12 @@ def json_field(doc, key: str, kind: type | tuple[type, ...], default=None):
 
 def load_json(path):
     """The JSON document in the file at ``path``; a file that cannot be
-    read or is not JSON is an input error."""
+    read or is not strict JSON (``NaN``, ``Infinity``) is an input error."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
         raise InputError(f"cannot read {path} as JSON: {exc}") from None
 

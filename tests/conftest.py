@@ -33,7 +33,7 @@ def strict_json():
 def profile_steps(monkeypatch):
     """The words that profiles hand to their sweep's step from now on, as
     ``(codes, state)`` per call: one row of letter codes per word and the
-    stepped state.  The letters a bounded profile steps for their logs,
+    stepped state.  The letters a paired profile steps for their logs,
     before its sweep starts, are left out.  Every block of the sweep is
     kept alive, so this is for small balls."""
     steps, blocks = [], []

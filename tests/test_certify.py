@@ -55,6 +55,15 @@ class TestGapProfile:
         assert prof.verdict == "inconclusive"
         assert 0 < prof.words_evaluated <= 50
 
+    @pytest.mark.parametrize("radius", [-1, -5])
+    def test_negative_radius_rejected(self, radius):
+        rep = build_named("thm1i_d6", None, seed=0).rep
+        for profile in (lambda: gap_profile(rep, 1, radius),
+                        lambda: qi_profile(rep, radius),
+                        lambda: gap_profile(schottky_pair(), 1, radius)):
+            with pytest.raises(InputError, match="radius"):
+                profile()
+
     def test_verdict_stable_under_radius_extension(self):
         small = gap_profile(schottky_pair(), 1, radius=4)
         large = gap_profile(schottky_pair(), 1, radius=6)
@@ -310,24 +319,6 @@ class TestInversePairs:
                 for a, b in zip((lo, hi), want[length]):
                     assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
-    def test_budget_counts_both_words_of_a_pair(self, monkeypatch,
-                                                profile_steps):
-        # a budget short of the ball's 3,856 words switches the bound off,
-        # so the runs are those of the plain paired sweep; it stops before
-        # the second run, which would pass the budget
-        rep = build_named("thm1i_d6", None, seed=0).rep
-        monkeypatch.setattr(certify, "MAX_WORDS", 3_855)
-        assert qi_profile(rep, radius=3).verdict == "inconclusive"
-        sizes = [codes.shape[::-1] for codes, _ in profile_steps]
-        below = sum(n for length, n in sizes if length < 3)
-        kept = [n for length, n in sizes if length == 3]
-        assert len(kept) == 1
-        # the budget runs out inside the second run of the paired length
-        monkeypatch.setattr(certify, "MAX_WORDS", below + 2 * kept[0] + 1)
-        for prof in (gap_profile(rep, 2, radius=3), qi_profile(rep, radius=3)):
-            assert prof.verdict == "inconclusive"
-            assert prof.words_evaluated == below + 2 * kept[0]
-
     @pytest.mark.parametrize("case,paired", [
         ("schottky", False), ("thm1i_d6", True), ("thm1ii_d12", True),
         ("thm1ii_d12 whole", True)])
@@ -357,6 +348,55 @@ def _outputs(rep, index, radius=None, sub=None):
     prof = (qi_profile(rep, radius, sub) if index is None
             else gap_profile(rep, index, radius, sub))
     return json.dumps(prof.to_json(), sort_keys=True), prof.to_csv()
+
+
+class TestWholeBalls:
+    """A profile sweeps the ball of the largest radius, up to the one
+    asked for, whose words (identity excluded) fit ``MAX_WORDS``, and is
+    inconclusive when that radius falls short."""
+
+    FIELDS = ("samples", "lower_fit", "upper_fit", "J", "K", "monotone",
+              "words_evaluated")
+
+    @pytest.mark.parametrize("case,index,radius", [
+        ("thm1i_d6", None, 3), ("thm1i_d6", 1, 3), ("thm1i_d6", None, 4),
+        ("schottky", None, 8), ("schottky", 1, 8)])
+    def test_a_budget_one_word_short_sweeps_the_radius_below(
+            self, monkeypatch, case, index, radius):
+        # thm1i_d6 is paired (Jacobi states), schottky_sl2r(2, 4.0) is a
+        # whole 2x2 table, not paired
+        rep = (schottky_sl2r(2, 4.0) if case == "schottky"
+               else build_named(case, None, seed=0).rep)
+        nsym = 2 * rep.alphabet.size
+        size = nsym * ((nsym - 1) ** radius - 1) // (nsym - 2)
+
+        def profile(r):
+            return (qi_profile(rep, r) if index is None
+                    else gap_profile(rep, index, r))
+
+        def fields(prof):
+            doc = prof.to_json()
+            return json.dumps([doc[f] for f in self.FIELDS]), prof.to_csv()
+        below = profile(radius - 1)
+        monkeypatch.setattr(certify, "MAX_WORDS", size)
+        whole = profile(radius)
+        assert whole.words_evaluated == size
+        assert whole.verdict in ("pass", "fail")
+        monkeypatch.setattr(certify, "MAX_WORDS", size - 1)
+        cut = profile(radius)
+        assert cut.radius == radius and cut.verdict == "inconclusive"
+        assert fields(cut) == fields(below)
+
+    def test_a_huge_radius_sweeps_the_largest_ball_within_budget(self):
+        # thm1i_d6 over 16 letters: the radius-4 ball holds 57,856 words,
+        # the radius-5 ball 867,856, past MAX_WORDS; a radius of 10**6 is
+        # answered as fast as the default one
+        rep = build_named("thm1i_d6", None, seed=0).rep
+        four = qi_profile(rep, 4)
+        huge = qi_profile(rep, 10 ** 6)
+        assert huge.radius == 10 ** 6 and huge.verdict == "inconclusive"
+        assert huge.samples == four.samples
+        assert huge.words_evaluated == four.words_evaluated == 57_856
 
 
 class TestBoundedLastLength:
@@ -409,15 +449,15 @@ class TestBoundedLastLength:
         unbounded()
         assert got == _outputs(rep, None, radius)
 
-    @pytest.mark.parametrize("case,kind", [
-        ("thm1ii_d12 r4", "bound"), ("thm1i_d6 r5", True),
-        ("schottky r10", False), ("thm1ii_d12 whole r3", "bound")])
+    @pytest.mark.parametrize("case,paired,top", [
+        ("thm1ii_d12 r4", True, 3), ("thm1i_d6 r5", True, 3),
+        ("schottky r10", False, 10), ("thm1ii_d12 whole r3", True, 2)])
     def test_only_paired_sweeps_within_budget_are_bounded(self, monkeypatch,
-                                                          case, kind):
-        # thm1i_d6's radius-5 ball passes MAX_WORDS: its sweep stops, so
-        # it keeps the words and runs of the plain paired sweep.  A bounded
-        # profile steps the letters for their logs before its sweep, and a
-        # paired one sweeps the ball to the length before the last
+                                                          case, paired, top):
+        # every paired sweep is bounded: it steps the letters for their
+        # logs before its sweep, and sweeps its ball to the length before
+        # the last.  thm1i_d6's radius-5 ball passes MAX_WORDS, so its
+        # profile sweeps the radius-4 ball
         name, radius = case.split()[0], int(case.split()[-1][1:])
         rep = (schottky_pair() if name == "schottky"
                else build_named(name, None, seed=0).rep)
@@ -439,7 +479,7 @@ class TestBoundedLastLength:
         monkeypatch.setattr(certify, "graded_products", products)
         monkeypatch.setattr(certify, "iter_ball_images", sweep)
         qi_profile(rep, radius=radius)
-        assert calls == ["step"] * (kind == "bound") + [radius - bool(kind)]
+        assert calls == ["step"] * paired + [top]
 
     def test_jacobi_step_sees_at_most_65_percent_of_the_last_length(
             self, monkeypatch):

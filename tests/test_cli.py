@@ -569,6 +569,7 @@ class TestInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     @staticmethod
     def _write(path, text):
@@ -612,6 +613,31 @@ class TestInputErrors:
         argv = [rep if a == "rep.json" else a for a in argv]
         self._exits_2(capsys, [*argv, "--out", out])
         assert (tmp_path / "out").read_text() == "kept"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constant_in_provenance(self, tmp_path, capsys,
+                                                 constant):
+        # a NaN in provenance once loaded, and obstruct computed the whole
+        # certificate before its strict writer raised: a traceback, exit 1
+        main(["build", "--name", "thm1i_d6", "--out", str(tmp_path / "b")])
+        path = tmp_path / "b" / "rep.json"
+        doc = read_json(path)
+        doc["provenance"]["note"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', constant))
+        out = tmp_path / "x"
+        err = self._exits_2(capsys, ["obstruct", "--rep", str(path),
+                                     "--witness", "a1 b1 a1^-1 b1^-1",
+                                     "--out", str(out)])
+        assert str(path) in err and constant in err
+        assert not any(out.iterdir())
+
+    def test_negative_radius(self, tmp_path, capsys):
+        rep = self._write(tmp_path / "rep.json", json.dumps(REP))
+        for stat in (["--qi"], ["--gap", "1"]):
+            self._exits_2(capsys, ["diagnose", "--rep", rep, *stat,
+                                   "--radius", "-1",
+                                   "--out", str(tmp_path / "x")])
+        assert not any((tmp_path / "x").iterdir())
 
     @pytest.mark.parametrize("indices", [",", "1,1", "1,,1"])
     def test_empty_or_repeated_indices(self, tmp_path, capsys, indices):

@@ -549,8 +549,22 @@ class TestCertificates:
         lambda doc: doc["entries"][0]["classification"].update(
             positively_semiproximal=True),
         lambda doc: doc.update(covered_all=False),
+        lambda doc: doc["entries"][0]["classification"].update(
+            top_eigenvalue=[-v for v in doc["entries"][0]["classification"][
+                "top_eigenvalue"]]),
+        lambda doc: doc["entries"][0]["classification"].update(
+            top_eigenvalue=None),
+        lambda doc: doc["entries"][0]["classification"].update(index=2),
+        lambda doc: doc["entries"][0]["classification"].update(tol=0.5),
+        lambda doc: doc["entries"][0]["classification"].update(
+            method="dense-minors"),
+        lambda doc: doc.update(witnesses=["a1"]),
+        lambda doc: doc.update(dim=99),
     ], ids=["classification null", "top modulus 0", "top modulus -5",
-            "multiplicity 7", "positively semiproximal", "covered_all false"])
+            "multiplicity 7", "positively semiproximal", "covered_all false",
+            "top eigenvalue sign flipped", "top eigenvalue null",
+            "classification index 2", "classification tol 0.5",
+            "method dense-minors", "witnesses a1", "dim 99"])
     def test_forged_fields_of_a_covering_certificate_are_refuted(self, forge):
         # thm1i_d6's witness covers indices 1-3; each forgery once verified
         result = build_named("thm1i_d6", None, seed=0)
@@ -561,6 +575,33 @@ class TestCertificates:
         assert cert.covered_all and verify_certificate(doc, rep)
         forge(doc)
         assert verify_certificate(doc, rep) is False
+
+    @pytest.mark.parametrize("field,forge", [
+        ("top_eigenvalue", lambda doc: doc["entries"][0]["classification"]
+         .update(top_eigenvalue=[1.0, 0.0, 0.0])),
+        ("top_eigenvalue", lambda doc: doc["entries"][0]["classification"]
+         .update(top_eigenvalue=[True, 0.0])),
+        ("top_eigenvalue", lambda doc: doc["entries"][0]["classification"]
+         .update(top_eigenvalue="-2.68e14")),
+        ("method", lambda doc: doc["entries"][0]["classification"]
+         .update(method=None)),
+        ("tol", lambda doc: doc["entries"][0]["classification"]
+         .update(tol="1e-6")),
+        ("index", lambda doc: doc["entries"][0]["classification"].pop(
+            "index")),
+        ("witnesses", lambda doc: doc.update(witnesses="a1")),
+        ("dim", lambda doc: doc.update(dim=6.0)),
+    ])
+    def test_mistyped_fields_of_a_certificate_are_input_errors(self, field,
+                                                               forge):
+        result = build_named("thm1i_d6", None, seed=0)
+        rep = result.rep
+        cert = certify_not_limit(rep, [result.witness("main")], [1, 2, 3],
+                                 Presentation.free(rep.alphabet))
+        doc = json.loads(json.dumps(cert.to_json()))
+        forge(doc)
+        with pytest.raises(InputError, match=repr(field)):
+            verify_certificate(doc, rep)
 
     def test_revalidation_refuses_empty_or_repeated_entries(self):
         rep = self._signed_rep()
