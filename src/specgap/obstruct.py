@@ -408,10 +408,6 @@ class ObstructionCertificate(Record):
     schema_version: int = SCHEMA_VERSION
 
 
-def _finite(spec: Sequence[complex]) -> bool:
-    return all(map(cmath.isfinite, spec))
-
-
 def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
                       indices: Sequence[int], p: Presentation,
                       tol: float = DEFAULT_TOL,
@@ -456,7 +452,8 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
         entry = None
         saw_indeterminate = False
         for w, spec in zip(witnesses, found):
-            cls = classify_exterior(spec, i, tol) if _finite(spec) else None
+            cls = (classify_exterior(spec, i, tol)
+                   if all(map(cmath.isfinite, spec)) else None)
             if cls is None or cls.indeterminate:
                 saw_indeterminate = True
                 continue
@@ -484,76 +481,68 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
     )
 
 
-def _json_complex(doc, key: str) -> Optional[complex]:
-    """``doc[key]``, null or a complex number written ``[re, im]``."""
-    z = json_field(doc, key, (list, type(None)))
-    if z is None or len(z) == 2 and all(type(x) in (int, float) for x in z):
-        return None if z is None else complex(*z)
-    raise InputError(f"{key!r} must be a JSON null or [re, im] pair")
+# the recomputed fields that may be null, and their JSON kind when not
+_NULLABLE = {"witness": str, "classification": dict, "top_eigenvalue": list}
+
+
+def _agrees(got, want, key: str, parent: dict) -> bool:
+    """Whether ``got``, under ``key`` in a certificate document, equals
+    ``want``, its recomputed value, held by the recomputed ``parent``:
+    objects with the same keys, lists of the same length, numbers within
+    1e-6 relative to ``want`` (a ``top_eigenvalue`` to the ``top_modulus``
+    beside it), anything else equal; ``top_moduli`` unread, relator
+    deviations within the relator tol.  A value missing or of another JSON
+    kind is an input error naming its key; all are visited."""
+    if key == "top_moduli":  # rounding noise below the top cluster
+        return True
+    if type(got) is not type(want):  # the same type is the same JSON kind
+        kind = _NULLABLE.get(key) or next(k for k in (
+            bool, int, float, str, list, dict, type(None)) if isinstance(want, k))
+        got = json_field({key: got}, key,
+                         (kind, type(None)) if key in _NULLABLE else kind)
+    if got is None or want is None:
+        return got is want
+    if key == "top_eigenvalue":
+        if not (len(got) == 2 and all(type(x) in (int, float) for x in got)):
+            raise InputError(f"{key!r} must be a JSON null or [re, im] pair")
+        return abs(complex(*got) - complex(*want)) <= 1e-6 * parent["top_modulus"]
+    if isinstance(want, dict):  # a missing key reads as ..., of no JSON kind
+        same = [_agrees(got.get(k, ...), w, k, want) for k, w in want.items()]
+        return all(same) and got.keys() == want.keys()
+    if key == "deviations":  # [relator, deviation] pairs, read as input
+        return ([r for r, _ in got] == [r for r, _ in want]
+                and all(0 <= d <= parent["tol"] for _, d in got))
+    if isinstance(want, list):
+        same = [_agrees(g, w, key, parent) for g, w in zip(got, want)]
+        return all(same) and len(got) == len(want)
+    if isinstance(want, float):
+        return abs(got - want) <= 1e-6 * abs(want)
+    return got == want
 
 
 def verify_certificate(cert: ObstructionCertificate | dict, rep: RepSpec) -> bool:
-    """Recompute every covered entry, and every recorded relator's
-    deviation against the recorded tol, from the representation alone.  A
-    certificate is refused that has no entries, two for one index, a tol
-    that is not finite and positive, a ``dim`` not the representation's, a
-    covered witness not in ``witnesses`` or a ``covered_all`` the entries
-    do not bear out; so is a covered entry whose witness's image is not
-    finite or whose classification is missing or, against the recomputed
-    one, has another index, method, tol, multiplicity or flag, a top
-    modulus not positive and within 1e-6 of it, or a top eigenvalue not
-    null exactly when it is and else within 1e-6 of it, relative to the
-    modulus.  ``top_moduli``, rounding noise below the top cluster, is not
-    read.  A field that is missing or not of its JSON type is an input
-    error naming it."""
+    """Whether :func:`certify_not_limit`, run on ``rep`` and the document's
+    own inputs (``witnesses``, the entries' indices in order, ``tol``,
+    relators and ``assumptions``), writes the document again, as ``_agrees``
+    compares them; inputs it refuses refute it.  A malformed field is an
+    input error naming it."""
     doc = cert.to_json() if isinstance(cert, ObstructionCertificate) else cert
-    digest, tol = json_field(doc, "rep_digest", str), json_field(doc, "tol", float)
-    entries = json_field(doc, "entries", list)
-    covered_all = json_field(doc, "covered_all", bool)
-    dim, listed = json_field(doc, "dim", int), json_field(doc, "witnesses", list)
-    indices = [json_field(entry, "index", int) for entry in entries]
-    covered = [entry for entry in entries if json_field(entry, "covered", bool)]
-    witnesses = [json_field(entry, "witness", str) for entry in covered]
-    recorded = [json_field(entry, "classification", (dict, type(None)))
-                for entry in covered]
-    fields = dict(index=int, method=str, tol=float, top_multiplicity=int,
-                  p1_proximal=bool, semiproximal=bool,
-                  positively_semiproximal=bool, indeterminate=bool)
-    claims = [(json_field(r, "top_modulus", float),
-               _json_complex(r, "top_eigenvalue"),
-               [json_field(r, f, kind) for f, kind in fields.items()])
-              for r in recorded if r is not None]
-    relators = json_field(doc, "relators", dict, {"deviations": []})
-    deviations = json_field(relators, "deviations", list)
+    tol = json_field(doc, "tol", float)
+    indices = [json_field(e, "index", int) for e in json_field(doc, "entries", list)]
+    witnesses, assumptions = ([json_field({k: s}, k, str) for s in json_field(
+        doc, k, list)] for k in ("witnesses", "assumptions"))
+    deviations = json_field(json_field(doc, "relators", dict), "deviations", list)
     if not all(isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
-               for d in deviations):
-        raise InputError("'deviations' must be a JSON list of [relator,"
-                         " deviation] pairs")
-    relator_tol = json_field(relators, "tol", float) if deviations else None
-    if (digest != rep.digest() or dim != rep.dim
-            or not indices or not all(w in listed for w in witnesses)
-            or len(set(indices)) != len(indices) or len(claims) < len(covered)
-            or not 0 < tol < math.inf
-            or covered_all != (len(covered) == len(entries))):
-        return False
-    if deviations:
+               and type(d[1]) in (int, float) for d in deviations):
+        raise InputError("'deviations' must be a JSON list of [relator, deviation] pairs")
+    try:
         p = Presentation(rep.alphabet, [Word.parse(rep.alphabet, r)
                                         for r, _ in deviations])
-        if not validate_homomorphism(rep, p, relator_tol).passed:
-            return False
-    specs = spectra(rep, [Word.parse(rep.alphabet, w) for w in witnesses])
-    for entry, (top, eig, claim), spec in zip(covered, claims, specs):
-        if not _finite(spec):
-            return False
-        cls = classify_exterior(spec, entry["index"], tol)
-        want = cls.top_eigenvalue
-        if (cls.positively_semiproximal or cls.indeterminate or not 0 < top
-                or not abs(top - cls.top_modulus) <= 1e-6 * cls.top_modulus
-                or (eig is None) != (want is None)
-                or not abs((eig or 0) - (want or 0)) <= 1e-6 * cls.top_modulus
-                or claim != [getattr(cls, f) for f in fields]):
-            return False
-    return True
+        want = certify_not_limit(rep, [Word.parse(rep.alphabet, w) for w in
+                                       witnesses], indices, p, tol, assumptions)
+    except InputError:  # inputs certify_not_limit refuses
+        return False
+    return _agrees(doc, want.to_json(), "certificate", {})
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .words import (Alphabet, GeneratorMap, Presentation, Word, json_field,
                     load_json)
 
 UNIMODULAR_TOL = 1e-8
+RELATOR_TOL = 1e-8  # the relative deviation past which a relator fails
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -935,11 +936,10 @@ def _orthogonalise(m: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(JACOBI_SWEEPS):
             moved = np.zeros(live.size, dtype=bool)
+            dots = _lone_dots if live.size == 1 else _dots
             for (p, q), (h, h_inv, r, r_inv) in zip(rounds, ratios):
                 yp, yq = y[p], y[q]
-                a = np.einsum("kin,kin->kn", yp, yp)
-                b = np.einsum("kin,kin->kn", yq, yq)
-                c = np.einsum("kin,kin->kn", yp, yq)
+                a, b, c = dots(yp, yp), dots(yq, yq), dots(yp, yq)
                 rot = c * c > tol2 * a * b
                 if not rot.any():
                     continue
@@ -969,6 +969,16 @@ def _orthogonalise(m: np.ndarray) -> np.ndarray:
     return m
 
 
+_dots = partial(np.einsum, "kin,kin->kn")  # column dot products, per word
+
+
+def _lone_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_dots`` of one word, summed row by row as ``einsum`` sums a batch;
+    on one word it (and ``sum``, past 7 rows) reduces the contiguous row
+    axis in another order, and the word's state would depend on its block."""
+    return reduce(np.add, [u[:, i] * v[:, i] for i in range(u.shape[1])])
+
+
 @dataclass(frozen=True)
 class HomomorphismReport(Record):
     deviations: tuple[tuple[str, float], ...]
@@ -977,18 +987,16 @@ class HomomorphismReport(Record):
     passed: bool
 
 
-def validate_homomorphism(rep: RepSpec, p: Presentation,
-                          tol: float = 1e-8) -> HomomorphismReport:
+def validate_homomorphism(rep: RepSpec, p: Presentation) -> HomomorphismReport:
     """Per-relator Frobenius distance of the image from the identity,
     relative to the product of the spectral norms of the letters along the
     relator (one batched norm over ``rep.table``), which bounds the
-    rounding of the product; for unimodular
-    images that product is at least 1.  A distance that is not finite
-    counts as inf."""
+    rounding of the product; for unimodular images that product is at
+    least 1.  A distance that is not finite counts as inf."""
     if rep.alphabet.names != p.alphabet.names:
         raise InputError("representation and presentation alphabets differ")
     if not p.relators:  # no spectral norms to take
-        return HomomorphismReport((), tol, 0.0, True)
+        return HomomorphismReport((), RELATOR_TOL, 0.0, True)
     norms = np.linalg.norm(rep.table, 2, axis=(1, 2)).tolist()
     devs = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -998,7 +1006,8 @@ def validate_homomorphism(rep: RepSpec, p: Presentation,
                         / scale)
             devs.append((str(rel), dev if math.isfinite(dev) else math.inf))
     worst = max((d for _, d in devs), default=0.0)
-    return HomomorphismReport(tuple(devs), tol, worst, worst <= tol)
+    return HomomorphismReport(tuple(devs), RELATOR_TOL, worst,
+                              worst <= RELATOR_TOL)
 
 
 def common_eigenvector_defect(images: Sequence[np.ndarray]) -> float:

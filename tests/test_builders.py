@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -7,9 +8,11 @@ import pytest
 
 from specgap import obstruct
 from specgap.builders import build_named, known_constructions
+from specgap.certify import gap_profile
 from specgap.errors import ConstructionError, InputError
 from specgap.linalg import classify_exterior, spectrum
 from specgap.reproduce import run_reproduction, verify_golden
+from specgap.reps import RepSpec
 from specgap.words import Word, in_index_two_core, Presentation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -227,6 +230,34 @@ def _perturbations(check: dict, witness_keys) -> list:
     if "index" in check and len(out) == 0 and others:
         out.append({**check, "witness": others[0]})
     return out
+
+
+@functools.cache
+def _golden_seed_7(name):
+    result = build_named(name, None, seed=7)
+    return result.rep, verify_golden(result)["certificate"]
+
+
+class TestGoldenCertificates:
+    """The certificate ``reproduce`` writes for each id at seed 7."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_verifies_against_the_representation_read_back(self, name):
+        rep, cert = _golden_seed_7(name)
+        read = RepSpec.from_json(json.loads(json.dumps(rep.to_json())))
+        assert obstruct.verify_certificate(json.loads(json.dumps(cert)), read)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_no_covered_index_has_a_passing_gap_profile(self, name):
+        # a covered index i says the representation is no limit of
+        # P_i-Anosov ones, so it is not P_i-Anosov; on a free group uniform
+        # growth of gap_i would make it so, and a passing profile would be
+        # finite-scale evidence against the certificate
+        rep, cert = _golden_seed_7(name)
+        covered = [e["index"] for e in cert["entries"] if e["covered"]]
+        assert covered
+        for i in covered:
+            assert gap_profile(rep, i).verdict != "pass", i
 
 
 class TestDeclaredChecks:

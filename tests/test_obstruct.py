@@ -767,6 +767,58 @@ class TestCertificates:
         }
 
 
+class TestVerifyRecomputes:
+    """A certificate verifies when ``certify_not_limit``, run again on its
+    own inputs, writes it again."""
+
+    @staticmethod
+    def covering():
+        # thm1i_d6's witness covers indices 1-3, and so does its cube
+        result = build_named("thm1i_d6", None, seed=0)
+        rep, main = result.rep, result.witness("main")
+        pres = Presentation.free(rep.alphabet)
+        return rep, main, pres, json.loads(json.dumps(certify_not_limit(
+            rep, [main], [1, 2, 3], pres).to_json()))
+
+    @pytest.mark.parametrize("forge", [
+        lambda doc: doc["parity_evidence"][0].update(exponent_sums=[5] * 8),
+        lambda doc: doc["parity_evidence"][0].update(witness="a1"),
+        lambda doc: doc["entries"][0].update(reason="any string"),
+        lambda doc: doc.update(schema_version=99),
+        lambda doc: doc["construction"].update(construction="thm1i_d5"),
+        lambda doc: doc["relators"].update(tol=0.5),
+        lambda doc: doc.update(note="an extra key"),
+    ], ids=["parity exponent sums", "parity witness", "reason",
+            "schema_version 99", "construction thm1i_d5", "relators tol 0.5",
+            "extra top-level key"])
+    def test_a_forged_claim_is_refuted(self, forge):
+        # each once verified: the fields were re-derived one by one
+        rep, _, _, doc = self.covering()
+        assert verify_certificate(doc, rep)
+        forge(doc)
+        assert verify_certificate(doc, rep) is False
+
+    def test_an_entry_must_name_the_first_covering_witness(self):
+        rep, main, pres, _ = self.covering()
+        cube = main ** 3
+        doc = json.loads(json.dumps(certify_not_limit(
+            rep, [main, cube], [1, 2, 3], pres).to_json()))
+        assert verify_certificate(doc, rep)
+        entry = certify_not_limit(rep, [cube], [1], pres).to_json()[
+            "entries"][0]
+        assert entry["covered"] and entry["witness"] == str(cube)
+        doc["entries"][0] = json.loads(json.dumps(entry))
+        assert verify_certificate(doc, rep) is False
+
+    def test_an_uncovered_entry_that_recomputation_covers_is_refuted(self):
+        rep, _, _, doc = self.covering()
+        doc["entries"][0].update(
+            covered=False, witness=None, classification=None,
+            reason="all decisive witnesses positively semiproximal")
+        doc["covered_all"] = False
+        assert verify_certificate(doc, rep) is False
+
+
 class TestOverflowingWitness:
     """a = diag(1e100, 1e-100, 1): the image of a^4 overflows.  b^2 has the
     negative top pair -4, -4 and covers index 1."""

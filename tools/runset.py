@@ -7,8 +7,10 @@ imports ``specgap`` from PATH (a checkout's ``src`` directory) and calls
 ``--rep`` and ``--out`` path relative to it, so that no manifest records
 where the checkout or OUTDIR lies.  Each command's output directory also
 gets ``stdout.txt``, and ``codes.txt`` lists every command with its exit
-code.  Two checkouts are then compared with one ``diff -r`` of their
-OUTDIRs.  The set:
+code.  ``verified.txt`` gives, for each ``reproduce/<id>-s<seed>``,
+``verify_certificate`` of its report's certificate against
+``build/<id>-s<seed>/rep.json``.  Two checkouts are then compared with one
+``diff -r`` of their OUTDIRs, verification outcomes included.  The set:
 
 - ``build`` and ``reproduce`` of the seven construction ids at seeds 0, 7;
 - of each such build, every gap profile and the QI profile at radius 4
@@ -65,7 +67,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from specgap.cli import main as specgap
-    from specgap.reps import schottky_sl2r
+    from specgap.obstruct import verify_certificate
+    from specgap.reps import RepSpec, schottky_sl2r
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.outdir)
@@ -96,6 +99,13 @@ def main(argv=None) -> int:
     for out, rest in commands(dims):
         run("diagnose", out, rest)
     Path("codes.txt").write_text("".join(codes))
+    verified = []
+    for build in dims:
+        report = json.loads(Path(f"reproduce/{build}/report.json").read_text())
+        ok = verify_certificate(report["golden"]["certificate"],
+                                RepSpec.load(f"build/{build}/rep.json"))
+        verified.append(f"{ok} reproduce/{build}\n")
+    Path("verified.txt").write_text("".join(verified))
     return 0
 
 
