@@ -1,14 +1,21 @@
 """Named block/tensor constructions with validated inequality gates.
 
-Each builder returns a concrete representation plus a manifest recording
-parameters, derived quantities (search results, characters, margins), the
-designated witness words, gate evaluations, and the assumptions that are
-declared rather than verified.  :func:`build_named` stamps the
-construction id, dimension, seed and tolerance onto every manifest, and the
-id, seed and parameters onto the representation's provenance.  The
-manifest's ``expected`` is the build's list of golden checks, in the kinds
-:mod:`specgap.reproduce` evaluates; they are symbolic in the parameters and
-instantiated at build time, so any gate-satisfying choice validates.
+:func:`build_named` resolves a construction's parameters against the
+defaults ``_REGISTRY`` holds for it and calls its builder with them, the
+seed, the tolerance and an empty gates list.  The builder returns a
+concrete representation and its own manifest entries: derived quantities
+(search results, characters, margins), the designated witness words, and
+any assumptions beyond ``STANDARD_ASSUMPTIONS``; a parameter whose default
+is computed it writes into the parameters.  ``build_named`` stamps the
+parameters, the gate evaluations, the default assumptions, the
+construction id, dimension, seed and tolerance onto every manifest, and
+the id, seed and parameters onto the representation's provenance.  A
+finite parameter that overflows the construction's arithmetic is an
+:class:`InputError`, and a gate whose side is not a real number is
+violated.  The manifest's ``expected`` is the build's list of golden
+checks, in the kinds :mod:`specgap.reproduce` evaluates; they are symbolic
+in the parameters and instantiated at build time, so any gate-satisfying
+choice validates.
 
 Construction ids (the CLI contract):
 
@@ -65,7 +72,7 @@ class BuildResult:
 
 
 def _gate(gates: list, name: str, lhs: float, rhs: float):
-    ok = lhs > rhs
+    ok = all(isinstance(v, numbers.Real) for v in (lhs, rhs)) and lhs > rhs
     gates.append({"inequality": name, "lhs": lhs, "rhs": rhs, "satisfied": ok})
     if not ok:
         raise ConstructionError(
@@ -139,30 +146,29 @@ def _search_pair(spread: float) -> tuple[RepSpec, ComplexRep2]:
 # ---------------------------------------------------------------------------
 
 
-def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 4.0, "headroom": 2.0})
-    g = 1
+def _a1_character(v: float) -> Character:
+    """The character of the genus-1 free part worth sqrt(v) on a1, 1 on b1."""
+    return Character(free_part_alphabet(1), {"a1": math.sqrt(v), "b1": 1.0})
+
+
+def _build_thm1i_d5(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     base, ambient = _search_pair(p["spread"])
-    retr = retraction_to_free_part(g)
+    retr = retraction_to_free_part(1)
     rho1 = realify_lift(ambient)
 
     coset = Word.parse(base.alphabet, "a1^2")
     sw = find_negative_lambda(base, coset, tol=tol)
     lam = sw.lambda1
-    gates: list = []
     x = (p["headroom"] * abs(lam)) ** 0.8
     _gate(gates, "x^(5/4) > ell1(rho1(w a1^2))", x ** 1.25, abs(lam))
 
-    eps_free = Character(free_part_alphabet(g),
-                         {n: (math.sqrt(x) if n == "a1" else 1.0)
-                          for n in free_part_alphabet(g).names})
+    eps_free = _a1_character(x)
     eps = Character.pulled_back(eps_free, retr)
     rep = scale_by_character(rho1, eps, Fraction(-1, 4))
 
     witness = transport(sw.word, rep.alphabet)
     aux = transport(sw.base_word, rep.alphabet)
     manifest = {
-        "params": p,
         "derived": {"lambda1": lam, "x": x,
                     "character_on_witness": eps_free.value(sw.word)},
         "witnesses": {"main": str(witness), "aux": str(aux)},
@@ -175,23 +181,23 @@ def _build_thm1i_d5(params, seed, tol) -> tuple[RepSpec, dict]:
             {"name": "auxiliary witness has negative top pair",
              "witness": "aux", "index": 1, "semiproximal": True},
         ],
-        "gates": gates,
         "search": sw.to_json(),
         "pingpong": {"pair": base.provenance["pingpong"],
                      "ambient": ambient.provenance["pingpong"]},
-        "assumptions": list(STANDARD_ASSUMPTIONS),
         "character_convention":
             "both blocks read the character through the retraction",
     }
     return rep, manifest
 
 
-def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict]:
+def _dominated_pair(p, coset: str, tol, gates, gate: str):
     """Spin lift rho0 of the ambient family and a Schottky pair j on
     (a1, b1) that dominates it on the ball of radius ``dom_radius``:
-    ell1(j(gamma)) >= ell1(rho0(gamma))^2.  Returns rho0, j, and the
-    manifest entries recording the domination sweep and the ping-pong
-    checks."""
+    ell1(j(gamma)) >= ell1(rho0(gamma))^2; then j's sign witness w along
+    ``coset``, over rho0's alphabet, gated by ``gate``:
+    ell1(j(w)) > ell1(rho0(w)).  Returns rho0, j, the search result, rho0's
+    top modulus on w, and the manifest entries recording the search, the
+    witness, the domination sweep and the ping-pong checks."""
     _, ambient = _search_pair(p["spread"])
     rho0 = spin_lift(ambient)
 
@@ -203,27 +209,24 @@ def _dominated_pair(p) -> tuple[RepSpec, RepSpec, dict]:
         raise ConstructionError(
             "domination failed on the ball: ell1(j(gamma)) >= ell1(rho0(gamma))^2",
             inequality="ell1(j) >= ell1(rho0)^2")
-    checks = {"domination": dom.to_json(),
-              "pingpong": {"pair": j.provenance["pingpong"],
-                           "ambient": ambient.provenance["pingpong"]}}
-    return rho0, j, checks
-
-
-def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6})
-    rho0, j, checks = _dominated_pair(p)
-    sw = find_negative_lambda(j, Word.identity(j.alphabet), tol=tol)
-    rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
-
-    witness = transport(sw.word, rep.alphabet)
+    sw = find_negative_lambda(j, Word.parse(j.alphabet, coset), tol=tol)
+    witness = transport(sw.word, rho0.alphabet)
     m0 = rho0.top_modulus(witness)
-    gates: list = []
-    _gate(gates, "ell1(j(w)) > ell1(rho0(w))", abs(sw.lambda1), m0)
+    _gate(gates, gate, abs(sw.lambda1), m0)
+    return rho0, j, sw, m0, {
+        "search": sw.to_json(), "witnesses": {"main": str(witness)},
+        "domination": dom.to_json(),
+        "pingpong": {"pair": j.provenance["pingpong"],
+                     "ambient": ambient.provenance["pingpong"]}}
+
+
+def _build_thm1i_d6(p, seed, tol, gates) -> tuple[RepSpec, dict]:
+    rho0, j, sw, m0, entries = _dominated_pair(
+        p, "e", tol, gates, "ell1(j(w)) > ell1(rho0(w))")
+    rep = block_sum([rho0, pull_back(j, retraction_to_free_part(1))])
     manifest = {
-        "params": p,
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "expected_wedge3_top": sw.lambda1 * m0},
-        "witnesses": {"main": str(witness)},
         "expected": [
             {"name": "witness proximal with negative top eigenvalue",
              "witness": "main", "index": 1, "top": None},
@@ -233,33 +236,18 @@ def _build_thm1i_d6(params, seed, tol) -> tuple[RepSpec, dict]:
              "witness": "main", "index": 3, "semiproximal": True,
              "multiplicity": 2, "top_modulus": abs(sw.lambda1 * m0)},
         ],
-        "gates": gates,
-        "search": sw.to_json(),
-        "assumptions": list(STANDARD_ASSUMPTIONS),
-        **checks,
+        **entries,
     }
     return rep, manifest
 
 
-def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"d": 7, "spread": 4.0, "dom_margin": 1.25,
-                          "dom_radius": 6})
+def _build_thm1i_dge7(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     d = p["d"]
     if d < 7:
         raise InputError("this construction needs dimension >= 7")
-    g = 1
-    rho0, j, checks = _dominated_pair(p)
-    retr = retraction_to_free_part(g)
-
-    coset = Word.parse(j.alphabet, "a1^2")
-    sw = find_negative_lambda(j, coset, tol=tol)
+    rho0, j, sw, m0, entries = _dominated_pair(
+        p, "a1^2", tol, gates, "ell1(j(w a1^2)) > ell1(rho0(w a1^2))")
     lam = abs(sw.lambda1)
-
-    full = full_alphabet(g)
-    witness = transport(sw.word, full)
-    m0 = rho0.top_modulus(witness)
-    gates: list = []
-    _gate(gates, "ell1(j(w a1^2)) > ell1(rho0(w a1^2))", lam, m0)
 
     n_chars = d - 6
     ratio = (lam / m0) ** (1.0 / (d - 5))
@@ -268,14 +256,11 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
         _gate(gates, "ell1(j(w a1^2)) > eps(a1^2)", lam, v)
         _gate(gates, "eps(a1^2) > ell1(rho0(w a1^2))", v, m0)
 
+    retr = retraction_to_free_part(1)
     jr = pull_back(j, retr)
-    chars = [Character.pulled_back(
-        Character(free_part_alphabet(g),
-                  {n: (math.sqrt(v) if n == "a1" else 1.0)
-                   for n in free_part_alphabet(g).names}), retr)
-        for v in char_values]
+    chars = [Character.pulled_back(_a1_character(v), retr) for v in char_values]
     images = {}
-    for label in full.names:
+    for label in rho0.alphabet.names:
         blocks = np.zeros((d, d))
         blocks[:4, :4] = rho0.image(label)
         blocks[4:6, 4:6] = jr.image(label)
@@ -283,30 +268,22 @@ def _build_thm1i_dge7(params, seed, tol) -> tuple[RepSpec, dict]:
             blocks[6 + k, 6 + k] = ch.value(label)
         det = float(np.prod([ch.value(label) for ch in chars])) if chars else 1.0
         images[label] = blocks / det ** (1.0 / d)
-    rep = RepSpec(full, images)
+    rep = RepSpec(rho0.alphabet, images)
     manifest = {
-        "params": p,
         "derived": {"lambda1": sw.lambda1, "rho0_top": m0,
                     "character_chain": char_values},
-        "witnesses": {"main": str(witness)},
         "expected": [{"name": f"exterior power {i} proximal, not positively",
                       "witness": "main", "index": i, "top": None}
                      for i in range(1, d - 3)],
-        "gates": gates,
-        "search": sw.to_json(),
-        "assumptions": list(STANDARD_ASSUMPTIONS),
         "note": "the sign search runs on the dominating pair as the evident"
                 " intent of the construction",
-        **checks,
+        **entries,
     }
     return rep, manifest
 
 
-def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"lam": -9.0, "mu": 2.0, "x": 2.0,
-                          "s": -9.0, "nu": 1.2})
+def _build_thm1ii_d12(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     lam, mu, x, s, nu = (p[k] for k in ("lam", "mu", "x", "s", "nu"))
-    gates: list = []
     _gate(gates, "lam < 0", 0.0, lam)
     _gate(gates, "s < 0", 0.0, s)
     _gate(gates, "mu > 1", mu, 1.0)
@@ -350,7 +327,6 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     zariski = common_eigenvector_defect(
         [line_images[l] for l in alphabet.names])
     manifest = {
-        "params": p,
         "derived": {"witness_character_value": x ** 2},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": [
@@ -363,7 +339,6 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
             {"name": "third exterior power of second witness: negative real top",
              "witness": "second", "index": 3, "top": s ** 3 * nu ** 2},
         ],
-        "gates": gates,
         "zariski_heuristic": {
             "method": "no common eigenvector among 3x3 block images",
             "min_defect": zariski,
@@ -377,11 +352,9 @@ def _build_thm1ii_d12(params, seed, tol) -> tuple[RepSpec, dict]:
     return rep, manifest
 
 
-def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"n": 5, "s": -3.0, "p": 1.2, "q": None})
+def _build_thm41_pattern(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     n, s, pp = p["n"], p["s"], p["p"]
-    q = p["q"] if p["q"] is not None else -1.5 * pp ** 10
-    gates: list = []
+    q = p["q"] = -1.5 * pp ** 10 if p["q"] is None else p["q"]
     if n % 2 == 0:
         raise ConstructionError("pattern dimension parameter n must be odd",
                                 inequality="n odd")
@@ -410,7 +383,6 @@ def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
     first = [abs(s) ** 3, s ** 2] + [abs(s)] * (n - 1) + [1.0] * (n - 2)
     h_first = [abs(q) * pp ** 2] + [abs(q)] * (n - 2) + [abs(q) / pp ** 2, pp ** 2]
     manifest = {
-        "params": {**p, "q": q},
         "derived": {},
         "witnesses": {"main": str(w1), "second": str(w2)},
         "expected": [
@@ -422,7 +394,6 @@ def _build_thm41_pattern(params, seed, tol) -> tuple[RepSpec, dict]:
                "witness": "second" if i % 2 else "main", "index": i}
               for i in range(2, n + 2)),
         ],
-        "gates": gates,
         "assumptions": list(STANDARD_ASSUMPTIONS) + [
             "witness images are exact diagonal tensor patterns",
         ],
@@ -451,13 +422,11 @@ _SURFACE_ASSUMPTIONS = STANDARD_ASSUMPTIONS + (
 )
 
 
-def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 6.0, "theta": 1.0, "x": None, "y": None})
+def _build_prop42_sl4(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     rho1, lam, mu, shared = _rank4_pair(p["spread"])
     alphabet = rho1.alphabet
-    x = p["x"] if p["x"] is not None else math.sqrt(2.0 * lam)
-    y = p["y"] if p["y"] is not None else math.sqrt(mu / 2.0)
-    gates: list = []
+    x = p["x"] = math.sqrt(2.0 * lam) if p["x"] is None else p["x"]
+    y = p["y"] = math.sqrt(mu / 2.0) if p["y"] is None else p["y"]
     _gate(gates, "x^2 > |lam|", x ** 2, lam)
     _gate(gates, "|mu| > y^2", mu, y ** 2)
 
@@ -472,7 +441,6 @@ def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
         images[label] = m
     rep = RepSpec(alphabet, images)
     manifest = {
-        "params": {**p, "x": x, "y": y},
         "expected": [
             {"name": "first generator image: non-real top pair",
              "witness": "main", "top_pair": 1, "modulus": x,
@@ -481,19 +449,16 @@ def _build_prop42_sl4(params, seed, tol) -> tuple[RepSpec, dict]:
              "witness": "second", "top_pair": 2, "modulus": mu,
              "angle": p["theta"]},
         ],
-        "gates": gates,
         "assumptions": list(_SURFACE_ASSUMPTIONS),
         **shared,
     }
     return rep, manifest
 
 
-def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
-    p = _resolve(params, {"spread": 6.0, "theta": 1.0, "s": None, "t": None})
+def _build_prop42_sl6(p, seed, tol, gates) -> tuple[RepSpec, dict]:
     rho1, lam, mu, shared = _rank4_pair(p["spread"])
-    s = p["s"] if p["s"] is not None else 2.0 * lam ** (2.0 / 3.0)
-    t = p["t"] if p["t"] is not None else mu ** (-1.0 / 3.0)
-    gates: list = []
+    s = p["s"] = 2.0 * lam ** (2.0 / 3.0) if p["s"] is None else p["s"]
+    t = p["t"] = mu ** (-1.0 / 3.0) if p["t"] is None else p["t"]
     _gate(gates, "s > |lam|^(2/3)", s, lam ** (2.0 / 3.0))
     _gate(gates, "t > |mu|^(-2/3)", t, mu ** (-2.0 / 3.0))
     _gate(gates, "t < 1", 1.0, t)
@@ -501,7 +466,6 @@ def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
     jst = scaled_rotation_rep(rho1.alphabet, s, t, p["theta"], seed)
     rep = tensor_rep(rho1, jst)
     manifest = {
-        "params": {**p, "s": s, "t": t},
         "expected": [
             {"name": "six moduli of the first generator image",
              "witness": "main", "moduli": [lam * s, lam * s, s / lam, s / lam,
@@ -517,7 +481,6 @@ def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
              "witness": "second", "top_pair": 2, "modulus": mu ** 2 / t,
              "angle": p["theta"]},
         ],
-        "gates": gates,
         "assumptions": list(_SURFACE_ASSUMPTIONS) + [
             "the 3x3 tail images are seeded pseudo-random stand-ins for an"
             " algebraically large subgroup",
@@ -527,14 +490,19 @@ def _build_prop42_sl6(params, seed, tol) -> tuple[RepSpec, dict]:
     return rep, manifest
 
 
+_SPIN = {"spread": 4.0, "dom_margin": 1.25, "dom_radius": 6}
+_RANK4 = {"spread": 6.0, "theta": 1.0}
+# id -> (builder, parameter defaults); the builder computes a None default
 _REGISTRY = {
-    "thm1i_d5": _build_thm1i_d5,
-    "thm1i_d6": _build_thm1i_d6,
-    "thm1i_dge7": _build_thm1i_dge7,
-    "thm1ii_d12": _build_thm1ii_d12,
-    "thm41_pattern": _build_thm41_pattern,
-    "prop42_sl4": _build_prop42_sl4,
-    "prop42_sl6": _build_prop42_sl6,
+    "thm1i_d5": (_build_thm1i_d5, {"spread": 4.0, "headroom": 2.0}),
+    "thm1i_d6": (_build_thm1i_d6, _SPIN),
+    "thm1i_dge7": (_build_thm1i_dge7, {"d": 7, **_SPIN}),
+    "thm1ii_d12": (_build_thm1ii_d12, {"lam": -9.0, "mu": 2.0, "x": 2.0,
+                                       "s": -9.0, "nu": 1.2}),
+    "thm41_pattern": (_build_thm41_pattern,
+                      {"n": 5, "s": -3.0, "p": 1.2, "q": None}),
+    "prop42_sl4": (_build_prop42_sl4, {**_RANK4, "x": None, "y": None}),
+    "prop42_sl6": (_build_prop42_sl6, {**_RANK4, "s": None, "t": None}),
 }
 
 
@@ -547,8 +515,16 @@ def build_named(name: str, params: Optional[Mapping] = None, seed: int = 0,
     if name not in _REGISTRY:
         raise InputError(
             f"unknown construction {name!r}; known: {', '.join(known_constructions())}")
-    rep, manifest = _REGISTRY[name](params, seed, tol)
-    manifest.update(construction=name, dim=rep.dim, seed=seed, tol=tol)
-    rep.provenance.update(construction=name, seed=seed,
-                          params=manifest["params"])
+    builder, defaults = _REGISTRY[name]
+    p = _resolve(params, defaults)
+    gates: list = []
+    try:
+        rep, own = builder(p, seed, tol, gates)
+    except OverflowError as exc:
+        raise InputError(
+            f"construction {name} overflows at parameters {p}: {exc}") from exc
+    manifest = {"params": p, "gates": gates,
+                "assumptions": list(STANDARD_ASSUMPTIONS), **own,
+                "construction": name, "dim": rep.dim, "seed": seed, "tol": tol}
+    rep.provenance.update(construction=name, seed=seed, params=p)
     return BuildResult(rep, manifest)

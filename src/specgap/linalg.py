@@ -277,22 +277,22 @@ def top_subset_products(values: Sequence[complex], i: int, count: int
                         ) -> list[complex]:
     """The ``count`` largest-by-modulus products over i-element subsets.
 
-    Values are sorted by decreasing modulus and subsets explored best-first
-    by single right-shifts, so products come off the heap in nonincreasing
-    modulus order without enumerating all C(d, i) subsets.
+    ``values`` come in ``eigenvalue_sort_key`` order, as ``reps.spectra``
+    gives them, and subsets are explored best-first by single right-shifts,
+    so products come off the heap in nonincreasing modulus order without
+    enumerating all C(d, i) subsets.
     """
     d = len(values)
     if not 1 <= i <= d:
         raise InputError(f"subset size {i} out of range 1..{d}")
-    vals = sort_eigenvalues(values)
-    logs = [math.log(abs(z)) if abs(z) > 0 else -math.inf for z in vals]
+    logs = [math.log(abs(z)) if abs(z) > 0 else -math.inf for z in values]
     start = tuple(range(i))
     heap = [(-sum(logs[k] for k in start), start)]
     seen = {start}
     out: list[complex] = []
     while heap and len(out) < count:
         negsum, subset = heapq.heappop(heap)
-        out.append(math.prod(vals[k] for k in subset))
+        out.append(math.prod(values[k] for k in subset))
         for pos in range(i):
             nxt = subset[pos] + 1
             if nxt >= d:

@@ -130,13 +130,6 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             entry["rejected"] = "trace not below -2"
             trace.append(entry)
             continue
-        if not coset.letters:
-            lam = block_eigenvalues(m0[None], np.array([det0]))[0, 0].real
-            entry["accepted"] = "negative eigenvalue from trace"
-            trace.append(entry)
-            return SignWitness(word=w0, lambda1=float(lam), base_word=w0,
-                               power=1, coset=coset, search_trace=tuple(trace),
-                               tol=tol)
         frame = _eigenframe_2x2(m0)
         predicted = (np.linalg.inv(frame) @ coset_img @ frame)[0, 0]
         if abs(predicted) <= TRANSVERSALITY_TOL * np.linalg.norm(coset_img):

@@ -137,6 +137,22 @@ class TestGates:
         with pytest.raises(InputError):
             build_named("thm1i_dge7", {"d": 6})
 
+    def test_complex_gate_side_is_a_violation(self):
+        # headroom < 0 makes x complex, and comparing it raised TypeError
+        with pytest.raises(ConstructionError) as err:
+            build_named("thm1i_d5", {"headroom": -1.0})
+        assert err.value.inequality == "x^(5/4) > ell1(rho1(w a1^2))"
+
+    @pytest.mark.parametrize("name,params", [
+        ("thm1ii_d12", {"x": 1e200}), ("thm1ii_d12", {"nu": 1e100}),
+        ("thm41_pattern", {"p": 1e40}), ("thm1i_d6", {"dom_margin": 1e300}),
+        ("prop42_sl4", {"spread": 1e100}), ("thm1i_d5", {"spread": 1e200}),
+    ])
+    def test_finite_param_that_overflows_is_an_input_error(self, name, params):
+        # each raised OverflowError
+        with pytest.raises(InputError, match=f"construction {name} overflows"):
+            build_named(name, params)
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("name", ALL_NAMES)

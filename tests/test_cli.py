@@ -73,6 +73,15 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith("error: parameter") and "Traceback" not in err
 
+    def test_finite_param_that_overflows_exits_2(self, tmp_path, capsys):
+        # x^3 overflowed to an OverflowError traceback (exit 1)
+        capsys.readouterr()
+        assert main(["build", "--name", "thm1ii_d12", "--param", "x=1e200",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: construction thm1ii_d12 overflows")
+        assert "Traceback" not in err
+
     def test_integral_float_param_builds_the_int(self, tmp_path):
         outs = [tmp_path / "int", tmp_path / "float"]
         for out, d in zip(outs, ("d=8", "d=8.0")):

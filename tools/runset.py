@@ -9,12 +9,15 @@ where the checkout or OUTDIR lies.  Each command's output directory also
 gets ``stdout.txt``, and ``codes.txt`` lists every command with its exit
 code.  ``verified.txt`` gives, for each ``reproduce/<id>-s<seed>``,
 ``verify_certificate`` of its report's certificate against
-``build/<id>-s<seed>/rep.json``.  Two checkouts are then compared with one
-``diff -r`` of their OUTDIRs, verification outcomes included.  The set:
+``build/<id>-s<seed>/rep.json``.  Two checkouts are then compared with
+one ``diff -r`` of their OUTDIRs, verification outcomes included.  The set:
 
 - ``build`` and ``reproduce`` of the seven construction ids at seeds 0, 7;
 - of each such build, every gap profile and the QI profile at radius 4
   (dim <= 6) or 3;
+- ``build`` and ``reproduce`` at seed 7 of each entry of ``PARAMS``, which
+  sets a parameter explicitly or in place of a computed default, in
+  ``<id>-<params>-s7``;
 - ``thm1ii_d12`` at seeds 7 and 23, gaps 1, 3, 6 and QI at radius 4;
 - the QI profiles of ``schottky_sl2r(2, 2.5)`` at radius 10 and of
   ``schottky_sl2r(2, 4.0)`` at radius 8;
@@ -34,6 +37,13 @@ from pathlib import Path
 
 IDS = ("prop42_sl4", "prop42_sl6", "thm1i_d5", "thm1i_d6", "thm1i_dge7",
        "thm1ii_d12", "thm41_pattern")
+# (directory, id, --param values), each built and reproduced at seed 7
+PARAMS = (("thm1i_dge7-d9", "thm1i_dge7", ["d=9"]),
+          ("thm41_pattern-n7-q-100", "thm41_pattern", ["n=7", "q=-100"]),
+          ("prop42_sl4-x3-y1", "prop42_sl4", ["x=3", "y=1"]),
+          ("prop42_sl6-s4-t0.5", "prop42_sl6", ["s=4", "t=0.5"]),
+          ("thm1i_d6-r8", "thm1i_d6", ["dom_radius=8"]),
+          ("thm1i_d5-h3", "thm1i_d5", ["headroom=3"]))
 
 
 def profiles(build: str, gaps, radius: str):
@@ -96,11 +106,15 @@ def main(argv=None) -> int:
                 run("reproduce", f"reproduce/{build}", [name, "--seed", str(seed)])
                 dims[build] = json.loads(
                     Path(f"build/{build}/build.json").read_text())["dim"]
+    for stem, name, values in PARAMS:
+        params = [arg for v in values for arg in ("--param", v)]
+        run("build", f"build/{stem}-s7", ["--name", name, "--seed", "7", *params])
+        run("reproduce", f"reproduce/{stem}-s7", [name, "--seed", "7", *params])
     for out, rest in commands(dims):
         run("diagnose", out, rest)
     Path("codes.txt").write_text("".join(codes))
     verified = []
-    for build in dims:
+    for build in [*dims, *(f"{stem}-s7" for stem, _, _ in PARAMS)]:
         report = json.loads(Path(f"reproduce/{build}/report.json").read_text())
         ok = verify_certificate(report["golden"]["certificate"],
                                 RepSpec.load(f"build/{build}/rep.json"))
