@@ -26,7 +26,7 @@ from .builders import build_named, known_constructions
 from .certify import gap_profile, qi_profile
 from .errors import (ConstructionError, InputError, NumericalError,
                      SamplingError, SearchError)
-from .obstruct import certify_not_limit, sample_limit_set
+from .obstruct import _INDETERMINATE, certify_not_limit, sample_limit_set
 from .reproduce import run_reproduction
 from .reps import RepSpec
 from .words import Presentation, Word
@@ -198,8 +198,7 @@ def _cmd_obstruct(args, run: _Run) -> int:
     print(f"covered indices: {covered}; uncovered: {uncovered}")
     if cert.covered_all:
         return 0
-    if any(e.reason.startswith("classification indeterminate")
-           for e in cert.entries if not e.covered):
+    if any(e.reason == _INDETERMINATE for e in cert.entries if not e.covered):
         return 3
     return 1
 

@@ -333,7 +333,8 @@ def classify_exterior(eigenvalues: Iterable[complex], i: int,
     class of the i-th largest modulus) and k of its m members: C(m, k) of
     them.  A (positive) real one exists iff the boundary class's positive
     reals, negative reals and whole conjugate pairs can make one; if only
-    halves of two non-real pairs could, the result is indeterminate.
+    halves of two non-real pairs could, the result is indeterminate; so is
+    one whose top i moduli have a product that is not finite.
     """
     eigs = _as_spectrum(eigenvalues)
     d = len(eigs)
@@ -376,15 +377,17 @@ def classify_exterior(eigenvalues: Iterable[complex], i: int,
     positive = 0 in parities
     undecided = pairs >= 2 and 2 <= k <= size - 2 and not positive
     p1 = k == size and i < d and mods[i - 1] > (1.0 + tol) * mods[i]
+    top_modulus = math.prod(mods[:i])
     return ExteriorClassification(
         index=i, method="subset-products",
         p1_proximal=p1,
         semiproximal=bool(parities),
         positively_semiproximal=positive,
         top_eigenvalue=math.prod(eigs[:i]) if p1 else None,
-        top_modulus=math.prod(mods[:i]),
+        top_modulus=top_modulus,
         top_multiplicity=math.comb(size, k),
         top_moduli=top_moduli,
-        indeterminate=gray_modulus or gray_real or undecided,
+        indeterminate=(gray_modulus or gray_real or undecided
+                       or not math.isfinite(top_modulus)),
         tol=tol,
     )

@@ -2,8 +2,8 @@
 
 * a bounded deterministic search for words with negative leading eigenvalue
   (commutator seed with trace < -2, then a power scan along a fixed coset);
-* exact-ratio convergence reports for the two limit identities behind that
-  search;
+* exact-ratio reports on the two limit identities behind that search, the
+  limit read from the spectral projector of the base word's eigenvalues;
 * finite-ball domination sweeps between representations;
 * certificates recording exterior indices at which a designated witness
   fails positive semiproximality, re-checkable from serialized data;
@@ -37,6 +37,7 @@ TIE_TOL = 1e-9  # domination margins within this of 0 are ties
 SAMPLE_LENGTHS = (4, 10)  # word lengths the limit-set sampler draws from
 MIN_PROXIMAL = 30  # proximal samples below which the sampler refuses
 MAX_CANDIDATES = 200  # commutator candidates the sign search examines
+_INDETERMINATE = "classification indeterminate at this tolerance"
 
 
 # ---------------------------------------------------------------------------
@@ -72,28 +73,21 @@ def _commutator_candidates(alphabet: Alphabet, cap: int):
     short = [w for w in enumerate_ball(alphabet, 2) if len(w) >= 1]
     ones = [w for w in short if len(w) == 1]
     seen = set()
-    count = 0
     for pool in (ones, short):
         for u in pool:
             for v in pool:
-                if count >= cap:
+                if len(seen) >= cap:
                     return
                 w0 = commutator(u, v)
                 if not w0.letters or w0.letters in seen:
                     continue
                 seen.add(w0.letters)
-                count += 1
-                yield u, v, w0
+                yield w0
 
 
-def _eigenframe_2x2(m: np.ndarray) -> np.ndarray:
-    """Columns: attracting then repelling eigenvector."""
-    vals, vecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(vals))
-    frame = vecs[:, order]
-    if np.max(np.abs(frame.imag)) < 1e-12 * np.max(np.abs(frame.real)):
-        frame = frame.real
-    return frame
+def _attracting_coefficient(m0: np.ndarray, lam: np.ndarray, c: np.ndarray):
+    """tr(P c), P = (m0 - lam2) / (lam1 - lam2) m0's spectral projector."""
+    return np.trace((m0 - lam[1] * np.eye(2)) @ c) / (lam[0] - lam[1])
 
 
 def _image_and_det(rep: RepSpec, w: Word) -> tuple[np.ndarray, float]:
@@ -109,12 +103,12 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
     """Find w = w0^m * coset with real negative leading eigenvalue.
 
     Stage one scans commutator candidates w0 until trace < -2 sqrt(det)
-    (a discrete free 2x2 group always contains such an element).  Stage
-    two walks the powers w0^m * coset until the guaranteed sign flip shows
-    a negative leading eigenvalue, read by ``linalg.block_eigenvalues``
-    from the trace and the letters' determinants.  Fails loudly with the
-    examined trace when the budget runs out; that is never a nonexistence
-    claim.
+    (a discrete free 2x2 group always contains such an element) and the
+    coset has an attracting coefficient.  Stage two walks the powers
+    w0^m * coset until the guaranteed sign flip shows a negative leading
+    eigenvalue.  Both read ``linalg.block_eigenvalues``, from the trace and
+    the letters' determinants.  Fails loudly with the examined trace when
+    the budget runs out; that is never a nonexistence claim.
     """
     if rep.dim != 2:
         raise InputError("the sign search runs on 2x2 representations")
@@ -122,7 +116,7 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
         raise InputError("coset word uses a different alphabet")
     trace: list[dict] = []
     coset_img, coset_det = _image_and_det(rep, coset)
-    for u, v, w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
+    for w0 in _commutator_candidates(rep.alphabet, MAX_CANDIDATES):
         m0, det0 = _image_and_det(rep, w0)
         tr = float(m0[0, 0] + m0[1, 1])
         entry = {"candidate": str(w0), "trace": tr}
@@ -130,8 +124,8 @@ def find_negative_lambda(rep: RepSpec, coset: Word, *,
             entry["rejected"] = "trace not below -2"
             trace.append(entry)
             continue
-        frame = _eigenframe_2x2(m0)
-        predicted = (np.linalg.inv(frame) @ coset_img @ frame)[0, 0]
+        pair = block_eigenvalues(m0[None], np.array([det0]))[0]
+        predicted = _attracting_coefficient(m0, pair, coset_img)
         if abs(predicted) <= TRANSVERSALITY_TOL * np.linalg.norm(coset_img):
             entry["rejected"] = "coset not transverse to candidate axes"
             trace.append(entry)
@@ -178,20 +172,15 @@ class LimitFormulaReport(Record):
     predicted: float
     final_error: float
     converged: bool
-    consecutive: tuple[complex, ...]
     base_top_eigenvalue: float
     consecutive_error: float
-
-    def to_json(self) -> dict:
-        doc = super().to_json()
-        del doc["consecutive"]
-        return doc
 
 
 def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
                         n_max: int = 30) -> LimitFormulaReport:
-    """Track lambda1(w0^n a) / lambda1(w0^n) against its frame-coordinate
-    limit, and the consecutive ratio against lambda1(w0).
+    """Track lambda1(w0^n a) / lambda1(w0^n) against its limit, a's
+    attracting coefficient, and the consecutive ratio against lambda1(w0),
+    from w0's ``block_eigenvalues`` pair (a complex pair is never proximal).
 
     Powers are evaluated on the rescaled matrix w0 / lambda1, which keeps
     every intermediate bounded; the ratio is exact under that rescaling.
@@ -201,17 +190,12 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
     if n_max < 2:  # the consecutive ratio needs two powers
         raise InputError(f"n_max must be >= 2, got {n_max}")
     m0, det0 = _image_and_det(rep, w0)
-    pc = classify(block_eigenvalues(m0[None], np.array([det0]))[0])
-    lam0 = pc.top_eigenvalue
-    if not pc.proximal[0] or lam0 is None or abs(lam0.imag) > 1e-9 * abs(lam0):
+    lam = block_eigenvalues(m0[None], np.array([det0]))[0]
+    if not abs(lam[0]) > (1.0 + DEFAULT_TOL) * abs(lam[1]):  # NaN fails too
         raise InputError("base word must have a real proximal leading eigenvalue")
-    lam0 = lam0.real
-    frame = _eigenframe_2x2(m0)
+    lam0 = float(lam[0].real)
     ma, det_a = _image_and_det(rep, a)
-    predicted = (np.linalg.inv(frame) @ ma @ frame)[0, 0]
-    if abs(predicted.imag) > 1e-9 * max(abs(predicted), 1.0):
-        raise DegenerateConfigurationError("predicted limit is not real")
-    predicted = float(predicted.real)
+    predicted = float(_attracting_coefficient(m0, lam.real, ma))
     if abs(predicted) < TRANSVERSALITY_TOL * np.linalg.norm(ma):
         raise DegenerateConfigurationError(
             "predicted limit vanishes: coset fixed lines are not transverse")
@@ -225,16 +209,13 @@ def limit_formula_check(rep: RepSpec, w0: Word, a: Word,
                      for n in range(1, n_max + 1)])
     ratios = block_eigenvalues(np.array(images).reshape(-1, 2, 2),
                                dets)[:, 0].tolist()
-    consecutive = tuple(lam0 * ratios[k + 1] / ratios[k]
-                        for k in range(len(ratios) - 1))
     final_error = abs(ratios[-1] - predicted)
-    consecutive_error = abs(consecutive[-1] - lam0)
+    consecutive_error = abs(lam0 * ratios[-1] / ratios[-2] - lam0)
     return LimitFormulaReport(
         ratios=tuple(ratios),
         predicted=predicted,
         final_error=final_error,
         converged=final_error <= CONV_TOL * max(1.0, abs(predicted)),
-        consecutive=consecutive,
         base_top_eigenvalue=lam0,
         consecutive_error=consecutive_error,
     )
@@ -455,9 +436,8 @@ def certify_not_limit(rep: RepSpec, witnesses: Sequence[Word],
                                    "witness fails positive semiproximality", cls)
                 break
         if entry is None:
-            reason = ("all decisive witnesses positively semiproximal"
-                      if not saw_indeterminate else
-                      "classification indeterminate at this tolerance")
+            reason = (_INDETERMINATE if saw_indeterminate else
+                      "all decisive witnesses positively semiproximal")
             entry = IndexEntry(i, False, None, reason, None)
         entries.append(entry)
     return ObstructionCertificate(

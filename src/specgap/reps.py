@@ -463,10 +463,11 @@ def scale_by_character(rep: RepSpec, eps: Character, exponent) -> RepSpec:
                                 inequality="det = 1") from exc
 
 
+@np.errstate(over="ignore")
 def _kron(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Ordered Kronecker products of (k, d_i, d_i) stacks, image by image,
     entry by entry the one product ``np.kron`` takes, in one broadcast
-    multiply per factor."""
+    multiply per factor; ``RepSpec`` refuses an entry that overflows."""
     return reduce(lambda a, b: (a[:, :, None, :, None] * b[:, None, :, None, :])
                   .reshape(len(a), a.shape[1] * b.shape[1], -1), stacks)
 
@@ -612,10 +613,12 @@ def _letter_dets(data: bytes, shape: tuple[int, ...], dtype: str
     """Read-only (2k, g) determinants of the signed letters of the 2x2
     letter table of ``shape`` and ``dtype`` whose bytes are ``data``, made
     once per table: a d - b c in Python numbers, raised to -1 for an
-    inverse letter (numpy's reciprocal rounds differently on a few)."""
+    inverse letter (numpy's reciprocal rounds differently on a few), inf
+    for the inverse of a determinant that underflowed to 0."""
     table = np.frombuffer(data, dtype).reshape(shape)
     letters = table[0::2].reshape(len(table) // 2, -1, 2, 2).tolist()
-    dets = np.array([[(p * s - q * r) ** sign for (p, q), (r, s) in blocks]
+    dets = np.array([[det ** sign if det or sign > 0 else math.inf
+                      for det in (p * s - q * r for (p, q), (r, s) in blocks)]
                      for blocks in letters for sign in (1, -1)])
     dets.flags.writeable = False
     return dets

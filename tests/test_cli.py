@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specgap import builders
 from specgap.cli import _build_parser, _canonical_json, main
 from specgap.obstruct import verify_certificate
 from specgap.reps import RepSpec, tensor_rep
@@ -285,6 +286,23 @@ class TestObstruct:
                      "--out", str(tmp_path / "x")]) == 3
         assert "uncovered: [3]" in capsys.readouterr().out
 
+    def test_overflowed_top_product_exits_3(self, tmp_path, capsys):
+        # the top moduli at indices 3 and 5 multiply past the double range:
+        # those indices were covered with a top modulus of inf
+        build = tmp_path / "build"
+        assert main(["build", "--name", "thm41_pattern", "--param",
+                     "q=-1e300", "--out", str(build)]) == 0
+        witnesses = read_json(build / "build.json")["witnesses"]
+        capsys.readouterr()
+        assert main(["obstruct", "--rep", str(build / "rep.json"),
+                     "--witness", witnesses["main"],
+                     "--witness", witnesses["second"],
+                     "--out", str(tmp_path / "cert")]) == 3
+        assert "uncovered: [3, 5]" in capsys.readouterr().out
+        cert = read_json(tmp_path / "cert" / "certificate.json")
+        assert [e["reason"] for e in cert["entries"] if not e["covered"]] == [
+            "classification indeterminate at this tolerance"] * 2
+
 
 class TestDiagnose:
     def test_gap_profile_outputs(self, tmp_path):
@@ -447,6 +465,36 @@ class TestReproduce:
 
     def test_unknown_id_exits_2(self, tmp_path):
         assert main(["reproduce", "thm99", "--out", str(tmp_path)]) == 2
+
+
+def test_saturating_params_exit_with_a_code_and_strict_json(tmp_path, capsys):
+    # build and reproduce of each id at each non-integer parameter set to
+    # +-1e300, 1e-300, +-1e20 and 1e-20.  q=-1e300 and p=1e20 of
+    # thm41_pattern covered indices with a top modulus of inf, which the
+    # strict writer refused (ValueError); y=1e-300 of prop42_sl4 took 0.0 to
+    # the power -1 (ZeroDivisionError)
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    runs, codes = 0, {}
+    for name, (_, defaults) in sorted(builders._REGISTRY.items()):
+        for key in sorted(k for k, v in defaults.items()
+                          if not isinstance(v, int)):
+            for value in ("1e300", "-1e300", "1e-300", "1e20", "-1e20",
+                          "1e-20"):
+                param = f"{key}={value}"
+                for argv in (["build", "--name", name], ["reproduce", name]):
+                    out = tmp_path / f"{argv[0]}-{name}-{param}"
+                    code = main([*argv, "--param", param, "--out", str(out)])
+                    assert code in (0, 1, 2, 3), (argv, param, code)
+                    for path in out.glob("*.json"):
+                        json.loads(path.read_text(), parse_constant=reject)
+                    codes[argv[0], name, param] = code
+                    runs += 1
+    capsys.readouterr()
+    assert runs == 264  # 22 parameters
+    assert codes["reproduce", "thm41_pattern", "q=-1e300"] == 1
+    assert codes["reproduce", "prop42_sl4", "y=1e-300"] == 1
 
 
 class TestLimitset:

@@ -473,7 +473,7 @@ class TestEigenvalueRoutes:
     ``eigvals`` in ``src/specgap`` is a second eigenvalue route."""
 
     ALLOWED = {"block_eigenvalues", "spectrum", "_eig_stack",
-               "_eigenframe_2x2", "common_eigenvector_defect"}
+               "common_eigenvector_defect"}
 
     @staticmethod
     def _routes(tree):

@@ -149,6 +149,40 @@ class TestLimitFormula:
             limit_formula_check(rot, word(PAIR, "a1"), word(PAIR, "b1"))
 
 
+class TestAttractingCoefficient:
+    def test_projector_matches_the_eigenframe(self):
+        # base words w0 with trace below -2 sqrt(det) and random coset words
+        # c: tr(P c), P the spectral projector from w0's block_eigenvalues
+        # pair, against (F^-1 c F)[0, 0], F the eigenvector frame of eig
+        # ordered by modulus.  The routes were seen to differ by up to 100
+        # eps |c| cond(F)^2, and cond(F) stays below 2e5 at these lengths:
+        # the tolerance is 1e-8 |c| cond(F)
+        j = j_spread(4.0)
+        rng = np.random.default_rng(3)
+
+        def draw(shortest, longest):
+            codes = []
+            for _ in range(int(rng.integers(shortest, longest + 1))):
+                codes.append(int(rng.choice([k for k in range(4) if not (
+                    codes and k == codes[-1] ^ 1)])))
+            return Word.from_codes(PAIR, codes)
+
+        checked = 0
+        while checked < 500:
+            m0, det0 = obstruct._image_and_det(j, draw(2, 8))
+            if not np.trace(m0) < -2.0 * math.sqrt(det0):
+                continue
+            c, _ = obstruct._image_and_det(j, draw(0, 8))
+            pair = block_eigenvalues(m0[None], np.array([det0]))[0]
+            got = obstruct._attracting_coefficient(m0, pair, c)
+            vals, vecs = np.linalg.eig(m0)
+            frame = vecs[:, np.argsort(-np.abs(vals))]
+            want = (np.linalg.inv(frame) @ c @ frame)[0, 0]
+            assert abs(got - want) <= (1e-8 * np.linalg.norm(c)
+                                       * np.linalg.cond(frame))
+            checked += 1
+
+
 class TestDomination:
     def test_equal_reps_sit_on_the_boundary(self):
         j = j_spread(4.0)

@@ -22,7 +22,10 @@ one ``diff -r`` of their OUTDIRs, verification outcomes included.  The set:
 - the QI profiles of ``schottky_sl2r(2, 2.5)`` at radius 10 and of
   ``schottky_sl2r(2, 4.0)`` at radius 8;
 - the default-radius QI profile of ``thm1i_d6`` at seed 0, whose ball
-  passes ``certify.MAX_WORDS``.
+  passes ``certify.MAX_WORDS``;
+- ``obstruct`` on each build of ``OBSTRUCT`` with the witnesses it names,
+  read from the build's ``build.json``;
+- ``limitset --samples 300 --seed 7`` on each build of ``LIMITSET``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ PARAMS = (("thm1i_dge7-d9", "thm1i_dge7", ["d=9"]),
           ("prop42_sl6-s4-t0.5", "prop42_sl6", ["s=4", "t=0.5"]),
           ("thm1i_d6-r8", "thm1i_d6", ["dom_radius=8"]),
           ("thm1i_d5-h3", "thm1i_d5", ["headroom=3"]))
+# (build directory, names of its build.json witnesses) of each ``obstruct``
+OBSTRUCT = (("thm41_pattern-n7-q-100-s7", ("main", "second")),
+            ("thm1i_dge7-d9-s7", ("main",)))
+LIMITSET = ("thm1ii_d12-s0", "prop42_sl6-s0")  # build directories
 
 
 def profiles(build: str, gaps, radius: str):
@@ -112,6 +119,16 @@ def main(argv=None) -> int:
         run("reproduce", f"reproduce/{stem}-s7", [name, "--seed", "7", *params])
     for out, rest in commands(dims):
         run("diagnose", out, rest)
+    for build, names in OBSTRUCT:
+        witnesses = json.loads(
+            Path(f"build/{build}/build.json").read_text())["witnesses"]
+        run("obstruct", f"obstruct/{build}",
+            ["--rep", f"build/{build}/rep.json",
+             *(arg for name in names for arg in ("--witness", witnesses[name]))])
+    for build in LIMITSET:
+        run("limitset", f"limitset/{build}",
+            ["--rep", f"build/{build}/rep.json", "--samples", "300",
+             "--seed", "7"])
     Path("codes.txt").write_text("".join(codes))
     verified = []
     for build in [*dims, *(f"{stem}-s7" for stem, _, _ in PARAMS)]:
